@@ -11,10 +11,12 @@ from .evaluation import MetricsReport, ThresholdPolicy, f_scores, predict_labels
 from .graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                      LabeledGraph, RelationWhitelist, build_knowledge_graph,
                      load_scene_graph, validate_graph)
-from .model import (ModelConfig, ModelParams, attention_fuse, classify,
-                    encode_nodes, forward, fuse_concat, gcn_layer, init_params,
-                    param_count, readout_sum)
+from .model import (Batch, GraphBatch, ModelConfig, ModelParams, attention_fuse,
+                    classify, collate, encode_nodes, forward, forward_batch,
+                    fuse_concat, gcn_layer, init_params, pack, param_count,
+                    readout_sum)
 from .tensor import Parameter, Tape, Tensor, backward, sgd_step
-from .training import Example, RunLog, TrainConfig, loss, train, train_epoch
+from .training import (Example, PackedSplit, RunLog, TrainConfig, loss, pack_split,
+                       train, train_epoch)
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ from .errors import (ConfigError, EmbeddingParseError, SchemaError,
                      SymgraphError, ValidationError)
 from .evaluation import ThresholdPolicy, ablation_csv, collect_attention
 from .gradcheck import gradcheck
-from .model import (ModelConfig, init_params, load_checkpoint, param_count,
-                    save_checkpoint)
+from .model import ModelConfig, param_count, read_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 USAGE_ERRORS = (ConfigError, SchemaError, EmbeddingParseError, ValidationError)
@@ -90,7 +89,10 @@ def apply_config_file(subparser, argv_rest):
     """Fold config-file values in as parser defaults so flags still win."""
     if "--config" not in argv_rest:
         return
-    path = argv_rest[argv_rest.index("--config") + 1]
+    at = argv_rest.index("--config") + 1
+    if at == len(argv_rest):
+        raise ConfigError("--config needs a file path")
+    path = argv_rest[at]
     values = load_config_file(path)
     by_dest = {a.dest: a for a in subparser._actions}
     defaults = {}
@@ -219,8 +221,8 @@ def cmd_train(args) -> int:
         policy=policy)
     out = Path(args.out)
     (out / "runlog.csv").write_text(log.to_csv(), encoding="utf-8")
-    save_checkpoint(out / "checkpoint.npz", mconfig, best)
-    save_checkpoint(out / "final.npz", mconfig, final)
+    save_checkpoint(out / "checkpoint.npz", mconfig, best, tconfig.loss_mode)
+    save_checkpoint(out / "final.npz", mconfig, final, tconfig.loss_mode)
     if args.dump_attention:
         rows = collect_attention(splits["val"], best, table, mconfig)
         lines = ["image_id,alpha_kg,alpha_sg"]
@@ -237,7 +239,7 @@ def cmd_eval(args) -> int:
         "bundle": args.bundle, "embeddings": args.embeddings,
         "checkpoint": args.checkpoint})
     splits, label_list = dataset.load_bundle(args.bundle)
-    mconfig, params = load_checkpoint(args.checkpoint)
+    mconfig, params, loss_mode = read_checkpoint(args.checkpoint)
     if mconfig.num_labels != len(label_list):
         raise ConfigError(
             f"checkpoint has {mconfig.num_labels} labels, bundle {len(label_list)}")
@@ -246,7 +248,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"bundle has no split '{args.split}'")
     policy = policy_from_args(args)
     report = evaluation.evaluate_dataset(
-        splits[args.split], params, table, mconfig, label_list, policy)
+        splits[args.split], params, table, mconfig, label_list, policy,
+        loss_mode=loss_mode)
     out = Path(args.out)
     (out / "per_label.csv").write_text(report.per_label_csv(), encoding="utf-8")
     metrics = {

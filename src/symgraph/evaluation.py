@@ -12,8 +12,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelConfig, forward, init_params
-from .training import TrainConfig
+from .model import ModelConfig, collate, forward_batch, pack
+from .training import PackedSplit, TrainConfig
+
+# Evaluation forwards examples in chunks of at most this many nodes (both
+# graphs counted; a chunk holds at least one example): large enough to
+# amortize per-op overhead over small graphs, small enough that a split of
+# large graphs never lives in memory as one batch.
+MAX_CHUNK_NODES = 512
 
 
 @dataclass
@@ -104,32 +110,68 @@ def f_scores(predictions, truth, label_list,
     return MetricsReport(macro, micro, rows, desc)
 
 
-def evaluate_dataset(data, params, table, mconfig: ModelConfig, label_list,
-                     policy: ThresholdPolicy = None,
-                     loss_mode: str = "softmax_ce") -> MetricsReport:
-    """Forward every example (untraced), threshold, and score."""
-    if policy is None:
-        policy = ThresholdPolicy()
-    predictions, truth = [], []
-    for ex in data:
-        probs, diag = forward(ex, params, table, mconfig)
+def chunks(batches):
+    """Group packed examples into lists of at most MAX_CHUNK_NODES nodes
+    (a larger example goes alone), keeping their order."""
+    chunk, nodes = [], 0
+    for b in batches:
+        if chunk and nodes + b.num_nodes > MAX_CHUNK_NODES:
+            yield chunk
+            chunk, nodes = [], 0
+        chunk.append(b)
+        nodes += b.num_nodes
+    if chunk:
+        yield chunk
+
+
+def _forward_chunks(batches, params, mconfig: ModelConfig, loss_mode: str = "softmax_ce"):
+    """Untraced per-example scores and diagnostics, forwarded chunk by chunk.
+
+    Yields (scores, diagnostics) per chunk: softmax probabilities, or per-label
+    sigmoids of the logits for a ``sigmoid_bce`` head.
+    """
+    for chunk in chunks(batches):
+        probs, diag = forward_batch(collate(chunk), params, mconfig)
         scores = probs.data
         if loss_mode == "sigmoid_bce":
             scores = 1.0 / (1.0 + np.exp(-diag["logits"].data))
-        predictions.append(predict_labels(scores, policy, label_list))
-        truth.append(set(ex.labels))
+        yield scores, diag
+
+
+def _report(batches, truth, params, mconfig, label_list, policy, loss_mode):
+    if policy is None:
+        policy = ThresholdPolicy()
+    predictions = [predict_labels(row, policy, label_list)
+                   for scores, _ in _forward_chunks(batches, params, mconfig, loss_mode)
+                   for row in scores]
     return f_scores(predictions, truth, label_list, policy)
+
+
+def evaluate_dataset(data, params, table, mconfig: ModelConfig, label_list,
+                     policy: ThresholdPolicy = None,
+                     loss_mode: str = "softmax_ce") -> MetricsReport:
+    """Forward every example (untraced, packed chunk by chunk), threshold,
+    and score."""
+    return _report(pack(data, table), [set(ex.labels) for ex in data], params,
+                   mconfig, label_list, policy, loss_mode)
+
+
+def evaluate_packed(split: PackedSplit, params, mconfig: ModelConfig, label_list,
+                    policy: ThresholdPolicy = None,
+                    loss_mode: str = "softmax_ce") -> MetricsReport:
+    """``evaluate_dataset`` on a split packed once (validation during
+    training)."""
+    truth = [{label_list[i] for i in np.flatnonzero(row)} for row in split.targets]
+    return _report(split.batches, truth, params, mconfig, label_list, policy, loss_mode)
 
 
 def collect_attention(data, params, table, mconfig: ModelConfig):
     """Per-example fusion weights [(image_id, alpha_kg, alpha_sg), ...]."""
-    rows = []
-    for ex in data:
-        _, diag = forward(ex, params, table, mconfig)
-        a = diag["alpha"]
-        if a is not None:
-            rows.append((ex.image_id, float(a[0]), float(a[1])))
-    return rows
+    if mconfig.fusion_mode == "concat":
+        return []
+    alphas = [row for _, diag in _forward_chunks(pack(data, table), params, mconfig)
+              for row in diag["alpha"]]
+    return [(ex.image_id, float(a[0]), float(a[1])) for ex, a in zip(data, alphas)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +211,3 @@ def ablation_csv(logs: dict) -> str:
             lines.append(f"{variant},{r.epoch},{r.val_macro_f:.12g}")
     return "\n".join(lines) + "\n"
 
-
-def init_for_mode(mconfig: ModelConfig, mode: str):
-    """Fresh params for a graph-mode variant (same seed, ablated factor only)."""
-    return init_params(replace(mconfig, graph_mode=mode))

@@ -11,7 +11,7 @@ from .graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
 from .model import ModelConfig, init_params
 from .rng import child_rng
 from .tensor import Tape, backward
-from .training import Example, example_loss
+from .training import Example, batch_loss, pack_split
 
 # relative error of analytic vs numeric gradient; the +1e-6 floor keeps
 # finite-difference noise on true-zero coordinates from registering
@@ -77,9 +77,11 @@ def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
     """
     table, ex, labels = random_toy_world(mconfig, seed)
     params = init_params(mconfig)
+    split = pack_split([ex], table, labels)
+    rows = [0]
 
     tape = Tape()
-    lt, _ = example_loss(ex, params, table, mconfig, labels, loss_mode, tape)
+    lt = batch_loss(split, rows, params, mconfig, loss_mode, tape)
     backward(tape, lt)
     analytic = {p.name: p.grad.copy() for p in params}
     if corrupt_param is not None:
@@ -88,8 +90,7 @@ def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
         p.zero_grad()
 
     def loss_at() -> float:
-        value, _ = example_loss(ex, params, table, mconfig, labels, loss_mode)
-        return value.item()
+        return batch_loss(split, rows, params, mconfig, loss_mode).item()
 
     report = GradCheckReport(tolerance=tolerance)
     for p in params:

@@ -43,9 +43,6 @@ class LabeledGraph:
     edges: list
     kind: str = "scene"
 
-    def in_edges(self, i):
-        return [e for e in self.edges if e.dst == i]
-
 
 class RelationWhitelist:
     def __init__(self, relations=DEFAULT_RELATIONS):
@@ -103,6 +100,15 @@ _OBJ_KEYS = {"name", "attributes"}
 _REL_KEYS = {"subj", "pred", "obj"}
 
 
+def _check_image_id(image_id: str) -> str:
+    """An image id names its example file in a bundle, so it must be a plain
+    file name: nonempty, no path separator or NUL, and no leading dot (a
+    hidden file, or a step out of the bundle)."""
+    if not image_id or image_id.startswith(".") or any(c in image_id for c in "/\\\0"):
+        raise SchemaError(f"image_id {image_id!r} is not a plain file name")
+    return image_id
+
+
 def load_scene_document(doc: dict):
     """Validate a scene-graph JSON document; returns (image_id, graph, labels)."""
     if not isinstance(doc, dict):
@@ -140,7 +146,8 @@ def load_scene_document(doc: dict):
     labels = doc["labels"]
     if not all(isinstance(l, str) for l in labels):
         raise SchemaError("labels must be strings")
-    return str(doc["image_id"]), LabeledGraph(nodes, edges, kind="scene"), list(labels)
+    image_id = _check_image_id(str(doc["image_id"]))
+    return image_id, LabeledGraph(nodes, edges, kind="scene"), list(labels)
 
 
 def load_scene_graph(doc: dict) -> LabeledGraph:

@@ -1,5 +1,13 @@
 """Two-tower graph network: node encoding, GCN stack, sum readout,
 concat or attention fusion of the two graph vectors, and an MLP softmax head.
+
+The network runs on mini-batches.  ``pack`` turns each example's two graphs
+into a ``GraphBatch`` per kind: encoder-input rows plus a row-normalized
+in-edge list, built once per call with each phrase embedded once.
+``collate`` joins packed examples into one disjoint union per kind (node and
+graph ids shifted), so each tower is one encoder matmul, one ``scatter_add``
+and matmul per GCN layer, and one ``scatter_add`` over graph ids for the
+readout; fusion and the head work on the (batch, hidden) rows.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .embeddings import EmbeddingTable, embed_phrase
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, ValidationError
 from .graphs import LabeledGraph
 from .rng import child_rng
 from .tensor import Parameter, Tape, Tensor
@@ -147,6 +155,128 @@ def param_count(config: ModelConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
+# packing: graphs -> encoder inputs and edge lists
+
+
+@dataclass
+class GraphBatch:
+    """A disjoint union of graphs of one kind, ready for a tower.
+
+    Node ``i`` has encoder input ``inputs[i]`` and belongs to graph
+    ``graph_ids[i]``.  ``(dst, src, weight)`` is the row-normalized in-edge
+    list: a GCN layer's aggregate of node ``i`` is the sum of
+    ``weight[e] * states[src[e]]`` over the edges with ``dst[e] == i``, where
+    ``weight[e]`` is one over the in-degree of ``dst[e]`` (repeated edges
+    count).  A node without in-edges has a self-loop of weight 1 instead.
+    """
+
+    inputs: np.ndarray  # (nodes, 2 * embed_dim)
+    dst: np.ndarray
+    src: np.ndarray
+    weight: np.ndarray
+    graph_ids: np.ndarray
+    num_graphs: int
+
+    @property
+    def num_nodes(self) -> int:
+        return self.inputs.shape[0]
+
+
+@dataclass
+class Batch:
+    """Knowledge and scene graphs of the same examples, in the same order."""
+
+    kg: GraphBatch
+    sg: GraphBatch
+
+    @property
+    def size(self) -> int:
+        return self.kg.num_graphs
+
+    @property
+    def num_nodes(self) -> int:
+        return self.kg.num_nodes + self.sg.num_nodes
+
+
+def _phrase(table: EmbeddingTable, phrase: str, memo: dict) -> np.ndarray:
+    vec = memo.get(phrase)
+    if vec is None:
+        vec = memo[phrase] = embed_phrase(table, phrase).data
+    return vec
+
+
+def node_input_vector(node, table: EmbeddingTable, memo: dict = None) -> np.ndarray:
+    """Mean embedding of a node's object token and each attribute token."""
+    memo = {} if memo is None else memo
+    key = (node.name, *node.attributes)
+    vec = memo.get(key)
+    if vec is None:
+        vec = memo[key] = np.mean([_phrase(table, t, memo) for t in key], axis=0)
+    return vec
+
+
+def pack_graph(g: LabeledGraph, table: EmbeddingTable, memo: dict = None) -> GraphBatch:
+    """Encoder inputs and in-edges of one graph.
+
+    A node's encoder input is the mean over its in-edges of
+    [source node input ; relation embedding]; a node without in-edges uses
+    its own input with the reserved ``self`` relation.  ``memo`` caches
+    phrase and node vectors across the graphs of one packing call.
+    """
+    memo = {} if memo is None else memo
+    n, d = len(g.nodes), table.dim
+    dst = np.array([e.dst for e in g.edges], dtype=np.intp)
+    src = np.array([e.src for e in g.edges], dtype=np.intp)
+    if dst.size and (min(dst.min(), src.min()) < 0 or max(dst.max(), src.max()) >= n):
+        raise ValidationError(f"edge index out of range for {n} nodes")
+    in_degree = np.bincount(dst, minlength=n)
+    isolated = np.flatnonzero(in_degree == 0)
+    dst = np.concatenate([dst, isolated])
+    src = np.concatenate([src, isolated])
+    relations = [e.relation for e in g.edges] + [SELF_RELATION] * isolated.size
+    x = np.array([node_input_vector(node, table, memo) for node in g.nodes]).reshape(n, d)
+    messages = np.hstack([
+        x[src], np.array([_phrase(table, r, memo) for r in relations]).reshape(-1, d)])
+    degree = np.maximum(in_degree, 1).astype(np.float64)
+    inputs = T.scatter_rows(messages, dst, n) / degree[:, None]
+    return GraphBatch(inputs, dst, src, 1.0 / degree[dst], np.zeros(n, dtype=np.intp), 1)
+
+
+def pack(examples, table: EmbeddingTable):
+    """Yield one ``Batch`` of size 1 per example, in order.
+
+    Phrase vectors are memoized for the life of this generator only, so a
+    relation or node token seen in many graphs is embedded once per call.
+    """
+    memo = {}
+    for ex in examples:
+        yield Batch(pack_graph(ex.knowledge_graph, table, memo),
+                    pack_graph(ex.scene_graph, table, memo))
+
+
+def _union(parts) -> GraphBatch:
+    nodes = np.array([p.num_nodes for p in parts])
+    node_base = np.repeat(np.cumsum(nodes) - nodes, [p.dst.size for p in parts])
+    graphs = np.array([p.num_graphs for p in parts])
+    graph_base = np.repeat(np.cumsum(graphs) - graphs, nodes)
+    return GraphBatch(
+        np.concatenate([p.inputs for p in parts]),
+        np.concatenate([p.dst for p in parts]) + node_base,
+        np.concatenate([p.src for p in parts]) + node_base,
+        np.concatenate([p.weight for p in parts]),
+        np.concatenate([p.graph_ids for p in parts]) + graph_base,
+        int(graphs.sum()),
+    )
+
+
+def collate(batches) -> Batch:
+    """One disjoint-union batch from packed batches, examples kept in order."""
+    if len(batches) == 1:
+        return batches[0]
+    return Batch(_union([b.kg for b in batches]), _union([b.sg for b in batches]))
+
+
+# ---------------------------------------------------------------------------
 # forward components
 
 
@@ -154,71 +284,37 @@ def _nonlin(config):
     return T.relu if config.nonlinearity == "relu" else T.sigmoid
 
 
-def node_input_vector(node, table: EmbeddingTable) -> np.ndarray:
-    """Mean embedding of a node's object token and each attribute token."""
-    vecs = [embed_phrase(table, node.name).data]
-    vecs += [embed_phrase(table, a).data for a in node.attributes]
-    return np.mean(vecs, axis=0)
+def encode_nodes(graphs: GraphBatch, w_enc: Tensor, config: ModelConfig,
+                 tape: Tape = None) -> Tensor:
+    """Initial node states: nonlinearity of the encoder inputs through the
+    encoder weight."""
+    return _nonlin(config)(T.linear(Tensor(graphs.inputs), w_enc, tape), tape)
 
 
-def in_neighbor_lists(g: LabeledGraph) -> list:
-    """In-edge source list per node (multiset); [i] self-loop when empty."""
-    nbrs = [[] for _ in g.nodes]
-    for e in g.edges:
-        nbrs[e.dst].append(e.src)
-    return [lst if lst else [i] for i, lst in enumerate(nbrs)]
-
-
-def encode_nodes(g: LabeledGraph, table: EmbeddingTable, w_enc: Tensor,
-                 config: ModelConfig, tape: Tape = None) -> Tensor:
-    """Initial node states: nonlinearity of the per-node averaged
-    [neighbor embedding ; relation embedding] input through the encoder weight.
-
-    Isolated nodes fall back to a self-loop with the reserved relation token.
-    """
-    n = len(g.nodes)
-    d = table.dim
-    x = [node_input_vector(node, table) for node in g.nodes]
-    e_self = embed_phrase(table, SELF_RELATION).data
-    rows = np.zeros((n, 2 * d))
-    counts = np.zeros(n)
-    for e in g.edges:
-        rows[e.dst, :d] += x[e.src]
-        rows[e.dst, d:] += embed_phrase(table, e.relation).data
-        counts[e.dst] += 1
-    for i in range(n):
-        if counts[i] == 0:
-            rows[i, :d] = x[i]
-            rows[i, d:] = e_self
-            counts[i] = 1
-    rows /= counts[:, None]
-    return _nonlin(config)(T.matmul(Tensor(rows), T.transpose(w_enc, tape), tape), tape)
-
-
-def gcn_layer(states: Tensor, g: LabeledGraph, w: Tensor, config: ModelConfig,
-              tape: Tape = None, neighbors=None) -> Tensor:
+def gcn_layer(states: Tensor, graphs: GraphBatch, w: Tensor, config: ModelConfig,
+              tape: Tape = None) -> Tensor:
     """One message-passing layer: nonlinearity of the in-neighbor mean of the
     previous states through the layer weight (no edge features past layer 0).
     """
-    if states.shape[0] != len(g.nodes):
+    if states.shape[0] != graphs.num_nodes:
         raise DimensionError(
-            f"state rows {states.shape[0]} != node count {len(g.nodes)}"
+            f"state rows {states.shape[0]} != node count {graphs.num_nodes}"
         )
-    if neighbors is None:
-        neighbors = in_neighbor_lists(g)
-    agg = T.neighbor_mean(states, neighbors, tape)
-    return _nonlin(config)(T.matmul(agg, T.transpose(w, tape), tape), tape)
+    agg = T.scatter_add(states, graphs.dst, graphs.src, graphs.weight,
+                        graphs.num_nodes, tape)
+    return _nonlin(config)(T.linear(agg, w, tape), tape)
 
 
-def readout_sum(states: Tensor, hidden_dim: int, tape: Tape = None) -> Tensor:
-    """Column-wise sum over nodes; the zero vector for an empty graph."""
-    if states.shape[0] == 0:
-        return Tensor(np.zeros(hidden_dim))
-    return T.sum_rows(states, tape)
+def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor:
+    """Per-graph sum of node states, (graphs, hidden); an empty graph reads
+    out as the zero vector."""
+    n = states.shape[0]
+    return T.scatter_add(states, graphs.graph_ids, np.arange(n), np.ones(n),
+                         graphs.num_graphs, tape)
 
 
 def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
-    """[v_kg ; v_sg ; v_kg * v_sg]."""
+    """[v_kg ; v_sg ; v_kg * v_sg], per row."""
     if v_kg.shape != v_sg.shape:
         raise DimensionError(f"fusion inputs disagree: {v_kg.shape} vs {v_sg.shape}")
     return T.concat([v_kg, v_sg, T.mul(v_kg, v_sg, tape)], tape)
@@ -226,105 +322,106 @@ def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
 
 def attention_fuse(v_kg: Tensor, v_sg: Tensor, tape: Tape = None,
                    score_w: Tensor = None):
-    """Weighted average of the graph vectors.
+    """Weighted average of the graph vectors, per row.
 
     The per-graph score is the squared norm (or a learned dot product when
     ``score_w`` is given); the two scores go through a joint softmax.
-    Returns (fused, alpha) with alpha ordered [kg, sg].
+    Returns (fused, alpha) with alpha's last axis ordered [kg, sg].
     """
     if v_kg.shape != v_sg.shape:
         raise DimensionError(f"fusion inputs disagree: {v_kg.shape} vs {v_sg.shape}")
-    if score_w is None:
-        s_kg = T.sum_all(T.mul(v_kg, v_kg, tape), tape)
-        s_sg = T.sum_all(T.mul(v_sg, v_sg, tape), tape)
-    else:
-        s_kg = T.sum_all(T.mul(score_w, v_kg, tape), tape)
-        s_sg = T.sum_all(T.mul(score_w, v_sg, tape), tape)
-    alpha = T.softmax(T.stack([s_kg, s_sg], tape), tape)
-    fused = T.add(
-        T.smul(T.index(alpha, 0, tape), v_kg, tape),
-        T.smul(T.index(alpha, 1, tape), v_sg, tape),
-        tape,
-    )
+    ones = Tensor(np.ones((v_kg.shape[-1], 1)))
+
+    def score(v):
+        per_unit = T.mul(v, v if score_w is None else score_w, tape)
+        return T.matmul(per_unit, ones, tape)
+
+    alpha = T.softmax(T.concat([score(v_kg), score(v_sg)], tape), tape)
+    weight_kg = T.matmul(alpha, Tensor([[1.0], [0.0]]), tape)
+    weight_sg = T.matmul(alpha, Tensor([[0.0], [1.0]]), tape)
+    fused = T.add(T.mul(weight_kg, v_kg, tape), T.mul(weight_sg, v_sg, tape), tape)
     return fused, alpha
 
 
 def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = None):
-    """MLP head (one hidden layer) with a softmax output; returns (probs, logits)."""
-    if fused.shape != (config.fusion_input_dim,):
+    """MLP head (one hidden layer) with a softmax output per row; returns
+    (probs, logits)."""
+    if fused.shape[-1] != config.fusion_input_dim:
         raise DimensionError(
-            f"fused width {fused.shape} != expected ({config.fusion_input_dim},)"
+            f"fused width {fused.shape[-1]} != expected {config.fusion_input_dim}"
         )
     h = _nonlin(config)(
-        T.add(T.matmul(watched["mlp.w1"], fused, tape), watched["mlp.b1"], tape), tape
-    )
-    logits = T.add(T.matmul(watched["mlp.w2"], h, tape), watched["mlp.b2"], tape)
+        T.add(T.linear(fused, watched["mlp.w1"], tape), watched["mlp.b1"], tape), tape)
+    logits = T.add(T.linear(h, watched["mlp.w2"], tape), watched["mlp.b2"], tape)
     return T.softmax(logits, tape), logits
 
 
-def run_tower(g: LabeledGraph, prefix: str, watched: dict, table: EmbeddingTable,
-              config: ModelConfig, tape: Tape = None):
-    """Encoder plus GCN stack plus readout for one graph; returns
-    (readout tensor, final per-node states)."""
-    states = encode_nodes(g, table, watched[f"{prefix}.enc"], config, tape)
-    neighbors = in_neighbor_lists(g)
+def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
+              tape: Tape = None) -> Tensor:
+    """Encoder plus GCN stack plus readout; returns the (graphs, hidden)
+    readouts."""
+    states = encode_nodes(graphs, watched[f"{prefix}.enc"], config, tape)
     for l in range(config.gcn_layers):
-        states = gcn_layer(states, g, watched[f"{prefix}.gcn{l}"], config, tape,
-                           neighbors=neighbors)
-    return readout_sum(states, config.hidden_dim, tape), states
+        states = gcn_layer(states, graphs, watched[f"{prefix}.gcn{l}"], config, tape)
+    return readout_sum(states, graphs, tape)
 
 
-def forward(example, params: ModelParams, table: EmbeddingTable,
-            config: ModelConfig, tape: Tape = None):
-    """Full pipeline on one example; returns (probs, diagnostics).
+def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
+                  tape: Tape = None):
+    """Full pipeline on a collated batch; returns (probs, diagnostics), one
+    row per example.
 
     Diagnostics carry the attention weights (None in concat mode), both
-    readouts, per-node state norms, and the traced logits.
+    readouts, and the logits tensor.
     """
     watched = params.tensors(tape)
     prefixes = tower_prefixes(config)
-    zero = Tensor(np.zeros(config.hidden_dim))
-    norms = {}
-    if prefixes["kg"] is not None:
-        v_kg, st = run_tower(example.knowledge_graph, prefixes["kg"], watched,
-                             table, config, tape)
-        norms["kg"] = np.linalg.norm(st.data, axis=1) if st.shape[0] else np.zeros(0)
-    else:
-        v_kg, norms["kg"] = zero, np.zeros(0)
-    if prefixes["sg"] is not None:
-        v_sg, st = run_tower(example.scene_graph, prefixes["sg"], watched,
-                             table, config, tape)
-        norms["sg"] = np.linalg.norm(st.data, axis=1) if st.shape[0] else np.zeros(0)
-    else:
-        v_sg, norms["sg"] = zero, np.zeros(0)
-
+    readouts = {}
+    for kind, graphs in (("kg", batch.kg), ("sg", batch.sg)):
+        if prefixes[kind] is None:
+            readouts[kind] = Tensor(np.zeros((batch.size, config.hidden_dim)))
+        else:
+            readouts[kind] = run_tower(graphs, prefixes[kind], watched, config, tape)
+    v_kg, v_sg = readouts["kg"], readouts["sg"]
     alpha = None
     if config.fusion_mode == "concat":
         fused = fuse_concat(v_kg, v_sg, tape)
     else:
-        score_w = watched.get("attn.score")
-        fused, alpha = attention_fuse(v_kg, v_sg, tape, score_w=score_w)
+        fused, alpha = attention_fuse(v_kg, v_sg, tape, score_w=watched.get("attn.score"))
     probs, logits = classify(fused, watched, config, tape)
     diagnostics = {
-        "alpha": None if alpha is None else alpha.data.copy(),
-        "readout_kg": v_kg.data.copy(),
-        "readout_sg": v_sg.data.copy(),
-        "node_norms": norms,
+        "alpha": None if alpha is None else alpha.data,
+        "readout_kg": v_kg.data,
+        "readout_sg": v_sg.data,
         "logits": logits,
     }
     return probs, diagnostics
 
 
+def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelConfig):
+    """Untraced pipeline on one example; returns (probs, diagnostics) as in
+    ``forward_batch`` with the batch axis dropped (logits as an array)."""
+    probs, diag = forward_batch(next(pack([example], table)), params, config)
+    diag["logits"] = diag["logits"].data
+    return Tensor(probs.data[0]), {k: None if v is None else v[0] for k, v in diag.items()}
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: records the output head (loss_mode)
+LOSS_MODES = ("softmax_ce", "sigmoid_bce")
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams):
-    """Write config plus named parameter tensors; values round-trip bit-exact."""
+def save_checkpoint(path, config: ModelConfig, params: ModelParams,
+                    loss_mode: str = "softmax_ce"):
+    """Write config, output head and named parameter tensors; values
+    round-trip bit-exact."""
+    if loss_mode not in LOSS_MODES:
+        raise ConfigError(f"unknown loss_mode '{loss_mode}'")
     arrays = {f"param/{p.name}": p.value for p in params}
-    meta = json.dumps({"version": CHECKPOINT_VERSION, "config": asdict(config)})
+    meta = json.dumps({"version": CHECKPOINT_VERSION, "config": asdict(config),
+                       "loss_mode": loss_mode})
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
              **arrays)
@@ -332,7 +429,9 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams):
         fh.write(buf.getvalue())
 
 
-def load_checkpoint(path):
+def read_checkpoint(path):
+    """Returns (config, params, loss_mode): the model and the output head it
+    was trained with, which decides how its logits are scored."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -342,7 +441,15 @@ def load_checkpoint(path):
             Parameter(data[k].copy(), k[len("param/"):])
             for k in data.files if k.startswith("param/")
         ])
+    if meta.get("loss_mode") not in LOSS_MODES:
+        raise ConfigError(f"checkpoint has unknown loss_mode {meta.get('loss_mode')!r}")
     expected = {name for name, _ in param_shapes(config)}
     if set(params.names()) != expected:
         raise ConfigError("checkpoint parameters do not match its config")
+    return config, params, meta["loss_mode"]
+
+
+def load_checkpoint(path):
+    """Returns (config, params) of a checkpoint."""
+    config, params, _ = read_checkpoint(path)
     return config, params

@@ -2,8 +2,10 @@
 
 The tape (``Tape``) records one step per primitive op, in execution order.
 ``backward`` replays the steps in reverse and accumulates gradients into the
-``grad`` buffers of every ``Parameter`` the loss depends on.  The tape is
-rebuilt on every forward pass, so graphs of any shape can be differentiated.
+``grad`` buffers of every ``Parameter`` the loss depends on.  Training
+records one tape per mini-batch: the batch's graphs are one disjoint union,
+so every op works on whole (rows, features) matrices, and ``scatter_add``
+does the per-edge and per-graph sums.
 
 All ops accept an optional ``tape``; with ``tape=None`` they are plain
 numpy computations, which is what evaluation uses.
@@ -113,49 +115,72 @@ def _emit(tape, out_data, inputs, back):
 # primitive ops
 
 
+def _unbroadcast(g, shape):
+    """Sum a broadcast gradient back down to an operand's shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def _broadcast_check(op, a, b):
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DimensionError(f"{op} shapes disagree: {a.shape} {b.shape}") from None
+
+
 def matmul(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Matrix product; supports (m,k)@(k,n) and (m,k)@(k,)."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise DimensionError(f"matmul needs a matrix lhs: {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    """Matrix product of matrices or vectors, with numpy's ``@`` rules."""
     ad, bd = a.data, b.data
+    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+        raise DimensionError(f"matmul needs vectors or matrices: {a.shape} @ {b.shape}")
+    if ad.shape[-1] != bd.shape[0]:
+        raise DimensionError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
 
     def back(g):
-        if bd.ndim == 1:
-            return [np.outer(g, bd), ad.T @ g]
-        return [g @ bd.T, ad.T @ g]
+        a2 = ad.reshape(-1, ad.shape[-1])
+        b2 = bd.reshape(bd.shape[0], -1)
+        g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+        return [(g2 @ b2.T).reshape(ad.shape), (a2.T @ g2).reshape(bd.shape)]
 
-    return _emit(tape, out, [a, b], back)
+    return _emit(tape, ad @ bd, [a, b], back)
 
 
-def transpose(a: Tensor, tape: Tape = None) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose needs a matrix, got shape {a.shape}")
-    return _emit(tape, a.data.T.copy(), [a], lambda g: [g.T])
+def linear(x: Tensor, w: Tensor, tape: Tape = None) -> Tensor:
+    """``x @ w.T``: the rows of x (or the vector x) through an (out, in)
+    weight, without copying the weight's transpose."""
+    xd, wd = x.data, w.data
+    if xd.ndim not in (1, 2) or wd.ndim != 2:
+        raise DimensionError(f"linear needs rows and a matrix: {x.shape}, {w.shape}")
+    if xd.shape[-1] != wd.shape[1]:
+        raise DimensionError(f"linear widths disagree: {x.shape} through {w.shape}")
+
+    def back(g):
+        x2 = xd.reshape(-1, xd.shape[-1])
+        g2 = np.reshape(g, (x2.shape[0], wd.shape[0]))
+        return [(g2 @ wd).reshape(xd.shape), g2.T @ x2]
+
+    return _emit(tape, xd @ wd.T, [x, w], back)
 
 
 def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Elementwise sum; also broadcasts a (m,) bias over (n,m)."""
-    if a.shape != b.shape and not (
-        a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
-    ):
-        raise DimensionError(f"add shapes disagree: {a.shape} + {b.shape}")
-    bcast = a.shape != b.shape
-
-    def back(g):
-        return [g, g.sum(axis=0) if bcast else g]
-
-    return _emit(tape, a.data + b.data, [a, b], back)
+    """Elementwise sum with numpy broadcasting (e.g. a (m,) bias over (n, m))."""
+    _broadcast_check("add", a, b)
+    sa, sb = a.shape, b.shape
+    return _emit(tape, a.data + b.data, [a, b],
+                 lambda g: [_unbroadcast(g, sa), _unbroadcast(g, sb)])
 
 
 def mul(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Elementwise (Hadamard) product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shapes disagree: {a.shape} * {b.shape}")
+    """Elementwise product with numpy broadcasting (e.g. an (n, 1) column of
+    row weights over (n, m))."""
+    _broadcast_check("mul", a, b)
     ad, bd = a.data, b.data
-    return _emit(tape, ad * bd, [a, b], lambda g: [g * bd, g * ad])
+    return _emit(tape, ad * bd, [a, b],
+                 lambda g: [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)])
 
 
 def scale(a: Tensor, c: float, tape: Tape = None) -> Tensor:
@@ -166,17 +191,9 @@ def add_const(a: Tensor, c: float, tape: Tape = None) -> Tensor:
     return _emit(tape, a.data + c, [a], lambda g: [g])
 
 
-def smul(s: Tensor, a: Tensor, tape: Tape = None) -> Tensor:
-    """Scalar tensor times tensor."""
-    if s.data.ndim != 0:
-        raise DimensionError(f"smul scalar has shape {s.shape}")
-    sd, ad = s.data, a.data
-    return _emit(tape, sd * ad, [s, a], lambda g: [np.sum(g * ad), g * sd])
-
-
 def relu(a: Tensor, tape: Tape = None) -> Tensor:
     mask = a.data > 0
-    return _emit(tape, np.where(mask, a.data, 0.0), [a], lambda g: [g * mask])
+    return _emit(tape, np.maximum(a.data, 0.0), [a], lambda g: [g * mask])
 
 
 def sigmoid(a: Tensor, tape: Tape = None) -> Tensor:
@@ -190,13 +207,15 @@ def log(a: Tensor, tape: Tape = None) -> Tensor:
 
 
 def softmax(a: Tensor, tape: Tape = None) -> Tensor:
-    """Stable softmax over a 1-D tensor (max subtraction)."""
-    if a.data.ndim != 1 or a.data.size < 1:
-        raise DomainError(f"softmax needs a nonempty vector, got shape {a.shape}")
-    z = a.data - a.data.max()
+    """Stable softmax over the last axis (max subtraction): a vector, or each
+    row of a matrix."""
+    if a.data.ndim not in (1, 2) or a.data.shape[-1] < 1:
+        raise DomainError(f"softmax needs nonempty rows, got shape {a.shape}")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum()
-    return _emit(tape, y, [a], lambda g: [y * (g - np.dot(g, y))])
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _emit(tape, y, [a],
+                 lambda g: [y * (g - np.sum(g * y, axis=-1, keepdims=True))])
 
 
 def sum_all(a: Tensor, tape: Tape = None) -> Tensor:
@@ -204,82 +223,59 @@ def sum_all(a: Tensor, tape: Tape = None) -> Tensor:
     return _emit(tape, a.data.sum(), [a], lambda g: [np.broadcast_to(g, shp).copy()])
 
 
-def sum_rows(a: Tensor, tape: Tape = None) -> Tensor:
-    """Column-wise sum of an (n,m) matrix -> (m,) vector."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"sum_rows needs a matrix, got shape {a.shape}")
-    n = a.data.shape[0]
-    return _emit(tape, a.data.sum(axis=0), [a], lambda g: [np.tile(g, (n, 1))])
-
-
 def concat(parts, tape: Tape = None) -> Tensor:
-    """Concatenate 1-D tensors."""
+    """Concatenate along the last axis: vectors end to end, or matrices with
+    equal row counts side by side."""
+    lead = parts[0].shape[:-1]
     for p in parts:
-        if p.data.ndim != 1:
-            raise DimensionError(f"concat needs vectors, got shape {p.shape}")
-    sizes = [p.data.size for p in parts]
-    offs = np.cumsum([0] + sizes)
+        if p.data.ndim not in (1, 2) or p.shape[:-1] != lead:
+            raise DimensionError(
+                f"concat parts disagree: {[q.shape for q in parts]}")
+    offs = np.cumsum([0] + [p.shape[-1] for p in parts])
 
     def back(g):
-        return [g[offs[i]:offs[i + 1]] for i in range(len(sizes))]
+        return [g[..., offs[i]:offs[i + 1]] for i in range(len(parts))]
 
-    return _emit(tape, np.concatenate([p.data for p in parts]), list(parts), back)
-
-
-def stack(scalars, tape: Tape = None) -> Tensor:
-    """Stack scalar tensors into a 1-D tensor."""
-    for s in scalars:
-        if s.data.ndim != 0:
-            raise DimensionError(f"stack needs scalars, got shape {s.shape}")
-    return _emit(
-        tape,
-        np.array([s.data for s in scalars]),
-        list(scalars),
-        lambda g: [g[i] for i in range(len(scalars))],
-    )
+    return _emit(tape, np.concatenate([p.data for p in parts], axis=-1), list(parts), back)
 
 
-def index(a: Tensor, i: int, tape: Tape = None) -> Tensor:
-    """Pick one entry of a 1-D tensor as a scalar."""
-    if a.data.ndim != 1:
-        raise DimensionError(f"index needs a vector, got shape {a.shape}")
-    n = a.data.size
+def scatter_rows(values, rows, n):
+    """``out[rows[e]] += values[e]`` for every row e of ``values``, into n rows
+    (plain numpy; ``scatter_add`` is the taped op).
 
-    def back(g):
-        gi = np.zeros(n)
-        gi[i] = g
-        return [gi]
-
-    return _emit(tape, a.data[i], [a], back)
-
-
-def neighbor_mean(states: Tensor, neighbors, tape: Tape = None) -> Tensor:
-    """Row i of the output is the mean of ``states`` over ``neighbors[i]``.
-
-    Every neighbor list must be nonempty (callers insert self-loops for
-    isolated nodes).  Sources may repeat; multiplicity counts.
+    One bincount over flat (row, column) slots: summing happens in the order
+    of ``values``, so results are reproducible bit for bit.
     """
-    sd = states.data
-    if sd.ndim != 2:
-        raise DimensionError(f"neighbor_mean needs a matrix, got shape {states.shape}")
-    n = sd.shape[0]
-    if len(neighbors) != n:
-        raise DimensionError(f"{len(neighbors)} neighbor lists for {n} rows")
-    out = np.empty_like(sd)
-    for i, nbrs in enumerate(neighbors):
-        if not nbrs:
-            raise DomainError(f"node {i} has an empty neighbor list")
-        out[i] = sd[list(nbrs)].mean(axis=0)
+    width = values.shape[1]
+    slots = (rows[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(slots, weights=values.ravel(),
+                       minlength=n * width).reshape(n, width)
 
-    def back(g):
-        gs = np.zeros_like(sd)
-        for i, nbrs in enumerate(neighbors):
-            contrib = g[i] / len(nbrs)
-            for j in nbrs:
-                gs[j] += contrib
-        return [gs]
 
-    return _emit(tape, out, [states], back)
+def scatter_add(x: Tensor, dst, src, weight, n_out: int, tape: Tape = None) -> Tensor:
+    """Weighted edge-list sum of rows: ``out[dst[e]] += weight[e] * x[src[e]]``
+    into ``n_out`` rows.
+
+    ``dst``, ``src`` and ``weight`` are equal-length arrays; pairs may repeat
+    and rows no pair reaches are zero.  With row-normalized in-edges it is a
+    GCN mean aggregation; with graph ids as ``dst``, every node as ``src``
+    and unit weights it is a per-graph sum readout.
+    """
+    xd = x.data
+    if xd.ndim != 2:
+        raise DimensionError(f"scatter_add needs a matrix, got shape {x.shape}")
+    dst = np.asarray(dst, dtype=np.intp)
+    src = np.asarray(src, dtype=np.intp)
+    w = np.asarray(weight, dtype=np.float64)[:, None]
+    if not dst.shape == src.shape == w.shape[:1] or dst.ndim != 1:
+        raise DimensionError(
+            f"edge arrays disagree: {dst.shape}, {src.shape}, {w.shape[:1]}")
+    n_in = xd.shape[0]
+    if dst.size and (dst.min() < 0 or dst.max() >= n_out
+                     or src.min() < 0 or src.max() >= n_in):
+        raise DimensionError(f"edge index out of range for {n_in} -> {n_out} rows")
+    out = scatter_rows(xd[src] * w, dst, n_out)
+    return _emit(tape, out, [x], lambda g: [scatter_rows(g[dst] * w, src, n_in)])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def backward(tape: Tape, loss: Tensor):
         return  # loss depends on no traced input; all grads are zero
     grads = {loss.node_id: np.ones(())}
     for step in reversed(tape.steps):
-        g = grads.get(step.out_id)
+        g = grads.pop(step.out_id, None)  # every consumer of it came later
         if g is None:
             continue
         for in_id, gin in zip(step.in_ids, step.back(g)):

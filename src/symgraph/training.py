@@ -1,4 +1,9 @@
-"""Multi-label loss and the mini-batch SGD training loop."""
+"""Multi-label loss and the mini-batch SGD training loop.
+
+``train`` packs its train and validation splits once (``pack_split``), then
+records one tape per mini-batch: the batch's examples are collated into one
+disjoint union and their losses summed.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, TrainingError
-from .model import ModelConfig, ModelParams, forward, init_params
+from .model import (LOSS_MODES, ModelConfig, ModelParams, collate, forward_batch,
+                    init_params, pack)
 from .rng import child_rng
 from .tensor import Tape, Tensor, backward, sgd_step
 
@@ -40,7 +46,7 @@ class TrainConfig:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.loss_mode not in ("softmax_ce", "sigmoid_bce"):
+        if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"unknown loss_mode '{self.loss_mode}'")
 
 
@@ -78,20 +84,19 @@ def target_vector(labels, label_list) -> np.ndarray:
     return t / t.sum()
 
 
-def loss(probs: Tensor, labels, label_list, tape: Tape = None) -> Tensor:
-    """Soft-target cross-entropy: -sum_c t_c log(p_c + eps)."""
-    t = Tensor(target_vector(labels, label_list))
+def loss(probs: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
+    """Soft-target cross-entropy summed over rows: -sum t log(p + eps)."""
     return T.scale(
-        T.sum_all(T.mul(t, T.log(T.add_const(probs, LOG_EPS, tape), tape), tape), tape),
+        T.sum_all(T.mul(Tensor(targets), T.log(T.add_const(probs, LOG_EPS, tape), tape),
+                        tape), tape),
         -1.0, tape,
     )
 
 
-def bce_loss(logits: Tensor, labels, label_list, tape: Tape = None) -> Tensor:
-    """Per-label binary cross-entropy on sigmoid outputs (alternative head)."""
-    if not labels:
-        raise DomainError("empty label set")
-    y = np.isin(np.array(label_list), list(set(labels))).astype(float)
+def bce_loss(logits: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
+    """Per-label binary cross-entropy on sigmoid outputs (alternative head),
+    summed over labels and rows; a label is positive where its target is."""
+    y = (np.asarray(targets) > 0).astype(np.float64)
     p = T.sigmoid(logits, tape)
     pos = T.mul(Tensor(y), T.log(T.add_const(p, LOG_EPS, tape), tape), tape)
     neg = T.mul(
@@ -102,46 +107,67 @@ def bce_loss(logits: Tensor, labels, label_list, tape: Tape = None) -> Tensor:
     return T.scale(T.sum_all(T.add(pos, neg, tape), tape), -1.0, tape)
 
 
-def example_loss(example, params, table, mconfig, label_list, loss_mode, tape=None):
-    """Forward one example and build its traced loss; returns (loss, probs)."""
-    probs, diag = forward(example, params, table, mconfig, tape)
+@dataclass
+class PackedSplit:
+    """Examples packed once for the model (``model.pack``), with their
+    target vectors; a mini-batch is a list of row indices into it."""
+
+    image_ids: list
+    batches: list
+    targets: np.ndarray  # (examples, labels)
+
+    def __len__(self):
+        return len(self.batches)
+
+
+def pack_split(examples, table, label_list) -> PackedSplit:
+    """Pack a split once: encoder inputs, edge lists and target vectors."""
+    targets = np.array([target_vector(ex.labels, label_list) for ex in examples])
+    return PackedSplit([ex.image_id for ex in examples], list(pack(examples, table)),
+                       targets.reshape(len(examples), len(label_list)))
+
+
+def batch_loss(split: PackedSplit, rows, params: ModelParams, mconfig: ModelConfig,
+               loss_mode: str, tape: Tape = None) -> Tensor:
+    """Forward the examples at ``rows`` as one batch; returns their summed loss."""
+    probs, diag = forward_batch(collate([split.batches[i] for i in rows]), params,
+                                mconfig, tape)
     if loss_mode == "sigmoid_bce":
-        return bce_loss(diag["logits"], example.labels, label_list, tape), probs
-    return loss(probs, example.labels, label_list, tape), probs
+        return bce_loss(diag["logits"], split.targets[rows], tape)
+    return loss(probs, split.targets[rows], tape)
 
 
-def train_epoch(data, params: ModelParams, table, mconfig: ModelConfig,
-                tconfig: TrainConfig, label_list, rng) -> float:
-    """One pass over the data; batched, gradient-averaged SGD. Returns the
-    mean per-example loss."""
-    if not data:
+def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
+                tconfig: TrainConfig, rng) -> float:
+    """One pass over a packed split; batched, gradient-averaged SGD. Returns
+    the mean per-example loss."""
+    if not len(split):
         raise ConfigError("empty training data")
-    order = np.arange(len(data))
+    order = np.arange(len(split))
     if tconfig.shuffle:
-        order = rng.permutation(len(data))
+        order = rng.permutation(len(split))
     total = 0.0
-    for start in range(0, len(data), tconfig.batch_size):
-        batch = [data[i] for i in order[start:start + tconfig.batch_size]]
-        for ex in batch:
-            tape = Tape()
-            lt, _ = example_loss(ex, params, table, mconfig, label_list,
-                                 tconfig.loss_mode, tape)
-            value = lt.item()
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss on example '{ex.image_id}'")
-            total += value
-            backward(tape, lt)
+    for start in range(0, len(split), tconfig.batch_size):
+        rows = order[start:start + tconfig.batch_size]
+        tape = Tape()
+        lt = batch_loss(split, rows, params, mconfig, tconfig.loss_mode, tape)
+        value = lt.item()
+        if not np.isfinite(value):
+            ids = [split.image_ids[i] for i in rows]
+            raise TrainingError(f"non-finite loss in the batch of examples {ids}")
+        total += value
+        backward(tape, lt)
         for p in params:
-            p.grad /= len(batch)
+            p.grad /= len(rows)
         sgd_step(params, tconfig.lr)
-    return total / len(data)
+    return total / len(split)
 
 
 def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
           tconfig: TrainConfig, params: ModelParams = None, policy=None):
     """Full run: per-epoch SGD plus validation; returns
     (final params, RunLog, best params by validation macro F, best epoch)."""
-    from .evaluation import ThresholdPolicy, evaluate_dataset
+    from .evaluation import ThresholdPolicy, evaluate_packed
 
     if not train_data or not val_data:
         raise ConfigError("train and validation splits must be nonempty")
@@ -150,16 +176,17 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
     if policy is None:
         policy = ThresholdPolicy()
     rng = child_rng(tconfig.seed, "shuffle")
+    train_split = pack_split(train_data, table, label_list)
+    val_split = pack_split(val_data, table, label_list)
     log = RunLog()
     best = params.copy()
     best_f = -1.0
     best_epoch = -1
     for epoch in range(tconfig.epochs):
         t0 = time.perf_counter()
-        mean_loss = train_epoch(train_data, params, table, mconfig, tconfig,
-                                label_list, rng)
-        report = evaluate_dataset(val_data, params, table, mconfig, label_list,
-                                  policy, loss_mode=tconfig.loss_mode)
+        mean_loss = train_epoch(train_split, params, mconfig, tconfig, rng)
+        report = evaluate_packed(val_split, params, mconfig, label_list, policy,
+                                 loss_mode=tconfig.loss_mode)
         seconds = time.perf_counter() - t0
         log.records.append(EpochRecord(epoch, mean_loss, report.macro_f, seconds))
         if report.macro_f > best_f:

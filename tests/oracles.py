@@ -101,3 +101,39 @@ def finite_difference(f, x, eps=1e-6):
         flat[i] = orig
         gf[i] = (up - down) / (2 * eps)
     return g
+
+
+def forward_ref(example, weights, table, cfg, embed_fn, node_input_fn):
+    """Dense-adjacency reference for one example's class probabilities:
+    per-node encoder loop, A_hat @ H @ W^T layers, column-sum readout, then
+    fusion and the MLP head on plain vectors."""
+    def f(v):
+        return np.maximum(v, 0.0) if cfg.nonlinearity == "relu" else 1.0 / (1.0 + np.exp(-v))
+
+    def softmax(v):
+        e = np.exp(v - v.max())
+        return e / e.sum()
+
+    shared = cfg.share_towers and cfg.graph_mode == "both"
+    v = {}
+    for kind, g, only in (("kg", example.knowledge_graph, "kg_only"),
+                          ("sg", example.scene_graph, "sg_only")):
+        if cfg.graph_mode not in ("both", only):
+            v[kind] = np.zeros(cfg.hidden_dim)
+            continue
+        prefix = "shared" if shared else kind
+        h = encode_nodes_ref(g, table, weights[f"{prefix}.enc"], f, embed_fn, node_input_fn)
+        a = row_normalized_adjacency(g)
+        for layer in range(cfg.gcn_layers):
+            h = f(a @ h @ weights[f"{prefix}.gcn{layer}"].T)
+        v[kind] = h.sum(axis=0)
+    if cfg.fusion_mode == "concat":
+        fused = np.concatenate([v["kg"], v["sg"], v["kg"] * v["sg"]])
+    else:
+        score = weights.get("attn.score")
+        s = (np.array([v["kg"] @ v["kg"], v["sg"] @ v["sg"]]) if score is None else
+             np.array([score @ v["kg"], score @ v["sg"]]))
+        alpha = softmax(s)
+        fused = alpha[0] * v["kg"] + alpha[1] * v["sg"]
+    hidden = f(weights["mlp.w1"] @ fused + weights["mlp.b1"])
+    return softmax(weights["mlp.w2"] @ hidden + weights["mlp.b2"])

@@ -21,7 +21,7 @@ from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                              LabeledGraph, RelationWhitelist,
                              build_knowledge_graph, seed_tokens, validate_graph)
 from symgraph.model import (ModelConfig, attention_fuse, forward, fuse_concat,
-                            init_params, param_count, readout_sum)
+                            init_params, pack_graph, param_count, readout_sum)
 from symgraph.tensor import Tensor, sgd_step
 from symgraph.training import Example
 
@@ -60,6 +60,7 @@ def test_criterion_2_gradient_oracle():
 def test_criterion_3_gcn_oracle_equivalence():
     rng = np.random.default_rng(0)
     cfg = ModelConfig(num_labels=2, embed_dim=4, hidden_dim=4, gcn_layers=1)
+    table = EmbeddingTable(4, {})  # the layer reads only the packed edges
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 9))
@@ -69,8 +70,8 @@ def test_criterion_3_gcn_oracle_equivalence():
         g = validate_graph(LabeledGraph(nodes, edges))
         states = rng.normal(size=(n, 4))
         w = rng.normal(size=(4, 4))
-        from symgraph.model import gcn_layer
-        got = gcn_layer(Tensor(states), g, Tensor(w), cfg).data
+        from symgraph.model import gcn_layer, pack_graph
+        got = gcn_layer(Tensor(states), pack_graph(g, table), Tensor(w), cfg).data
         ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
         worst = max(worst, float(np.abs(got - ref).max()) if n else 0.0)
     report(3, worst < 1e-12, f"100 graphs, max abs dev {worst:.2e}")
@@ -142,8 +143,9 @@ def test_criterion_6_invariances():
                         for e in sg.edges], kind="scene")
     p2, _ = forward(Example("x", sg2, kg, ["l0"]), params, table, cfg)
     perm_dev = float(np.abs(p1.data - p2.data).max())
-    empty_ok = np.array_equal(readout_sum(Tensor(np.zeros((0, 6))), 6).data,
-                              np.zeros(6))
+    empty = pack_graph(LabeledGraph([], []), table)
+    empty_ok = np.array_equal(readout_sum(Tensor(np.zeros((0, 6))), empty).data,
+                              np.zeros((1, 6)))
     from symgraph.tensor import softmax
     x = rng.normal(size=6)
     shift_dev = float(np.abs(softmax(Tensor(x)).data -

@@ -6,6 +6,9 @@ import pytest
 
 from symgraph.cli import main
 from symgraph.dataset import load_bundle
+from symgraph.embeddings import load_embeddings
+from symgraph.evaluation import evaluate_dataset
+from symgraph.model import load_checkpoint
 
 
 def run(argv):
@@ -103,6 +106,21 @@ class TestPrepare:
         ids = [ex.image_id for part in splits.values() for ex in part]
         assert "empty0" in ids
 
+    def test_unsafe_image_id_exits_2(self, tmp_path, capsys):
+        scene_dir = self._raw_inputs(tmp_path, n=3)
+        doc = {"image_id": "../escaped", "objects": [], "relations": [],
+               "labels": ["go"]}
+        (scene_dir / "bad.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["prepare", "--scene-dir", scene_dir,
+                    "--facts", tmp_path / "facts.tsv",
+                    "--vocab", tmp_path / "vocab.txt",
+                    "--labels", tmp_path / "labels.txt", "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "escaped.json").exists()
+        assert not (out / "examples").exists()
+
     def test_manifest_written_with_hashes(self, tmp_path):
         scene_dir = self._raw_inputs(tmp_path, n=3)
         out = tmp_path / "out"
@@ -149,6 +167,24 @@ class TestTrainEval:
         metrics = json.loads((eval_dir / "metrics.json").read_text())
         assert set(metrics) == {"split", "macro_f", "micro_f", "threshold"}
         assert metrics["split"] == "test"
+
+    def test_eval_scores_a_sigmoid_head_with_sigmoids(self, tmp_path):
+        data, run_dir = self._trained(tmp_path, extra_train=["--loss", "sigmoid_bce"])
+        eval_dir = tmp_path / "eval"
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", run_dir / "checkpoint.npz",
+                    "--out", eval_dir]) == 0
+        got = json.loads((eval_dir / "metrics.json").read_text())["macro_f"]
+        splits, labels = load_bundle(data / "bundle")
+        config, params = load_checkpoint(run_dir / "checkpoint.npz")
+        table = load_embeddings(data / "embeddings.txt", dim=16)
+        reports = {mode: evaluate_dataset(splits["test"], params, table, config, labels,
+                                          loss_mode=mode)
+                   for mode in ("sigmoid_bce", "softmax_ce")}
+        assert got == reports["sigmoid_bce"].macro_f
+        # the two heads score this model differently, so the check can fail
+        assert reports["sigmoid_bce"].macro_f != reports["softmax_ce"].macro_f
 
     def test_dump_attention_csv(self, tmp_path):
         data, run_dir = self._trained(
@@ -254,6 +290,11 @@ class TestConfigFile:
         assert run(["train", "--config", cfg, "--bundle", "x",
                     "--embeddings", "y", "--out", tmp_path / "o",
                     "--epochs", 1]) == 2
+
+    def test_config_flag_without_value_exits_2(self, capsys):
+        assert run(["train", "--config"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_malformed_line_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

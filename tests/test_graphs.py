@@ -52,6 +52,14 @@ class TestLoadSceneGraph:
         image_id, g, labels = load_scene_document(doc([("a", [])], [], ["x", "y"]))
         assert image_id == "img0" and labels == ["x", "y"]
 
+    @pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b", "", ".hidden"])
+    def test_unsafe_image_id_rejected(self, bad_id):
+        # the id names the example's file in a bundle
+        d = doc([("a", [])], [])
+        d["image_id"] = bad_id
+        with pytest.raises(SchemaError, match="image_id"):
+            load_scene_document(d)
+
 
 class TestFactStore:
     def test_load_and_index(self, tmp_path):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import encode_nodes_ref, gcn_layer_ref
+from oracles import encode_nodes_ref, forward_ref, gcn_layer_ref
 from symgraph.embeddings import EmbeddingTable, embed_phrase
 from symgraph.errors import ConfigError, DimensionError
 from symgraph.gradcheck import gradcheck
 from symgraph.graphs import (GraphEdge, GraphNode, LabeledGraph, validate_graph)
-from symgraph.model import (ModelConfig, attention_fuse, classify, encode_nodes,
-                            forward, fuse_concat, gcn_layer, init_params,
-                            load_checkpoint, node_input_vector, param_count,
-                            readout_sum, save_checkpoint)
+from symgraph import evaluation
+from symgraph.model import (ModelConfig, attention_fuse, classify, collate,
+                            encode_nodes, forward, forward_batch, fuse_concat,
+                            gcn_layer, init_params, load_checkpoint,
+                            node_input_vector, pack, pack_graph, param_count,
+                            read_checkpoint, readout_sum, save_checkpoint)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
 
@@ -36,7 +38,7 @@ class TestEncodeNodes:
         cfg = toy_config()
         g = LabeledGraph([GraphNode("cat")], [])
         w = Tensor(np.hstack([np.eye(6), np.zeros((6, 6))]))
-        out = encode_nodes(g, toy_table, w, cfg)
+        out = encode_nodes(pack_graph(g, toy_table), w, cfg)
         x = embed_phrase(toy_table, "cat").data
         np.testing.assert_allclose(out.data[0], np.maximum(x, 0.0))
 
@@ -44,7 +46,7 @@ class TestEncodeNodes:
         cfg = toy_config()
         g = LabeledGraph([GraphNode("tok0"), GraphNode("tok1")],
                          [GraphEdge(0, 1, "near")])
-        out = encode_nodes(g, toy_table, Tensor(np.zeros((6, 12))), cfg)
+        out = encode_nodes(pack_graph(g, toy_table), Tensor(np.zeros((6, 12))), cfg)
         assert np.all(out.data == 0.0)
 
     def test_matches_dense_loop_reference(self, rng, toy_table):
@@ -52,7 +54,7 @@ class TestEncodeNodes:
         for _ in range(10):
             g = random_graph(rng, 4)
             w = rng.normal(size=(6, 12))
-            got = encode_nodes(g, toy_table, Tensor(w), cfg).data
+            got = encode_nodes(pack_graph(g, toy_table), Tensor(w), cfg).data
             ref = encode_nodes_ref(
                 g, toy_table, w, lambda v: np.maximum(v, 0.0),
                 embed_phrase, node_input_vector)
@@ -68,7 +70,7 @@ class TestEncodeNodes:
 
     def test_empty_graph_gives_empty_states(self, toy_table):
         cfg = toy_config()
-        out = encode_nodes(LabeledGraph([], []), toy_table,
+        out = encode_nodes(pack_graph(LabeledGraph([], []), toy_table),
                            Tensor(np.zeros((6, 12))), cfg)
         assert out.shape == (0, 6)
 
@@ -78,7 +80,7 @@ class TestGcnLayer:
         cfg = toy_config(hidden_dim=4)
         g = LabeledGraph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
         states = Tensor([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
-        out = gcn_layer(states, g, Tensor(np.eye(4)), cfg)
+        out = gcn_layer(states, pack_graph(g, toy_table), Tensor(np.eye(4)), cfg)
         np.testing.assert_allclose(out.data[1], [1.0, 0.0, 2.0, 0.0])
 
     def test_opposite_neighbors_cancel(self, toy_table):
@@ -87,41 +89,47 @@ class TestGcnLayer:
                          [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
         v = np.array([2.0, -1.0, 0.5])
         states = Tensor(np.vstack([v, -v, np.ones(3)]))
-        out = gcn_layer(states, g, Tensor(np.eye(3)), cfg)
+        out = gcn_layer(states, pack_graph(g, toy_table), Tensor(np.eye(3)), cfg)
         np.testing.assert_allclose(out.data[2], 0.0, atol=1e-15)
 
-    def test_matches_dense_adjacency_reference(self, rng):
+    def test_matches_dense_adjacency_reference(self, rng, toy_table):
         cfg = toy_config(hidden_dim=5)
         for _ in range(20):
             n = int(rng.integers(1, 9))
             g = random_graph(rng, n)
             states = rng.normal(size=(n, 5))
             w = rng.normal(size=(5, 5))
-            got = gcn_layer(Tensor(states), g, Tensor(w), cfg).data
+            got = gcn_layer(Tensor(states), pack_graph(g, toy_table), Tensor(w), cfg).data
             ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
-    def test_row_count_mismatch(self):
+    def test_row_count_mismatch(self, toy_table):
         cfg = toy_config(hidden_dim=3)
-        g = LabeledGraph([GraphNode("a")], [])
+        g = pack_graph(LabeledGraph([GraphNode("a")], []), toy_table)
         with pytest.raises(DimensionError):
             gcn_layer(Tensor(np.zeros((2, 3))), g, Tensor(np.eye(3)), cfg)
 
 
+def one_graph(n, table):
+    """A packed graph of n isolated nodes."""
+    return pack_graph(LabeledGraph([GraphNode(f"tok{i}") for i in range(n)], []), table)
+
+
 class TestReadout:
-    def test_single_node(self):
+    def test_single_node(self, toy_table):
         s = Tensor([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(readout_sum(s, 3).data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(readout_sum(s, one_graph(1, toy_table)).data,
+                                      [[1.0, 2.0, 3.0]])
 
-    def test_empty_graph_zero_vector(self):
-        out = readout_sum(Tensor(np.zeros((0, 4))), 4)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+    def test_empty_graph_zero_vector(self, toy_table):
+        out = readout_sum(Tensor(np.zeros((0, 4))), one_graph(0, toy_table))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
-    def test_permutation_invariant(self, rng):
+    def test_permutation_invariant(self, rng, toy_table):
         s = rng.normal(size=(6, 5))
         perm = rng.permutation(6)
-        a = readout_sum(Tensor(s), 5).data
-        b = readout_sum(Tensor(s[perm]), 5).data
+        a = readout_sum(Tensor(s), one_graph(6, toy_table)).data
+        b = readout_sum(Tensor(s[perm]), one_graph(6, toy_table)).data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -319,15 +327,17 @@ class TestForward:
                          nonlinearity="sigmoid")
         params = init_params(cfg)
         watched = params.tensors()
-        out_a, _ = run_tower(g, "sg", watched, t_a, cfg)
-        out_b, _ = run_tower(g, "sg", watched, t_b, cfg)
+        packed_a, packed_b = pack_graph(g, t_a), pack_graph(g, t_b)
+        out_a = run_tower(packed_a, "sg", watched, cfg)
+        out_b = run_tower(packed_b, "sg", watched, cfg)
         assert not np.allclose(out_a.data, out_b.data)
-        # patch: encode with table b, then the identical downstream stack
-        from symgraph.model import in_neighbor_lists
-        states = encode_nodes(g, t_b, watched["sg.enc"], cfg)
-        for l in range(cfg.gcn_layers):
-            states = gcn_layer(states, g, watched[f"sg.gcn{l}"], cfg)
-        np.testing.assert_allclose(readout_sum(states, 6).data, out_b.data)
+        # the edge lists agree: only the encoder inputs carry the tables
+        for field in ("dst", "src", "weight", "graph_ids"):
+            assert np.array_equal(getattr(packed_a, field), getattr(packed_b, field))
+        # patch: table b's encoder inputs, then the identical downstream stack
+        packed_a.inputs = packed_b.inputs
+        np.testing.assert_allclose(run_tower(packed_a, "sg", watched, cfg).data,
+                                   out_b.data)
 
     def test_full_model_gradient_check_toy_dims(self):
         for fusion in ("concat", "attention"):
@@ -345,6 +355,58 @@ class TestForward:
         assert report.per_param["mlp.w2"] > 1e-4
         clean = {k: v for k, v in report.per_param.items() if k != "mlp.w2"}
         assert all(v < 1e-4 for v in clean.values())
+
+
+def mixed_examples(rng):
+    """Graphs of different sizes: an isolated node, a repeated edge (kept:
+    no validation), an empty scene graph, an empty knowledge graph."""
+    sg0 = LabeledGraph(
+        [GraphNode("tok0", ["tok1"]), GraphNode("tok2"), GraphNode("tok3")],
+        [GraphEdge(0, 1, "near"), GraphEdge(0, 1, "near"), GraphEdge(1, 0, "tok4")])
+    empty_sg = LabeledGraph([], [], kind="scene")
+    empty_kg = LabeledGraph([], [], kind="knowledge")
+    return [
+        Example("a", sg0, random_graph(rng, 4, kind="knowledge"), ["label0"]),
+        Example("b", empty_sg, random_graph(rng, 2, kind="knowledge"), ["label1"]),
+        Example("c", random_graph(rng, 5), empty_kg, ["label0", "label1"]),
+        Example("d", random_graph(rng, 1, n_edges=0), random_graph(rng, 6), ["label1"]),
+    ]
+
+
+class TestBatchedForward:
+    def test_rows_match_dense_oracle(self, rng, toy_table):
+        examples = mixed_examples(rng)
+        batch = collate(list(pack(examples, toy_table)))
+        assert batch.size == 4 and batch.sg.num_nodes == 3 + 0 + 5 + 1
+        for fusion in ("concat", "attention", "attention_learned"):
+            cfg = toy_config(num_labels=3, hidden_dim=5, gcn_layers=2, fusion_mode=fusion)
+            params = init_params(cfg)
+            weights = {p.name: p.value for p in params}
+            probs, _ = forward_batch(batch, params, cfg)
+            assert probs.shape == (4, 3)
+            for row, ex in zip(probs.data, examples):
+                ref = forward_ref(ex, weights, toy_table, cfg, embed_phrase,
+                                  node_input_vector)
+                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+
+    def test_chunked_evaluation_matches_single_calls(self, rng, toy_table, monkeypatch):
+        examples = mixed_examples(rng) * 3
+        labels = ["label0", "label1", "label2"]
+        cfg = toy_config(num_labels=3, hidden_dim=5, fusion_mode="attention")
+        params = init_params(cfg)
+        monkeypatch.setattr(evaluation, "MAX_CHUNK_NODES", 12)
+        sizes = [len(c) for c in evaluation.chunks(pack(examples, toy_table))]
+        assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == len(examples)
+
+        def counts(report):
+            return np.array([[r.tp, r.fp, r.fn] for r in report.per_label])
+
+        for mode in ("softmax_ce", "sigmoid_bce"):
+            bulk = evaluation.evaluate_dataset(examples, params, toy_table, cfg, labels,
+                                               loss_mode=mode)
+            singles = sum(counts(evaluation.evaluate_dataset(
+                [ex], params, toy_table, cfg, labels, loss_mode=mode)) for ex in examples)
+            np.testing.assert_array_equal(counts(bulk), singles)
 
 
 class TestParamCount:
@@ -407,3 +469,13 @@ class TestCheckpoint:
         assert cfg2 == cfg
         for p in params:
             assert np.array_equal(params2[p.name].value, p.value)
+
+    def test_output_head_recorded(self, tmp_path):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, cfg, init_params(cfg), loss_mode="sigmoid_bce")
+        assert read_checkpoint(path)[2] == "sigmoid_bce"
+        save_checkpoint(path, cfg, init_params(cfg))
+        assert read_checkpoint(path)[2] == "softmax_ce"
+        with pytest.raises(ConfigError):
+            save_checkpoint(path, cfg, init_params(cfg), loss_mode="hinge")

@@ -200,35 +200,45 @@ class TestGradientsAgainstFiniteDifferences:
         _check_grad(build, [(6,)], rng)
 
     def test_attention_style_composition(self, rng):
+        # row-wise attention over a batch of 3: column scores, row softmax,
+        # and (3, 1) weight columns broadcast over the (3, 5) rows
+        ones = Tensor(np.ones((5, 1)))
+
         def build(args, tape):
             u, v = args
-            su = T.sum_all(T.mul(u, u, tape), tape)
-            sv = T.sum_all(T.mul(v, v, tape), tape)
-            alpha = T.softmax(T.stack([su, sv], tape), tape)
-            fused = T.add(T.smul(T.index(alpha, 0, tape), u, tape),
-                          T.smul(T.index(alpha, 1, tape), v, tape), tape)
+            su = T.matmul(T.mul(u, u, tape), ones, tape)
+            sv = T.matmul(T.mul(v, v, tape), ones, tape)
+            alpha = T.softmax(T.concat([su, sv], tape), tape)
+            a_u = T.matmul(alpha, Tensor([[1.0], [0.0]]), tape)
+            a_v = T.matmul(alpha, Tensor([[0.0], [1.0]]), tape)
+            fused = T.add(T.mul(a_u, u, tape), T.mul(a_v, v, tape), tape)
             return T.sum_all(T.sigmoid(fused, tape), tape)
 
-        _check_grad(build, [(5,), (5,)], rng)
+        _check_grad(build, [(3, 5), (3, 5)], rng)
 
     def test_neighbor_mean_and_readout(self, rng):
-        neighbors = [[1, 2], [0], [2, 2, 1]]
+        # in-neighbor lists [[1, 2], [0], [2, 2, 1]] as an edge list (the
+        # repeat counts twice), then a sum readout of rows {0}, {1, 2}
+        dst = np.array([0, 0, 1, 2, 2, 2])
+        src = np.array([1, 2, 0, 2, 2, 1])
+        weight = 1.0 / np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0])
 
         def build(args, tape):
             (s,) = args
-            agg = T.neighbor_mean(s, neighbors, tape)
-            return T.sum_all(T.mul(agg, agg, tape), tape)
+            agg = T.scatter_add(s, dst, src, weight, 3, tape)
+            per_graph = T.scatter_add(agg, [0, 1, 1], np.arange(3), np.ones(3), 2, tape)
+            return T.sum_all(T.mul(per_graph, per_graph, tape), tape)
 
         _check_grad(build, [(3, 4)], rng)
 
     def test_concat_transpose_bias(self, rng):
         def build(args, tape):
             w, x, b = args
-            y = T.matmul(T.transpose(w, tape), x, tape)
+            y = T.linear(x, w, tape)  # w @ x
             return T.sum_all(T.relu(T.add(T.concat([y, y], tape),
                                           T.concat([b, b], tape), tape), tape), tape)
 
-        _check_grad(build, [(3, 4), (3,), (4,)], rng)
+        _check_grad(build, [(4, 3), (3,), (4,)], rng)
 
     def test_random_compositions(self, rng):
         # random deep chains over small dims
@@ -245,6 +255,49 @@ class TestGradientsAgainstFiniteDifferences:
                 return T.sum_all(T.mul(cur, cur, tape), tape)
 
             _check_grad(build, [(dim,)], rng)
+
+
+class TestScatterAdd:
+    def test_matches_edge_loop(self, rng):
+        x = rng.normal(size=(5, 3))
+        dst = rng.integers(0, 4, size=9)
+        src = rng.integers(0, 5, size=9)
+        w = rng.normal(size=9)
+        want = np.zeros((4, 3))
+        for d, s, c in zip(dst, src, w):
+            want[d] += c * x[s]
+        got = T.scatter_add(Tensor(x), dst, src, w, 4).data
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_unreached_rows_are_zero(self):
+        out = T.scatter_add(Tensor(np.ones((2, 3))), [0, 2], [0, 1], [1.0, 1.0], 4).data
+        np.testing.assert_array_equal(out[[1, 3]], np.zeros((2, 3)))
+        assert T.scatter_add(Tensor(np.zeros((0, 3))), [], [], [], 2).shape == (2, 3)
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(DimensionError):
+            T.scatter_add(Tensor(np.ones((2, 3))), [0], [2], [1.0], 1)
+        with pytest.raises(DimensionError):
+            T.scatter_add(Tensor(np.ones((2, 3))), [1], [0], [1.0], 1)
+
+
+class TestLinear:
+    def test_matches_matmul_with_transposed_weight(self, rng):
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(5, 3))
+        np.testing.assert_allclose(T.linear(Tensor(x), Tensor(w)).data,
+                                   matmul_ref(x, w.T), atol=1e-12)
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(5, 2\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 2))))
+
+    def test_gradient(self, rng):
+        def build(args, tape):
+            x, w = args
+            return T.sum_all(T.relu(T.linear(x, w, tape), tape), tape)
+
+        _check_grad(build, [(4, 3), (5, 3)], rng)
 
 
 class TestTensorInvariants:

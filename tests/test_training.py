@@ -8,8 +8,8 @@ from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
 from symgraph.tensor import Tensor
 from symgraph.training import (Example, RunLog, EpochRecord, TrainConfig,
-                               bce_loss, loss, target_vector, train,
-                               train_epoch)
+                               bce_loss, loss, pack_split,
+                               target_vector, train, train_epoch)
 
 LABELS = ["alpha", "beta"]
 
@@ -66,31 +66,32 @@ class TestTargetVector:
 class TestLoss:
     def test_uniform_over_four(self):
         probs = Tensor([0.25] * 4)
-        out = loss(probs, ["c"], ["a", "b", "c", "d"])
+        out = loss(probs, target_vector(["c"], ["a", "b", "c", "d"]))
         assert out.item() == pytest.approx(np.log(4.0), abs=1e-9)
 
     def test_confident_correct_is_near_zero(self):
-        out = loss(Tensor([1.0 - 1e-9, 1e-9]), ["alpha"], LABELS)
+        out = loss(Tensor([1.0 - 1e-9, 1e-9]), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(0.0, abs=1e-8)
 
     def test_soft_target_two_labels(self):
-        out = loss(Tensor([0.5, 0.5]), ["alpha", "beta"], LABELS)
+        out = loss(Tensor([0.5, 0.5]), target_vector(["alpha", "beta"], LABELS))
         assert out.item() == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_higher_mass_on_target_lowers_loss(self):
-        low = loss(Tensor([0.9, 0.1]), ["alpha"], LABELS).item()
-        high = loss(Tensor([0.2, 0.8]), ["alpha"], LABELS).item()
+        t = target_vector(["alpha"], LABELS)
+        low = loss(Tensor([0.9, 0.1]), t).item()
+        high = loss(Tensor([0.2, 0.8]), t).item()
         assert low < high
 
 
 class TestBceLoss:
     def test_zero_logits(self):
         # sigmoid(0)=0.5 on both labels: -log(.5) - log(.5) = 2 ln 2
-        out = bce_loss(Tensor([0.0, 0.0]), ["alpha"], LABELS)
+        out = bce_loss(Tensor([0.0, 0.0]), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
     def test_strong_correct_logits_near_zero(self):
-        out = bce_loss(Tensor([20.0, -20.0]), ["alpha"], LABELS)
+        out = bce_loss(Tensor([20.0, -20.0]), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(0.0, abs=1e-6)
 
 
@@ -105,8 +106,10 @@ class TestTrainEpoch:
         tc_batch = TrainConfig(epochs=1, batch_size=4, lr=0.05, shuffle=False)
         tc_single = TrainConfig(epochs=1, batch_size=1, lr=0.05, shuffle=False)
         shuffle_rng = child_rng(0, "shuffle")
-        train_epoch([ex] * 4, params_a, table, mcfg, tc_batch, LABELS, shuffle_rng)
-        train_epoch([ex], params_b, table, mcfg, tc_single, LABELS, shuffle_rng)
+        train_epoch(pack_split([ex] * 4, table, LABELS), params_a, mcfg, tc_batch,
+                    shuffle_rng)
+        train_epoch(pack_split([ex], table, LABELS), params_b, mcfg, tc_single,
+                    shuffle_rng)
         for p in params_a:
             np.testing.assert_allclose(p.value, params_b[p.name].value,
                                        atol=1e-12)
@@ -119,7 +122,7 @@ class TestTrainEpoch:
         results = []
         for _ in range(2):
             params = init_params(mcfg)
-            train_epoch(data, params, table, mcfg, tc, LABELS,
+            train_epoch(pack_split(data, table, LABELS), params, mcfg, tc,
                         child_rng(7, "shuffle"))
             results.append({p.name: p.value.copy() for p in params})
         for name in results[0]:
@@ -130,7 +133,7 @@ class TestTrainEpoch:
         mcfg = small_config()
         data = make_dataset(2)
         tc = TrainConfig(epochs=1, batch_size=2, lr=1e-4, shuffle=False)
-        out = train_epoch(data, init_params(mcfg), table, mcfg, tc, LABELS,
+        out = train_epoch(pack_split(data, table, LABELS), init_params(mcfg), mcfg, tc,
                           child_rng(0, "shuffle"))
         assert np.isfinite(out) and out > 0.0
 
@@ -139,7 +142,7 @@ class TestTrainEpoch:
         mcfg = small_config()
         tc = TrainConfig(epochs=1)
         with pytest.raises(ConfigError):
-            train_epoch([], init_params(mcfg), table, mcfg, tc, LABELS,
+            train_epoch(pack_split([], table, LABELS), init_params(mcfg), mcfg, tc,
                         child_rng(0, "shuffle"))
 
 
