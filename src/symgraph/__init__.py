@@ -6,7 +6,7 @@ attention) and classified by an MLP softmax head, trained with plain SGD on
 a taped reverse-mode autodiff core.
 """
 
-from .embeddings import EmbeddingTable, embed_phrase, load_embeddings
+from .embeddings import EmbeddingTable, load_embeddings
 from .evaluation import MetricsReport, ThresholdPolicy, f_scores, predict_labels
 from .graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                      LabeledGraph, RelationWhitelist, build_knowledge_graph,

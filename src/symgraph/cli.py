@@ -85,14 +85,23 @@ def _coerce(action, raw: str):
     return (action.type or str)(raw)
 
 
+def config_path(argv_rest):
+    """The file named by ``--config path`` or ``--config=path``, or None."""
+    for i, arg in enumerate(argv_rest):
+        if arg == "--config":
+            if i + 1 == len(argv_rest):
+                raise ConfigError("--config needs a file path")
+            return argv_rest[i + 1]
+        if arg.startswith("--config="):
+            return arg[len("--config="):]
+    return None
+
+
 def apply_config_file(subparser, argv_rest):
     """Fold config-file values in as parser defaults so flags still win."""
-    if "--config" not in argv_rest:
+    path = config_path(argv_rest)
+    if path is None:
         return
-    at = argv_rest.index("--config") + 1
-    if at == len(argv_rest):
-        raise ConfigError("--config needs a file path")
-    path = argv_rest[at]
     values = load_config_file(path)
     by_dest = {a.dest: a for a in subparser._actions}
     defaults = {}

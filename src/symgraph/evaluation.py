@@ -110,28 +110,35 @@ def f_scores(predictions, truth, label_list,
     return MetricsReport(macro, micro, rows, desc)
 
 
-def chunks(batches):
-    """Group packed examples into lists of at most MAX_CHUNK_NODES nodes
-    (a larger example goes alone), keeping their order."""
-    chunk, nodes = [], 0
-    for b in batches:
-        if chunk and nodes + b.num_nodes > MAX_CHUNK_NODES:
-            yield chunk
-            chunk, nodes = [], 0
-        chunk.append(b)
-        nodes += b.num_nodes
-    if chunk:
-        yield chunk
+def chunks(node_counts):
+    """Slices of consecutive items holding at most MAX_CHUNK_NODES nodes in
+    all (an item with more goes alone), in order."""
+    start, total = 0, 0
+    for i, n in enumerate(node_counts):
+        if i > start and total + n > MAX_CHUNK_NODES:
+            yield slice(start, i)
+            start, total = i, 0
+        total += n
+    if start < len(node_counts):
+        yield slice(start, len(node_counts))
+
+
+def _packed_chunks(data, table):
+    """Collated batches of raw examples, each chunk packed on its own so that
+    only one chunk's arrays are alive at a time."""
+    nodes = [len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes) for ex in data]
+    for part in chunks(nodes):
+        yield collate(pack(data[part], table))
 
 
 def _forward_chunks(batches, params, mconfig: ModelConfig, loss_mode: str = "softmax_ce"):
-    """Untraced per-example scores and diagnostics, forwarded chunk by chunk.
+    """Untraced per-example scores and diagnostics of collated batches.
 
-    Yields (scores, diagnostics) per chunk: softmax probabilities, or per-label
-    sigmoids of the logits for a ``sigmoid_bce`` head.
+    Yields (scores, diagnostics) per batch: softmax probabilities, or
+    per-label sigmoids of the logits for a ``sigmoid_bce`` head.
     """
-    for chunk in chunks(batches):
-        probs, diag = forward_batch(collate(chunk), params, mconfig)
+    for batch in batches:
+        probs, diag = forward_batch(batch, params, mconfig)
         scores = probs.data
         if loss_mode == "sigmoid_bce":
             scores = 1.0 / (1.0 + np.exp(-diag["logits"].data))
@@ -150,10 +157,10 @@ def _report(batches, truth, params, mconfig, label_list, policy, loss_mode):
 def evaluate_dataset(data, params, table, mconfig: ModelConfig, label_list,
                      policy: ThresholdPolicy = None,
                      loss_mode: str = "softmax_ce") -> MetricsReport:
-    """Forward every example (untraced, packed chunk by chunk), threshold,
+    """Pack and forward the examples chunk by chunk (untraced), threshold,
     and score."""
-    return _report(pack(data, table), [set(ex.labels) for ex in data], params,
-                   mconfig, label_list, policy, loss_mode)
+    return _report(_packed_chunks(data, table), [set(ex.labels) for ex in data],
+                   params, mconfig, label_list, policy, loss_mode)
 
 
 def evaluate_packed(split: PackedSplit, params, mconfig: ModelConfig, label_list,
@@ -162,14 +169,17 @@ def evaluate_packed(split: PackedSplit, params, mconfig: ModelConfig, label_list
     """``evaluate_dataset`` on a split packed once (validation during
     training)."""
     truth = [{label_list[i] for i in np.flatnonzero(row)} for row in split.targets]
-    return _report(split.batches, truth, params, mconfig, label_list, policy, loss_mode)
+    parts = chunks([b.num_nodes for b in split.batches])
+    return _report((collate(split.batches[part]) for part in parts), truth, params,
+                   mconfig, label_list, policy, loss_mode)
 
 
 def collect_attention(data, params, table, mconfig: ModelConfig):
     """Per-example fusion weights [(image_id, alpha_kg, alpha_sg), ...]."""
     if mconfig.fusion_mode == "concat":
         return []
-    alphas = [row for _, diag in _forward_chunks(pack(data, table), params, mconfig)
+    alphas = [row for _, diag in _forward_chunks(_packed_chunks(data, table), params,
+                                                 mconfig)
               for row in diag["alpha"]]
     return [(ex.image_id, float(a[0]), float(a[1])) for ex, a in zip(data, alphas)]
 

@@ -3,11 +3,14 @@ concat or attention fusion of the two graph vectors, and an MLP softmax head.
 
 The network runs on mini-batches.  ``pack`` turns each example's two graphs
 into a ``GraphBatch`` per kind: encoder-input rows plus a row-normalized
-in-edge list, built once per call with each phrase embedded once.
-``collate`` joins packed examples into one disjoint union per kind (node and
-graph ids shifted), so each tower is one encoder matmul, one ``scatter_add``
-and matmul per GCN layer, and one ``scatter_add`` over graph ids for the
-readout; fusion and the head work on the (batch, hidden) rows.
+in-edge list.  It packs all the graphs of a call in one vectorized pass
+(``pack_graphs``): each distinct phrase is embedded once, then node vectors,
+self-loops, messages and encoder inputs are built once for the whole call,
+and each graph's batch is a slice of those arrays.  ``collate`` joins packed
+examples into one disjoint union per kind (node and graph ids shifted), so
+each tower is one encoder matmul, one ``scatter_add`` and matmul per GCN
+layer, and one ``scatter_add`` over graph ids for the readout; fusion and the
+head work on the (batch, hidden) rows.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import tensor as T
-from .embeddings import EmbeddingTable, embed_phrase
+from .embeddings import EmbeddingTable
 from .errors import ConfigError, DimensionError, ValidationError
 from .graphs import LabeledGraph
 from .rng import child_rng
@@ -127,7 +131,7 @@ class ModelParams:
     def tensors(self, tape: Tape = None) -> dict:
         """Tensor view of every parameter, watched on the tape when tracing."""
         if tape is None:
-            return {n: Tensor(p.value) for n, p in self._by_name.items()}
+            return {n: T._wrap(p.value) for n, p in self._by_name.items()}
         return {n: tape.watch(p) for n, p in self._by_name.items()}
 
     def copy(self) -> "ModelParams":
@@ -198,60 +202,70 @@ class Batch:
         return self.kg.num_nodes + self.sg.num_nodes
 
 
-def _phrase(table: EmbeddingTable, phrase: str, memo: dict) -> np.ndarray:
-    vec = memo.get(phrase)
-    if vec is None:
-        vec = memo[phrase] = embed_phrase(table, phrase).data
-    return vec
+def pack_graphs(graphs, table: EmbeddingTable) -> list:
+    """Encoder inputs and in-edges of each graph, as one ``GraphBatch`` per
+    graph, built in one vectorized pass over all of them.
 
-
-def node_input_vector(node, table: EmbeddingTable, memo: dict = None) -> np.ndarray:
-    """Mean embedding of a node's object token and each attribute token."""
-    memo = {} if memo is None else memo
-    key = (node.name, *node.attributes)
-    vec = memo.get(key)
-    if vec is None:
-        vec = memo[key] = np.mean([_phrase(table, t, memo) for t in key], axis=0)
-    return vec
-
-
-def pack_graph(g: LabeledGraph, table: EmbeddingTable, memo: dict = None) -> GraphBatch:
-    """Encoder inputs and in-edges of one graph.
-
-    A node's encoder input is the mean over its in-edges of
-    [source node input ; relation embedding]; a node without in-edges uses
-    its own input with the reserved ``self`` relation.  ``memo`` caches
-    phrase and node vectors across the graphs of one packing call.
+    A node's input vector is the mean of the vectors of its object token and
+    each attribute token; each distinct token is embedded once per call
+    (``EmbeddingTable.phrase_vectors``).  A node's encoder input is the mean
+    over its in-edges of [source node input ; relation vector]; a node
+    without in-edges gets a self-loop with the reserved ``self`` relation.
+    Each graph's edges keep their order, followed by its self-loops, so every
+    sum runs in the same order as for the graph packed alone.  The per-graph
+    batches are slices of the arrays built for all of them.
     """
-    memo = {} if memo is None else memo
-    n, d = len(g.nodes), table.dim
-    dst = np.array([e.dst for e in g.edges], dtype=np.intp)
-    src = np.array([e.src for e in g.edges], dtype=np.intp)
-    if dst.size and (min(dst.min(), src.min()) < 0 or max(dst.max(), src.max()) >= n):
-        raise ValidationError(f"edge index out of range for {n} nodes")
-    in_degree = np.bincount(dst, minlength=n)
-    isolated = np.flatnonzero(in_degree == 0)
-    dst = np.concatenate([dst, isolated])
-    src = np.concatenate([src, isolated])
-    relations = [e.relation for e in g.edges] + [SELF_RELATION] * isolated.size
-    x = np.array([node_input_vector(node, table, memo) for node in g.nodes]).reshape(n, d)
-    messages = np.hstack([
-        x[src], np.array([_phrase(table, r, memo) for r in relations]).reshape(-1, d)])
-    degree = np.maximum(in_degree, 1).astype(np.float64)
-    inputs = T.scatter_rows(messages, dst, n) / degree[:, None]
-    return GraphBatch(inputs, dst, src, 1.0 / degree[dst], np.zeros(n, dtype=np.intp), 1)
+    ids = {SELF_RELATION: 0}  # distinct phrase -> row of the phrase vectors
+    tokens, node_sizes = [], []  # phrase id of every node token; tokens per node
+    dst, src, relations = [], [], []  # per edge and self-loop: local nodes, phrase id
+    nodes, edges = [], []  # per graph
+    for g in graphs:
+        for node in g.nodes:
+            tokens += [ids.setdefault(t, len(ids)) for t in (node.name, *node.attributes)]
+            node_sizes.append(1 + len(node.attributes))
+        targets = {e.dst for e in g.edges}
+        loops = [i for i in range(len(g.nodes)) if i not in targets]
+        dst += [e.dst for e in g.edges] + loops
+        src += [e.src for e in g.edges] + loops
+        relations += [ids.setdefault(e.relation, len(ids)) for e in g.edges]
+        relations += [ids[SELF_RELATION]] * len(loops)
+        nodes.append(len(g.nodes))
+        edges.append(len(g.edges) + len(loops))
+    phrase_vecs = table.phrase_vectors(list(ids))
+
+    dst, src = np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
+    counts = np.array([nodes, edges], dtype=np.intp).reshape(2, len(nodes))
+    sizes = np.repeat(*counts)  # node count of each edge's graph
+    bad = np.flatnonzero((np.minimum(dst, src) < 0) | (np.maximum(dst, src) >= sizes))
+    if bad.size:
+        raise ValidationError(f"edge index out of range for {sizes[bad[0]]} nodes")
+    n_total = len(node_sizes)
+    x = T.segment_mean(phrase_vecs[np.array(tokens, dtype=np.intp)],
+                       np.repeat(np.arange(n_total), node_sizes), n_total)
+    base = np.repeat(np.cumsum(counts[0]) - counts[0], counts[1])
+    rows = dst + base
+    degree = np.bincount(rows, minlength=n_total)
+    messages = np.hstack([x[src + base], phrase_vecs[np.array(relations, dtype=np.intp)]])
+    inputs = T.scatter_rows(messages, rows, n_total) / degree[:, None]
+    weight = 1.0 / degree[rows]
+    no_graph = np.zeros(max(nodes, default=0), dtype=np.intp)
+    return [GraphBatch(inputs[n0:n0 + n], dst[e0:e0 + m], src[e0:e0 + m],
+                       weight[e0:e0 + m], no_graph[:n], 1)
+            for n, m, n0, e0 in zip(nodes, edges, accumulate(nodes, initial=0),
+                                    accumulate(edges, initial=0))]
 
 
-def pack(examples, table: EmbeddingTable):
-    """Yield one ``Batch`` of size 1 per example, in order.
+def pack_graph(g: LabeledGraph, table: EmbeddingTable) -> GraphBatch:
+    """Encoder inputs and in-edges of one graph (``pack_graphs`` of one)."""
+    return pack_graphs([g], table)[0]
 
-    Phrase vectors are memoized for the life of this generator only, so a
-    relation or node token seen in many graphs is embedded once per call.
-    """
-    memo = {}
-    for ex in examples:
-        yield Batch(pack_graph(ex.knowledge_graph, table, memo),
-                    pack_graph(ex.scene_graph, table, memo))
+
+def pack(examples, table: EmbeddingTable) -> list:
+    """One ``Batch`` of size 1 per example, in order, from one
+    ``pack_graphs`` call over all their graphs."""
+    graphs = pack_graphs([ex.knowledge_graph for ex in examples]
+                         + [ex.scene_graph for ex in examples], table)
+    return [Batch(kg, sg) for kg, sg in zip(graphs, graphs[len(examples):])]
 
 
 def _union(parts) -> GraphBatch:
@@ -401,7 +415,7 @@ def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
 def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelConfig):
     """Untraced pipeline on one example; returns (probs, diagnostics) as in
     ``forward_batch`` with the batch axis dropped (logits as an array)."""
-    probs, diag = forward_batch(next(pack([example], table)), params, config)
+    probs, diag = forward_batch(pack([example], table)[0], params, config)
     diag["logits"] = diag["logits"].data
     return Tensor(probs.data[0]), {k: None if v is None else v[0] for k, v in diag.items()}
 
@@ -446,6 +460,9 @@ def read_checkpoint(path):
     expected = {name for name, _ in param_shapes(config)}
     if set(params.names()) != expected:
         raise ConfigError("checkpoint parameters do not match its config")
+    for p in params:
+        if not np.isfinite(p.value).all():
+            raise ConfigError(f"checkpoint parameter '{p.name}' has non-finite values")
     return config, params, meta["loss_mode"]
 
 

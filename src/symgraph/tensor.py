@@ -51,6 +51,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, traced={self.node_id is not None})"
 
 
+def _wrap(data, node_id=None) -> Tensor:
+    """A Tensor over an array already known to be finite (a parameter's
+    value), without the scan ``Tensor.__init__`` runs on every op output."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.node_id = data, node_id
+    return t
+
+
 @dataclass
 class Parameter:
     """A trainable tensor with an accumulating gradient buffer."""
@@ -94,7 +102,7 @@ class Tape:
         """Register a parameter and return its traced tensor."""
         nid = self._new_id()
         self.params[nid] = param
-        return Tensor(param.value, node_id=nid)
+        return _wrap(param.value, nid)
 
     def record(self, out_data, inputs, back) -> Tensor:
         """Create the output tensor for a step, tracing it when needed."""
@@ -250,6 +258,14 @@ def scatter_rows(values, rows, n):
     slots = (rows[:, None] * width + np.arange(width)).ravel()
     return np.bincount(slots, weights=values.ravel(),
                        minlength=n * width).reshape(n, width)
+
+
+def segment_mean(values, rows, n):
+    """Mean of the rows of ``values`` sent to each of n output rows (row e
+    goes to ``rows[e]``); an output row that nothing reaches is zero.  Sums
+    run in the order of ``values``, as in ``scatter_rows``."""
+    counts = np.maximum(np.bincount(rows, minlength=n), 1)
+    return scatter_rows(values, rows, n) / counts[:, None]
 
 
 def scatter_add(x: Tensor, dst, src, weight, n_out: int, tape: Tape = None) -> Tensor:

@@ -123,7 +123,7 @@ class PackedSplit:
 def pack_split(examples, table, label_list) -> PackedSplit:
     """Pack a split once: encoder inputs, edge lists and target vectors."""
     targets = np.array([target_vector(ex.labels, label_list) for ex in examples])
-    return PackedSplit([ex.image_id for ex in examples], list(pack(examples, table)),
+    return PackedSplit([ex.image_id for ex in examples], pack(examples, table),
                        targets.reshape(len(examples), len(label_list)))
 
 

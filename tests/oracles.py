@@ -48,7 +48,21 @@ def gcn_layer_ref(states, g, w, nonlin):
     return nonlin(a @ (np.asarray(states) @ np.asarray(w).T))
 
 
-def encode_nodes_ref(g, table, w_enc, nonlin, embed_fn, node_input_fn):
+def phrase_ref(table, phrase):
+    """Mean of the vectors of a phrase's words found in the table, looked up
+    one word at a time; zeros when none is found."""
+    words = phrase.replace("_", " ").lower().split()
+    found = [table.entries[w] for w in words if w in table.entries]
+    return np.mean(found, axis=0) if found else np.zeros(table.dim)
+
+
+def node_input_ref(node, table):
+    """Mean of the phrase vectors of a node's name and each attribute."""
+    tokens = (node.name, *node.attributes)
+    return np.mean([phrase_ref(table, t) for t in tokens], axis=0)
+
+
+def encode_nodes_ref(g, table, w_enc, nonlin):
     """Per-node loop reference for the initial encoding."""
     n = len(g.nodes)
     d = table.dim
@@ -58,13 +72,13 @@ def encode_nodes_ref(g, table, w_enc, nonlin, embed_fn, node_input_fn):
         in_edges = [e for e in g.edges if e.dst == i]
         if in_edges:
             msgs = [
-                w @ np.concatenate([node_input_fn(g.nodes[e.src], table),
-                                    embed_fn(table, e.relation).data])
+                w @ np.concatenate([node_input_ref(g.nodes[e.src], table),
+                                    phrase_ref(table, e.relation)])
                 for e in in_edges
             ]
         else:
-            msgs = [w @ np.concatenate([node_input_fn(g.nodes[i], table),
-                                        embed_fn(table, "self").data])]
+            msgs = [w @ np.concatenate([node_input_ref(g.nodes[i], table),
+                                        phrase_ref(table, "self")])]
         out[i] = nonlin(np.mean(msgs, axis=0))
     return out
 
@@ -103,7 +117,7 @@ def finite_difference(f, x, eps=1e-6):
     return g
 
 
-def forward_ref(example, weights, table, cfg, embed_fn, node_input_fn):
+def forward_ref(example, weights, table, cfg):
     """Dense-adjacency reference for one example's class probabilities:
     per-node encoder loop, A_hat @ H @ W^T layers, column-sum readout, then
     fusion and the MLP head on plain vectors."""
@@ -122,7 +136,7 @@ def forward_ref(example, weights, table, cfg, embed_fn, node_input_fn):
             v[kind] = np.zeros(cfg.hidden_dim)
             continue
         prefix = "shared" if shared else kind
-        h = encode_nodes_ref(g, table, weights[f"{prefix}.enc"], f, embed_fn, node_input_fn)
+        h = encode_nodes_ref(g, table, weights[f"{prefix}.enc"], f)
         a = row_normalized_adjacency(g)
         for layer in range(cfg.gcn_layers):
             h = f(a @ h @ weights[f"{prefix}.gcn{layer}"].T)

@@ -8,7 +8,7 @@ from symgraph.cli import main
 from symgraph.dataset import load_bundle
 from symgraph.embeddings import load_embeddings
 from symgraph.evaluation import evaluate_dataset
-from symgraph.model import load_checkpoint
+from symgraph.model import load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -196,6 +196,19 @@ class TestTrainEval:
             _, a, b = line.split(",")
             assert float(a) + float(b) == pytest.approx(1.0)
 
+    def test_eval_refuses_non_finite_checkpoint(self, tmp_path, capsys):
+        data, run_dir = self._trained(tmp_path)
+        config, params = load_checkpoint(run_dir / "checkpoint.npz")
+        params["mlp.b2"].value[0] = np.inf
+        save_checkpoint(run_dir / "bad.npz", config, params)
+        capsys.readouterr()
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", run_dir / "bad.npz",
+                    "--out", tmp_path / "e2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "mlp.b2" in err[0]
+
     def test_eval_split_flag_validated(self, tmp_path):
         data, run_dir = self._trained(tmp_path)
         assert run(["eval", "--bundle", data / "bundle",
@@ -263,6 +276,19 @@ class TestErrorHandling:
                     "--embeddings", bad, "--out", tmp_path / "o",
                     "--embed-dim", 16, "--epochs", 1]) == 2
 
+    def test_non_finite_embedding_exits_2_naming_line(self, tmp_path, capsys):
+        data = synth_bundle(tmp_path, examples=20)
+        lines = (data / "embeddings.txt").read_text().splitlines()
+        fields = lines[2].split(" ")
+        lines[2] = " ".join([fields[0], "nan", *fields[2:]])
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["train", "--bundle", data / "bundle",
+                    "--embeddings", bad, "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and ":3:" in err[0]
+
 
 class TestConfigFile:
     def test_config_file_sets_defaults_and_flags_win(self, tmp_path):
@@ -283,6 +309,18 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1
         assert manifest["config"]["hidden_dim"] == 16
+
+    def test_config_equals_form_is_read(self, tmp_path):
+        data = synth_bundle(tmp_path, examples=20)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"bundle = {data / 'bundle'}\n"
+            f"embeddings = {data / 'embeddings.txt'}\n"
+            "embed-dim = 16\nhidden-dim = 8\ngcn-layers = 1\nepochs = 1\n")
+        out = tmp_path / "run"
+        assert run(["train", f"--config={cfg}", "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["hidden_dim"] == 8
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

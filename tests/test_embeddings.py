@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from symgraph.embeddings import (EmbeddingTable, embed_phrase, load_embeddings,
-                                 normalize_token)
+from oracles import phrase_ref
+from symgraph.embeddings import EmbeddingTable, load_embeddings, normalize_token
 from symgraph.errors import EmbeddingParseError
 
 
@@ -54,6 +54,42 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingParseError, match=":1"):
             load_embeddings(path, dim=3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_rejected_naming_line(self, tmp_path, value):
+        path = write_emb(tmp_path, ["cat 1.0 2.0 3.0", "", f"dog 1.0 {value} 3.0"])
+        with pytest.raises(EmbeddingParseError, match=r":3: non-finite"):
+            load_embeddings(path, dim=3)
+
+    def test_large_finite_values_accepted(self, tmp_path):
+        table = load_embeddings(write_emb(tmp_path, ["cat 1e308 1e308 -1e308"]), dim=3)
+        np.testing.assert_array_equal(table.lookup_word("cat"), [1e308, 1e308, -1e308])
+
+    def test_runs_of_whitespace_accepted(self, tmp_path):
+        path = write_emb(tmp_path, ["cat 1.0 2.0 3.0 ", "dog  4.0\t5.0   6.0",
+                                    " \t", "car 7.0 8.0 9.0\r"])
+        table = load_embeddings(path, dim=3)
+        np.testing.assert_array_equal(table.matrix, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert table.index == {"cat": 0, "dog": 1, "car": 2}
+
+    def test_short_line_with_trailing_space_rejected(self, tmp_path):
+        path = write_emb(tmp_path, ["cat 1.0 2.0 3.0", "dog 1.0 2.0 "])
+        with pytest.raises(EmbeddingParseError, match=":2: .* got 2 values"):
+            load_embeddings(path, dim=3)
+
+    def test_entries_are_rows_of_one_read_only_matrix(self, tmp_path):
+        path = write_emb(tmp_path, ["cat 1.0 2.0", "dog 3.0 4.0", "Cat 9.0 9.0"])
+        table = load_embeddings(path, dim=2)
+        assert len(table) == 2
+        for token, vec in table.entries.items():
+            assert np.shares_memory(vec, table.matrix)
+            np.testing.assert_array_equal(vec, table.matrix[table.index[token]])
+        with pytest.raises(ValueError):
+            table.entries["cat"][0] = 0.0
+
+
+def embed(table, phrase):
+    return table.phrase_vectors([phrase])[0]
+
 
 class TestEmbedPhrase:
     @pytest.fixture
@@ -65,28 +101,34 @@ class TestEmbedPhrase:
         })
 
     def test_known_token(self, table):
-        np.testing.assert_array_equal(embed_phrase(table, "cat").data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(embed(table, "cat"), [1.0, 2.0, 3.0])
 
     def test_fully_oov_is_zero(self, table):
-        np.testing.assert_array_equal(embed_phrase(table, "zqxjk").data, [0.0] * 3)
+        np.testing.assert_array_equal(embed(table, "zqxjk"), [0.0] * 3)
 
     def test_phrase_mean(self, table):
-        np.testing.assert_array_equal(embed_phrase(table, "red car").data,
-                                      [0.5, 1.0, 0.0])
+        np.testing.assert_array_equal(embed(table, "red car"), [0.5, 1.0, 0.0])
 
     def test_underscore_split(self, table):
-        np.testing.assert_array_equal(embed_phrase(table, "red_car").data,
-                                      [0.5, 1.0, 0.0])
+        np.testing.assert_array_equal(embed(table, "red_car"), [0.5, 1.0, 0.0])
 
     def test_partial_oov_averages_found_words_only(self, table):
-        np.testing.assert_array_equal(embed_phrase(table, "shiny red").data,
-                                      [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(embed(table, "shiny red"), [1.0, 0.0, 0.0])
 
     def test_order_insensitive(self, table):
-        a = embed_phrase(table, "red car").data
-        b = embed_phrase(table, "car red").data
+        a = embed(table, "red car")
+        b = embed(table, "car red")
         assert np.array_equal(a, b)
 
     def test_output_length_always_dim(self, table):
         for phrase in ("cat", "zq", "", "red cat car zz"):
-            assert embed_phrase(table, phrase).data.shape == (3,)
+            assert embed(table, phrase).shape == (3,)
+
+    def test_many_phrases_equal_one_at_a_time(self, table):
+        phrases = ["red car", "zq", "cat", "", "Car_red", "cat cat red", "cat"]
+        got = table.phrase_vectors(phrases)
+        assert got.shape == (len(phrases), 3)
+        for row, phrase in zip(got, phrases):
+            assert np.array_equal(row, embed(table, phrase))
+            assert np.array_equal(row, phrase_ref(table, phrase))
+        assert table.phrase_vectors([]).shape == (0, 3)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import encode_nodes_ref, forward_ref, gcn_layer_ref
-from symgraph.embeddings import EmbeddingTable, embed_phrase
-from symgraph.errors import ConfigError, DimensionError
+from oracles import (encode_nodes_ref, forward_ref, gcn_layer_ref, node_input_ref,
+                     phrase_ref)
+from symgraph.embeddings import EmbeddingTable
+from symgraph.errors import ConfigError, DimensionError, ValidationError
 from symgraph.gradcheck import gradcheck
 from symgraph.graphs import (GraphEdge, GraphNode, LabeledGraph, validate_graph)
 from symgraph import evaluation
 from symgraph.model import (ModelConfig, attention_fuse, classify, collate,
                             encode_nodes, forward, forward_batch, fuse_concat,
-                            gcn_layer, init_params, load_checkpoint,
-                            node_input_vector, pack, pack_graph, param_count,
+                            gcn_layer, init_params, load_checkpoint, pack,
+                            pack_graph, pack_graphs, param_count,
                             read_checkpoint, readout_sum, save_checkpoint)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
@@ -39,7 +40,7 @@ class TestEncodeNodes:
         g = LabeledGraph([GraphNode("cat")], [])
         w = Tensor(np.hstack([np.eye(6), np.zeros((6, 6))]))
         out = encode_nodes(pack_graph(g, toy_table), w, cfg)
-        x = embed_phrase(toy_table, "cat").data
+        x = phrase_ref(toy_table, "cat")
         np.testing.assert_allclose(out.data[0], np.maximum(x, 0.0))
 
     def test_zero_weights_give_zero_states(self, toy_table):
@@ -55,16 +56,17 @@ class TestEncodeNodes:
             g = random_graph(rng, 4)
             w = rng.normal(size=(6, 12))
             got = encode_nodes(pack_graph(g, toy_table), Tensor(w), cfg).data
-            ref = encode_nodes_ref(
-                g, toy_table, w, lambda v: np.maximum(v, 0.0),
-                embed_phrase, node_input_vector)
+            ref = encode_nodes_ref(g, toy_table, w, lambda v: np.maximum(v, 0.0))
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_attributes_enter_node_input(self, toy_table):
-        with_attr = node_input_vector(GraphNode("cat", ["red"]), toy_table)
-        without = node_input_vector(GraphNode("cat"), toy_table)
-        expected = 0.5 * (embed_phrase(toy_table, "cat").data +
-                          embed_phrase(toy_table, "red").data)
+        # an isolated node's encoder input is [node input ; e_self]
+        def node_input(node):
+            return pack_graph(LabeledGraph([node], []), toy_table).inputs[0, :6]
+
+        with_attr = node_input(GraphNode("cat", ["red"]))
+        without = node_input(GraphNode("cat"))
+        expected = 0.5 * (phrase_ref(toy_table, "cat") + phrase_ref(toy_table, "red"))
         np.testing.assert_allclose(with_attr, expected)
         assert not np.allclose(with_attr, without)
 
@@ -385,8 +387,7 @@ class TestBatchedForward:
             probs, _ = forward_batch(batch, params, cfg)
             assert probs.shape == (4, 3)
             for row, ex in zip(probs.data, examples):
-                ref = forward_ref(ex, weights, toy_table, cfg, embed_phrase,
-                                  node_input_vector)
+                ref = forward_ref(ex, weights, toy_table, cfg)
                 np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
 
     def test_chunked_evaluation_matches_single_calls(self, rng, toy_table, monkeypatch):
@@ -395,7 +396,8 @@ class TestBatchedForward:
         cfg = toy_config(num_labels=3, hidden_dim=5, fusion_mode="attention")
         params = init_params(cfg)
         monkeypatch.setattr(evaluation, "MAX_CHUNK_NODES", 12)
-        sizes = [len(c) for c in evaluation.chunks(pack(examples, toy_table))]
+        sizes = [len(examples[c]) for c in
+                 evaluation.chunks([b.num_nodes for b in pack(examples, toy_table)])]
         assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == len(examples)
 
         def counts(report):
@@ -407,6 +409,83 @@ class TestBatchedForward:
             singles = sum(counts(evaluation.evaluate_dataset(
                 [ex], params, toy_table, cfg, labels, loss_mode=mode)) for ex in examples)
             np.testing.assert_array_equal(counts(bulk), singles)
+
+
+def node_count(ex):
+    return len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes)
+
+
+class TestPack:
+    def examples(self, rng):
+        """mixed_examples plus an all-OOV node and relation, and relation
+        tokens ("near", "tok4") shared with other graphs of the call."""
+        oov_sg = LabeledGraph(
+            [GraphNode("qq zz", ["red"]), GraphNode("cat"), GraphNode("tok4")],
+            [GraphEdge(0, 1, "zq_qz"), GraphEdge(2, 1, "near"),
+             GraphEdge(1, 2, "tok4")], kind="scene")
+        return mixed_examples(rng) + [
+            Example("e", oov_sg, random_graph(rng, 3, kind="knowledge"), ["label0"])]
+
+    def test_one_call_equals_packing_each_example_alone(self, rng, toy_table):
+        examples = self.examples(rng)
+        together = pack(examples, toy_table)
+        assert len(together) == len(examples)
+        for ex, got in zip(examples, together):
+            alone = pack([ex], toy_table)[0]
+            for kind in ("kg", "sg"):
+                a, b = getattr(got, kind), getattr(alone, kind)
+                assert a.num_graphs == b.num_graphs == 1
+                for field in ("inputs", "dst", "src", "weight", "graph_ids"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_inputs_equal_per_node_loop(self, rng, toy_table):
+        # mean over in-edges of [source node input ; relation vector], or
+        # [own input ; e_self] without in-edges, summed in edge order
+        examples = self.examples(rng)
+        graphs = [g for ex in examples for g in (ex.knowledge_graph, ex.scene_graph)]
+        for g, packed in zip(graphs, pack_graphs(graphs, toy_table)):
+            assert packed.inputs.shape == (len(g.nodes), 12)
+            for i in range(len(g.nodes)):
+                pairs = ([(e.src, e.relation) for e in g.edges if e.dst == i]
+                         or [(i, "self")])
+                want = np.mean([np.concatenate([node_input_ref(g.nodes[s], toy_table),
+                                                phrase_ref(toy_table, r)])
+                                for s, r in pairs], axis=0)
+                assert np.array_equal(packed.inputs[i], want)
+
+    def test_edge_out_of_range_names_its_graph(self, toy_table):
+        ok = LabeledGraph([GraphNode("a")] * 5, [GraphEdge(4, 0, "r")])
+        bad = LabeledGraph([GraphNode("a")] * 2,
+                           [GraphEdge(0, 1, "r"), GraphEdge(2, 0, "r")])
+        with pytest.raises(ValidationError, match="for 2 nodes"):
+            pack_graphs([ok, bad], toy_table)
+        assert pack_graphs([], toy_table) == []
+
+    def test_evaluation_packs_at_most_a_chunk_per_call(self, rng, toy_table,
+                                                       monkeypatch):
+        big = Example("big", random_graph(rng, 8), random_graph(rng, 8, kind="knowledge"),
+                      ["label0"])
+        assert node_count(big) > 12
+        examples = self.examples(rng) * 2 + [big] + self.examples(rng)
+        labels = ["label0", "label1", "label2"]
+        cfg = toy_config(num_labels=3, hidden_dim=5, fusion_mode="attention")
+        params = init_params(cfg)
+        monkeypatch.setattr(evaluation, "MAX_CHUNK_NODES", 12)
+        calls = []
+
+        def recording_pack(data, table):
+            calls.append([node_count(ex) for ex in data])
+            return pack(data, table)
+
+        monkeypatch.setattr(evaluation, "pack", recording_pack)
+        args = (examples, params, toy_table, cfg)
+        for run in (lambda: evaluation.evaluate_dataset(*args, labels),
+                    lambda: evaluation.collect_attention(*args)):
+            calls.clear()
+            run()
+            assert [n for c in calls for n in c] == [node_count(ex) for ex in examples]
+            assert all(sum(c) <= 12 or len(c) == 1 for c in calls)
+            assert max(len(c) for c in calls) > 1 and [node_count(big)] in calls
 
 
 class TestParamCount:
@@ -479,3 +558,12 @@ class TestCheckpoint:
         assert read_checkpoint(path)[2] == "softmax_ce"
         with pytest.raises(ConfigError):
             save_checkpoint(path, cfg, init_params(cfg), loss_mode="hinge")
+
+    def test_non_finite_weight_refused(self, tmp_path):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
+        params = init_params(cfg)
+        params["kg.gcn0"].value[1, 2] = np.nan
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, cfg, params)
+        with pytest.raises(ConfigError, match="kg.gcn0"):
+            read_checkpoint(path)
