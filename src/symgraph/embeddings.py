@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -24,7 +25,8 @@ class EmbeddingTable:
     """token -> fixed vector of width ``dim``; read-only after construction.
 
     ``index`` maps a normalized token to its row of ``matrix``, ``entries``
-    to that row itself (a view).
+    to that row itself (a view).  Phrases are split into word rows once per
+    table (``phrase_rows``) and remembered.
     """
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray]):
@@ -55,6 +57,7 @@ class EmbeddingTable:
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index = dim, matrix, index
         self.entries = {token: matrix[row] for token, row in index.items()}
+        self._phrase_rows = {}  # phrase as given -> tuple of its found word rows
 
     def __contains__(self, token):
         return normalize_token(token) in self.index
@@ -65,22 +68,26 @@ class EmbeddingTable:
     def lookup_word(self, word: str):
         return self.entries.get(normalize_token(word))
 
-    def phrase_vectors(self, phrases) -> np.ndarray:
-        """(len(phrases), dim): each phrase's mean found word vector, zeros
-        for a phrase with no word in the table.
+    def phrase_rows(self, phrase: str) -> tuple:
+        """Rows of the phrase's words found in the table, in word order.
 
         Words are split on whitespace and underscores after normalization, so
         multi-word concepts like ``part_of`` average their parts.
         """
-        rows, owners = [], []
-        for i, phrase in enumerate(phrases):
-            for word in _SPLIT.split(normalize_token(phrase)):
-                row = self.index.get(word) if word else None
-                if row is not None:
-                    rows.append(row)
-                    owners.append(i)
-        return segment_mean(self.matrix[np.array(rows, dtype=np.intp)],
-                            np.array(owners, dtype=np.intp), len(phrases))
+        rows = self._phrase_rows.get(phrase)
+        if rows is None:
+            words = _SPLIT.split(normalize_token(phrase))
+            rows = tuple(self.index[w] for w in words if w and w in self.index)
+            self._phrase_rows[phrase] = rows
+        return rows
+
+    def phrase_vectors(self, phrases) -> np.ndarray:
+        """(len(phrases), dim): each phrase's mean found word vector
+        (``phrase_rows``), zeros for a phrase with no word in the table."""
+        found = list(map(self.phrase_rows, phrases))
+        rows = np.fromiter(chain.from_iterable(found), dtype=np.intp)
+        owners = np.repeat(np.arange(len(found)), list(map(len, found)))
+        return segment_mean(self.matrix[rows], owners, len(found))
 
 
 def load_embeddings(path, dim: int = 300) -> EmbeddingTable:

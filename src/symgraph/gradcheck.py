@@ -40,7 +40,14 @@ class GradCheckReport:
 
 
 def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
-    """Random embedding table plus one random example for checking."""
+    """Random embedding table plus one random example for checking.
+
+    The scene graph has random edges.  The knowledge graph is a 1-hop star
+    like the ones ``build_knowledge_graph`` gives: two seed concepts without
+    in-edges, and tails under one seed or both, the first under one.  So
+    some nodes share their in-edge list (an aggregation class) and the check
+    runs through merged classes.
+    """
     rng = child_rng(seed, "gradcheck")
     tokens = [f"tok{i}" for i in range(12)] + ["self"]
     table = EmbeddingTable(
@@ -48,7 +55,7 @@ def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
         {t: rng.normal(size=mconfig.embed_dim) for t in tokens},
     )
 
-    def random_graph(kind):
+    def random_scene_graph():
         nodes = [
             GraphNode(tokens[rng.integers(0, 10)], [tokens[rng.integers(0, 10)]])
             for _ in range(n_nodes)
@@ -58,10 +65,19 @@ def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
                       tokens[rng.integers(0, 12)])
             for _ in range(n_nodes + 2)
         ]
-        return validate_graph(LabeledGraph(nodes, edges, kind=kind))
+        return validate_graph(LabeledGraph(nodes, edges, kind="scene"))
+
+    def star_knowledge_graph():
+        names = rng.permutation(10)[:n_nodes]  # distinct concepts; 0 and 1 are seeds
+        parents = [[0], [1], [0, 1]]
+        edges = [GraphEdge(s, tail, tokens[rng.integers(0, 12)])
+                 for tail in range(2, n_nodes)
+                 for s in parents[0 if tail == 2 else rng.integers(0, 3)]]
+        return validate_graph(LabeledGraph([GraphNode(tokens[i]) for i in names],
+                                           edges, kind="knowledge"))
 
     labels = [f"label{i}" for i in range(mconfig.num_labels)]
-    ex = Example("gradcheck-0", random_graph("scene"), random_graph("knowledge"),
+    ex = Example("gradcheck-0", random_scene_graph(), star_knowledge_graph(),
                  [labels[0], labels[1 % len(labels)]])
     return table, ex, labels
 

@@ -119,6 +119,11 @@ def load_scene_document(doc: dict):
     for key in _DOC_KEYS:
         if key not in doc:
             raise SchemaError(f"missing document field '{key}'")
+    # JSON types checked exactly: a bare string is not a list of strings, and
+    # true is not node index 1
+    for key in ("objects", "relations"):
+        if type(doc[key]) is not list:
+            raise SchemaError(f"{key}: must be a list")
     nodes = []
     for i, obj in enumerate(doc["objects"]):
         if not isinstance(obj, dict) or set(obj) - _OBJ_KEYS:
@@ -127,8 +132,8 @@ def load_scene_document(doc: dict):
         if not isinstance(name, str) or not normalize_token(name):
             raise SchemaError(f"objects[{i}]: missing or empty object name")
         attrs = obj.get("attributes", [])
-        if not all(isinstance(a, str) for a in attrs):
-            raise SchemaError(f"objects[{i}].attributes: must be strings")
+        if type(attrs) is not list or not all(isinstance(a, str) for a in attrs):
+            raise SchemaError(f"objects[{i}].attributes: must be a list of strings")
         nodes.append(GraphNode(name, list(attrs)))
     edges = []
     n = len(nodes)
@@ -136,16 +141,16 @@ def load_scene_document(doc: dict):
         if not isinstance(rel, dict) or set(rel) != _REL_KEYS:
             raise SchemaError(f"relations[{i}]: expected subj/pred/obj fields")
         subj, pred, obj = rel["subj"], rel["pred"], rel["obj"]
-        if not isinstance(subj, int) or not 0 <= subj < n:
-            raise SchemaError(f"relations[{i}].subj: index {subj} out of range 0..{n - 1}")
-        if not isinstance(obj, int) or not 0 <= obj < n:
-            raise SchemaError(f"relations[{i}].obj: index {obj} out of range 0..{n - 1}")
+        if type(subj) is not int or not 0 <= subj < n:
+            raise SchemaError(f"relations[{i}].subj: index {subj!r} out of range 0..{n - 1}")
+        if type(obj) is not int or not 0 <= obj < n:
+            raise SchemaError(f"relations[{i}].obj: index {obj!r} out of range 0..{n - 1}")
         if not isinstance(pred, str) or not pred.strip():
             raise SchemaError(f"relations[{i}].pred: missing predicate token")
         edges.append(GraphEdge(subj, obj, pred))
     labels = doc["labels"]
-    if not all(isinstance(l, str) for l in labels):
-        raise SchemaError("labels must be strings")
+    if type(labels) is not list or not all(isinstance(l, str) for l in labels):
+        raise SchemaError("labels: must be a list of strings")
     image_id = _check_image_id(str(doc["image_id"]))
     return image_id, LabeledGraph(nodes, edges, kind="scene"), list(labels)
 

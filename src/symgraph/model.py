@@ -3,14 +3,18 @@ concat or attention fusion of the two graph vectors, and an MLP softmax head.
 
 The network runs on mini-batches.  ``pack`` turns each example's two graphs
 into a ``GraphBatch`` per kind: encoder-input rows plus a row-normalized
-in-edge list.  It packs all the graphs of a call in one vectorized pass
-(``pack_graphs``): each distinct phrase is embedded once, then node vectors,
-self-loops, messages and encoder inputs are built once for the whole call,
-and each graph's batch is a slice of those arrays.  ``collate`` joins packed
-examples into one disjoint union per kind (node and graph ids shifted), so
-each tower is one encoder matmul, one ``scatter_add`` and matmul per GCN
-layer, and one ``scatter_add`` over graph ids for the readout; fusion and the
-head work on the (batch, hidden) rows.
+in-edge list per aggregation class.  A node's aggregation class is its
+ordered list of in-edge sources; nodes with the same list get the same GCN
+aggregate at every layer (the colour-refinement view of message passing),
+and the 1-hop stars of a knowledge graph have many such nodes.  It packs all
+the graphs of a call in one vectorized pass (``pack_graphs``): each distinct
+phrase is embedded once, then node vectors, self-loops, messages and encoder
+inputs are built once for the whole call, and each graph's batch is a slice
+of those arrays.  ``collate`` joins packed examples into one disjoint union
+per kind (node, class and graph ids shifted), so each tower is one encoder
+matmul over the nodes, one ``scatter_add`` and matmul over the classes per
+GCN layer, and one ``scatter_add`` over graph ids for the readout; fusion
+and the head work on the (batch, hidden) rows.
 """
 
 from __future__ import annotations
@@ -166,18 +170,25 @@ def param_count(config: ModelConfig) -> int:
 class GraphBatch:
     """A disjoint union of graphs of one kind, ready for a tower.
 
-    Node ``i`` has encoder input ``inputs[i]`` and belongs to graph
-    ``graph_ids[i]``.  ``(dst, src, weight)`` is the row-normalized in-edge
-    list: a GCN layer's aggregate of node ``i`` is the sum of
-    ``weight[e] * states[src[e]]`` over the edges with ``dst[e] == i``, where
-    ``weight[e]`` is one over the in-degree of ``dst[e]`` (repeated edges
-    count).  A node without in-edges has a self-loop of weight 1 instead.
+    Node ``i`` has encoder input ``inputs[i]``, belongs to graph
+    ``graph_ids[i]`` and to aggregation class ``classes[i]``.  A node's
+    class is its ordered list of in-edge sources (repeated edges count; a
+    node without in-edges has a self-loop instead); the classes of a graph
+    are numbered by first occurrence in node order, and no class spans two
+    graphs.  ``(dst, src, weight)`` holds the in-edges of each class's first
+    node, with ``dst`` a class id and ``src`` a node id: a GCN layer's
+    aggregate of class ``c`` is the sum of ``weight[e] * states[src[e]]``
+    over the edges with ``dst[e] == c``, where ``weight[e]`` is one over the
+    length of the list (and ``states`` holds a row per node, or a row per
+    class read at ``classes[src[e]]``).
     """
 
     inputs: np.ndarray  # (nodes, 2 * embed_dim)
     dst: np.ndarray
     src: np.ndarray
     weight: np.ndarray
+    classes: np.ndarray
+    num_classes: int
     graph_ids: np.ndarray
     num_graphs: int
 
@@ -203,8 +214,9 @@ class Batch:
 
 
 def pack_graphs(graphs, table: EmbeddingTable) -> list:
-    """Encoder inputs and in-edges of each graph, as one ``GraphBatch`` per
-    graph, built in one vectorized pass over all of them.
+    """Encoder inputs, aggregation classes and class in-edges of each graph,
+    as one ``GraphBatch`` per graph, built in one vectorized pass over all of
+    them.
 
     A node's input vector is the mean of the vectors of its object token and
     each attribute token; each distinct token is embedded once per call
@@ -212,25 +224,34 @@ def pack_graphs(graphs, table: EmbeddingTable) -> list:
     over its in-edges of [source node input ; relation vector]; a node
     without in-edges gets a self-loop with the reserved ``self`` relation.
     Each graph's edges keep their order, followed by its self-loops, so every
-    sum runs in the same order as for the graph packed alone.  The per-graph
-    batches are slices of the arrays built for all of them.
+    sum runs in the same order as for the graph packed alone, and each
+    class's in-edges keep that order too.  The per-graph batches are slices
+    of the arrays built for all of them.
     """
     ids = {SELF_RELATION: 0}  # distinct phrase -> row of the phrase vectors
     tokens, node_sizes = [], []  # phrase id of every node token; tokens per node
     dst, src, relations = [], [], []  # per edge and self-loop: local nodes, phrase id
-    nodes, edges = [], []  # per graph
+    classes = []  # per node: its class within its graph
+    nodes, edges, num_classes = [], [], []  # per graph
     for g in graphs:
+        n = len(g.nodes)
         for node in g.nodes:
             tokens += [ids.setdefault(t, len(ids)) for t in (node.name, *node.attributes)]
             node_sizes.append(1 + len(node.attributes))
-        targets = {e.dst for e in g.edges}
-        loops = [i for i in range(len(g.nodes)) if i not in targets]
+        sources = {}  # node -> its in-edge sources, in edge order
+        for e in g.edges:
+            sources.setdefault(e.dst, []).append(e.src)
+        loops = [i for i in range(n) if i not in sources]
         dst += [e.dst for e in g.edges] + loops
         src += [e.src for e in g.edges] + loops
         relations += [ids.setdefault(e.relation, len(ids)) for e in g.edges]
         relations += [ids[SELF_RELATION]] * len(loops)
-        nodes.append(len(g.nodes))
+        number = {}  # in-edge sources -> class, numbered by first occurrence
+        classes += [number.setdefault(tuple(sources.get(i, (i,))), len(number))
+                    for i in range(n)]
+        nodes.append(n)
         edges.append(len(g.edges) + len(loops))
+        num_classes.append(len(number))
     phrase_vecs = table.phrase_vectors(list(ids))
 
     dst, src = np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
@@ -242,17 +263,25 @@ def pack_graphs(graphs, table: EmbeddingTable) -> list:
     n_total = len(node_sizes)
     x = T.segment_mean(phrase_vecs[np.array(tokens, dtype=np.intp)],
                        np.repeat(np.arange(n_total), node_sizes), n_total)
-    base = np.repeat(np.cumsum(counts[0]) - counts[0], counts[1])
+    base = _offsets(*counts)
     rows = dst + base
     degree = np.bincount(rows, minlength=n_total)
     messages = np.hstack([x[src + base], phrase_vecs[np.array(relations, dtype=np.intp)]])
     inputs = T.scatter_rows(messages, rows, n_total) / degree[:, None]
-    weight = 1.0 / degree[rows]
+
+    # each class keeps the in-edges (or the self-loop) of its first node
+    classes = np.array(classes, dtype=np.intp)
+    firsts = np.unique(classes + _offsets(num_classes, nodes), return_index=True)[1]
+    is_first = np.zeros(n_total, dtype=bool)
+    is_first[firsts] = True
+    keep = np.flatnonzero(is_first[rows])
+    class_dst, class_src, weight = classes[rows[keep]], src[keep], 1.0 / degree[rows[keep]]
+    class_ends = np.searchsorted(keep, np.cumsum(counts[1])).tolist()  # per graph
     no_graph = np.zeros(max(nodes, default=0), dtype=np.intp)
-    return [GraphBatch(inputs[n0:n0 + n], dst[e0:e0 + m], src[e0:e0 + m],
-                       weight[e0:e0 + m], no_graph[:n], 1)
-            for n, m, n0, e0 in zip(nodes, edges, accumulate(nodes, initial=0),
-                                    accumulate(edges, initial=0))]
+    return [GraphBatch(inputs[n0:n0 + n], class_dst[e0:e1], class_src[e0:e1],
+                       weight[e0:e1], classes[n0:n0 + n], c, no_graph[:n], 1)
+            for n, c, n0, e0, e1 in zip(nodes, num_classes, accumulate(nodes, initial=0),
+                                        [0, *class_ends], class_ends)]
 
 
 def pack_graph(g: LabeledGraph, table: EmbeddingTable) -> GraphBatch:
@@ -268,18 +297,27 @@ def pack(examples, table: EmbeddingTable) -> list:
     return [Batch(kg, sg) for kg, sg in zip(graphs, graphs[len(examples):])]
 
 
+def _offsets(counts, repeats):
+    """Start of each part in a concatenation of parts of ``counts`` items,
+    repeated ``repeats`` times per part."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.repeat(np.cumsum(counts) - counts, repeats)
+
+
 def _union(parts) -> GraphBatch:
-    nodes = np.array([p.num_nodes for p in parts])
-    node_base = np.repeat(np.cumsum(nodes) - nodes, [p.dst.size for p in parts])
-    graphs = np.array([p.num_graphs for p in parts])
-    graph_base = np.repeat(np.cumsum(graphs) - graphs, nodes)
+    nodes = [p.num_nodes for p in parts]
+    classes = [p.num_classes for p in parts]
+    edges = [p.dst.size for p in parts]
+    graphs = [p.num_graphs for p in parts]
     return GraphBatch(
         np.concatenate([p.inputs for p in parts]),
-        np.concatenate([p.dst for p in parts]) + node_base,
-        np.concatenate([p.src for p in parts]) + node_base,
+        np.concatenate([p.dst for p in parts]) + _offsets(classes, edges),
+        np.concatenate([p.src for p in parts]) + _offsets(nodes, edges),
         np.concatenate([p.weight for p in parts]),
-        np.concatenate([p.graph_ids for p in parts]) + graph_base,
-        int(graphs.sum()),
+        np.concatenate([p.classes for p in parts]) + _offsets(classes, nodes),
+        sum(classes),
+        np.concatenate([p.graph_ids for p in parts]) + _offsets(graphs, nodes),
+        sum(graphs),
     )
 
 
@@ -309,21 +347,30 @@ def gcn_layer(states: Tensor, graphs: GraphBatch, w: Tensor, config: ModelConfig
               tape: Tape = None) -> Tensor:
     """One message-passing layer: nonlinearity of the in-neighbor mean of the
     previous states through the layer weight (no edge features past layer 0).
+
+    ``states`` holds a row per node (the encoder's output) or a row per
+    aggregation class (an earlier layer's output); the result holds a row
+    per class, the state of every node of that class.
     """
-    if states.shape[0] != graphs.num_nodes:
+    if states.shape[0] == graphs.num_nodes:
+        src = graphs.src
+    elif states.shape[0] == graphs.num_classes:
+        src = graphs.classes[graphs.src]
+    else:
         raise DimensionError(
             f"state rows {states.shape[0]} != node count {graphs.num_nodes}"
+            f" or class count {graphs.num_classes}"
         )
-    agg = T.scatter_add(states, graphs.dst, graphs.src, graphs.weight,
-                        graphs.num_nodes, tape)
+    agg = T.scatter_add(states, graphs.dst, src, graphs.weight, graphs.num_classes, tape)
     return _nonlin(config)(T.linear(agg, w, tape), tape)
 
 
 def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor:
-    """Per-graph sum of node states, (graphs, hidden); an empty graph reads
-    out as the zero vector."""
-    n = states.shape[0]
-    return T.scatter_add(states, graphs.graph_ids, np.arange(n), np.ones(n),
+    """Per-graph sum of node states, (graphs, hidden), from a row per
+    aggregation class: each node adds its class's row, in node order.  An
+    empty graph reads out as the zero vector."""
+    n = graphs.num_nodes
+    return T.scatter_add(states, graphs.graph_ids, graphs.classes, np.ones(n),
                          graphs.num_graphs, tape)
 
 
@@ -372,8 +419,8 @@ def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = Non
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
               tape: Tape = None) -> Tensor:
-    """Encoder plus GCN stack plus readout; returns the (graphs, hidden)
-    readouts."""
+    """Encoder (a row per node) plus GCN stack (a row per aggregation class)
+    plus readout; returns the (graphs, hidden) readouts."""
     states = encode_nodes(graphs, watched[f"{prefix}.enc"], config, tape)
     for l in range(config.gcn_layers):
         states = gcn_layer(states, graphs, watched[f"{prefix}.gcn{l}"], config, tape)

@@ -13,6 +13,7 @@ numpy computations, which is what evaluation uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,8 @@ class Tensor:
 
     def __init__(self, data, node_id=None):
         self.data = _as_f64(data)
-        if not np.all(np.isfinite(self.data)):
+        # a nan or inf makes the sum non-finite; so can overflow, so recheck
+        if not math.isfinite(self.data.sum()) and not np.isfinite(self.data).all():
             raise DomainError("tensor contains non-finite values")
         self.node_id = node_id
 

@@ -71,7 +71,9 @@ def test_criterion_3_gcn_oracle_equivalence():
         states = rng.normal(size=(n, 4))
         w = rng.normal(size=(4, 4))
         from symgraph.model import gcn_layer, pack_graph
-        got = gcn_layer(Tensor(states), pack_graph(g, table), Tensor(w), cfg).data
+        packed = pack_graph(g, table)
+        # one row per aggregation class, expanded to one per node
+        got = gcn_layer(Tensor(states), packed, Tensor(w), cfg).data[packed.classes]
         ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
         worst = max(worst, float(np.abs(got - ref).max()) if n else 0.0)
     report(3, worst < 1e-12, f"100 graphs, max abs dev {worst:.2e}")

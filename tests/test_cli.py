@@ -121,6 +121,24 @@ class TestPrepare:
         assert not (out / "escaped.json").exists()
         assert not (out / "examples").exists()
 
+    @pytest.mark.parametrize("field,patch", [
+        ("attributes", {"objects": [{"name": "car", "attributes": "red"}]}),
+        ("labels", {"labels": "go"}),
+        ("subj", {"objects": [{"name": "car"}, {"name": "road"}],
+                  "relations": [{"subj": True, "pred": "on", "obj": 0}]}),
+    ])
+    def test_malformed_document_exits_2_naming_field(self, tmp_path, capsys, field,
+                                                     patch):
+        scene_dir = self._raw_inputs(tmp_path, n=3)
+        doc = {"image_id": "bad", "objects": [], "relations": [], "labels": ["go"]}
+        (scene_dir / "bad.json").write_text(json.dumps({**doc, **patch}))
+        assert run(["prepare", "--scene-dir", scene_dir,
+                    "--facts", tmp_path / "facts.tsv",
+                    "--vocab", tmp_path / "vocab.txt",
+                    "--labels", tmp_path / "labels.txt", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
     def test_manifest_written_with_hashes(self, tmp_path):
         scene_dir = self._raw_inputs(tmp_path, n=3)
         out = tmp_path / "out"

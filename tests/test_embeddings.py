@@ -132,3 +132,41 @@ class TestEmbedPhrase:
             assert np.array_equal(row, embed(table, phrase))
             assert np.array_equal(row, phrase_ref(table, phrase))
         assert table.phrase_vectors([]).shape == (0, 3)
+
+
+class TestPhraseMemo:
+    PHRASES = ["red car", "zq", "cat", "", "Car_red", "cat cat red", "red car"]
+
+    @staticmethod
+    def fresh():
+        return EmbeddingTable(3, {"cat": np.array([1.0, 2.0, 3.0]),
+                                  "red": np.array([1.0, 0.0, 0.0]),
+                                  "car": np.array([0.0, 2.0, 0.0])})
+
+    def test_warm_memo_equals_fresh_table(self, monkeypatch):
+        from symgraph import embeddings
+
+        warm = self.fresh()
+        first = warm.phrase_vectors(self.PHRASES)
+        calls = []
+        monkeypatch.setattr(embeddings, "normalize_token",
+                            lambda t: calls.append(t) or normalize_token(t))
+        again = warm.phrase_vectors(self.PHRASES[::-1])
+        assert calls == []  # every phrase was split once, by the first call
+        assert np.array_equal(again[::-1], first)
+        monkeypatch.undo()
+        assert np.array_equal(first, self.fresh().phrase_vectors(self.PHRASES))
+
+    def test_case_and_underscore_variants_share_rows(self):
+        table = self.fresh()
+        red, car = table.index["red"], table.index["car"]
+        for phrase in ("red car", "Red_Car", "  RED   car ", "red__car"):
+            assert table.phrase_rows(phrase) == (red, car), phrase
+        assert table.phrase_rows("zq") == table.phrase_rows("") == ()
+
+    def test_matrix_stays_read_only(self):
+        table = self.fresh()
+        table.phrase_vectors(self.PHRASES)
+        assert not table.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            table.matrix[0, 0] = 0.0

@@ -52,6 +52,37 @@ class TestLoadSceneGraph:
         image_id, g, labels = load_scene_document(doc([("a", [])], [], ["x", "y"]))
         assert image_id == "img0" and labels == ["x", "y"]
 
+    def test_string_attributes_rejected(self):
+        # a bare string is not a list of attributes (was split into letters)
+        d = doc([("car", [])], [])
+        d["objects"][0]["attributes"] = "red"
+        with pytest.raises(SchemaError, match=r"objects\[0\]\.attributes"):
+            load_scene_document(d)
+
+    def test_string_labels_rejected(self):
+        # a bare string is not a list of labels (was taken as its letters)
+        d = doc([("car", [])], [])
+        d["labels"] = "x"
+        with pytest.raises(SchemaError, match="labels"):
+            load_scene_document(d)
+
+    @pytest.mark.parametrize("field", ["subj", "obj"])
+    def test_boolean_node_index_rejected(self, field):
+        # true is a JSON boolean, not node index 1
+        d = doc([("car", []), ("road", [])], [(0, "on", 1)])
+        d["relations"][0][field] = True
+        with pytest.raises(SchemaError, match=rf"relations\[0\]\.{field}"):
+            load_scene_document(d)
+
+    @pytest.mark.parametrize("field", ["objects", "relations"])
+    @pytest.mark.parametrize("value", ["", {}])
+    def test_non_list_parts_rejected(self, field, value):
+        # were read as an empty list
+        d = doc([("car", [])], [])
+        d[field] = value
+        with pytest.raises(SchemaError, match=f"^{field}: must be a list"):
+            load_scene_document(d)
+
     @pytest.mark.parametrize("bad_id", ["../x", "a/b", "a\\b", "", ".hidden"])
     def test_unsafe_image_id_rejected(self, bad_id):
         # the id names the example's file in a bundle

@@ -5,8 +5,9 @@ from oracles import (encode_nodes_ref, forward_ref, gcn_layer_ref, node_input_re
                      phrase_ref)
 from symgraph.embeddings import EmbeddingTable
 from symgraph.errors import ConfigError, DimensionError, ValidationError
-from symgraph.gradcheck import gradcheck
-from symgraph.graphs import (GraphEdge, GraphNode, LabeledGraph, validate_graph)
+from symgraph.gradcheck import gradcheck, random_toy_world
+from symgraph.graphs import (FactStore, GraphEdge, GraphNode, LabeledGraph,
+                             RelationWhitelist, build_knowledge_graph, validate_graph)
 from symgraph import evaluation
 from symgraph.model import (ModelConfig, attention_fuse, classify, collate,
                             encode_nodes, forward, forward_batch, fuse_concat,
@@ -82,8 +83,9 @@ class TestGcnLayer:
         cfg = toy_config(hidden_dim=4)
         g = LabeledGraph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
         states = Tensor([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
-        out = gcn_layer(states, pack_graph(g, toy_table), Tensor(np.eye(4)), cfg)
-        np.testing.assert_allclose(out.data[1], [1.0, 0.0, 2.0, 0.0])
+        packed = pack_graph(g, toy_table)
+        out = gcn_layer(states, packed, Tensor(np.eye(4)), cfg)
+        np.testing.assert_allclose(out.data[packed.classes[1]], [1.0, 0.0, 2.0, 0.0])
 
     def test_opposite_neighbors_cancel(self, toy_table):
         cfg = toy_config(hidden_dim=3)
@@ -91,8 +93,9 @@ class TestGcnLayer:
                          [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
         v = np.array([2.0, -1.0, 0.5])
         states = Tensor(np.vstack([v, -v, np.ones(3)]))
-        out = gcn_layer(states, pack_graph(g, toy_table), Tensor(np.eye(3)), cfg)
-        np.testing.assert_allclose(out.data[2], 0.0, atol=1e-15)
+        packed = pack_graph(g, toy_table)
+        out = gcn_layer(states, packed, Tensor(np.eye(3)), cfg)
+        np.testing.assert_allclose(out.data[packed.classes[2]], 0.0, atol=1e-15)
 
     def test_matches_dense_adjacency_reference(self, rng, toy_table):
         cfg = toy_config(hidden_dim=5)
@@ -101,7 +104,8 @@ class TestGcnLayer:
             g = random_graph(rng, n)
             states = rng.normal(size=(n, 5))
             w = rng.normal(size=(5, 5))
-            got = gcn_layer(Tensor(states), pack_graph(g, toy_table), Tensor(w), cfg).data
+            packed = pack_graph(g, toy_table)
+            got = gcn_layer(Tensor(states), packed, Tensor(w), cfg).data[packed.classes]
             ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -133,6 +137,12 @@ class TestReadout:
         a = readout_sum(Tensor(s), one_graph(6, toy_table)).data
         b = readout_sum(Tensor(s[perm]), one_graph(6, toy_table)).data
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    def test_sums_each_node_through_its_class(self, rng, toy_table):
+        packed = pack_graph(star_kg(), toy_table)
+        s = rng.normal(size=(packed.num_classes, 5))
+        np.testing.assert_allclose(readout_sum(Tensor(s), packed).data[0],
+                                   s[packed.classes].sum(axis=0), rtol=0, atol=1e-12)
 
 
 class TestFuseConcat:
@@ -334,7 +344,7 @@ class TestForward:
         out_b = run_tower(packed_b, "sg", watched, cfg)
         assert not np.allclose(out_a.data, out_b.data)
         # the edge lists agree: only the encoder inputs carry the tables
-        for field in ("dst", "src", "weight", "graph_ids"):
+        for field in ("dst", "src", "weight", "classes", "graph_ids"):
             assert np.array_equal(getattr(packed_a, field), getattr(packed_b, field))
         # patch: table b's encoder inputs, then the identical downstream stack
         packed_a.inputs = packed_b.inputs
@@ -359,6 +369,19 @@ class TestForward:
         assert all(v < 1e-4 for v in clean.values())
 
 
+def star_kg():
+    """1-hop expansion of seeds tok0 and tok1: tok2 and tok3 hang off tok0,
+    tok4 off tok1, tok5 off both, and tok0 -> tok1 too.  In-edge lists by
+    node: tok0 none (its self-loop: [0]), tok1..tok3 [0], tok4 [1], tok5
+    [0, 1]."""
+    facts = [("IsA", "tok0", "tok2"), ("HasA", "tok0", "tok3"), ("IsA", "tok1", "tok4"),
+             ("RelatedTo", "tok0", "tok5"), ("AtLocation", "tok1", "tok5"),
+             ("RelatedTo", "tok0", "tok1")]
+    vocab = {f"tok{i}" for i in range(6)}
+    return build_knowledge_graph([GraphNode("tok0"), GraphNode("tok1")], FactStore(facts),
+                                 RelationWhitelist(), vocab)
+
+
 def mixed_examples(rng):
     """Graphs of different sizes: an isolated node, a repeated edge (kept:
     no validation), an empty scene graph, an empty knowledge graph."""
@@ -377,15 +400,17 @@ def mixed_examples(rng):
 
 class TestBatchedForward:
     def test_rows_match_dense_oracle(self, rng, toy_table):
-        examples = mixed_examples(rng)
+        examples = mixed_examples(rng) + [
+            Example("s", random_graph(rng, 3), star_kg(), ["label2"])]
         batch = collate(list(pack(examples, toy_table)))
-        assert batch.size == 4 and batch.sg.num_nodes == 3 + 0 + 5 + 1
+        assert batch.size == 5 and batch.sg.num_nodes == 3 + 0 + 5 + 1 + 3
+        assert batch.kg.num_classes < batch.kg.num_nodes
         for fusion in ("concat", "attention", "attention_learned"):
             cfg = toy_config(num_labels=3, hidden_dim=5, gcn_layers=2, fusion_mode=fusion)
             params = init_params(cfg)
             weights = {p.name: p.value for p in params}
             probs, _ = forward_batch(batch, params, cfg)
-            assert probs.shape == (4, 3)
+            assert probs.shape == (5, 3)
             for row, ex in zip(probs.data, examples):
                 ref = forward_ref(ex, weights, toy_table, cfg)
                 np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
@@ -417,14 +442,16 @@ def node_count(ex):
 
 class TestPack:
     def examples(self, rng):
-        """mixed_examples plus an all-OOV node and relation, and relation
-        tokens ("near", "tok4") shared with other graphs of the call."""
+        """mixed_examples plus an all-OOV node and relation, relation tokens
+        ("near", "tok4") shared with other graphs of the call, and a star
+        knowledge graph with merged aggregation classes."""
         oov_sg = LabeledGraph(
             [GraphNode("qq zz", ["red"]), GraphNode("cat"), GraphNode("tok4")],
             [GraphEdge(0, 1, "zq_qz"), GraphEdge(2, 1, "near"),
              GraphEdge(1, 2, "tok4")], kind="scene")
         return mixed_examples(rng) + [
-            Example("e", oov_sg, random_graph(rng, 3, kind="knowledge"), ["label0"])]
+            Example("e", oov_sg, random_graph(rng, 3, kind="knowledge"), ["label0"]),
+            Example("f", random_graph(rng, 2), star_kg(), ["label1"])]
 
     def test_one_call_equals_packing_each_example_alone(self, rng, toy_table):
         examples = self.examples(rng)
@@ -435,7 +462,8 @@ class TestPack:
             for kind in ("kg", "sg"):
                 a, b = getattr(got, kind), getattr(alone, kind)
                 assert a.num_graphs == b.num_graphs == 1
-                for field in ("inputs", "dst", "src", "weight", "graph_ids"):
+                assert a.num_classes == b.num_classes
+                for field in ("inputs", "dst", "src", "weight", "classes", "graph_ids"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_inputs_equal_per_node_loop(self, rng, toy_table):
@@ -486,6 +514,53 @@ class TestPack:
             assert [n for c in calls for n in c] == [node_count(ex) for ex in examples]
             assert all(sum(c) <= 12 or len(c) == 1 for c in calls)
             assert max(len(c) for c in calls) > 1 and [node_count(big)] in calls
+
+
+class TestAggregationClasses:
+    def test_star_packs_to_expected_classes(self, toy_table):
+        packed = pack_graph(star_kg(), toy_table)
+        assert packed.num_nodes == 6 and packed.num_classes == 3
+        np.testing.assert_array_equal(packed.classes, [0, 0, 0, 0, 1, 2])
+        # the in-edges of each class's first node, in edge order: tok5's two,
+        # tok4's, then tok0's self-loop
+        np.testing.assert_array_equal(packed.dst, [2, 2, 1, 0])
+        np.testing.assert_array_equal(packed.src, [0, 1, 1, 0])
+        np.testing.assert_array_equal(packed.weight, [0.5, 0.5, 1.0, 1.0])
+        # the encoder still reads every node's own edges: within class 0, tok0
+        # has the ``self`` relation and tok1 an (out-of-table) "relatedto"
+        assert packed.inputs.shape == (6, 12)
+        assert not np.array_equal(packed.inputs[0], packed.inputs[1])
+
+    def test_layers_compute_a_row_per_class(self, rng, toy_table):
+        cfg = toy_config(hidden_dim=5)
+        packed = pack_graph(star_kg(), toy_table)
+        w = Tensor(rng.normal(size=(5, 5)))
+        first = gcn_layer(Tensor(rng.normal(size=(6, 5))), packed, w, cfg)
+        assert first.shape == (3, 5)
+        assert gcn_layer(first, packed, w, cfg).shape == (3, 5)
+        with pytest.raises(DimensionError, match="class count 3"):
+            gcn_layer(Tensor(np.zeros((4, 5))), packed, w, cfg)
+
+    def test_gradient_check_through_merged_classes(self):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=2,
+                          fusion_mode="attention")
+        table, ex, _ = random_toy_world(cfg, seed=3)
+        kg = pack([ex], table)[0].kg
+        assert kg.num_classes < kg.num_nodes
+        for loss_mode in ("softmax_ce", "sigmoid_bce"):
+            report = gradcheck(cfg, seed=3, loss_mode=loss_mode)
+            assert report.ok, (loss_mode, report.per_param)
+
+    def test_collate_never_merges_classes_across_graphs(self, rng, toy_table):
+        # two copies of one graph have equal local in-edge lists
+        ex = Example("s", random_graph(rng, 3), star_kg(), ["label0"])
+        alone = pack([ex], toy_table)[0].kg
+        kg = collate(pack([ex, ex], toy_table)).kg
+        c, n = alone.num_classes, alone.num_nodes
+        assert kg.num_classes == 2 * c
+        np.testing.assert_array_equal(kg.classes, np.r_[alone.classes, alone.classes + c])
+        np.testing.assert_array_equal(kg.dst, np.r_[alone.dst, alone.dst + c])
+        np.testing.assert_array_equal(kg.src, np.r_[alone.src, alone.src + n])
 
 
 class TestParamCount:

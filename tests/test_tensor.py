@@ -307,6 +307,22 @@ class TestTensorInvariants:
         with pytest.raises(DomainError):
             Tensor([np.inf])
 
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.inf], [[2.0], [-np.inf]],
+                                        [np.inf, -np.inf]])
+    @pytest.mark.filterwarnings("ignore:invalid value")  # inf + -inf in the sum
+    def test_every_non_finite_kind_rejected(self, values):
+        with pytest.raises(DomainError):
+            Tensor(values)
+        with pytest.raises(DomainError):
+            T.add(Tensor(np.zeros(np.shape(values))), T._wrap(np.array(values, float)))
+
+    def test_finite_values_accepted(self):
+        with np.errstate(over="ignore"):  # the sum overflows; every value is finite
+            assert Tensor([1e308, 1e308]).shape == (2,)
+        assert Tensor(2.5).item() == 2.5
+        assert Tensor(np.zeros((0, 3))).shape == (0, 3)
+        assert Tensor([]).shape == (0,)
+
     def test_shape_data_consistency(self, rng):
         t = Tensor(rng.normal(size=(3, 4)))
         assert t.data.size == 12 and t.shape == (3, 4)
