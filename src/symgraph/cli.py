@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands: prepare, synth, train, eval, ablate, gradcheck.  Each command can
-read defaults from a key=value config file (flags win), and writes a run
-manifest (resolved config plus input-file hashes) before doing any work.
+read its flags from a key=value config file (command-line flags win), and
+writes a run manifest (resolved config plus input-file hashes) before doing
+any work.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -61,7 +62,8 @@ def write_manifest(out_dir, command, resolved: dict, inputs: dict):
 
 
 def load_config_file(path) -> dict:
-    """key=value lines; '#' starts a comment."""
+    """key=value lines; '#' starts a comment.  A key is a flag name without
+    its dashes (``_`` may stand for ``-``)."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -71,18 +73,8 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("_", "-")] = value.strip()
     return values
-
-
-def _coerce(action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key '{action.dest}': expected a boolean")
-    return (action.type or str)(raw)
 
 
 def config_path(argv_rest):
@@ -97,20 +89,20 @@ def config_path(argv_rest):
     return None
 
 
-def apply_config_file(subparser, argv_rest):
-    """Fold config-file values in as parser defaults so flags still win."""
-    path = config_path(argv_rest)
-    if path is None:
-        return
-    values = load_config_file(path)
-    by_dest = {a.dest: a for a in subparser._actions}
-    defaults = {}
-    for key, raw in values.items():
-        if key not in by_dest:
-            raise ConfigError(f"{path}: unknown config key '{key}'")
-        defaults[key] = _coerce(by_dest[key], raw)
-        by_dest[key].required = False  # the file satisfies required flags
-    subparser.set_defaults(**defaults)
+def config_args(subparser, path) -> list:
+    """The flags a config file stands for: ``--key=value`` per line, or a
+    bare ``--key`` for ``key = true`` (``key = false`` leaves a switch off).
+    They go before the command line's own flags, so those win."""
+    args = []
+    for key, value in load_config_file(path).items():
+        if value.lower() == "false":
+            if subparser.get_default(key.replace("-", "_")) is not False:
+                raise ConfigError(f"{path}: config key '{key}' is not a known switch")
+        elif value.lower() == "true":
+            args.append(f"--{key}")
+        else:
+            args.append(f"--{key}={value}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +392,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
-        if argv and argv[0] in subs:
-            apply_config_file(subs[argv[0]], argv[1:])
-        args = parser.parse_args(argv)
+        path = config_path(argv[1:]) if argv and argv[0] in subs else None
+        from_file = [] if path is None else config_args(subs[argv[0]], path)
+        args, extra = parser.parse_known_args(argv[:1] + from_file + argv[1:])
+        for flag in from_file:
+            if flag in extra:
+                key = flag[2:].split("=", 1)[0]
+                raise ConfigError(f"{path}: unknown config key '{key}'")
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelConfig, collate, forward_batch, pack
+from .model import ModelConfig, collate, forward_batch, pack_batch
 from .training import PackedSplit, TrainConfig
 
 # Evaluation forwards examples in chunks of at most this many nodes (both
@@ -124,11 +124,12 @@ def chunks(node_counts):
 
 
 def _packed_chunks(data, table):
-    """Collated batches of raw examples, each chunk packed on its own so that
-    only one chunk's arrays are alive at a time."""
+    """One batch per chunk of raw examples, each packed straight into one
+    union per graph kind, so that only one chunk's arrays are alive at a
+    time."""
     nodes = [len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes) for ex in data]
     for part in chunks(nodes):
-        yield collate(pack(data[part], table))
+        yield pack_batch(data[part], table)
 
 
 def _forward_chunks(batches, params, mconfig: ModelConfig, loss_mode: str = "softmax_ce"):

@@ -151,7 +151,9 @@ def load_scene_document(doc: dict):
     labels = doc["labels"]
     if type(labels) is not list or not all(isinstance(l, str) for l in labels):
         raise SchemaError("labels: must be a list of strings")
-    image_id = _check_image_id(str(doc["image_id"]))
+    if type(doc["image_id"]) is not str:
+        raise SchemaError(f"image_id: must be a string, got {doc['image_id']!r}")
+    image_id = _check_image_id(doc["image_id"])
     return image_id, LabeledGraph(nodes, edges, kind="scene"), list(labels)
 
 

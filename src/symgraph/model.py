@@ -1,20 +1,27 @@
 """Two-tower graph network: node encoding, GCN stack, sum readout,
 concat or attention fusion of the two graph vectors, and an MLP softmax head.
 
-The network runs on mini-batches.  ``pack`` turns each example's two graphs
-into a ``GraphBatch`` per kind: encoder-input rows plus a row-normalized
-in-edge list per aggregation class.  A node's aggregation class is its
-ordered list of in-edge sources; nodes with the same list get the same GCN
-aggregate at every layer (the colour-refinement view of message passing),
-and the 1-hop stars of a knowledge graph have many such nodes.  It packs all
-the graphs of a call in one vectorized pass (``pack_graphs``): each distinct
-phrase is embedded once, then node vectors, self-loops, messages and encoder
-inputs are built once for the whole call, and each graph's batch is a slice
-of those arrays.  ``collate`` joins packed examples into one disjoint union
-per kind (node, class and graph ids shifted), so each tower is one encoder
-matmul over the nodes, one ``scatter_add`` and matmul over the classes per
-GCN layer, and one ``scatter_add`` over graph ids for the readout; fusion
-and the head work on the (batch, hidden) rows.
+The network runs on mini-batches.  ``pack_graphs`` turns graphs into
+``GraphBatch`` unions in one pass over all the graphs of a call.  A node's
+aggregation class is its ordered list of in-edge sources; nodes with the
+same list get the same GCN aggregate at every layer (the colour-refinement
+view of message passing), and the 1-hop stars of a knowledge graph have
+many such nodes.  So every GCN layer computes one row per class, and the
+readout adds each class's row times its node count.
+
+Only what a later step reads is computed, as in the minibatch receptive
+fields of GraphSAGE: the encoder's output is read only by the first layer's
+messages, so only their sources (nodes that appear in some class's in-edge
+list) get an encoder row, and only the nodes whose inputs those rows read
+get an input vector.  The leaves of a 1-hop knowledge graph cost neither.
+
+``pack`` packs each example on its own (a ``Batch`` of size 1, for
+training); ``collate`` joins packed examples into one disjoint union per
+kind (ids shifted); ``pack_batch`` packs examples straight into that union
+(for evaluation chunks).  Each tower is then one encoder matmul over the
+sources, one ``scatter_add`` and matmul over the classes per GCN layer, and
+one ``scatter_add`` over graph ids for the readout; fusion and the head
+work on the (batch, hidden) rows.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import asdict, dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -170,31 +176,45 @@ def param_count(config: ModelConfig) -> int:
 class GraphBatch:
     """A disjoint union of graphs of one kind, ready for a tower.
 
-    Node ``i`` has encoder input ``inputs[i]``, belongs to graph
-    ``graph_ids[i]`` and to aggregation class ``classes[i]``.  A node's
-    class is its ordered list of in-edge sources (repeated edges count; a
-    node without in-edges has a self-loop instead); the classes of a graph
-    are numbered by first occurrence in node order, and no class spans two
-    graphs.  ``(dst, src, weight)`` holds the in-edges of each class's first
-    node, with ``dst`` a class id and ``src`` a node id: a GCN layer's
-    aggregate of class ``c`` is the sum of ``weight[e] * states[src[e]]``
-    over the edges with ``dst[e] == c``, where ``weight[e]`` is one over the
-    length of the list (and ``states`` holds a row per node, or a row per
-    class read at ``classes[src[e]]``).
+    Node ``i`` belongs to aggregation class ``classes[i]``: its ordered list
+    of in-edge sources (repeated edges count; a node without in-edges has a
+    self-loop instead).  The classes of a graph are numbered by first
+    occurrence in node order, and no class spans two graphs; class ``c`` has
+    ``class_sizes[c]`` nodes and belongs to graph ``class_graph[c]``.
+
+    ``(dst, src, src_class, weight)`` holds the in-edges of each class, in
+    edge order within a class: ``dst`` is the class, ``src`` the row of the
+    edge's source in ``inputs``, ``src_class`` the class of that source and
+    ``weight`` one over the length of the list.  Only these sources are
+    encoded: ``inputs`` has one row per source, in node order, and
+    ``sources`` gives the node of each row.  A GCN layer's aggregate of
+    class ``c`` is the sum of ``weight[e] * states[...]`` over the edges with
+    ``dst[e] == c``, read at ``src[e]`` from the encoder's rows and at
+    ``src_class[e]`` from an earlier layer's rows (a row per class).
     """
 
-    inputs: np.ndarray  # (nodes, 2 * embed_dim)
+    inputs: np.ndarray  # (sources, 2 * embed_dim)
+    sources: np.ndarray
     dst: np.ndarray
     src: np.ndarray
+    src_class: np.ndarray
     weight: np.ndarray
     classes: np.ndarray
-    num_classes: int
-    graph_ids: np.ndarray
+    class_sizes: np.ndarray
+    class_graph: np.ndarray
     num_graphs: int
 
     @property
     def num_nodes(self) -> int:
-        return self.inputs.shape[0]
+        return self.classes.size
+
+    @property
+    def num_classes(self) -> int:
+        return self.class_sizes.size
+
+    @property
+    def num_sources(self) -> int:
+        return self.sources.size
 
 
 @dataclass
@@ -213,75 +233,105 @@ class Batch:
         return self.kg.num_nodes + self.sg.num_nodes
 
 
-def pack_graphs(graphs, table: EmbeddingTable) -> list:
-    """Encoder inputs, aggregation classes and class in-edges of each graph,
-    as one ``GraphBatch`` per graph, built in one vectorized pass over all of
-    them.
+def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
+    """Aggregation classes, class in-edges and source encoder inputs of the
+    graphs, in one pass over all of them; returns one ``GraphBatch`` per
+    part, a part being a run of consecutive graphs (``parts`` lists how many
+    each has; by default every graph is a part of its own).
 
-    A node's input vector is the mean of the vectors of its object token and
-    each attribute token; each distinct token is embedded once per call
-    (``EmbeddingTable.phrase_vectors``).  A node's encoder input is the mean
-    over its in-edges of [source node input ; relation vector]; a node
+    A source's encoder input is the mean over its in-edges of [reader input
+    ; relation vector], where the reader is the edge's source node; a source
     without in-edges gets a self-loop with the reserved ``self`` relation.
-    Each graph's edges keep their order, followed by its self-loops, so every
-    sum runs in the same order as for the graph packed alone, and each
-    class's in-edges keep that order too.  The per-graph batches are slices
-    of the arrays built for all of them.
+    A reader's input is the mean of the vectors of its object token and each
+    attribute token, and each distinct token is embedded once per call
+    (``EmbeddingTable.phrase_vectors``).  Nodes that no class in-edge reads
+    cost no encoder row, and nodes that no source's in-edge reads no input
+    vector.  Sums run in edge order, as for the graph packed alone; ids are
+    numbered within each part, so each part is a slice of the arrays built
+    for all of them.
     """
+    parts = [1] * len(graphs) if parts is None else parts
     ids = {SELF_RELATION: 0}  # distinct phrase -> row of the phrase vectors
-    tokens, node_sizes = [], []  # phrase id of every node token; tokens per node
-    dst, src, relations = [], [], []  # per edge and self-loop: local nodes, phrase id
-    classes = []  # per node: its class within its graph
-    nodes, edges, num_classes = [], [], []  # per graph
-    for g in graphs:
-        n = len(g.nodes)
-        for node in g.nodes:
-            tokens += [ids.setdefault(t, len(ids)) for t in (node.name, *node.attributes)]
-            node_sizes.append(1 + len(node.attributes))
-        sources = {}  # node -> its in-edge sources, in edge order
-        for e in g.edges:
-            sources.setdefault(e.dst, []).append(e.src)
-        loops = [i for i in range(n) if i not in sources]
-        dst += [e.dst for e in g.edges] + loops
-        src += [e.src for e in g.edges] + loops
-        relations += [ids.setdefault(e.relation, len(ids)) for e in g.edges]
-        relations += [ids[SELF_RELATION]] * len(loops)
-        number = {}  # in-edge sources -> class, numbered by first occurrence
-        classes += [number.setdefault(tuple(sources.get(i, (i,))), len(number))
-                    for i in range(n)]
-        nodes.append(n)
-        edges.append(len(g.edges) + len(loops))
-        num_classes.append(len(number))
+    tokens, token_counts = [], []  # per reader: phrase ids of its tokens; their count
+    readers, relations = [], []  # per message into a source: reader row, phrase id
+    degree = []  # per source: its messages
+    sources, classes, class_graph = [], [], []  # per source, node, class
+    src, src_class, lengths = [], [], []  # per class in-edge; per class
+    ends = [(0, 0, 0, 0)]  # per part: ends of its nodes, classes, sources, edges
+    graph_iter = iter(graphs)
+    for count in parts:
+        n0 = c0 = s0 = 0  # nodes, classes and sources of the part so far
+        for gid in range(count):
+            g = next(graph_iter)
+            n = len(g.nodes)
+            in_srcs = {}  # node -> its in-edge sources, in edge order
+            for e in g.edges:
+                in_srcs.setdefault(e.dst, []).append(e.src)
+            if in_srcs and (min(in_srcs) < 0 or max(in_srcs) >= n):
+                raise ValidationError(f"edge index out of range for {n} nodes")
+            number = {}  # in-edge sources -> class, numbered by first occurrence
+            local = [number.setdefault(tuple(in_srcs.get(i, (i,))), len(number) + c0)
+                     for i in range(n)]
+            flat = [u for key in number for u in key]  # sources of the class in-edges
+            used = sorted(set(flat))
+            if used and (used[0] < 0 or used[-1] >= n):
+                raise ValidationError(f"edge index out of range for {n} nodes")
+            row = dict(zip(used, range(s0, s0 + len(used))))
+            src += map(row.__getitem__, flat)
+            src_class += map(local.__getitem__, flat)
+            lengths += map(len, number)
+            classes += local
+            class_graph += [gid] * len(number)
+            sources += [u + n0 for u in used]
+
+            into = {}  # source -> its in-edges, in edge order
+            if not in_srcs.keys().isdisjoint(used):
+                for e in g.edges:
+                    if e.dst in row:
+                        into.setdefault(e.dst, []).append(e)
+            reader = {}  # node -> row of the reader inputs
+            for u in used:
+                pairs = ([(e.src, e.relation) for e in into[u]] if u in into
+                         else ((u, SELF_RELATION),))
+                for v, relation in pairs:
+                    r = reader.get(v)
+                    if r is None:
+                        r = reader[v] = len(token_counts)
+                        node = g.nodes[v]
+                        tokens += [ids.setdefault(t, len(ids))
+                                   for t in (node.name, *node.attributes)]
+                        token_counts.append(1 + len(node.attributes))
+                    readers.append(r)
+                    relations.append(ids.setdefault(relation, len(ids)))
+                degree.append(len(pairs))
+            n0, c0, s0 = n0 + n, c0 + len(number), s0 + len(used)
+        ends.append((len(classes), len(class_graph), len(sources), len(src)))
     phrase_vecs = table.phrase_vectors(list(ids))
 
-    dst, src = np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
-    counts = np.array([nodes, edges], dtype=np.intp).reshape(2, len(nodes))
-    sizes = np.repeat(*counts)  # node count of each edge's graph
-    bad = np.flatnonzero((np.minimum(dst, src) < 0) | (np.maximum(dst, src) >= sizes))
-    if bad.size:
-        raise ValidationError(f"edge index out of range for {sizes[bad[0]]} nodes")
-    n_total = len(node_sizes)
+    num_readers, num_sources = len(token_counts), len(degree)
     x = T.segment_mean(phrase_vecs[np.array(tokens, dtype=np.intp)],
-                       np.repeat(np.arange(n_total), node_sizes), n_total)
-    base = _offsets(*counts)
-    rows = dst + base
-    degree = np.bincount(rows, minlength=n_total)
-    messages = np.hstack([x[src + base], phrase_vecs[np.array(relations, dtype=np.intp)]])
-    inputs = T.scatter_rows(messages, rows, n_total) / degree[:, None]
+                       np.repeat(np.arange(num_readers), token_counts), num_readers)
+    degree = np.array(degree, dtype=np.intp)
+    messages = np.hstack([x[np.array(readers, dtype=np.intp)],
+                          phrase_vecs[np.array(relations, dtype=np.intp)]])
+    inputs = T.scatter_rows(messages, np.repeat(np.arange(num_sources), degree),
+                            num_sources) / degree[:, None]
 
-    # each class keeps the in-edges (or the self-loop) of its first node
+    # class ids are numbered within each part
+    part_nodes, part_classes = np.diff(np.array(ends, dtype=np.intp)[:, :2], axis=0).T
     classes = np.array(classes, dtype=np.intp)
-    firsts = np.unique(classes + _offsets(num_classes, nodes), return_index=True)[1]
-    is_first = np.zeros(n_total, dtype=bool)
-    is_first[firsts] = True
-    keep = np.flatnonzero(is_first[rows])
-    class_dst, class_src, weight = classes[rows[keep]], src[keep], 1.0 / degree[rows[keep]]
-    class_ends = np.searchsorted(keep, np.cumsum(counts[1])).tolist()  # per graph
-    no_graph = np.zeros(max(nodes, default=0), dtype=np.intp)
-    return [GraphBatch(inputs[n0:n0 + n], class_dst[e0:e1], class_src[e0:e1],
-                       weight[e0:e1], classes[n0:n0 + n], c, no_graph[:n], 1)
-            for n, c, n0, e0, e1 in zip(nodes, num_classes, accumulate(nodes, initial=0),
-                                        [0, *class_ends], class_ends)]
+    lengths = np.array(lengths, dtype=np.intp)
+    class_sizes = np.bincount(classes + _offsets(part_classes, part_nodes),
+                              minlength=lengths.size)
+    dst = np.repeat(np.arange(lengths.size) - _offsets(part_classes, part_classes), lengths)
+    sources = np.array(sources, dtype=np.intp)
+    src, src_class = np.array(src, dtype=np.intp), np.array(src_class, dtype=np.intp)
+    weight = 1.0 / np.repeat(lengths, lengths)
+    class_graph = np.array(class_graph, dtype=np.intp)
+    return [GraphBatch(inputs[s0:s1], sources[s0:s1], dst[e0:e1], src[e0:e1],
+                       src_class[e0:e1], weight[e0:e1], classes[n0:n1],
+                       class_sizes[c0:c1], class_graph[c0:c1], count)
+            for count, (n0, c0, s0, e0), (n1, c1, s1, e1) in zip(parts, ends, ends[1:])]
 
 
 def pack_graph(g: LabeledGraph, table: EmbeddingTable) -> GraphBatch:
@@ -297,6 +347,14 @@ def pack(examples, table: EmbeddingTable) -> list:
     return [Batch(kg, sg) for kg, sg in zip(graphs, graphs[len(examples):])]
 
 
+def pack_batch(examples, table: EmbeddingTable) -> Batch:
+    """One ``Batch`` of all the examples, in order: ``pack`` and ``collate``
+    in one ``pack_graphs`` call, with one part per graph kind."""
+    b = len(examples)
+    return Batch(*pack_graphs([ex.knowledge_graph for ex in examples]
+                              + [ex.scene_graph for ex in examples], table, [b, b]))
+
+
 def _offsets(counts, repeats):
     """Start of each part in a concatenation of parts of ``counts`` items,
     repeated ``repeats`` times per part."""
@@ -305,19 +363,23 @@ def _offsets(counts, repeats):
 
 
 def _union(parts) -> GraphBatch:
-    nodes = [p.num_nodes for p in parts]
-    classes = [p.num_classes for p in parts]
-    edges = [p.dst.size for p in parts]
-    graphs = [p.num_graphs for p in parts]
+    counts = np.array([(p.classes.size, p.class_sizes.size, p.sources.size, p.dst.size,
+                        p.num_graphs) for p in parts], dtype=np.intp)
+    nodes, classes, sources, edges, graphs = counts.T
+    starts = (np.cumsum(counts, axis=0) - counts).T  # of each part, per id kind
+    node_start, class_start, source_start, _, graph_start = starts
+    edge_classes = np.repeat(class_start, edges)
     return GraphBatch(
         np.concatenate([p.inputs for p in parts]),
-        np.concatenate([p.dst for p in parts]) + _offsets(classes, edges),
-        np.concatenate([p.src for p in parts]) + _offsets(nodes, edges),
+        np.concatenate([p.sources for p in parts]) + np.repeat(node_start, sources),
+        np.concatenate([p.dst for p in parts]) + edge_classes,
+        np.concatenate([p.src for p in parts]) + np.repeat(source_start, edges),
+        np.concatenate([p.src_class for p in parts]) + edge_classes,
         np.concatenate([p.weight for p in parts]),
-        np.concatenate([p.classes for p in parts]) + _offsets(classes, nodes),
-        sum(classes),
-        np.concatenate([p.graph_ids for p in parts]) + _offsets(graphs, nodes),
-        sum(graphs),
+        np.concatenate([p.classes for p in parts]) + np.repeat(class_start, nodes),
+        np.concatenate([p.class_sizes for p in parts]),
+        np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
+        int(graphs.sum()),
     )
 
 
@@ -338,40 +400,35 @@ def _nonlin(config):
 
 def encode_nodes(graphs: GraphBatch, w_enc: Tensor, config: ModelConfig,
                  tape: Tape = None) -> Tensor:
-    """Initial node states: nonlinearity of the encoder inputs through the
-    encoder weight."""
+    """Initial states of the sources: nonlinearity of the encoder inputs
+    through the encoder weight."""
     return _nonlin(config)(T.linear(Tensor(graphs.inputs), w_enc, tape), tape)
 
 
 def gcn_layer(states: Tensor, graphs: GraphBatch, w: Tensor, config: ModelConfig,
-              tape: Tape = None) -> Tensor:
+              tape: Tape = None, from_encoder: bool = False) -> Tensor:
     """One message-passing layer: nonlinearity of the in-neighbor mean of the
     previous states through the layer weight (no edge features past layer 0).
 
-    ``states`` holds a row per node (the encoder's output) or a row per
-    aggregation class (an earlier layer's output); the result holds a row
-    per class, the state of every node of that class.
+    ``states`` holds a row per source (the encoder's output, with
+    ``from_encoder``) or a row per aggregation class (an earlier layer's
+    output); the result holds a row per class, the state of every node of
+    that class.
     """
-    if states.shape[0] == graphs.num_nodes:
-        src = graphs.src
-    elif states.shape[0] == graphs.num_classes:
-        src = graphs.classes[graphs.src]
-    else:
-        raise DimensionError(
-            f"state rows {states.shape[0]} != node count {graphs.num_nodes}"
-            f" or class count {graphs.num_classes}"
-        )
+    src, n_in, rows = ((graphs.src, graphs.num_sources, "source") if from_encoder
+                       else (graphs.src_class, graphs.num_classes, "class"))
+    if states.shape[0] != n_in:
+        raise DimensionError(f"state rows {states.shape[0]} != {rows} count {n_in}")
     agg = T.scatter_add(states, graphs.dst, src, graphs.weight, graphs.num_classes, tape)
     return _nonlin(config)(T.linear(agg, w, tape), tape)
 
 
 def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor:
     """Per-graph sum of node states, (graphs, hidden), from a row per
-    aggregation class: each node adds its class's row, in node order.  An
+    aggregation class: each class adds its row times its node count.  An
     empty graph reads out as the zero vector."""
-    n = graphs.num_nodes
-    return T.scatter_add(states, graphs.graph_ids, graphs.classes, np.ones(n),
-                         graphs.num_graphs, tape)
+    return T.scatter_add(states, graphs.class_graph, np.arange(graphs.num_classes),
+                         graphs.class_sizes, graphs.num_graphs, tape)
 
 
 def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
@@ -419,11 +476,12 @@ def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = Non
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
               tape: Tape = None) -> Tensor:
-    """Encoder (a row per node) plus GCN stack (a row per aggregation class)
-    plus readout; returns the (graphs, hidden) readouts."""
+    """Encoder (a row per source) plus GCN stack (a row per aggregation
+    class) plus readout; returns the (graphs, hidden) readouts."""
     states = encode_nodes(graphs, watched[f"{prefix}.enc"], config, tape)
     for l in range(config.gcn_layers):
-        states = gcn_layer(states, graphs, watched[f"{prefix}.gcn{l}"], config, tape)
+        states = gcn_layer(states, graphs, watched[f"{prefix}.gcn{l}"], config, tape,
+                           from_encoder=l == 0)
     return readout_sum(states, graphs, tape)
 
 
@@ -462,7 +520,7 @@ def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
 def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelConfig):
     """Untraced pipeline on one example; returns (probs, diagnostics) as in
     ``forward_batch`` with the batch axis dropped (logits as an array)."""
-    probs, diag = forward_batch(pack([example], table)[0], params, config)
+    probs, diag = forward_batch(pack_batch([example], table), params, config)
     diag["logits"] = diag["logits"].data
     return Tensor(probs.data[0]), {k: None if v is None else v[0] for k, v in diag.items()}
 

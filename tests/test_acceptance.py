@@ -16,12 +16,12 @@ import pytest
 from oracles import brute_force_knowledge_graph, gcn_layer_ref
 from symgraph.cli import main
 from symgraph.embeddings import EmbeddingTable
-from symgraph.gradcheck import gradcheck
+from symgraph.gradcheck import gradcheck, random_toy_world
 from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                              LabeledGraph, RelationWhitelist,
                              build_knowledge_graph, seed_tokens, validate_graph)
 from symgraph.model import (ModelConfig, attention_fuse, forward, fuse_concat,
-                            init_params, pack_graph, param_count, readout_sum)
+                            init_params, pack, pack_graph, param_count, readout_sum)
 from symgraph.tensor import Tensor, sgd_step
 from symgraph.training import Example
 
@@ -49,6 +49,11 @@ def test_criterion_2_gradient_oracle():
     for fusion in ("concat", "attention"):
         cfg = ModelConfig(num_labels=4, embed_dim=6, hidden_dim=8, gcn_layers=3,
                           fusion_mode=fusion)
+        # the knowledge graph's leaves get no encoder row: the check runs
+        # through the pruned encoder
+        table, ex, _ = random_toy_world(cfg, seed=0)
+        kg = pack([ex], table)[0].kg
+        assert kg.num_sources < kg.num_nodes
         rep = gradcheck(cfg, seed=0, tolerance=1e-4)
         worst = max(worst, rep.max_error)
         ok = ok and rep.ok
@@ -72,8 +77,10 @@ def test_criterion_3_gcn_oracle_equivalence():
         w = rng.normal(size=(4, 4))
         from symgraph.model import gcn_layer, pack_graph
         packed = pack_graph(g, table)
-        # one row per aggregation class, expanded to one per node
-        got = gcn_layer(Tensor(states), packed, Tensor(w), cfg).data[packed.classes]
+        # encoder rows are the nodes in ``sources``; the layer gives one row
+        # per aggregation class, expanded to one per node
+        got = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(w), cfg,
+                        from_encoder=True).data[packed.classes]
         ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
         worst = max(worst, float(np.abs(got - ref).max()) if n else 0.0)
     report(3, worst < 1e-12, f"100 graphs, max abs dev {worst:.2e}")

@@ -121,6 +121,20 @@ class TestPrepare:
         assert not (out / "escaped.json").exists()
         assert not (out / "examples").exists()
 
+    @pytest.mark.parametrize("bad_id", [True, [1], None, 3])
+    def test_non_string_image_id_exits_2(self, tmp_path, capsys, bad_id):
+        scene_dir = self._raw_inputs(tmp_path, n=3)
+        doc = {"image_id": bad_id, "objects": [], "relations": [], "labels": ["go"]}
+        (scene_dir / "bad.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["prepare", "--scene-dir", scene_dir,
+                    "--facts", tmp_path / "facts.tsv",
+                    "--vocab", tmp_path / "vocab.txt",
+                    "--labels", tmp_path / "labels.txt", "--out", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "image_id" in err[0]
+        assert not (out / "examples").exists()
+
     @pytest.mark.parametrize("field,patch", [
         ("attributes", {"objects": [{"name": "car", "attributes": "red"}]}),
         ("labels", {"labels": "go"}),
@@ -356,3 +370,37 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no equals sign here\n")
         assert run(["synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_value_starting_with_dash_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out = -data\nexamples = 20\n")
+        assert run(["synth", "--config", cfg]) == 0
+        assert (tmp_path / "-data" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("value,expected", [("true", True), ("false", False),
+                                                ("False", False)])
+    def test_boolean_key_reaches_manifest(self, tmp_path, value, expected):
+        data = synth_bundle(tmp_path, examples=20)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"bundle = {data / 'bundle'}\n"
+            f"embeddings = {data / 'embeddings.txt'}\n"
+            "embed-dim = 16\nhidden-dim = 8\ngcn-layers = 1\nepochs = 1\n"
+            f"no-shuffle = {value}\n")
+        out = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["no_shuffle"] is expected
+
+    @pytest.mark.parametrize("line", ["banana = 3", "banana = true", "banana = false",
+                                      "epochs = false"])
+    def test_bad_config_key_exits_2_naming_it(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["train", "--config", cfg, "--bundle", "x",
+                    "--embeddings", "y", "--out", tmp_path / "o",
+                    "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        key = line.split()[0]
+        assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]

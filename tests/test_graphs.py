@@ -91,6 +91,14 @@ class TestLoadSceneGraph:
         with pytest.raises(SchemaError, match="image_id"):
             load_scene_document(d)
 
+    @pytest.mark.parametrize("bad_id", [True, [1], None, 3, 2.5, {"a": "b"}])
+    def test_non_string_image_id_rejected(self, bad_id):
+        # str() would turn true into "True" and [1] into "[1]"
+        d = doc([("a", [])], [])
+        d["image_id"] = bad_id
+        with pytest.raises(SchemaError, match="^image_id: must be a string"):
+            load_scene_document(d)
+
 
 class TestFactStore:
     def test_load_and_index(self, tmp_path):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from symgraph import evaluation
 from symgraph.model import (ModelConfig, attention_fuse, classify, collate,
                             encode_nodes, forward, forward_batch, fuse_concat,
                             gcn_layer, init_params, load_checkpoint, pack,
-                            pack_graph, pack_graphs, param_count,
+                            pack_batch, pack_graph, pack_graphs, param_count,
                             read_checkpoint, readout_sum, save_checkpoint)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
@@ -56,9 +58,11 @@ class TestEncodeNodes:
         for _ in range(10):
             g = random_graph(rng, 4)
             w = rng.normal(size=(6, 12))
-            got = encode_nodes(pack_graph(g, toy_table), Tensor(w), cfg).data
+            packed = pack_graph(g, toy_table)
+            got = encode_nodes(packed, Tensor(w), cfg).data
             ref = encode_nodes_ref(g, toy_table, w, lambda v: np.maximum(v, 0.0))
-            np.testing.assert_allclose(got, ref, atol=1e-12)
+            # one encoder row per source, at the nodes in ``sources``
+            np.testing.assert_allclose(got, ref[packed.sources], atol=1e-12)
 
     def test_attributes_enter_node_input(self, toy_table):
         # an isolated node's encoder input is [node input ; e_self]
@@ -82,9 +86,12 @@ class TestGcnLayer:
     def test_single_edge_identity_weight(self, toy_table):
         cfg = toy_config(hidden_dim=4)
         g = LabeledGraph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
-        states = Tensor([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
+        states = np.array([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
         packed = pack_graph(g, toy_table)
-        out = gcn_layer(states, packed, Tensor(np.eye(4)), cfg)
+        # b reads a; a reads itself through its self-loop: only a is encoded
+        np.testing.assert_array_equal(packed.sources, [0])
+        out = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(np.eye(4)), cfg,
+                        from_encoder=True)
         np.testing.assert_allclose(out.data[packed.classes[1]], [1.0, 0.0, 2.0, 0.0])
 
     def test_opposite_neighbors_cancel(self, toy_table):
@@ -92,9 +99,10 @@ class TestGcnLayer:
         g = LabeledGraph([GraphNode("a"), GraphNode("b"), GraphNode("c")],
                          [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
         v = np.array([2.0, -1.0, 0.5])
-        states = Tensor(np.vstack([v, -v, np.ones(3)]))
+        states = np.vstack([v, -v, np.ones(3)])
         packed = pack_graph(g, toy_table)
-        out = gcn_layer(states, packed, Tensor(np.eye(3)), cfg)
+        out = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(np.eye(3)), cfg,
+                        from_encoder=True)
         np.testing.assert_allclose(out.data[packed.classes[2]], 0.0, atol=1e-15)
 
     def test_matches_dense_adjacency_reference(self, rng, toy_table):
@@ -105,15 +113,18 @@ class TestGcnLayer:
             states = rng.normal(size=(n, 5))
             w = rng.normal(size=(5, 5))
             packed = pack_graph(g, toy_table)
-            got = gcn_layer(Tensor(states), packed, Tensor(w), cfg).data[packed.classes]
+            got = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(w), cfg,
+                            from_encoder=True).data[packed.classes]
             ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
     def test_row_count_mismatch(self, toy_table):
         cfg = toy_config(hidden_dim=3)
         g = pack_graph(LabeledGraph([GraphNode("a")], []), toy_table)
-        with pytest.raises(DimensionError):
-            gcn_layer(Tensor(np.zeros((2, 3))), g, Tensor(np.eye(3)), cfg)
+        for from_encoder in (True, False):
+            with pytest.raises(DimensionError):
+                gcn_layer(Tensor(np.zeros((2, 3))), g, Tensor(np.eye(3)), cfg,
+                          from_encoder=from_encoder)
 
 
 def one_graph(n, table):
@@ -344,7 +355,8 @@ class TestForward:
         out_b = run_tower(packed_b, "sg", watched, cfg)
         assert not np.allclose(out_a.data, out_b.data)
         # the edge lists agree: only the encoder inputs carry the tables
-        for field in ("dst", "src", "weight", "classes", "graph_ids"):
+        for field in ("sources", "dst", "src", "src_class", "weight", "classes",
+                      "class_sizes", "class_graph"):
             assert np.array_equal(getattr(packed_a, field), getattr(packed_b, field))
         # patch: table b's encoder inputs, then the identical downstream stack
         packed_a.inputs = packed_b.inputs
@@ -463,7 +475,8 @@ class TestPack:
                 a, b = getattr(got, kind), getattr(alone, kind)
                 assert a.num_graphs == b.num_graphs == 1
                 assert a.num_classes == b.num_classes
-                for field in ("inputs", "dst", "src", "weight", "classes", "graph_ids"):
+                for field in ("inputs", "sources", "dst", "src", "src_class", "weight",
+                              "classes", "class_sizes", "class_graph"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_inputs_equal_per_node_loop(self, rng, toy_table):
@@ -472,14 +485,14 @@ class TestPack:
         examples = self.examples(rng)
         graphs = [g for ex in examples for g in (ex.knowledge_graph, ex.scene_graph)]
         for g, packed in zip(graphs, pack_graphs(graphs, toy_table)):
-            assert packed.inputs.shape == (len(g.nodes), 12)
-            for i in range(len(g.nodes)):
+            assert packed.inputs.shape == (packed.num_sources, 12)
+            for row, i in enumerate(packed.sources):
                 pairs = ([(e.src, e.relation) for e in g.edges if e.dst == i]
                          or [(i, "self")])
                 want = np.mean([np.concatenate([node_input_ref(g.nodes[s], toy_table),
                                                 phrase_ref(toy_table, r)])
                                 for s, r in pairs], axis=0)
-                assert np.array_equal(packed.inputs[i], want)
+                assert np.array_equal(packed.inputs[row], want)
 
     def test_edge_out_of_range_names_its_graph(self, toy_table):
         ok = LabeledGraph([GraphNode("a")] * 5, [GraphEdge(4, 0, "r")])
@@ -503,9 +516,9 @@ class TestPack:
 
         def recording_pack(data, table):
             calls.append([node_count(ex) for ex in data])
-            return pack(data, table)
+            return pack_batch(data, table)
 
-        monkeypatch.setattr(evaluation, "pack", recording_pack)
+        monkeypatch.setattr(evaluation, "pack_batch", recording_pack)
         args = (examples, params, toy_table, cfg)
         for run in (lambda: evaluation.evaluate_dataset(*args, labels),
                     lambda: evaluation.collect_attention(*args)):
@@ -521,21 +534,27 @@ class TestAggregationClasses:
         packed = pack_graph(star_kg(), toy_table)
         assert packed.num_nodes == 6 and packed.num_classes == 3
         np.testing.assert_array_equal(packed.classes, [0, 0, 0, 0, 1, 2])
-        # the in-edges of each class's first node, in edge order: tok5's two,
-        # tok4's, then tok0's self-loop
-        np.testing.assert_array_equal(packed.dst, [2, 2, 1, 0])
-        np.testing.assert_array_equal(packed.src, [0, 1, 1, 0])
-        np.testing.assert_array_equal(packed.weight, [0.5, 0.5, 1.0, 1.0])
-        # the encoder still reads every node's own edges: within class 0, tok0
+        np.testing.assert_array_equal(packed.class_sizes, [4, 1, 1])
+        np.testing.assert_array_equal(packed.class_graph, [0, 0, 0])
+        # the in-edges of each class, class by class and in edge order within
+        # one: tok0's self-loop, tok4's, then tok5's two.  Only the seeds are
+        # read, so they are the only encoder rows, and both are in class 0
+        np.testing.assert_array_equal(packed.sources, [0, 1])
+        np.testing.assert_array_equal(packed.dst, [0, 1, 2, 2])
+        np.testing.assert_array_equal(packed.src, [0, 1, 0, 1])
+        np.testing.assert_array_equal(packed.src_class, [0, 0, 0, 0])
+        np.testing.assert_array_equal(packed.weight, [1.0, 1.0, 0.5, 0.5])
+        # the encoder still reads each source's own edges: within class 0, tok0
         # has the ``self`` relation and tok1 an (out-of-table) "relatedto"
-        assert packed.inputs.shape == (6, 12)
+        assert packed.inputs.shape == (2, 12)
         assert not np.array_equal(packed.inputs[0], packed.inputs[1])
 
     def test_layers_compute_a_row_per_class(self, rng, toy_table):
         cfg = toy_config(hidden_dim=5)
         packed = pack_graph(star_kg(), toy_table)
         w = Tensor(rng.normal(size=(5, 5)))
-        first = gcn_layer(Tensor(rng.normal(size=(6, 5))), packed, w, cfg)
+        first = gcn_layer(Tensor(rng.normal(size=(2, 5))), packed, w, cfg,
+                          from_encoder=True)
         assert first.shape == (3, 5)
         assert gcn_layer(first, packed, w, cfg).shape == (3, 5)
         with pytest.raises(DimensionError, match="class count 3"):
@@ -547,6 +566,7 @@ class TestAggregationClasses:
         table, ex, _ = random_toy_world(cfg, seed=3)
         kg = pack([ex], table)[0].kg
         assert kg.num_classes < kg.num_nodes
+        assert kg.num_sources < kg.num_nodes  # leaves get no encoder row
         for loss_mode in ("softmax_ce", "sigmoid_bce"):
             report = gradcheck(cfg, seed=3, loss_mode=loss_mode)
             assert report.ok, (loss_mode, report.per_param)
@@ -556,11 +576,74 @@ class TestAggregationClasses:
         ex = Example("s", random_graph(rng, 3), star_kg(), ["label0"])
         alone = pack([ex], toy_table)[0].kg
         kg = collate(pack([ex, ex], toy_table)).kg
-        c, n = alone.num_classes, alone.num_nodes
+        c, n, s = alone.num_classes, alone.num_nodes, alone.num_sources
         assert kg.num_classes == 2 * c
         np.testing.assert_array_equal(kg.classes, np.r_[alone.classes, alone.classes + c])
         np.testing.assert_array_equal(kg.dst, np.r_[alone.dst, alone.dst + c])
-        np.testing.assert_array_equal(kg.src, np.r_[alone.src, alone.src + n])
+        np.testing.assert_array_equal(kg.src, np.r_[alone.src, alone.src + s])
+        np.testing.assert_array_equal(kg.src_class,
+                                      np.r_[alone.src_class, alone.src_class + c])
+        np.testing.assert_array_equal(kg.sources, np.r_[alone.sources, alone.sources + n])
+        np.testing.assert_array_equal(kg.class_graph, np.repeat([0, 1], c))
+
+
+def path_graph(kind):
+    """tok0 -> tok1 -> tok2: tok0 (by its self-loop) and tok1 both read tok0,
+    tok2 reads tok1, so two sources and two classes."""
+    return validate_graph(LabeledGraph([GraphNode(f"tok{i}") for i in range(3)],
+                                       [GraphEdge(0, 1, "near"), GraphEdge(1, 2, "tok4")],
+                                       kind=kind))
+
+
+class TestSourceRows:
+    def test_leaf_heavy_star_encodes_one_row_per_source(self, toy_table):
+        # 1-hop expansion of two seeds into eight leaves
+        facts = ([("IsA", "tok0", f"leaf{i}") for i in range(5)]
+                 + [("HasA", "tok1", f"leaf{i}") for i in range(3, 8)])
+        vocab = {f"leaf{i}" for i in range(8)}
+        g = build_knowledge_graph([GraphNode("tok0"), GraphNode("tok1")], FactStore(facts),
+                                  RelationWhitelist(), vocab)
+        packed = pack_graph(g, toy_table)
+        has_in = {e.dst for e in g.edges}
+        read = {e.src for e in g.edges} | set(range(len(g.nodes))) - has_in
+        assert packed.num_nodes == 10 and len(read) == 2
+        assert packed.inputs.shape[0] == packed.num_sources == len(read) < packed.num_nodes
+        np.testing.assert_array_equal(packed.sources, sorted(read))
+
+    def test_as_many_sources_as_classes_matches_dense_oracle(self, rng, toy_table):
+        # the layer-0 states (a row per source) and the later ones (a row per
+        # class) have the same row count here, so only the layer index tells
+        # which index array a layer reads
+        examples = [Example("p", path_graph("scene"), path_graph("knowledge"), ["label0"]),
+                    Example("q", random_graph(rng, 3), path_graph("knowledge"), ["label1"])]
+        batch = collate(pack(examples, toy_table))
+        kg = pack_graph(path_graph("knowledge"), toy_table)
+        assert kg.num_sources == kg.num_classes == 2 < kg.num_nodes
+        assert not np.array_equal(kg.src, kg.src_class)
+        # one layer: the readout reads tok2's class, which reads tok1's row
+        for layers, fusion in product((1, 2), ("concat", "attention", "attention_learned")):
+            cfg = toy_config(num_labels=3, hidden_dim=5, gcn_layers=layers,
+                             fusion_mode=fusion)
+            params = init_params(cfg)
+            weights = {p.name: p.value for p in params}
+            probs, _ = forward_batch(batch, params, cfg)
+            for row, ex in zip(probs.data, examples):
+                ref = forward_ref(ex, weights, toy_table, cfg)
+                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+
+    def test_chunk_union_equals_collated_examples(self, rng, toy_table):
+        examples = TestPack().examples(rng)
+        union, collated = pack_batch(examples, toy_table), collate(pack(examples, toy_table))
+        for kind in ("kg", "sg"):
+            a, b = getattr(union, kind), getattr(collated, kind)
+            assert a.num_graphs == b.num_graphs == len(examples)
+            for field in ("inputs", "sources", "dst", "src", "src_class", "weight",
+                          "classes", "class_sizes", "class_graph"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        cfg = toy_config(num_labels=3, hidden_dim=5, gcn_layers=2, fusion_mode="attention")
+        params = init_params(cfg)
+        assert np.array_equal(forward_batch(union, params, cfg)[0].data,
+                              forward_batch(collated, params, cfg)[0].data)
 
 
 class TestParamCount:
