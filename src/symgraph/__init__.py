@@ -12,9 +12,9 @@ from .graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                      LabeledGraph, RelationWhitelist, build_knowledge_graph,
                      load_scene_graph, validate_graph)
 from .model import (Batch, GraphBatch, ModelConfig, ModelParams, attention_fuse,
-                    classify, collate, encode_nodes, forward, forward_batch,
-                    fuse_concat, gcn_layer, init_params, pack, param_count,
-                    readout_sum)
+                    classify, encode_nodes, forward, forward_batch, fuse_concat,
+                    gcn_layer, init_params, pack_batch, param_count, readout_sum,
+                    take)
 from .tensor import Parameter, Tape, Tensor, backward, sgd_step
 from .training import (Example, PackedSplit, RunLog, TrainConfig, loss, pack_split,
                        train, train_epoch)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import SchemaError
 from .graphs import (RelationWhitelist, add_reverse_edges, build_knowledge_graph,
-                     graph_from_dict, graph_to_dict, load_facts,
+                     check_image_id, graph_from_dict, graph_to_dict, load_facts,
                      load_scene_document, load_vocab, validate_graph)
 from .embeddings import normalize_token
 from .rng import child_rng
@@ -47,9 +47,28 @@ def example_to_dict(ex: Example) -> dict:
     }
 
 
+_EXAMPLE_KEYS = {"image_id", "scene_graph", "knowledge_graph", "labels"}
+
+
 def example_from_dict(d: dict) -> Example:
-    return Example(d["image_id"], graph_from_dict(d["scene_graph"]),
-                   graph_from_dict(d["knowledge_graph"]), list(d["labels"]))
+    """Example of a bundle document, with JSON types checked exactly: a bare
+    string is not a list of labels."""
+    if type(d) is not dict:
+        raise SchemaError("document is not an object")
+    if set(d) != _EXAMPLE_KEYS:
+        raise SchemaError(f"expected fields {sorted(_EXAMPLE_KEYS)}, got {sorted(d)}")
+    if type(d["image_id"]) is not str:
+        raise SchemaError(f"image_id: must be a string, got {d['image_id']!r}")
+    labels = d["labels"]
+    if type(labels) is not list or not all(type(l) is str for l in labels):
+        raise SchemaError("labels: must be a list of strings")
+    graphs = []
+    for key in ("scene_graph", "knowledge_graph"):
+        try:
+            graphs.append(graph_from_dict(d[key]))
+        except SchemaError as exc:
+            raise SchemaError(f"{key}: {exc}") from None
+    return Example(check_image_id(d["image_id"]), *graphs, list(labels))
 
 
 def prepare(scene_dir, facts_path, vocab_path, labels_path,
@@ -122,12 +141,25 @@ def load_bundle(bundle_dir):
     """Returns (splits dict of Example lists, label list)."""
     bundle = Path(bundle_dir)
     label_list = read_labels(bundle / "labels.txt")
-    with open(bundle / "splits.json", encoding="utf-8") as fh:
-        split_map = json.load(fh)
+    splits_path = bundle / "splits.json"
+    try:
+        with open(splits_path, encoding="utf-8") as fh:
+            split_map = json.load(fh)
+    except ValueError as exc:  # bad JSON or UTF-8
+        raise SchemaError(f"{splits_path}: {exc}") from exc
+    if type(split_map) is not dict or not all(
+            type(ids) is list and all(type(i) is str for i in ids)
+            for ids in split_map.values()):
+        raise SchemaError(f"{splits_path}: must map each split to a list of image ids")
     by_id = {}
     for path in sorted((bundle / "examples").glob("*.json")):
-        with open(path, encoding="utf-8") as fh:
-            ex = example_from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                ex = example_from_dict(json.load(fh))
+            if ex.image_id != path.stem:  # else a stray file could replace an example
+                raise SchemaError(f"image_id {ex.image_id!r} does not match the file name")
+        except (SchemaError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise SchemaError(f"{path}: {exc}") from exc
         by_id[ex.image_id] = ex
     splits = {}
     for name, ids in split_map.items():

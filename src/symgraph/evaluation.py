@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelConfig, collate, forward_batch, pack_batch
-from .training import PackedSplit, TrainConfig
+from .model import ModelConfig, forward_batch, pack_batch
+from .training import TrainConfig
 
 # Evaluation forwards examples in chunks of at most this many nodes (both
 # graphs counted; a chunk holds at least one example): large enough to
@@ -123,17 +123,17 @@ def chunks(node_counts):
         yield slice(start, len(node_counts))
 
 
-def _packed_chunks(data, table):
+def packed_chunks(data, table):
     """One batch per chunk of raw examples, each packed straight into one
-    union per graph kind, so that only one chunk's arrays are alive at a
-    time."""
+    union per graph kind; consumed lazily, only one chunk's arrays are alive
+    at a time."""
     nodes = [len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes) for ex in data]
     for part in chunks(nodes):
         yield pack_batch(data[part], table)
 
 
 def _forward_chunks(batches, params, mconfig: ModelConfig, loss_mode: str = "softmax_ce"):
-    """Untraced per-example scores and diagnostics of collated batches.
+    """Untraced per-example scores and diagnostics of packed batches.
 
     Yields (scores, diagnostics) per batch: softmax probabilities, or
     per-label sigmoids of the logits for a ``sigmoid_bce`` head.
@@ -146,7 +146,11 @@ def _forward_chunks(batches, params, mconfig: ModelConfig, loss_mode: str = "sof
         yield scores, diag
 
 
-def _report(batches, truth, params, mconfig, label_list, policy, loss_mode):
+def evaluate_batches(batches, truth, params, mconfig: ModelConfig, label_list,
+                     policy: ThresholdPolicy = None,
+                     loss_mode: str = "softmax_ce") -> MetricsReport:
+    """Forward packed batches (untraced), threshold, and score against
+    ``truth``, the label set of each of their examples in order."""
     if policy is None:
         policy = ThresholdPolicy()
     predictions = [predict_labels(row, policy, label_list)
@@ -160,26 +164,15 @@ def evaluate_dataset(data, params, table, mconfig: ModelConfig, label_list,
                      loss_mode: str = "softmax_ce") -> MetricsReport:
     """Pack and forward the examples chunk by chunk (untraced), threshold,
     and score."""
-    return _report(_packed_chunks(data, table), [set(ex.labels) for ex in data],
-                   params, mconfig, label_list, policy, loss_mode)
-
-
-def evaluate_packed(split: PackedSplit, params, mconfig: ModelConfig, label_list,
-                    policy: ThresholdPolicy = None,
-                    loss_mode: str = "softmax_ce") -> MetricsReport:
-    """``evaluate_dataset`` on a split packed once (validation during
-    training)."""
-    truth = [{label_list[i] for i in np.flatnonzero(row)} for row in split.targets]
-    parts = chunks([b.num_nodes for b in split.batches])
-    return _report((collate(split.batches[part]) for part in parts), truth, params,
-                   mconfig, label_list, policy, loss_mode)
+    return evaluate_batches(packed_chunks(data, table), [set(ex.labels) for ex in data],
+                            params, mconfig, label_list, policy, loss_mode)
 
 
 def collect_attention(data, params, table, mconfig: ModelConfig):
     """Per-example fusion weights [(image_id, alpha_kg, alpha_sg), ...]."""
     if mconfig.fusion_mode == "concat":
         return []
-    alphas = [row for _, diag in _forward_chunks(_packed_chunks(data, table), params,
+    alphas = [row for _, diag in _forward_chunks(packed_chunks(data, table), params,
                                                  mconfig)
               for row in diag["alpha"]]
     return [(ex.image_id, float(a[0]), float(a[1])) for ex, a in zip(data, alphas)]

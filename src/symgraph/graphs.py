@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .embeddings import normalize_token
 from .errors import SchemaError, ValidationError
@@ -100,7 +101,7 @@ _OBJ_KEYS = {"name", "attributes"}
 _REL_KEYS = {"subj", "pred", "obj"}
 
 
-def _check_image_id(image_id: str) -> str:
+def check_image_id(image_id: str) -> str:
     """An image id names its example file in a bundle, so it must be a plain
     file name: nonempty, no path separator or NUL, and no leading dot (a
     hidden file, or a step out of the bundle)."""
@@ -153,7 +154,7 @@ def load_scene_document(doc: dict):
         raise SchemaError("labels: must be a list of strings")
     if type(doc["image_id"]) is not str:
         raise SchemaError(f"image_id: must be a string, got {doc['image_id']!r}")
-    image_id = _check_image_id(doc["image_id"])
+    image_id = check_image_id(doc["image_id"])
     return image_id, LabeledGraph(nodes, edges, kind="scene"), list(labels)
 
 
@@ -274,9 +275,59 @@ def graph_to_dict(g: LabeledGraph) -> dict:
     }
 
 
+_GRAPH_KEYS = {"kind", "nodes", "edges"}
+_GRAPH_KINDS = ("scene", "knowledge")
+
+
 def graph_from_dict(d: dict) -> LabeledGraph:
-    return LabeledGraph(
-        [GraphNode(n["name"], list(n.get("attributes", []))) for n in d["nodes"]],
-        [GraphEdge(s, o, r) for s, r, o in d["edges"]],
-        kind=d["kind"],
-    )
+    """Graph of a bundle document (``graph_to_dict``'s layout), with JSON
+    types checked exactly as in ``load_scene_document`` and every edge index
+    in range.  The checks run over whole lists in C loops; only a graph that
+    fails them is walked item by item, to name its first bad item."""
+    if type(d) is not dict:
+        raise SchemaError("graph is not an object")
+    if set(d) != _GRAPH_KEYS:
+        raise SchemaError(f"expected fields {sorted(_GRAPH_KEYS)}, got {sorted(d)}")
+    if d["kind"] not in _GRAPH_KINDS:
+        raise SchemaError(f"kind: must be 'scene' or 'knowledge', got {d['kind']!r}")
+    for key in ("nodes", "edges"):
+        if type(d[key]) is not list:
+            raise SchemaError(f"{key}: must be a list")
+    nodes, edges = d["nodes"], d["edges"]
+    ok = (set(map(type, nodes)) <= {dict} and set().union(*nodes) <= _OBJ_KEYS
+          and set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3})
+    if ok:
+        names = list(map(dict.get, nodes, repeat("name")))
+        attrs = list(map(dict.get, nodes, repeat("attributes"), repeat([])))
+        src, relation, dst = zip(*edges) if edges else ((), (), ())
+        ends = src + dst
+        ok = (set(map(type, names)) <= {str} and set(map(type, attrs)) <= {list}
+              and set(map(type, chain.from_iterable(attrs))) <= {str}
+              and set(map(type, relation)) <= {str} and set(map(type, ends)) <= {int}
+              and (not ends or 0 <= min(ends) and max(ends) < len(nodes)))
+    if not ok:
+        raise SchemaError(_first_bad_item(nodes, edges))
+    return LabeledGraph(list(map(GraphNode, names, map(list, attrs))),
+                        list(map(GraphEdge, src, dst, relation)), kind=d["kind"])
+
+
+def _first_bad_item(nodes, edges) -> str:
+    """What is wrong with the first node or edge that fails the checks of
+    ``graph_from_dict``."""
+    n = len(nodes)
+    for i, node in enumerate(nodes):
+        if (type(node) is not dict or set(node) - _OBJ_KEYS
+                or type(node.get("name")) is not str):
+            return f"nodes[{i}]: expected a string name and attributes"
+        attrs = node.get("attributes", [])
+        if type(attrs) is not list or not all(type(a) is str for a in attrs):
+            return f"nodes[{i}].attributes: must be a list of strings"
+    for i, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 3:
+            return f"edges[{i}]: expected [source, relation, target]"
+        src, relation, dst = edge
+        if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
+            return (f"edges[{i}]: node indexes must be integers in 0..{n - 1}, "
+                    f"got {src!r}, {dst!r}")
+        if type(relation) is not str:
+            return f"edges[{i}]: relation must be a string"

@@ -15,13 +15,14 @@ messages, so only their sources (nodes that appear in some class's in-edge
 list) get an encoder row, and only the nodes whose inputs those rows read
 get an input vector.  The leaves of a 1-hop knowledge graph cost neither.
 
-``pack`` packs each example on its own (a ``Batch`` of size 1, for
-training); ``collate`` joins packed examples into one disjoint union per
-kind (ids shifted); ``pack_batch`` packs examples straight into that union
-(for evaluation chunks).  Each tower is then one encoder matmul over the
-sources, one ``scatter_add`` and matmul over the classes per GCN layer, and
-one ``scatter_add`` over graph ids for the readout; fusion and the head
-work on the (batch, hidden) rows.
+``pack_batch`` packs examples into one disjoint union per graph kind, ids
+shifted by each graph's start (the batching of PyTorch Geometric).  Training
+packs each split once; a mini-batch is ``take`` of its rows, one gather of
+the chosen graphs' ranges of nodes, classes, sources and edges.  Evaluation
+packs each chunk of examples straight into a union.  Each tower is then one
+encoder product over the sources, one ``scatter_add`` and product over the
+classes per GCN layer, and one ``scatter_add`` over graph ids for the
+readout; fusion and the head work on the (batch, hidden) rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -216,6 +218,16 @@ class GraphBatch:
     def num_sources(self) -> int:
         return self.sources.size
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(4, graphs + 1) starts of each graph's nodes, classes, sources and
+        edges, then their ends; a graph's items are consecutive."""
+        g = self.class_graph  # the graph of each class, then of each item
+        counts = [np.bincount(graph_ids, minlength=self.num_graphs)
+                  for graph_ids in (g[self.classes], g, g[self.classes[self.sources]],
+                                    g[self.dst])]
+        return np.pad(np.cumsum(counts, axis=1), ((0, 0), (1, 0)))
+
 
 @dataclass
 class Batch:
@@ -227,10 +239,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.kg.num_graphs
-
-    @property
-    def num_nodes(self) -> int:
-        return self.kg.num_nodes + self.sg.num_nodes
 
 
 def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
@@ -339,17 +347,9 @@ def pack_graph(g: LabeledGraph, table: EmbeddingTable) -> GraphBatch:
     return pack_graphs([g], table)[0]
 
 
-def pack(examples, table: EmbeddingTable) -> list:
-    """One ``Batch`` of size 1 per example, in order, from one
-    ``pack_graphs`` call over all their graphs."""
-    graphs = pack_graphs([ex.knowledge_graph for ex in examples]
-                         + [ex.scene_graph for ex in examples], table)
-    return [Batch(kg, sg) for kg, sg in zip(graphs, graphs[len(examples):])]
-
-
 def pack_batch(examples, table: EmbeddingTable) -> Batch:
-    """One ``Batch`` of all the examples, in order: ``pack`` and ``collate``
-    in one ``pack_graphs`` call, with one part per graph kind."""
+    """One ``Batch`` of all the examples, in order, from one ``pack_graphs``
+    call with one part per graph kind."""
     b = len(examples)
     return Batch(*pack_graphs([ex.knowledge_graph for ex in examples]
                               + [ex.scene_graph for ex in examples], table, [b, b]))
@@ -362,32 +362,31 @@ def _offsets(counts, repeats):
     return np.repeat(np.cumsum(counts) - counts, repeats)
 
 
-def _union(parts) -> GraphBatch:
-    counts = np.array([(p.classes.size, p.class_sizes.size, p.sources.size, p.dst.size,
-                        p.num_graphs) for p in parts], dtype=np.intp)
-    nodes, classes, sources, edges, graphs = counts.T
-    starts = (np.cumsum(counts, axis=0) - counts).T  # of each part, per id kind
-    node_start, class_start, source_start, _, graph_start = starts
-    edge_classes = np.repeat(class_start, edges)
+def take(graphs: GraphBatch, rows) -> GraphBatch:
+    """The union of the graphs at ``rows`` of a union, in that order (a row
+    may repeat): each kind of id is gathered over the chosen graphs' ranges
+    and shifted from a graph's old start to its new one."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = graphs.offsets[:, rows]
+    lengths = graphs.offsets[:, rows + 1] - starts  # (4, rows), kinds as in offsets
+    shift = starts - (np.cumsum(lengths, axis=1) - lengths)  # old start - new start
+    graph_of = [np.repeat(np.arange(rows.size), n) for n in lengths]  # new graph per item
+    nodes, classes, sources, edges = (s[g] + np.arange(g.size)
+                                      for s, g in zip(shift, graph_of))
+    node_shift, class_shift, source_shift, _ = shift
+    node_graph, class_graph, source_graph, edge_graph = graph_of
     return GraphBatch(
-        np.concatenate([p.inputs for p in parts]),
-        np.concatenate([p.sources for p in parts]) + np.repeat(node_start, sources),
-        np.concatenate([p.dst for p in parts]) + edge_classes,
-        np.concatenate([p.src for p in parts]) + np.repeat(source_start, edges),
-        np.concatenate([p.src_class for p in parts]) + edge_classes,
-        np.concatenate([p.weight for p in parts]),
-        np.concatenate([p.classes for p in parts]) + np.repeat(class_start, nodes),
-        np.concatenate([p.class_sizes for p in parts]),
-        np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
-        int(graphs.sum()),
+        graphs.inputs[sources],
+        graphs.sources[sources] - node_shift[source_graph],
+        graphs.dst[edges] - class_shift[edge_graph],
+        graphs.src[edges] - source_shift[edge_graph],
+        graphs.src_class[edges] - class_shift[edge_graph],
+        graphs.weight[edges],
+        graphs.classes[nodes] - class_shift[node_graph],
+        graphs.class_sizes[classes],
+        class_graph,
+        rows.size,
     )
-
-
-def collate(batches) -> Batch:
-    """One disjoint-union batch from packed batches, examples kept in order."""
-    if len(batches) == 1:
-        return batches[0]
-    return Batch(_union([b.kg for b in batches]), _union([b.sg for b in batches]))
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +447,15 @@ def attention_fuse(v_kg: Tensor, v_sg: Tensor, tape: Tape = None,
     """
     if v_kg.shape != v_sg.shape:
         raise DimensionError(f"fusion inputs disagree: {v_kg.shape} vs {v_sg.shape}")
-    ones = Tensor(np.ones((v_kg.shape[-1], 1)))
+    ones = Tensor(np.ones((1, v_kg.shape[-1])))  # a weight row that sums a row
 
     def score(v):
         per_unit = T.mul(v, v if score_w is None else score_w, tape)
-        return T.matmul(per_unit, ones, tape)
+        return T.linear(per_unit, ones, tape)
 
     alpha = T.softmax(T.concat([score(v_kg), score(v_sg)], tape), tape)
-    weight_kg = T.matmul(alpha, Tensor([[1.0], [0.0]]), tape)
-    weight_sg = T.matmul(alpha, Tensor([[0.0], [1.0]]), tape)
+    weight_kg = T.linear(alpha, Tensor([[1.0, 0.0]]), tape)
+    weight_sg = T.linear(alpha, Tensor([[0.0, 1.0]]), tape)
     fused = T.add(T.mul(weight_kg, v_kg, tape), T.mul(weight_sg, v_sg, tape), tape)
     return fused, alpha
 
@@ -487,7 +486,7 @@ def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfi
 
 def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
                   tape: Tape = None):
-    """Full pipeline on a collated batch; returns (probs, diagnostics), one
+    """Full pipeline on a packed batch; returns (probs, diagnostics), one
     row per example.
 
     Diagnostics carry the attention weights (None in concat mode), both

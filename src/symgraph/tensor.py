@@ -142,26 +142,10 @@ def _broadcast_check(op, a, b):
         raise DimensionError(f"{op} shapes disagree: {a.shape} {b.shape}") from None
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Matrix product of matrices or vectors, with numpy's ``@`` rules."""
-    ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise DimensionError(f"matmul needs vectors or matrices: {a.shape} @ {b.shape}")
-    if ad.shape[-1] != bd.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def back(g):
-        a2 = ad.reshape(-1, ad.shape[-1])
-        b2 = bd.reshape(bd.shape[0], -1)
-        g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
-        return [(g2 @ b2.T).reshape(ad.shape), (a2.T @ g2).reshape(bd.shape)]
-
-    return _emit(tape, ad @ bd, [a, b], back)
-
-
 def linear(x: Tensor, w: Tensor, tape: Tape = None) -> Tensor:
     """``x @ w.T``: the rows of x (or the vector x) through an (out, in)
-    weight, without copying the weight's transpose."""
+    weight, without copying the weight's transpose; the one matrix product
+    of the tape."""
     xd, wd = x.data, w.data
     if xd.ndim not in (1, 2) or wd.ndim != 2:
         raise DimensionError(f"linear needs rows and a matrix: {x.shape}, {w.shape}")

@@ -1,8 +1,9 @@
 """Multi-label loss and the mini-batch SGD training loop.
 
-``train`` packs its train and validation splits once (``pack_split``), then
-records one tape per mini-batch: the batch's examples are collated into one
-disjoint union and their losses summed.
+``train`` packs its train split once into one disjoint union per graph kind
+(``pack_split``), then records one tape per mini-batch: the batch is a row
+gather from that union (``model.take``) and its losses are summed.  The
+validation split is packed once too, into the chunks evaluation scores.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, TrainingError
-from .model import (LOSS_MODES, ModelConfig, ModelParams, collate, forward_batch,
-                    init_params, pack)
+from .model import (LOSS_MODES, Batch, ModelConfig, ModelParams, forward_batch,
+                    init_params, pack_batch, take)
 from .rng import child_rng
 from .tensor import Tape, Tensor, backward, sgd_step
 
@@ -109,29 +110,30 @@ def bce_loss(logits: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
 
 @dataclass
 class PackedSplit:
-    """Examples packed once for the model (``model.pack``), with their
-    target vectors; a mini-batch is a list of row indices into it."""
+    """A split packed once into one union per graph kind (``pack_batch``),
+    whose per-graph offsets are computed on first use, with the target
+    vectors; a mini-batch is a list of row indices, gathered by ``take``."""
 
     image_ids: list
-    batches: list
+    batch: Batch
     targets: np.ndarray  # (examples, labels)
 
     def __len__(self):
-        return len(self.batches)
+        return len(self.image_ids)
 
 
 def pack_split(examples, table, label_list) -> PackedSplit:
     """Pack a split once: encoder inputs, edge lists and target vectors."""
     targets = np.array([target_vector(ex.labels, label_list) for ex in examples])
-    return PackedSplit([ex.image_id for ex in examples], pack(examples, table),
+    return PackedSplit([ex.image_id for ex in examples], pack_batch(examples, table),
                        targets.reshape(len(examples), len(label_list)))
 
 
 def batch_loss(split: PackedSplit, rows, params: ModelParams, mconfig: ModelConfig,
                loss_mode: str, tape: Tape = None) -> Tensor:
     """Forward the examples at ``rows`` as one batch; returns their summed loss."""
-    probs, diag = forward_batch(collate([split.batches[i] for i in rows]), params,
-                                mconfig, tape)
+    batch = Batch(take(split.batch.kg, rows), take(split.batch.sg, rows))
+    probs, diag = forward_batch(batch, params, mconfig, tape)
     if loss_mode == "sigmoid_bce":
         return bce_loss(diag["logits"], split.targets[rows], tape)
     return loss(probs, split.targets[rows], tape)
@@ -167,7 +169,7 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
           tconfig: TrainConfig, params: ModelParams = None, policy=None):
     """Full run: per-epoch SGD plus validation; returns
     (final params, RunLog, best params by validation macro F, best epoch)."""
-    from .evaluation import ThresholdPolicy, evaluate_packed
+    from .evaluation import ThresholdPolicy, evaluate_batches, packed_chunks
 
     if not train_data or not val_data:
         raise ConfigError("train and validation splits must be nonempty")
@@ -177,7 +179,10 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
         policy = ThresholdPolicy()
     rng = child_rng(tconfig.seed, "shuffle")
     train_split = pack_split(train_data, table, label_list)
-    val_split = pack_split(val_data, table, label_list)
+    for ex in val_data:
+        target_vector(ex.labels, label_list)  # refuse unknown or no labels up front
+    val_truth = [set(ex.labels) for ex in val_data]
+    val_batches = list(packed_chunks(val_data, table))
     log = RunLog()
     best = params.copy()
     best_f = -1.0
@@ -185,8 +190,8 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
     for epoch in range(tconfig.epochs):
         t0 = time.perf_counter()
         mean_loss = train_epoch(train_split, params, mconfig, tconfig, rng)
-        report = evaluate_packed(val_split, params, mconfig, label_list, policy,
-                                 loss_mode=tconfig.loss_mode)
+        report = evaluate_batches(val_batches, val_truth, params, mconfig, label_list,
+                                  policy, tconfig.loss_mode)
         seconds = time.perf_counter() - t0
         log.records.append(EpochRecord(epoch, mean_loss, report.macro_f, seconds))
         if report.macro_f > best_f:

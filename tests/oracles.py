@@ -2,11 +2,14 @@
 
 These deliberately take different computational routes than the library:
 triple loops instead of BLAS, explicit dense adjacency matrices instead of
-per-node gathers, exhaustive filters instead of indexed lookups, and central
-finite differences instead of the tape.
+per-node gathers, exhaustive filters instead of indexed lookups, central
+finite differences instead of the tape, and concatenation of per-example
+batches instead of a gather from a packed union.
 """
 
 import numpy as np
+
+from symgraph.model import Batch, GraphBatch
 
 
 def matmul_ref(a, b):
@@ -151,3 +154,31 @@ def forward_ref(example, weights, table, cfg):
         fused = alpha[0] * v["kg"] + alpha[1] * v["sg"]
     hidden = f(weights["mlp.w1"] @ fused + weights["mlp.b1"])
     return softmax(weights["mlp.w2"] @ hidden + weights["mlp.b2"])
+
+
+def _union(parts):
+    counts = np.array([(p.classes.size, p.class_sizes.size, p.sources.size, p.dst.size,
+                        p.num_graphs) for p in parts], dtype=np.intp)
+    nodes, classes, sources, edges, graphs = counts.T
+    starts = (np.cumsum(counts, axis=0) - counts).T  # of each part, per id kind
+    node_start, class_start, source_start, _, graph_start = starts
+    edge_classes = np.repeat(class_start, edges)
+    return GraphBatch(
+        np.concatenate([p.inputs for p in parts]),
+        np.concatenate([p.sources for p in parts]) + np.repeat(node_start, sources),
+        np.concatenate([p.dst for p in parts]) + edge_classes,
+        np.concatenate([p.src for p in parts]) + np.repeat(source_start, edges),
+        np.concatenate([p.src_class for p in parts]) + edge_classes,
+        np.concatenate([p.weight for p in parts]),
+        np.concatenate([p.classes for p in parts]) + np.repeat(class_start, nodes),
+        np.concatenate([p.class_sizes for p in parts]),
+        np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
+        int(graphs.sum()),
+    )
+
+
+def collate(batches):
+    """Disjoint union of packed batches, examples kept in order: every array
+    of the parts concatenated, ids shifted by the counts of the parts before
+    (the reference for ``model.take``)."""
+    return Batch(_union([b.kg for b in batches]), _union([b.sg for b in batches]))

@@ -21,7 +21,7 @@ from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                              LabeledGraph, RelationWhitelist,
                              build_knowledge_graph, seed_tokens, validate_graph)
 from symgraph.model import (ModelConfig, attention_fuse, forward, fuse_concat,
-                            init_params, pack, pack_graph, param_count, readout_sum)
+                            init_params, pack_batch, pack_graph, param_count, readout_sum)
 from symgraph.tensor import Tensor, sgd_step
 from symgraph.training import Example
 
@@ -52,7 +52,7 @@ def test_criterion_2_gradient_oracle():
         # the knowledge graph's leaves get no encoder row: the check runs
         # through the pruned encoder
         table, ex, _ = random_toy_world(cfg, seed=0)
-        kg = pack([ex], table)[0].kg
+        kg = pack_batch([ex], table).kg
         assert kg.num_sources < kg.num_nodes
         rep = gradcheck(cfg, seed=0, tolerance=1e-4)
         worst = max(worst, rep.max_error)

@@ -1,11 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symgraph.cli import main
-from symgraph.dataset import load_bundle
+from symgraph.dataset import example_from_dict, load_bundle
+from symgraph.errors import SchemaError
 from symgraph.embeddings import load_embeddings
 from symgraph.evaluation import evaluate_dataset
 from symgraph.model import load_checkpoint, save_checkpoint
@@ -320,6 +322,72 @@ class TestErrorHandling:
                     "--embed-dim", 16, "--epochs", 1]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and ":3:" in err[0]
+
+
+class TestBundleReader:
+    def _example_doc(self, bundle, split="train"):
+        image_id = json.loads((bundle / "splits.json").read_text())[split][0]
+        path = bundle / "examples" / f"{image_id}.json"
+        return path, json.loads(path.read_text())
+
+    def test_string_labels_rejected(self, tmp_path):
+        # "ab" was read as the labels ['a', 'b']
+        path, doc = self._example_doc(synth_bundle(tmp_path, examples=10) / "bundle")
+        doc["labels"] = "ab"
+        with pytest.raises(SchemaError, match="^labels: must be a list of strings"):
+            example_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["kind", "nodes"])
+    def test_load_bundle_names_the_file(self, tmp_path, field):
+        # a graph without its kind or nodes was a KeyError
+        bundle = synth_bundle(tmp_path, examples=10) / "bundle"
+        path, doc = self._example_doc(bundle)
+        del doc["knowledge_graph"][field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as info:
+            load_bundle(bundle)
+        assert str(info.value).startswith(f"{path}: knowledge_graph: ")
+
+    def test_file_claiming_another_image_id_rejected(self, tmp_path):
+        # a stray file with an existing id silently replaced that example
+        bundle = synth_bundle(tmp_path, examples=10) / "bundle"
+        _, doc = self._example_doc(bundle)
+        stray = bundle / "examples" / "zzz.json"
+        stray.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(stray))}: image_id"):
+            load_bundle(bundle)
+
+    @pytest.mark.parametrize("splits", ['["img0000"]', '{"train": "img0000"}', "{"],
+                             ids=["list", "string_split", "bad_json"])
+    def test_malformed_splits_exit_2(self, tmp_path, capsys, splits):
+        # a list was an AttributeError traceback; a string split was read as
+        # its letters
+        data = synth_bundle(tmp_path, examples=10)
+        (data / "bundle" / "splits.json").write_text(splits)
+        capsys.readouterr()
+        assert run(["train", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "splits.json" in err[0]
+
+    @pytest.mark.parametrize("patch", [
+        lambda doc: doc["knowledge_graph"]["edges"].append([0, "IsA", 10_000]),
+        lambda doc: doc["scene_graph"]["edges"].append([True, "on", 0]),
+        lambda doc: doc.update(labels="ab"),
+    ], ids=["edge_out_of_range", "boolean_edge_index", "string_labels"])
+    def test_train_on_bad_test_split_example_exits_2(self, tmp_path, capsys, patch):
+        # an out-of-range edge in a test-split example let train exit 0
+        data = synth_bundle(tmp_path, examples=20)
+        path, doc = self._example_doc(data / "bundle", split="test")
+        patch(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["train", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
 
 
 class TestConfigFile:

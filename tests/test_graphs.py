@@ -267,3 +267,34 @@ class TestSerialization:
             [GraphNode("a", ["x"]), GraphNode("b")], [GraphEdge(0, 1, "r")]))
         g2 = graph_from_dict(graph_to_dict(g))
         assert graph_to_dict(g2) == graph_to_dict(g)
+
+    @pytest.mark.parametrize("edge", [
+        [True, "r", 0],  # true is a JSON boolean, not node index 1 (was taken as 1)
+        [0, "r", 5],  # out of range for 2 nodes (was accepted)
+        [-1, "r", 0],
+        [0, 1, 1],  # the relation is not a string
+        [0, "r"],
+        "0 r 1",
+    ], ids=["boolean", "out_of_range", "negative", "int_relation", "short", "string"])
+    def test_malformed_edge_rejected(self, edge):
+        d = {"kind": "scene", "nodes": [{"name": "a", "attributes": []}, {"name": "b"}],
+             "edges": [[0, "r", 1], edge]}
+        with pytest.raises(SchemaError, match=r"^edges\[1\]"):
+            graph_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["kind", "nodes", "edges"])
+    def test_missing_field_rejected(self, field):
+        # was a KeyError
+        d = graph_to_dict(LabeledGraph([GraphNode("a")], [], kind="knowledge"))
+        del d[field]
+        with pytest.raises(SchemaError, match=field):
+            graph_from_dict(d)
+
+    @pytest.mark.parametrize("patch", [
+        {"kind": "dense"}, {"nodes": "ab"}, {"nodes": [{"name": 3}]},
+        {"nodes": [{"name": "a", "attributes": "red"}]},
+    ])
+    def test_malformed_kind_or_nodes_rejected(self, patch):
+        d = graph_to_dict(LabeledGraph([GraphNode("a")], [], kind="knowledge"))
+        with pytest.raises(SchemaError):
+            graph_from_dict({**d, **patch})

@@ -3,19 +3,19 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import (encode_nodes_ref, forward_ref, gcn_layer_ref, node_input_ref,
-                     phrase_ref)
+from oracles import (collate, encode_nodes_ref, forward_ref, gcn_layer_ref,
+                     node_input_ref, phrase_ref)
 from symgraph.embeddings import EmbeddingTable
 from symgraph.errors import ConfigError, DimensionError, ValidationError
 from symgraph.gradcheck import gradcheck, random_toy_world
 from symgraph.graphs import (FactStore, GraphEdge, GraphNode, LabeledGraph,
                              RelationWhitelist, build_knowledge_graph, validate_graph)
 from symgraph import evaluation
-from symgraph.model import (ModelConfig, attention_fuse, classify, collate,
+from symgraph.model import (Batch, ModelConfig, attention_fuse, classify,
                             encode_nodes, forward, forward_batch, fuse_concat,
-                            gcn_layer, init_params, load_checkpoint, pack,
+                            gcn_layer, init_params, load_checkpoint,
                             pack_batch, pack_graph, pack_graphs, param_count,
-                            read_checkpoint, readout_sum, save_checkpoint)
+                            read_checkpoint, readout_sum, save_checkpoint, take)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
 
@@ -414,7 +414,10 @@ class TestBatchedForward:
     def test_rows_match_dense_oracle(self, rng, toy_table):
         examples = mixed_examples(rng) + [
             Example("s", random_graph(rng, 3), star_kg(), ["label2"])]
-        batch = collate(list(pack(examples, toy_table)))
+        order = rng.permutation(len(examples))
+        union = pack_batch(examples, toy_table)
+        batch = Batch(take(union.kg, order), take(union.sg, order))
+        examples = [examples[i] for i in order]
         assert batch.size == 5 and batch.sg.num_nodes == 3 + 0 + 5 + 1 + 3
         assert batch.kg.num_classes < batch.kg.num_nodes
         for fusion in ("concat", "attention", "attention_learned"):
@@ -434,7 +437,7 @@ class TestBatchedForward:
         params = init_params(cfg)
         monkeypatch.setattr(evaluation, "MAX_CHUNK_NODES", 12)
         sizes = [len(examples[c]) for c in
-                 evaluation.chunks([b.num_nodes for b in pack(examples, toy_table)])]
+                 evaluation.chunks([node_count(ex) for ex in examples])]
         assert len(sizes) > 1 and max(sizes) > 1 and sum(sizes) == len(examples)
 
         def counts(report):
@@ -452,6 +455,10 @@ def node_count(ex):
     return len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes)
 
 
+FIELDS = ("inputs", "sources", "dst", "src", "src_class", "weight", "classes",
+          "class_sizes", "class_graph")
+
+
 class TestPack:
     def examples(self, rng):
         """mixed_examples plus an all-OOV node and relation, relation tokens
@@ -467,17 +474,40 @@ class TestPack:
 
     def test_one_call_equals_packing_each_example_alone(self, rng, toy_table):
         examples = self.examples(rng)
-        together = pack(examples, toy_table)
-        assert len(together) == len(examples)
-        for ex, got in zip(examples, together):
-            alone = pack([ex], toy_table)[0]
+        union = pack_batch(examples, toy_table)
+        for i, ex in enumerate(examples):
+            got = Batch(take(union.kg, [i]), take(union.sg, [i]))
+            alone = pack_batch([ex], toy_table)
             for kind in ("kg", "sg"):
                 a, b = getattr(got, kind), getattr(alone, kind)
                 assert a.num_graphs == b.num_graphs == 1
                 assert a.num_classes == b.num_classes
-                for field in ("inputs", "sources", "dst", "src", "src_class", "weight",
-                              "classes", "class_sizes", "class_graph"):
+                for field in FIELDS:
                     assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_take_equals_collate_reference(self, rng, toy_table):
+        # random row orders over empty graphs, the star knowledge graph with
+        # merged classes, and repeated rows (two copies of one graph)
+        examples = self.examples(rng)
+        union = pack_batch(examples, toy_table)
+        alone = [pack_batch([ex], toy_table) for ex in examples]
+        orders = [rng.permutation(len(examples)), rng.integers(len(examples), size=9),
+                  [5, 5], [1]]
+        for rows in orders:
+            got = Batch(take(union.kg, rows), take(union.sg, rows))
+            want = collate([alone[i] for i in rows])
+            for kind in ("kg", "sg"):
+                a, b = getattr(got, kind), getattr(want, kind)
+                assert a.num_graphs == b.num_graphs == len(rows)
+                for field in FIELDS:
+                    x, y = getattr(a, field), getattr(b, field)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (kind, field)
+            for fusion in ("concat", "attention", "attention_learned"):
+                cfg = toy_config(num_labels=3, hidden_dim=5, gcn_layers=2,
+                                 fusion_mode=fusion)
+                params = init_params(cfg)
+                assert np.array_equal(forward_batch(got, params, cfg)[0].data,
+                                      forward_batch(want, params, cfg)[0].data)
 
     def test_inputs_equal_per_node_loop(self, rng, toy_table):
         # mean over in-edges of [source node input ; relation vector], or
@@ -564,7 +594,7 @@ class TestAggregationClasses:
         cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=2,
                           fusion_mode="attention")
         table, ex, _ = random_toy_world(cfg, seed=3)
-        kg = pack([ex], table)[0].kg
+        kg = pack_batch([ex], table).kg
         assert kg.num_classes < kg.num_nodes
         assert kg.num_sources < kg.num_nodes  # leaves get no encoder row
         for loss_mode in ("softmax_ce", "sigmoid_bce"):
@@ -574,8 +604,11 @@ class TestAggregationClasses:
     def test_collate_never_merges_classes_across_graphs(self, rng, toy_table):
         # two copies of one graph have equal local in-edge lists
         ex = Example("s", random_graph(rng, 3), star_kg(), ["label0"])
-        alone = pack([ex], toy_table)[0].kg
-        kg = collate(pack([ex, ex], toy_table)).kg
+        alone = pack_batch([ex], toy_table).kg
+        kg = take(alone, [0, 0])
+        for field in FIELDS:
+            assert np.array_equal(getattr(kg, field),
+                                  getattr(pack_batch([ex, ex], toy_table).kg, field)), field
         c, n, s = alone.num_classes, alone.num_nodes, alone.num_sources
         assert kg.num_classes == 2 * c
         np.testing.assert_array_equal(kg.classes, np.r_[alone.classes, alone.classes + c])
@@ -616,7 +649,7 @@ class TestSourceRows:
         # which index array a layer reads
         examples = [Example("p", path_graph("scene"), path_graph("knowledge"), ["label0"]),
                     Example("q", random_graph(rng, 3), path_graph("knowledge"), ["label1"])]
-        batch = collate(pack(examples, toy_table))
+        batch = pack_batch(examples, toy_table)
         kg = pack_graph(path_graph("knowledge"), toy_table)
         assert kg.num_sources == kg.num_classes == 2 < kg.num_nodes
         assert not np.array_equal(kg.src, kg.src_class)
@@ -633,12 +666,12 @@ class TestSourceRows:
 
     def test_chunk_union_equals_collated_examples(self, rng, toy_table):
         examples = TestPack().examples(rng)
-        union, collated = pack_batch(examples, toy_table), collate(pack(examples, toy_table))
+        union = pack_batch(examples, toy_table)
+        collated = collate([pack_batch([ex], toy_table) for ex in examples])
         for kind in ("kg", "sg"):
             a, b = getattr(union, kind), getattr(collated, kind)
             assert a.num_graphs == b.num_graphs == len(examples)
-            for field in ("inputs", "sources", "dst", "src", "src_class", "weight",
-                          "classes", "class_sizes", "class_graph"):
+            for field in FIELDS:
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
         cfg = toy_config(num_labels=3, hidden_dim=5, gcn_layers=2, fusion_mode="attention")
         params = init_params(cfg)

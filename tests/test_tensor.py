@@ -8,34 +8,37 @@ from symgraph.tensor import Parameter, Tape, Tensor, backward, sgd_step
 
 
 class TestMatmul:
+    """Matrix products.  ``linear`` (``x @ w.T``) is the tape's one product
+    primitive, so the product checks run on it."""
+
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(Tensor(np.eye(2)), a)
+        out = T.linear(a, Tensor(np.eye(2)))
         np.testing.assert_array_equal(out.data, a.data)
 
     def test_projector(self):
         p = Tensor([[1.0, 0.0], [0.0, 0.0]])
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(T.matmul(p, b).data, [[5.0, 6.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(T.linear(b, p).data, [[5.0, 0.0], [7.0, 0.0]])
 
     def test_against_triple_loop(self, rng):
         a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        np.testing.assert_allclose(got, matmul_ref(a, b), atol=1e-12)
+        b = rng.normal(size=(2, 4))
+        got = T.linear(Tensor(a), Tensor(b)).data
+        np.testing.assert_allclose(got, matmul_ref(a, b.T), atol=1e-12)
 
     def test_matrix_vector(self, rng):
         a = rng.normal(size=(3, 4))
         x = rng.normal(size=4)
-        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(x)).data, a @ x)
+        np.testing.assert_allclose(T.linear(Tensor(x), Tensor(a)).data, a @ x)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_identity_exact(self, rng):
         a = rng.normal(size=(5, 5))
-        assert np.array_equal(T.matmul(Tensor(a), Tensor(np.eye(5))).data, a)
+        assert np.array_equal(T.linear(Tensor(a), Tensor(np.eye(5))).data, a)
 
 
 class TestRelu:
@@ -185,10 +188,11 @@ def _check_grad(build, shapes, rng, tol=1e-4):
 class TestGradientsAgainstFiniteDifferences:
     def test_matmul_chain(self, rng):
         def build(args, tape):
-            a, b = args
-            return T.sum_all(T.relu(T.matmul(a, b, tape), tape), tape)
+            a, b, c = args
+            h = T.relu(T.linear(a, b, tape), tape)
+            return T.sum_all(T.relu(T.linear(h, c, tape), tape), tape)
 
-        _check_grad(build, [(4, 3), (3, 5)], rng)
+        _check_grad(build, [(4, 3), (5, 3), (2, 5)], rng)
 
     def test_softmax_log_pipeline(self, rng):
         def build(args, tape):
@@ -202,15 +206,15 @@ class TestGradientsAgainstFiniteDifferences:
     def test_attention_style_composition(self, rng):
         # row-wise attention over a batch of 3: column scores, row softmax,
         # and (3, 1) weight columns broadcast over the (3, 5) rows
-        ones = Tensor(np.ones((5, 1)))
+        ones = Tensor(np.ones((1, 5)))
 
         def build(args, tape):
             u, v = args
-            su = T.matmul(T.mul(u, u, tape), ones, tape)
-            sv = T.matmul(T.mul(v, v, tape), ones, tape)
+            su = T.linear(T.mul(u, u, tape), ones, tape)
+            sv = T.linear(T.mul(v, v, tape), ones, tape)
             alpha = T.softmax(T.concat([su, sv], tape), tape)
-            a_u = T.matmul(alpha, Tensor([[1.0], [0.0]]), tape)
-            a_v = T.matmul(alpha, Tensor([[0.0], [1.0]]), tape)
+            a_u = T.linear(alpha, Tensor([[1.0, 0.0]]), tape)
+            a_v = T.linear(alpha, Tensor([[0.0, 1.0]]), tape)
             fused = T.add(T.mul(a_u, u, tape), T.mul(a_v, v, tape), tape)
             return T.sum_all(T.sigmoid(fused, tape), tape)
 
@@ -250,7 +254,7 @@ class TestGradientsAgainstFiniteDifferences:
                 (x,) = args
                 cur = x
                 for d in range(depth):
-                    cur = T.relu(T.matmul(Tensor(np.eye(dim) * 0.7 + 0.1), cur,
+                    cur = T.relu(T.linear(cur, Tensor(np.eye(dim) * 0.7 + 0.1),
                                           tape), tape)
                 return T.sum_all(T.mul(cur, cur, tape), tape)
 

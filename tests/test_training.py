@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symgraph import evaluation, model
 from symgraph.embeddings import EmbeddingTable
 from symgraph.errors import ConfigError, DomainError
 from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
@@ -201,6 +202,35 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train([], make_dataset(1), LABELS, table, small_config(),
                   TrainConfig(epochs=1))
+
+    def test_packing_does_not_depend_on_epochs(self, rng, monkeypatch):
+        # both splits are packed once per run; validation forwards the same
+        # packed chunks every epoch
+        table = make_table(rng)
+        mcfg = small_config()
+        data, val = make_dataset(4), make_dataset(2)
+        packs, scored = [], []
+        pack_graphs, forward_batch = model.pack_graphs, evaluation.forward_batch
+
+        def counting_pack(*args, **kw):
+            packs.append(1)
+            return pack_graphs(*args, **kw)
+
+        def recording_forward(batch, *args, **kw):
+            scored.append(batch)
+            return forward_batch(batch, *args, **kw)
+
+        monkeypatch.setattr(model, "pack_graphs", counting_pack)
+        monkeypatch.setattr(evaluation, "forward_batch", recording_forward)
+        counts = []
+        for epochs in (1, 3):
+            packs.clear()
+            scored.clear()
+            train(data, val, LABELS, table, mcfg, TrainConfig(epochs=epochs, batch_size=3))
+            counts.append(len(packs))
+        assert counts[0] == counts[1] > 0
+        per_epoch = len(scored) // 3
+        assert per_epoch and all(a is b for a, b in zip(scored, scored[per_epoch:]))
 
     def test_bce_mode_runs(self, rng):
         table = make_table(rng)
