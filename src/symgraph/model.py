@@ -18,11 +18,13 @@ get an input vector.  The leaves of a 1-hop knowledge graph cost neither.
 ``pack_batch`` packs examples into one disjoint union per graph kind, ids
 shifted by each graph's start (the batching of PyTorch Geometric).  Training
 packs each split once; a mini-batch is ``take`` of its rows, one gather of
-the chosen graphs' ranges of nodes, classes, sources and edges.  Evaluation
-packs each chunk of examples straight into a union.  Each tower is then one
-encoder product over the sources, one ``scatter_add`` and product over the
-classes per GCN layer, and one ``scatter_add`` over graph ids for the
-readout; fusion and the head work on the (batch, hidden) rows.
+the chosen graphs' ranges of classes, sources and edges.  A union keeps only
+what the forward reads, so it holds no per-node array: a node is counted in
+its class's size.  Evaluation packs each chunk of examples straight into a
+union.  Each tower is then one encoder product over the sources, one
+``scatter_add`` and product over the classes per GCN layer, and one
+``scatter_add`` over graph ids for the readout; fusion and the head work on
+the (batch, hidden) rows.
 """
 
 from __future__ import annotations
@@ -178,37 +180,36 @@ def param_count(config: ModelConfig) -> int:
 class GraphBatch:
     """A disjoint union of graphs of one kind, ready for a tower.
 
-    Node ``i`` belongs to aggregation class ``classes[i]``: its ordered list
-    of in-edge sources (repeated edges count; a node without in-edges has a
-    self-loop instead).  The classes of a graph are numbered by first
-    occurrence in node order, and no class spans two graphs; class ``c`` has
+    Each node belongs to an aggregation class: its ordered list of in-edge
+    sources (repeated edges count; a node without in-edges has a self-loop
+    instead).  The classes of a graph are numbered by first occurrence in
+    node order, and no class spans two graphs; class ``c`` has
     ``class_sizes[c]`` nodes and belongs to graph ``class_graph[c]``.
 
     ``(dst, src, src_class, weight)`` holds the in-edges of each class, in
     edge order within a class: ``dst`` is the class, ``src`` the row of the
     edge's source in ``inputs``, ``src_class`` the class of that source and
     ``weight`` one over the length of the list.  Only these sources are
-    encoded: ``inputs`` has one row per source, in node order, and
-    ``sources`` gives the node of each row.  A GCN layer's aggregate of
-    class ``c`` is the sum of ``weight[e] * states[...]`` over the edges with
+    encoded: ``inputs`` has one row per source, in node order.  So at least
+    one in-edge of its own graph reads every row of ``inputs``, which is how
+    ``offsets`` finds a row's graph.  A GCN layer's aggregate of class ``c``
+    is the sum of ``weight[e] * states[...]`` over the edges with
     ``dst[e] == c``, read at ``src[e]`` from the encoder's rows and at
     ``src_class[e]`` from an earlier layer's rows (a row per class).
     """
 
     inputs: np.ndarray  # (sources, 2 * embed_dim)
-    sources: np.ndarray
     dst: np.ndarray
     src: np.ndarray
     src_class: np.ndarray
     weight: np.ndarray
-    classes: np.ndarray
     class_sizes: np.ndarray
     class_graph: np.ndarray
     num_graphs: int
 
     @property
     def num_nodes(self) -> int:
-        return self.classes.size
+        return int(self.class_sizes.sum())
 
     @property
     def num_classes(self) -> int:
@@ -216,16 +217,17 @@ class GraphBatch:
 
     @property
     def num_sources(self) -> int:
-        return self.sources.size
+        return self.inputs.shape[0]
 
     @cached_property
     def offsets(self) -> np.ndarray:
-        """(4, graphs + 1) starts of each graph's nodes, classes, sources and
-        edges, then their ends; a graph's items are consecutive."""
-        g = self.class_graph  # the graph of each class, then of each item
+        """(3, graphs + 1) starts of each graph's classes, sources and edges,
+        then their ends; a graph's items are consecutive."""
+        edge_graph = self.class_graph[self.dst]
+        source_graph = np.empty(self.num_sources, dtype=np.intp)
+        source_graph[self.src] = edge_graph  # every source row is read by an edge
         counts = [np.bincount(graph_ids, minlength=self.num_graphs)
-                  for graph_ids in (g[self.classes], g, g[self.classes[self.sources]],
-                                    g[self.dst])]
+                  for graph_ids in (self.class_graph, source_graph, edge_graph)]
         return np.pad(np.cumsum(counts, axis=1), ((0, 0), (1, 0)))
 
 
@@ -263,12 +265,13 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     tokens, token_counts = [], []  # per reader: phrase ids of its tokens; their count
     readers, relations = [], []  # per message into a source: reader row, phrase id
     degree = []  # per source: its messages
-    sources, classes, class_graph = [], [], []  # per source, node, class
-    src, src_class, lengths = [], [], []  # per class in-edge; per class
-    ends = [(0, 0, 0, 0)]  # per part: ends of its nodes, classes, sources, edges
+    src, src_class = [], []  # per class in-edge
+    lengths, class_graph = [], []  # per class
+    node_class = []  # per node: its class, numbered over the call
+    ends = [(0, 0, 0)]  # per part: ends of its classes, sources, edges
     graph_iter = iter(graphs)
     for count in parts:
-        n0 = c0 = s0 = 0  # nodes, classes and sources of the part so far
+        s0 = 0  # sources of the part so far
         for gid in range(count):
             g = next(graph_iter)
             n = len(g.nodes)
@@ -277,6 +280,7 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
                 in_srcs.setdefault(e.dst, []).append(e.src)
             if in_srcs and (min(in_srcs) < 0 or max(in_srcs) >= n):
                 raise ValidationError(f"edge index out of range for {n} nodes")
+            c0 = len(class_graph)
             number = {}  # in-edge sources -> class, numbered by first occurrence
             local = [number.setdefault(tuple(in_srcs.get(i, (i,))), len(number) + c0)
                      for i in range(n)]
@@ -288,9 +292,8 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
             src += map(row.__getitem__, flat)
             src_class += map(local.__getitem__, flat)
             lengths += map(len, number)
-            classes += local
+            node_class += local
             class_graph += [gid] * len(number)
-            sources += [u + n0 for u in used]
 
             into = {}  # source -> its in-edges, in edge order
             if not in_srcs.keys().isdisjoint(used):
@@ -312,8 +315,8 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
                     readers.append(r)
                     relations.append(ids.setdefault(relation, len(ids)))
                 degree.append(len(pairs))
-            n0, c0, s0 = n0 + n, c0 + len(number), s0 + len(used)
-        ends.append((len(classes), len(class_graph), len(sources), len(src)))
+            s0 += len(used)
+        ends.append((len(class_graph), len(degree), len(src)))
     phrase_vecs = table.phrase_vectors(list(ids))
 
     num_readers, num_sources = len(token_counts), len(degree)
@@ -325,21 +328,20 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     inputs = T.scatter_rows(messages, np.repeat(np.arange(num_sources), degree),
                             num_sources) / degree[:, None]
 
-    # class ids are numbered within each part
-    part_nodes, part_classes = np.diff(np.array(ends, dtype=np.intp)[:, :2], axis=0).T
-    classes = np.array(classes, dtype=np.intp)
+    # class ids are numbered over the call, then shifted to number within each part
+    part_classes = np.diff(np.array(ends, dtype=np.intp)[:, 0])
     lengths = np.array(lengths, dtype=np.intp)
-    class_sizes = np.bincount(classes + _offsets(part_classes, part_nodes),
-                              minlength=lengths.size)
-    dst = np.repeat(np.arange(lengths.size) - _offsets(part_classes, part_classes), lengths)
-    sources = np.array(sources, dtype=np.intp)
-    src, src_class = np.array(src, dtype=np.intp), np.array(src_class, dtype=np.intp)
+    first = np.repeat(np.cumsum(part_classes) - part_classes, part_classes)  # per class
+    start = np.repeat(first, lengths)  # per class in-edge: the first class of its part
+    dst = np.repeat(np.arange(lengths.size), lengths) - start
+    src = np.array(src, dtype=np.intp)
+    src_class = np.array(src_class, dtype=np.intp) - start
     weight = 1.0 / np.repeat(lengths, lengths)
+    class_sizes = np.bincount(np.array(node_class, dtype=np.intp), minlength=lengths.size)
     class_graph = np.array(class_graph, dtype=np.intp)
-    return [GraphBatch(inputs[s0:s1], sources[s0:s1], dst[e0:e1], src[e0:e1],
-                       src_class[e0:e1], weight[e0:e1], classes[n0:n1],
-                       class_sizes[c0:c1], class_graph[c0:c1], count)
-            for count, (n0, c0, s0, e0), (n1, c1, s1, e1) in zip(parts, ends, ends[1:])]
+    return [GraphBatch(inputs[s0:s1], dst[e0:e1], src[e0:e1], src_class[e0:e1],
+                       weight[e0:e1], class_sizes[c0:c1], class_graph[c0:c1], count)
+            for count, (c0, s0, e0), (c1, s1, e1) in zip(parts, ends, ends[1:])]
 
 
 def pack_graph(g: LabeledGraph, table: EmbeddingTable) -> GraphBatch:
@@ -355,34 +357,24 @@ def pack_batch(examples, table: EmbeddingTable) -> Batch:
                               + [ex.scene_graph for ex in examples], table, [b, b]))
 
 
-def _offsets(counts, repeats):
-    """Start of each part in a concatenation of parts of ``counts`` items,
-    repeated ``repeats`` times per part."""
-    counts = np.asarray(counts, dtype=np.intp)
-    return np.repeat(np.cumsum(counts) - counts, repeats)
-
-
 def take(graphs: GraphBatch, rows) -> GraphBatch:
     """The union of the graphs at ``rows`` of a union, in that order (a row
     may repeat): each kind of id is gathered over the chosen graphs' ranges
     and shifted from a graph's old start to its new one."""
     rows = np.asarray(rows, dtype=np.intp)
     starts = graphs.offsets[:, rows]
-    lengths = graphs.offsets[:, rows + 1] - starts  # (4, rows), kinds as in offsets
+    lengths = graphs.offsets[:, rows + 1] - starts  # (3, rows), kinds as in offsets
     shift = starts - (np.cumsum(lengths, axis=1) - lengths)  # old start - new start
     graph_of = [np.repeat(np.arange(rows.size), n) for n in lengths]  # new graph per item
-    nodes, classes, sources, edges = (s[g] + np.arange(g.size)
-                                      for s, g in zip(shift, graph_of))
-    node_shift, class_shift, source_shift, _ = shift
-    node_graph, class_graph, source_graph, edge_graph = graph_of
+    classes, sources, edges = (s[g] + np.arange(g.size) for s, g in zip(shift, graph_of))
+    class_shift, source_shift, _ = shift
+    class_graph, _, edge_graph = graph_of
     return GraphBatch(
         graphs.inputs[sources],
-        graphs.sources[sources] - node_shift[source_graph],
         graphs.dst[edges] - class_shift[edge_graph],
         graphs.src[edges] - source_shift[edge_graph],
         graphs.src_class[edges] - class_shift[edge_graph],
         graphs.weight[edges],
-        graphs.classes[nodes] - class_shift[node_graph],
         graphs.class_sizes[classes],
         class_graph,
         rows.size,

@@ -152,12 +152,12 @@ def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
     for start in range(0, len(split), tconfig.batch_size):
         rows = order[start:start + tconfig.batch_size]
         tape = Tape()
-        lt = batch_loss(split, rows, params, mconfig, tconfig.loss_mode, tape)
-        value = lt.item()
-        if not np.isfinite(value):
+        try:  # every op output is scanned, so a non-finite value stops the forward
+            lt = batch_loss(split, rows, params, mconfig, tconfig.loss_mode, tape)
+        except DomainError as exc:
             ids = [split.image_ids[i] for i in rows]
-            raise TrainingError(f"non-finite loss in the batch of examples {ids}")
-        total += value
+            raise TrainingError(f"batch of examples {ids}: {exc}") from exc
+        total += lt.item()
         backward(tape, lt)
         for p in params:
             p.grad /= len(rows)

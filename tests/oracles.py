@@ -3,8 +3,9 @@
 These deliberately take different computational routes than the library:
 triple loops instead of BLAS, explicit dense adjacency matrices instead of
 per-node gathers, exhaustive filters instead of indexed lookups, central
-finite differences instead of the tape, and concatenation of per-example
-batches instead of a gather from a packed union.
+finite differences instead of the tape, concatenation of per-example
+batches instead of a gather from a packed union, and per-node list scans
+instead of the packer's numbering of aggregation classes and sources.
 """
 
 import numpy as np
@@ -43,6 +44,29 @@ def row_normalized_adjacency(g):
         else:
             a[i] /= s
     return a
+
+
+def in_source_lists(g):
+    """Per node: the sources of its in-edges in edge order, or the node
+    itself when it has none."""
+    return [[e.src for e in g.edges if e.dst == i] or [i] for i in range(len(g.nodes))]
+
+
+def node_classes_ref(g):
+    """Aggregation class of each node: its in-source list, the lists
+    numbered by first occurrence in node order."""
+    lists = in_source_lists(g)
+    seen = []
+    for key in lists:
+        if key not in seen:
+            seen.append(key)
+    return np.array([seen.index(key) for key in lists], dtype=np.intp)
+
+
+def source_nodes_ref(g):
+    """The nodes that some in-source list holds, in node order: the nodes
+    that get an encoder row."""
+    return np.array(sorted({u for key in in_source_lists(g) for u in key}), dtype=np.intp)
 
 
 def gcn_layer_ref(states, g, w, nonlin):
@@ -157,20 +181,18 @@ def forward_ref(example, weights, table, cfg):
 
 
 def _union(parts):
-    counts = np.array([(p.classes.size, p.class_sizes.size, p.sources.size, p.dst.size,
-                        p.num_graphs) for p in parts], dtype=np.intp)
-    nodes, classes, sources, edges, graphs = counts.T
+    counts = np.array([(p.class_sizes.size, p.inputs.shape[0], p.dst.size, p.num_graphs)
+                       for p in parts], dtype=np.intp)
+    classes, _, edges, graphs = counts.T
     starts = (np.cumsum(counts, axis=0) - counts).T  # of each part, per id kind
-    node_start, class_start, source_start, _, graph_start = starts
+    class_start, source_start, _, graph_start = starts
     edge_classes = np.repeat(class_start, edges)
     return GraphBatch(
         np.concatenate([p.inputs for p in parts]),
-        np.concatenate([p.sources for p in parts]) + np.repeat(node_start, sources),
         np.concatenate([p.dst for p in parts]) + edge_classes,
         np.concatenate([p.src for p in parts]) + np.repeat(source_start, edges),
         np.concatenate([p.src_class for p in parts]) + edge_classes,
         np.concatenate([p.weight for p in parts]),
-        np.concatenate([p.classes for p in parts]) + np.repeat(class_start, nodes),
         np.concatenate([p.class_sizes for p in parts]),
         np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
         int(graphs.sum()),

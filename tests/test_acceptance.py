@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_force_knowledge_graph, gcn_layer_ref
+from oracles import (brute_force_knowledge_graph, gcn_layer_ref, node_classes_ref,
+                     source_nodes_ref)
 from symgraph.cli import main
 from symgraph.embeddings import EmbeddingTable
 from symgraph.gradcheck import gradcheck, random_toy_world
@@ -77,10 +78,10 @@ def test_criterion_3_gcn_oracle_equivalence():
         w = rng.normal(size=(4, 4))
         from symgraph.model import gcn_layer, pack_graph
         packed = pack_graph(g, table)
-        # encoder rows are the nodes in ``sources``; the layer gives one row
-        # per aggregation class, expanded to one per node
-        got = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(w), cfg,
-                        from_encoder=True).data[packed.classes]
+        # encoder rows are the nodes some in-edge list reads; the layer gives
+        # one row per aggregation class, expanded to one per node
+        got = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(w), cfg,
+                        from_encoder=True).data[node_classes_ref(g)]
         ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
         worst = max(worst, float(np.abs(got - ref).max()) if n else 0.0)
     report(3, worst < 1e-12, f"100 graphs, max abs dev {worst:.2e}")

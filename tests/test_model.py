@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (collate, encode_nodes_ref, forward_ref, gcn_layer_ref,
-                     node_input_ref, phrase_ref)
+                     node_classes_ref, node_input_ref, phrase_ref, source_nodes_ref)
 from symgraph.embeddings import EmbeddingTable
 from symgraph.errors import ConfigError, DimensionError, ValidationError
 from symgraph.gradcheck import gradcheck, random_toy_world
@@ -61,8 +61,8 @@ class TestEncodeNodes:
             packed = pack_graph(g, toy_table)
             got = encode_nodes(packed, Tensor(w), cfg).data
             ref = encode_nodes_ref(g, toy_table, w, lambda v: np.maximum(v, 0.0))
-            # one encoder row per source, at the nodes in ``sources``
-            np.testing.assert_allclose(got, ref[packed.sources], atol=1e-12)
+            # one encoder row per source, at the nodes some in-edge list reads
+            np.testing.assert_allclose(got, ref[source_nodes_ref(g)], atol=1e-12)
 
     def test_attributes_enter_node_input(self, toy_table):
         # an isolated node's encoder input is [node input ; e_self]
@@ -89,10 +89,11 @@ class TestGcnLayer:
         states = np.array([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
         packed = pack_graph(g, toy_table)
         # b reads a; a reads itself through its self-loop: only a is encoded
-        np.testing.assert_array_equal(packed.sources, [0])
-        out = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(np.eye(4)), cfg,
-                        from_encoder=True)
-        np.testing.assert_allclose(out.data[packed.classes[1]], [1.0, 0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(source_nodes_ref(g), [0])
+        assert packed.num_sources == 1
+        out = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(np.eye(4)),
+                        cfg, from_encoder=True)
+        np.testing.assert_allclose(out.data[node_classes_ref(g)[1]], [1.0, 0.0, 2.0, 0.0])
 
     def test_opposite_neighbors_cancel(self, toy_table):
         cfg = toy_config(hidden_dim=3)
@@ -101,9 +102,9 @@ class TestGcnLayer:
         v = np.array([2.0, -1.0, 0.5])
         states = np.vstack([v, -v, np.ones(3)])
         packed = pack_graph(g, toy_table)
-        out = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(np.eye(3)), cfg,
-                        from_encoder=True)
-        np.testing.assert_allclose(out.data[packed.classes[2]], 0.0, atol=1e-15)
+        out = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(np.eye(3)),
+                        cfg, from_encoder=True)
+        np.testing.assert_allclose(out.data[node_classes_ref(g)[2]], 0.0, atol=1e-15)
 
     def test_matches_dense_adjacency_reference(self, rng, toy_table):
         cfg = toy_config(hidden_dim=5)
@@ -113,8 +114,8 @@ class TestGcnLayer:
             states = rng.normal(size=(n, 5))
             w = rng.normal(size=(5, 5))
             packed = pack_graph(g, toy_table)
-            got = gcn_layer(Tensor(states[packed.sources]), packed, Tensor(w), cfg,
-                            from_encoder=True).data[packed.classes]
+            got = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(w), cfg,
+                            from_encoder=True).data[node_classes_ref(g)]
             ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
             np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -153,7 +154,8 @@ class TestReadout:
         packed = pack_graph(star_kg(), toy_table)
         s = rng.normal(size=(packed.num_classes, 5))
         np.testing.assert_allclose(readout_sum(Tensor(s), packed).data[0],
-                                   s[packed.classes].sum(axis=0), rtol=0, atol=1e-12)
+                                   s[node_classes_ref(star_kg())].sum(axis=0),
+                                   rtol=0, atol=1e-12)
 
 
 class TestFuseConcat:
@@ -355,8 +357,7 @@ class TestForward:
         out_b = run_tower(packed_b, "sg", watched, cfg)
         assert not np.allclose(out_a.data, out_b.data)
         # the edge lists agree: only the encoder inputs carry the tables
-        for field in ("sources", "dst", "src", "src_class", "weight", "classes",
-                      "class_sizes", "class_graph"):
+        for field in ("dst", "src", "src_class", "weight", "class_sizes", "class_graph"):
             assert np.array_equal(getattr(packed_a, field), getattr(packed_b, field))
         # patch: table b's encoder inputs, then the identical downstream stack
         packed_a.inputs = packed_b.inputs
@@ -455,8 +456,7 @@ def node_count(ex):
     return len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes)
 
 
-FIELDS = ("inputs", "sources", "dst", "src", "src_class", "weight", "classes",
-          "class_sizes", "class_graph")
+FIELDS = ("inputs", "dst", "src", "src_class", "weight", "class_sizes", "class_graph")
 
 
 class TestPack:
@@ -515,8 +515,8 @@ class TestPack:
         examples = self.examples(rng)
         graphs = [g for ex in examples for g in (ex.knowledge_graph, ex.scene_graph)]
         for g, packed in zip(graphs, pack_graphs(graphs, toy_table)):
-            assert packed.inputs.shape == (packed.num_sources, 12)
-            for row, i in enumerate(packed.sources):
+            assert packed.inputs.shape == (source_nodes_ref(g).size, 12)
+            for row, i in enumerate(source_nodes_ref(g)):
                 pairs = ([(e.src, e.relation) for e in g.edges if e.dst == i]
                          or [(i, "self")])
                 want = np.mean([np.concatenate([node_input_ref(g.nodes[s], toy_table),
@@ -563,13 +563,14 @@ class TestAggregationClasses:
     def test_star_packs_to_expected_classes(self, toy_table):
         packed = pack_graph(star_kg(), toy_table)
         assert packed.num_nodes == 6 and packed.num_classes == 3
-        np.testing.assert_array_equal(packed.classes, [0, 0, 0, 0, 1, 2])
+        np.testing.assert_array_equal(node_classes_ref(star_kg()), [0, 0, 0, 0, 1, 2])
         np.testing.assert_array_equal(packed.class_sizes, [4, 1, 1])
         np.testing.assert_array_equal(packed.class_graph, [0, 0, 0])
         # the in-edges of each class, class by class and in edge order within
         # one: tok0's self-loop, tok4's, then tok5's two.  Only the seeds are
         # read, so they are the only encoder rows, and both are in class 0
-        np.testing.assert_array_equal(packed.sources, [0, 1])
+        np.testing.assert_array_equal(source_nodes_ref(star_kg()), [0, 1])
+        assert packed.num_sources == 2
         np.testing.assert_array_equal(packed.dst, [0, 1, 2, 2])
         np.testing.assert_array_equal(packed.src, [0, 1, 0, 1])
         np.testing.assert_array_equal(packed.src_class, [0, 0, 0, 0])
@@ -609,14 +610,15 @@ class TestAggregationClasses:
         for field in FIELDS:
             assert np.array_equal(getattr(kg, field),
                                   getattr(pack_batch([ex, ex], toy_table).kg, field)), field
-        c, n, s = alone.num_classes, alone.num_nodes, alone.num_sources
-        assert kg.num_classes == 2 * c
-        np.testing.assert_array_equal(kg.classes, np.r_[alone.classes, alone.classes + c])
+        c, s = alone.num_classes, alone.num_sources
+        assert kg.num_classes == 2 * c and kg.num_nodes == 2 * alone.num_nodes
+        np.testing.assert_array_equal(kg.class_sizes, np.r_[alone.class_sizes,
+                                                            alone.class_sizes])
         np.testing.assert_array_equal(kg.dst, np.r_[alone.dst, alone.dst + c])
         np.testing.assert_array_equal(kg.src, np.r_[alone.src, alone.src + s])
         np.testing.assert_array_equal(kg.src_class,
                                       np.r_[alone.src_class, alone.src_class + c])
-        np.testing.assert_array_equal(kg.sources, np.r_[alone.sources, alone.sources + n])
+        np.testing.assert_array_equal(kg.inputs, np.r_[alone.inputs, alone.inputs])
         np.testing.assert_array_equal(kg.class_graph, np.repeat([0, 1], c))
 
 
@@ -641,7 +643,7 @@ class TestSourceRows:
         read = {e.src for e in g.edges} | set(range(len(g.nodes))) - has_in
         assert packed.num_nodes == 10 and len(read) == 2
         assert packed.inputs.shape[0] == packed.num_sources == len(read) < packed.num_nodes
-        np.testing.assert_array_equal(packed.sources, sorted(read))
+        np.testing.assert_array_equal(source_nodes_ref(g), sorted(read))
 
     def test_as_many_sources_as_classes_matches_dense_oracle(self, rng, toy_table):
         # the layer-0 states (a row per source) and the later ones (a row per

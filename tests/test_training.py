@@ -3,7 +3,7 @@ import pytest
 
 from symgraph import evaluation, model
 from symgraph.embeddings import EmbeddingTable
-from symgraph.errors import ConfigError, DomainError
+from symgraph.errors import ConfigError, DomainError, TrainingError
 from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
 from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
@@ -145,6 +145,22 @@ class TestTrainEpoch:
         with pytest.raises(ConfigError):
             train_epoch(pack_split([], table, LABELS), init_params(mcfg), mcfg, tc,
                         child_rng(0, "shuffle"))
+
+    def test_non_finite_batch_names_its_examples(self, rng):
+        # head weights scaled to overflow make the logits infinite (numpy warns
+        # of the overflow, and of inf - inf in the finiteness scan); the error
+        # names the examples of the failing batch and keeps the tensor message
+        table = make_table(rng)
+        mcfg = small_config()
+        split = pack_split(make_dataset(2), table, LABELS)
+        for mode in ("softmax_ce", "sigmoid_bce"):
+            params = init_params(mcfg)
+            for name in ("mlp.w1", "mlp.w2"):
+                params[name].value *= 1e200
+            tc = TrainConfig(epochs=1, batch_size=2, shuffle=False, loss_mode=mode)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    TrainingError, match=r"\['img0_0', 'img0_1'\]: .*non-finite"):
+                train_epoch(split, params, mcfg, tc, child_rng(0, "shuffle"))
 
 
 class TestTrain:
