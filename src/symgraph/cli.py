@@ -2,8 +2,8 @@
 
 Commands: prepare, synth, train, eval, ablate, gradcheck.  Each command can
 read its flags from a key=value config file (command-line flags win), and
-writes a run manifest (resolved config plus input-file hashes) before doing
-any work.
+writes a run manifest (resolved config, input-file hashes, Python and numpy
+versions) before doing any work.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
@@ -13,9 +13,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import dataset, evaluation, synth
 from .embeddings import load_embeddings
@@ -56,6 +59,8 @@ def write_manifest(out_dir, command, resolved: dict, inputs: dict):
                    if k not in ("func", "command")},
         "out_dir": str(out_dir),
         "artifact_hashes": hashes,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,7 +1,8 @@
 """Dataset bundles: per-image example documents plus a split manifest.
 
-A bundle directory holds ``examples/<image_id>.json``, ``labels.txt`` and
-``splits.json`` ({"train": [...], "val": [...], "test": [...]}).
+A bundle directory holds ``examples/<image_id>.json`` (one line of compact
+JSON each), ``labels.txt`` and ``splits.json`` ({"train": [...], "val":
+[...], "test": [...]}).
 """
 
 from __future__ import annotations
@@ -126,10 +127,13 @@ def read_labels(path) -> list:
 
 
 def write_bundle(out_dir, examples, label_list, splits: dict):
+    """Each example document is one line of compact JSON with sorted keys:
+    ``json.dumps`` runs its C encoder only without ``indent``.  Readers take
+    any layout, so older indented bundles still load."""
     out = Path(out_dir)
     (out / "examples").mkdir(parents=True, exist_ok=True)
     for ex in examples:
-        doc = json.dumps(example_to_dict(ex), indent=1, sort_keys=True)
+        doc = json.dumps(example_to_dict(ex), sort_keys=True, separators=(",", ":"))
         (out / "examples" / f"{ex.image_id}.json").write_text(doc + "\n",
                                                               encoding="utf-8")
     (out / "labels.txt").write_text("\n".join(label_list) + "\n", encoding="utf-8")

@@ -23,13 +23,13 @@ DEFAULT_RELATIONS = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphNode:
     name: str
     attributes: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphEdge:
     src: int
     dst: int

@@ -29,8 +29,10 @@ the (batch, hidden) rows.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -539,27 +541,60 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams,
         fh.write(buf.getvalue())
 
 
+_JSON_TYPES = {"int": int, "str": str, "bool": bool}  # ModelConfig annotations
+
+
 def read_checkpoint(path):
     """Returns (config, params, loss_mode): the model and the output head it
-    was trained with, which decides how its logits are scored."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-        config = ModelConfig(**meta["config"])
-        params = ModelParams([
-            Parameter(data[k].copy(), k[len("param/"):])
-            for k in data.files if k.startswith("param/")
-        ])
+    was trained with, which decides how its logits are scored.  An unreadable
+    file, another version, a config field of the wrong JSON type or a
+    parameter of the wrong shape raises ``ConfigError`` naming the file."""
+    try:
+        return _read_checkpoint(path)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(path):
+    try:  # np.load leaks a file it opens itself when the zip is broken
+        with open(path, "rb") as fh, np.load(fh) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            arrays = {k[len("param/"):]: data[k]
+                      for k in data.files if k.startswith("param/")}
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as exc:
+        # TypeError: a plain .npy array is no context manager.  Only the
+        # error's kind is shown: numpy's text on a garbage file advises
+        # loading it with allow_pickle.
+        raise ConfigError(f"not a readable checkpoint ({type(exc).__name__})") from None
+    if type(meta) is not dict:
+        raise ConfigError("checkpoint metadata is not an object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
     if meta.get("loss_mode") not in LOSS_MODES:
         raise ConfigError(f"checkpoint has unknown loss_mode {meta.get('loss_mode')!r}")
-    expected = {name for name, _ in param_shapes(config)}
-    if set(params.names()) != expected:
+    config = _config_from_json(meta.get("config"))
+    shapes = dict(param_shapes(config))
+    if set(arrays) != set(shapes):
         raise ConfigError("checkpoint parameters do not match its config")
-    for p in params:
-        if not np.isfinite(p.value).all():
-            raise ConfigError(f"checkpoint parameter '{p.name}' has non-finite values")
+    for name, arr in arrays.items():
+        if arr.dtype != np.float64 or arr.shape != shapes[name]:
+            raise ConfigError(f"checkpoint parameter '{name}' is {arr.dtype} of shape "
+                              f"{arr.shape}, expected float64 of shape {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"checkpoint parameter '{name}' has non-finite values")
+    params = ModelParams([Parameter(arr.copy(), name) for name, arr in arrays.items()])
     return config, params, meta["loss_mode"]
+
+
+def _config_from_json(fields) -> ModelConfig:
+    types = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ModelConfig)}
+    if type(fields) is not dict or set(fields) != set(types):
+        raise ConfigError(f"checkpoint config must have the fields {sorted(types)}")
+    for name, kind in types.items():
+        if type(fields[name]) is not kind:  # exact: true is not the int 1
+            raise ConfigError(f"checkpoint config field '{name}' must be "
+                              f"{kind.__name__}, got {fields[name]!r}")
+    return ModelConfig(**fields)
 
 
 def load_checkpoint(path):

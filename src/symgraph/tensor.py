@@ -37,8 +37,11 @@ class Tensor:
 
     def __init__(self, data, node_id=None):
         self.data = _as_f64(data)
-        # a nan or inf makes the sum non-finite; so can overflow, so recheck
-        if not math.isfinite(self.data.sum()) and not np.isfinite(self.data).all():
+        # Sum of squares: a nan or inf makes it non-finite, and np.vdot (no
+        # ufunc) warns of no overflow, where a sum warns on 1e308 + 1e308 and
+        # inf - inf.  It overflows past |x| ~ 1e154, so then recheck elementwise.
+        flat = self.data.ravel("K")  # a view, also of a transpose
+        if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(self.data).all():
             raise DomainError("tensor contains non-finite values")
         self.node_id = node_id
 

@@ -1,12 +1,14 @@
 import json
+import platform
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symgraph.cli import main
-from symgraph.dataset import example_from_dict, load_bundle
+from symgraph.dataset import example_from_dict, load_bundle, write_bundle
 from symgraph.errors import SchemaError
 from symgraph.embeddings import load_embeddings
 from symgraph.evaluation import evaluate_dataset
@@ -168,6 +170,12 @@ class TestPrepare:
         for digest in manifest["artifact_hashes"].values():
             assert len(digest) == 64
 
+    def test_manifest_records_python_and_numpy_versions(self, tmp_path):
+        out = synth_bundle(tmp_path, examples=10)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+
 
 class TestTrainEval:
     def _trained(self, tmp_path, extra_train=()):
@@ -243,12 +251,47 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "mlp.b2" in err[0]
 
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.write_bytes(path.read_bytes()[:200]),
+        lambda path: path.write_bytes(b"not a checkpoint\n" * 8),
+        lambda path: _rewrite_checkpoint(path, param=("kg.gcn0", lambda v: v[:, :-1])),
+        lambda path: _rewrite_checkpoint(path, config=("hidden_dim", "8")),
+    ], ids=["truncated", "garbage", "wrong_shape", "string_config_field"])
+    def test_eval_refuses_bad_checkpoint_naming_it(self, tmp_path, capsys, damage):
+        # a truncated file was a BadZipFile traceback, a garbage one numpy's
+        # allow_pickle ValueError, a narrower weight "linear widths disagree"
+        # with exit 1, and a string width a TypeError traceback
+        data, run_dir = self._trained(tmp_path)
+        path = run_dir / "checkpoint.npz"
+        damage(path)
+        capsys.readouterr()
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", path, "--out", tmp_path / "e2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
     def test_eval_split_flag_validated(self, tmp_path):
         data, run_dir = self._trained(tmp_path)
         assert run(["eval", "--bundle", data / "bundle",
                     "--embeddings", data / "embeddings.txt",
                     "--checkpoint", run_dir / "checkpoint.npz",
                     "--out", tmp_path / "e2", "--split", "bogus"]) == 2
+
+
+def _rewrite_checkpoint(path, param=None, config=None):
+    """Save the checkpoint again with one parameter array or one config field
+    replaced."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    if param is not None:
+        name, change = param
+        arrays[f"param/{name}"] = change(arrays[f"param/{name}"])
+    if config is not None:
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        meta["config"][config[0]] = config[1]
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 class TestAblate:
@@ -322,6 +365,41 @@ class TestErrorHandling:
                     "--embed-dim", 16, "--epochs", 1]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and ":3:" in err[0]
+
+
+class TestBundleFormat:
+    def test_example_documents_are_one_compact_sorted_line(self, tmp_path):
+        bundle = synth_bundle(tmp_path, examples=10) / "bundle"
+        paths = sorted((bundle / "examples").glob("*.json"))
+        assert len(paths) == 10
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1
+            compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+            assert text == compact + "\n"
+
+    def test_rewriting_a_bundle_is_byte_identical(self, tmp_path):
+        bundle = synth_bundle(tmp_path, examples=10) / "bundle"
+        splits, labels = load_bundle(bundle)
+        examples = sorted((ex for split in splits.values() for ex in split),
+                          key=lambda ex: ex.image_id)
+        ids = {name: [ex.image_id for ex in split] for name, split in splits.items()}
+        for out in ("a", "b"):
+            write_bundle(tmp_path / out, examples, labels, ids)
+        assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
+        assert bundle_bytes(tmp_path / "a") == bundle_bytes(bundle)
+
+    def test_indented_bundle_loads_to_the_same_examples(self, tmp_path):
+        # bundles written before example documents were compact still load
+        bundle = synth_bundle(tmp_path, examples=10) / "bundle"
+        old = tmp_path / "old"
+        shutil.copytree(bundle, old)
+        for path in (old / "examples").glob("*.json"):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                            encoding="utf-8")
+        assert (old / "examples" / "img0000.json").read_text().count("\n") > 1
+        assert load_bundle(old) == load_bundle(bundle)
 
 
 class TestBundleReader:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -298,3 +299,23 @@ class TestSerialization:
         d = graph_to_dict(LabeledGraph([GraphNode("a")], [], kind="knowledge"))
         with pytest.raises(SchemaError):
             graph_from_dict({**d, **patch})
+
+
+class TestGraphRecords:
+    def test_nodes_and_edges_are_slotted(self):
+        # slotted records: no per-instance __dict__ to build and collect
+        for record in (GraphNode("a", ["x"]), GraphEdge(0, 1, "r")):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.weight = 1.0
+
+    def test_equality_and_asdict_unchanged(self):
+        assert GraphNode("a") == GraphNode("a", [])
+        assert GraphNode("a", ["x"]) != GraphNode("a", ["y"])
+        assert GraphEdge(0, 1, "r") == GraphEdge(0, 1, "r") != GraphEdge(1, 0, "r")
+        assert asdict(GraphNode("a", ["x"])) == {"name": "a", "attributes": ["x"]}
+        assert asdict(GraphEdge(0, 1, "r")) == {"src": 0, "dst": 1, "relation": "r"}
+        g = LabeledGraph([GraphNode("a")], [GraphEdge(0, 0, "r")], kind="knowledge")
+        assert asdict(g) == {"nodes": [{"name": "a", "attributes": []}],
+                             "edges": [{"src": 0, "dst": 0, "relation": "r"}],
+                             "kind": "knowledge"}

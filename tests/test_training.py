@@ -148,8 +148,8 @@ class TestTrainEpoch:
 
     def test_non_finite_batch_names_its_examples(self, rng):
         # head weights scaled to overflow make the logits infinite (numpy warns
-        # of the overflow, and of inf - inf in the finiteness scan); the error
-        # names the examples of the failing batch and keeps the tensor message
+        # of the overflow in the matmul); the error names the examples of the
+        # failing batch and keeps the tensor message
         table = make_table(rng)
         mcfg = small_config()
         split = pack_split(make_dataset(2), table, LABELS)
@@ -158,7 +158,7 @@ class TestTrainEpoch:
             for name in ("mlp.w1", "mlp.w2"):
                 params[name].value *= 1e200
             tc = TrainConfig(epochs=1, batch_size=2, shuffle=False, loss_mode=mode)
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            with np.errstate(over="ignore"), pytest.raises(
                     TrainingError, match=r"\['img0_0', 'img0_1'\]: .*non-finite"):
                 train_epoch(split, params, mcfg, tc, child_rng(0, "shuffle"))
 
