@@ -2,8 +2,8 @@
 
 Two GCN towers encode a per-image scene graph and a commonsense knowledge
 graph; their sum readouts are fused (concatenation+product or norm-softmax
-attention) and classified by an MLP softmax head, trained with plain SGD on
-a taped reverse-mode autodiff core.
+attention) and classified by an MLP head (softmax, or a sigmoid per label),
+trained with plain SGD on a taped reverse-mode autodiff core.
 """
 
 from .embeddings import EmbeddingTable, load_embeddings

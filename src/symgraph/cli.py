@@ -5,7 +5,7 @@ read its flags from a key=value config file (command-line flags win), and
 writes a run manifest (resolved config, input-file hashes, Python and numpy
 versions) before doing any work.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config/input-path error.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from .errors import (ConfigError, EmbeddingParseError, SchemaError,
                      SymgraphError, ValidationError)
 from .evaluation import ThresholdPolicy, ablation_csv, collect_attention
 from .gradcheck import gradcheck
-from .model import ModelConfig, param_count, read_checkpoint, save_checkpoint
+from .model import ModelConfig, load_checkpoint, param_count, save_checkpoint
 from .training import TrainConfig, train
 
 USAGE_ERRORS = (ConfigError, SchemaError, EmbeddingParseError, ValidationError)
+PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError)
 
 
 def sha256_file(path) -> str:
@@ -159,6 +160,7 @@ def model_config_from_args(args, num_labels):
         mlp_hidden=args.mlp_hidden,
         graph_mode=args.graph_mode,
         seed=args.seed,
+        loss_mode=args.loss,
     )
 
 
@@ -169,7 +171,6 @@ def train_config_from_args(args):
         lr=args.lr,
         seed=args.seed,
         shuffle=not args.no_shuffle,
-        loss_mode=args.loss,
     )
 
 
@@ -227,8 +228,8 @@ def cmd_train(args) -> int:
         policy=policy)
     out = Path(args.out)
     (out / "runlog.csv").write_text(log.to_csv(), encoding="utf-8")
-    save_checkpoint(out / "checkpoint.npz", mconfig, best, tconfig.loss_mode)
-    save_checkpoint(out / "final.npz", mconfig, final, tconfig.loss_mode)
+    save_checkpoint(out / "checkpoint.npz", mconfig, best)
+    save_checkpoint(out / "final.npz", mconfig, final)
     if args.dump_attention:
         rows = collect_attention(splits["val"], best, table, mconfig)
         lines = ["image_id,alpha_kg,alpha_sg"]
@@ -245,7 +246,7 @@ def cmd_eval(args) -> int:
         "bundle": args.bundle, "embeddings": args.embeddings,
         "checkpoint": args.checkpoint})
     splits, label_list = dataset.load_bundle(args.bundle)
-    mconfig, params, loss_mode = read_checkpoint(args.checkpoint)
+    mconfig, params = load_checkpoint(args.checkpoint)
     if mconfig.num_labels != len(label_list):
         raise ConfigError(
             f"checkpoint has {mconfig.num_labels} labels, bundle {len(label_list)}")
@@ -254,8 +255,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"bundle has no split '{args.split}'")
     policy = policy_from_args(args)
     report = evaluation.evaluate_dataset(
-        splits[args.split], params, table, mconfig, label_list, policy,
-        loss_mode=loss_mode)
+        splits[args.split], params, table, mconfig, label_list, policy)
     out = Path(args.out)
     (out / "per_label.csv").write_text(report.per_label_csv(), encoding="utf-8")
     metrics = {
@@ -410,8 +410,8 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing input: {exc}", file=sys.stderr)
+    except PATH_ERRORS as exc:  # the OS message names the path
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SymgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,9 +24,8 @@ def normalize_token(token: str) -> str:
 class EmbeddingTable:
     """token -> fixed vector of width ``dim``; read-only after construction.
 
-    ``index`` maps a normalized token to its row of ``matrix``, ``entries``
-    to that row itself (a view).  Phrases are split into word rows once per
-    table (``phrase_rows``) and remembered.
+    ``index`` maps a normalized token to its row of ``matrix``.  Phrases are
+    split into word rows once per table (``phrase_rows``) and remembered.
     """
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray]):
@@ -56,7 +55,6 @@ class EmbeddingTable:
     def _adopt(self, dim, matrix, index):
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index = dim, matrix, index
-        self.entries = {token: matrix[row] for token, row in index.items()}
         self._phrase_rows = {}  # phrase as given -> tuple of its found word rows
 
     def __contains__(self, token):
@@ -65,8 +63,15 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.index)
 
+    @property
+    def entries(self) -> dict:
+        """token -> its row of ``matrix`` (a view), built on each access."""
+        return {token: self.matrix[row] for token, row in self.index.items()}
+
     def lookup_word(self, word: str):
-        return self.entries.get(normalize_token(word))
+        """The word's row of ``matrix`` (a read-only view), or None."""
+        row = self.index.get(normalize_token(word))
+        return None if row is None else self.matrix[row]
 
     def phrase_rows(self, phrase: str) -> tuple:
         """Rows of the phrase's words found in the table, in word order.

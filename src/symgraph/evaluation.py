@@ -1,4 +1,5 @@
-"""Prediction thresholding, F-score reporting, and ablation harnesses.
+"""Thresholding of the configured output head's scores (softmax probabilities
+or per-label sigmoids), F-score reporting, and ablation harnesses.
 
 F-scores are reported on a 0..100 scale.  Per label, counts are pooled over
 examples (micro within the label); the headline macro F is the unweighted
@@ -135,40 +136,31 @@ def packed_chunks(data, table):
         yield pack_batch(data[part], table)
 
 
-def _forward_chunks(batches, params, mconfig: ModelConfig, loss_mode: str = "softmax_ce"):
-    """Untraced per-example scores and diagnostics of packed batches.
-
-    Yields (scores, diagnostics) per batch: softmax probabilities, or
-    per-label sigmoids of the logits for a ``sigmoid_bce`` head.
-    """
+def _forward_chunks(batches, params, mconfig: ModelConfig):
+    """Untraced (scores, diagnostics) arrays of each packed batch."""
     for batch in batches:
-        probs, diag = forward_batch(batch, params, mconfig)
-        scores = probs.data
-        if loss_mode == "sigmoid_bce":
-            scores = 1.0 / (1.0 + np.exp(-diag["logits"].data))
-        yield scores, diag
+        scores, diag = forward_batch(batch, params, mconfig)
+        yield scores.data, diag
 
 
 def evaluate_batches(batches, truth, params, mconfig: ModelConfig, label_list,
-                     policy: ThresholdPolicy = None,
-                     loss_mode: str = "softmax_ce") -> MetricsReport:
+                     policy: ThresholdPolicy = None) -> MetricsReport:
     """Forward packed batches (untraced), threshold, and score against
     ``truth``, the label set of each of their examples in order."""
     if policy is None:
         policy = ThresholdPolicy()
     predictions = [predict_labels(row, policy, label_list)
-                   for scores, _ in _forward_chunks(batches, params, mconfig, loss_mode)
+                   for scores, _ in _forward_chunks(batches, params, mconfig)
                    for row in scores]
     return f_scores(predictions, truth, label_list, policy)
 
 
 def evaluate_dataset(data, params, table, mconfig: ModelConfig, label_list,
-                     policy: ThresholdPolicy = None,
-                     loss_mode: str = "softmax_ce") -> MetricsReport:
+                     policy: ThresholdPolicy = None) -> MetricsReport:
     """Pack and forward the examples chunk by chunk (untraced), threshold,
     and score."""
     return evaluate_batches(packed_chunks(data, table), [set(ex.labels) for ex in data],
-                            params, mconfig, label_list, policy, loss_mode)
+                            params, mconfig, label_list, policy)
 
 
 def collect_attention(data, params, table, mconfig: ModelConfig):

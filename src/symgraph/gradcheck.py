@@ -83,8 +83,7 @@ def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
 
 
 def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
-              tolerance: float = 1e-4, loss_mode: str = "softmax_ce",
-              corrupt_param: str = None) -> GradCheckReport:
+              tolerance: float = 1e-4, corrupt_param: str = None) -> GradCheckReport:
     """Compare analytic gradients of the full forward+loss against central
     finite differences, coordinate by coordinate.
 
@@ -97,7 +96,7 @@ def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
     rows = [0]
 
     tape = Tape()
-    lt = batch_loss(split, rows, params, mconfig, loss_mode, tape)
+    lt = batch_loss(split, rows, params, mconfig, tape)
     backward(tape, lt)
     analytic = {p.name: p.grad.copy() for p in params}
     if corrupt_param is not None:
@@ -106,7 +105,7 @@ def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
         p.zero_grad()
 
     def loss_at() -> float:
-        return batch_loss(split, rows, params, mconfig, loss_mode).item()
+        return batch_loss(split, rows, params, mconfig).item()
 
     report = GradCheckReport(tolerance=tolerance)
     for p in params:

@@ -1,5 +1,5 @@
 """Two-tower graph network: node encoding, GCN stack, sum readout,
-concat or attention fusion of the two graph vectors, and an MLP softmax head.
+concat or attention fusion of the two graph vectors, and an MLP head.
 
 The network runs on mini-batches.  ``pack_graphs`` turns graphs into
 ``GraphBatch`` unions in one pass over all the graphs of a call.  A node's
@@ -50,6 +50,7 @@ SELF_RELATION = "self"  # reserved relation token for in-degree-0 fallback
 FUSION_MODES = ("concat", "attention", "attention_learned")
 GRAPH_MODES = ("both", "sg_only", "kg_only")
 NONLINEARITIES = ("relu", "sigmoid")
+LOSS_MODES = ("softmax_ce", "sigmoid_bce")  # output head: softmax, or sigmoid per label
 
 
 @dataclass
@@ -64,6 +65,7 @@ class ModelConfig:
     mlp_hidden: int = None  # defaults to hidden_dim
     graph_mode: str = "both"
     seed: int = 0
+    loss_mode: str = "softmax_ce"
 
     def __post_init__(self):
         if self.mlp_hidden is None:
@@ -80,6 +82,8 @@ class ModelConfig:
             raise ConfigError(f"unknown graph_mode '{self.graph_mode}'")
         if self.nonlinearity not in NONLINEARITIES:
             raise ConfigError(f"unknown nonlinearity '{self.nonlinearity}'")
+        if self.loss_mode not in LOSS_MODES:
+            raise ConfigError(f"unknown loss_mode '{self.loss_mode}'")
 
     @property
     def fusion_input_dim(self):
@@ -455,8 +459,8 @@ def attention_fuse(v_kg: Tensor, v_sg: Tensor, tape: Tape = None,
 
 
 def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = None):
-    """MLP head (one hidden layer) with a softmax output per row; returns
-    (probs, logits)."""
+    """MLP head (one hidden layer); returns its scores per row: a softmax, or
+    a sigmoid per label when ``config.loss_mode`` is ``sigmoid_bce``."""
     if fused.shape[-1] != config.fusion_input_dim:
         raise DimensionError(
             f"fused width {fused.shape[-1]} != expected {config.fusion_input_dim}"
@@ -464,7 +468,7 @@ def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = Non
     h = _nonlin(config)(
         T.add(T.linear(fused, watched["mlp.w1"], tape), watched["mlp.b1"], tape), tape)
     logits = T.add(T.linear(h, watched["mlp.w2"], tape), watched["mlp.b2"], tape)
-    return T.softmax(logits, tape), logits
+    return (T.sigmoid if config.loss_mode == "sigmoid_bce" else T.softmax)(logits, tape)
 
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
@@ -480,11 +484,11 @@ def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfi
 
 def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
                   tape: Tape = None):
-    """Full pipeline on a packed batch; returns (probs, diagnostics), one
-    row per example.
+    """Full pipeline on a packed batch; returns (scores, diagnostics), one
+    row per example; the scores are the configured head's (``classify``).
 
-    Diagnostics carry the attention weights (None in concat mode), both
-    readouts, and the logits tensor.
+    Diagnostics are arrays: the attention weights (None in concat mode) and
+    both readouts.
     """
     watched = params.tensors(tape)
     prefixes = tower_prefixes(config)
@@ -500,39 +504,34 @@ def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
         fused = fuse_concat(v_kg, v_sg, tape)
     else:
         fused, alpha = attention_fuse(v_kg, v_sg, tape, score_w=watched.get("attn.score"))
-    probs, logits = classify(fused, watched, config, tape)
     diagnostics = {
         "alpha": None if alpha is None else alpha.data,
         "readout_kg": v_kg.data,
         "readout_sg": v_sg.data,
-        "logits": logits,
     }
-    return probs, diagnostics
+    return classify(fused, watched, config, tape), diagnostics
 
 
 def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelConfig):
-    """Untraced pipeline on one example; returns (probs, diagnostics) as in
-    ``forward_batch`` with the batch axis dropped (logits as an array)."""
-    probs, diag = forward_batch(pack_batch([example], table), params, config)
-    diag["logits"] = diag["logits"].data
-    return Tensor(probs.data[0]), {k: None if v is None else v[0] for k, v in diag.items()}
+    """Untraced pipeline on one example; returns (scores, diagnostics) as in
+    ``forward_batch`` with the batch axis dropped."""
+    scores, diag = forward_batch(pack_batch([example], table), params, config)
+    return Tensor(scores.data[0]), {k: None if v is None else v[0] for k, v in diag.items()}
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 
-CHECKPOINT_VERSION = 2  # 2: records the output head (loss_mode)
-LOSS_MODES = ("softmax_ce", "sigmoid_bce")
+CHECKPOINT_VERSION = 2  # 2: records the output head (loss_mode) beside the config
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams,
-                    loss_mode: str = "softmax_ce"):
-    """Write config, output head and named parameter tensors; values
-    round-trip bit-exact."""
-    if loss_mode not in LOSS_MODES:
-        raise ConfigError(f"unknown loss_mode '{loss_mode}'")
+def save_checkpoint(path, config: ModelConfig, params: ModelParams):
+    """Write config and named parameter tensors; values round-trip bit-exact.
+    The output head is stored as its own metadata key, beside the config."""
+    fields = asdict(config)
+    loss_mode = fields.pop("loss_mode")
     arrays = {f"param/{p.name}": p.value for p in params}
-    meta = json.dumps({"version": CHECKPOINT_VERSION, "config": asdict(config),
+    meta = json.dumps({"version": CHECKPOINT_VERSION, "config": fields,
                        "loss_mode": loss_mode})
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
@@ -544,18 +543,19 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams,
 _JSON_TYPES = {"int": int, "str": str, "bool": bool}  # ModelConfig annotations
 
 
-def read_checkpoint(path):
-    """Returns (config, params, loss_mode): the model and the output head it
-    was trained with, which decides how its logits are scored.  An unreadable
-    file, another version, a config field of the wrong JSON type or a
-    parameter of the wrong shape raises ``ConfigError`` naming the file."""
+def load_checkpoint(path):
+    """Returns (config, params): the model with the output head it was
+    trained with (``config.loss_mode``), so library calls score it as the
+    CLI does.  An unreadable file, another version, a config field of the
+    wrong JSON type or a parameter of the wrong shape raises ``ConfigError``
+    naming the file."""
     try:
-        return _read_checkpoint(path)
+        return _load_checkpoint(path)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _read_checkpoint(path):
+def _load_checkpoint(path):
     try:  # np.load leaks a file it opens itself when the zip is broken
         with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
@@ -572,7 +572,7 @@ def _read_checkpoint(path):
         raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
     if meta.get("loss_mode") not in LOSS_MODES:
         raise ConfigError(f"checkpoint has unknown loss_mode {meta.get('loss_mode')!r}")
-    config = _config_from_json(meta.get("config"))
+    config = _config_from_json(meta.get("config"), meta["loss_mode"])
     shapes = dict(param_shapes(config))
     if set(arrays) != set(shapes):
         raise ConfigError("checkpoint parameters do not match its config")
@@ -582,22 +582,16 @@ def _read_checkpoint(path):
                               f"{arr.shape}, expected float64 of shape {shapes[name]}")
         if not np.isfinite(arr).all():
             raise ConfigError(f"checkpoint parameter '{name}' has non-finite values")
-    params = ModelParams([Parameter(arr.copy(), name) for name, arr in arrays.items()])
-    return config, params, meta["loss_mode"]
+    return config, ModelParams([Parameter(arr.copy(), name) for name, arr in arrays.items()])
 
 
-def _config_from_json(fields) -> ModelConfig:
-    types = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ModelConfig)}
+def _config_from_json(fields, loss_mode: str) -> ModelConfig:
+    types = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ModelConfig)
+             if f.name != "loss_mode"}  # stored beside the config
     if type(fields) is not dict or set(fields) != set(types):
         raise ConfigError(f"checkpoint config must have the fields {sorted(types)}")
     for name, kind in types.items():
         if type(fields[name]) is not kind:  # exact: true is not the int 1
             raise ConfigError(f"checkpoint config field '{name}' must be "
                               f"{kind.__name__}, got {fields[name]!r}")
-    return ModelConfig(**fields)
-
-
-def load_checkpoint(path):
-    """Returns (config, params) of a checkpoint."""
-    config, params, _ = read_checkpoint(path)
-    return config, params
+    return ModelConfig(**fields, loss_mode=loss_mode)

@@ -1,4 +1,5 @@
-"""Multi-label loss and the mini-batch SGD training loop.
+"""Multi-label losses of the configured output head (softmax cross-entropy or
+per-label binary cross-entropy) and the mini-batch SGD training loop.
 
 ``train`` packs its train split once into one disjoint union per graph kind
 (``pack_split``), then records one tape per mini-batch: the batch is a row
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, TrainingError
-from .model import (LOSS_MODES, Batch, ModelConfig, ModelParams, forward_batch,
-                    init_params, pack_batch, take)
+from .model import (Batch, ModelConfig, ModelParams, forward_batch, init_params,
+                    pack_batch, take)
 from .rng import child_rng
 from .tensor import Tape, Tensor, backward, sgd_step
 
@@ -38,7 +39,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     shuffle: bool = True
-    loss_mode: str = "softmax_ce"  # or "sigmoid_bce"
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -47,8 +47,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"unknown loss_mode '{self.loss_mode}'")
 
 
 @dataclass
@@ -94,11 +92,10 @@ def loss(probs: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
     )
 
 
-def bce_loss(logits: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
-    """Per-label binary cross-entropy on sigmoid outputs (alternative head),
-    summed over labels and rows; a label is positive where its target is."""
+def bce_loss(p: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
+    """Binary cross-entropy per label on the sigmoid head's scores, summed over
+    labels and rows; a label is positive where its target is."""
     y = (np.asarray(targets) > 0).astype(np.float64)
-    p = T.sigmoid(logits, tape)
     pos = T.mul(Tensor(y), T.log(T.add_const(p, LOG_EPS, tape), tape), tape)
     neg = T.mul(
         Tensor(1.0 - y),
@@ -130,13 +127,12 @@ def pack_split(examples, table, label_list) -> PackedSplit:
 
 
 def batch_loss(split: PackedSplit, rows, params: ModelParams, mconfig: ModelConfig,
-               loss_mode: str, tape: Tape = None) -> Tensor:
+               tape: Tape = None) -> Tensor:
     """Forward the examples at ``rows`` as one batch; returns their summed loss."""
     batch = Batch(take(split.batch.kg, rows), take(split.batch.sg, rows))
-    probs, diag = forward_batch(batch, params, mconfig, tape)
-    if loss_mode == "sigmoid_bce":
-        return bce_loss(diag["logits"], split.targets[rows], tape)
-    return loss(probs, split.targets[rows], tape)
+    scores, _ = forward_batch(batch, params, mconfig, tape)
+    head_loss = bce_loss if mconfig.loss_mode == "sigmoid_bce" else loss
+    return head_loss(scores, split.targets[rows], tape)
 
 
 def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
@@ -153,7 +149,7 @@ def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
         rows = order[start:start + tconfig.batch_size]
         tape = Tape()
         try:  # every op output is scanned, so a non-finite value stops the forward
-            lt = batch_loss(split, rows, params, mconfig, tconfig.loss_mode, tape)
+            lt = batch_loss(split, rows, params, mconfig, tape)
         except DomainError as exc:
             ids = [split.image_ids[i] for i in rows]
             raise TrainingError(f"batch of examples {ids}: {exc}") from exc
@@ -191,7 +187,7 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
         t0 = time.perf_counter()
         mean_loss = train_epoch(train_split, params, mconfig, tconfig, rng)
         report = evaluate_batches(val_batches, val_truth, params, mconfig, label_list,
-                                  policy, tconfig.loss_mode)
+                                  policy)
         seconds = time.perf_counter() - t0
         log.records.append(EpochRecord(epoch, mean_loss, report.macro_f, seconds))
         if report.macro_f > best_f:

@@ -79,7 +79,7 @@ def phrase_ref(table, phrase):
     """Mean of the vectors of a phrase's words found in the table, looked up
     one word at a time; zeros when none is found."""
     words = phrase.replace("_", " ").lower().split()
-    found = [table.entries[w] for w in words if w in table.entries]
+    found = [v for v in map(table.lookup_word, words) if v is not None]
     return np.mean(found, axis=0) if found else np.zeros(table.dim)
 
 
@@ -145,9 +145,9 @@ def finite_difference(f, x, eps=1e-6):
 
 
 def forward_ref(example, weights, table, cfg):
-    """Dense-adjacency reference for one example's class probabilities:
-    per-node encoder loop, A_hat @ H @ W^T layers, column-sum readout, then
-    fusion and the MLP head on plain vectors."""
+    """Dense-adjacency reference for one example's scores under the
+    configured head: per-node encoder loop, A_hat @ H @ W^T layers,
+    column-sum readout, then fusion and the MLP head on plain vectors."""
     def f(v):
         return np.maximum(v, 0.0) if cfg.nonlinearity == "relu" else 1.0 / (1.0 + np.exp(-v))
 
@@ -177,7 +177,10 @@ def forward_ref(example, weights, table, cfg):
         alpha = softmax(s)
         fused = alpha[0] * v["kg"] + alpha[1] * v["sg"]
     hidden = f(weights["mlp.w1"] @ fused + weights["mlp.b1"])
-    return softmax(weights["mlp.w2"] @ hidden + weights["mlp.b2"])
+    logits = weights["mlp.w2"] @ hidden + weights["mlp.b2"]
+    if cfg.loss_mode == "sigmoid_bce":
+        return 1.0 / (1.0 + np.exp(-logits))
+    return softmax(logits)
 
 
 def _union(parts):

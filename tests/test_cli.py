@@ -2,17 +2,18 @@ import json
 import platform
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symgraph.cli import main
+from symgraph.cli import build_parser, main, model_config_from_args
 from symgraph.dataset import example_from_dict, load_bundle, write_bundle
 from symgraph.errors import SchemaError
 from symgraph.embeddings import load_embeddings
 from symgraph.evaluation import evaluate_dataset
-from symgraph.model import load_checkpoint, save_checkpoint
+from symgraph.model import ModelConfig, load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -221,8 +222,11 @@ class TestTrainEval:
         splits, labels = load_bundle(data / "bundle")
         config, params = load_checkpoint(run_dir / "checkpoint.npz")
         table = load_embeddings(data / "embeddings.txt", dim=16)
-        reports = {mode: evaluate_dataset(splits["test"], params, table, config, labels,
-                                          loss_mode=mode)
+        # the library pair scores with the checkpoint's head, as eval does
+        assert evaluate_dataset(splits["test"], params, table, config, labels).macro_f \
+            == got
+        reports = {mode: evaluate_dataset(splits["test"], params, table,
+                                          replace(config, loss_mode=mode), labels)
                    for mode in ("sigmoid_bce", "softmax_ce")}
         assert got == reports["sigmoid_bce"].macro_f
         # the two heads score this model differently, so the check can fail
@@ -270,6 +274,29 @@ class TestTrainEval:
                     "--checkpoint", path, "--out", tmp_path / "e2"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command,flag,wrong", [
+        ("eval", "--checkpoint", "run"),
+        ("eval", "--embeddings", "data"),
+        ("eval", "--bundle", "data/bundle/labels.txt"),
+        ("train", "--out", "data/embeddings.txt"),
+    ], ids=["checkpoint_dir", "embeddings_dir", "bundle_file", "out_file"])
+    def test_path_of_the_wrong_kind_exits_2(self, tmp_path, capsys, command, flag, wrong):
+        # a directory where a file belongs, or a file where a directory
+        # belongs, was an OSError traceback with exit 1
+        data, run_dir = self._trained(tmp_path)
+        flags = {"--bundle": data / "bundle", "--embeddings": data / "embeddings.txt",
+                 "--out": tmp_path / "e2"}
+        if command == "eval":
+            flags["--checkpoint"] = run_dir / "checkpoint.npz"
+        else:
+            flags["--epochs"] = 1
+        flags[flag] = tmp_path / wrong
+        capsys.readouterr()
+        assert run([command, *(arg for pair in flags.items() for arg in pair)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(tmp_path / wrong) in err[0]
 
     def test_eval_split_flag_validated(self, tmp_path):
         data, run_dir = self._trained(tmp_path)
@@ -550,3 +577,17 @@ class TestConfigFile:
         err = capsys.readouterr().err.strip().splitlines()
         key = line.split()[0]
         assert len(err) == 1 and err[0].startswith("error:") and f"'{key}'" in err[0]
+
+
+class TestModelFlags:
+    REQUIRED = ["train", "--bundle", "b", "--embeddings", "e", "--out", "o",
+                "--epochs", "1"]
+
+    def test_defaults_and_loss_flag_reach_model_config(self):
+        # a ModelConfig field or default the flags forget shows up here
+        parser, _ = build_parser()
+        args = parser.parse_args(self.REQUIRED)
+        assert model_config_from_args(args, 3) == ModelConfig(num_labels=3)
+        args = parser.parse_args(self.REQUIRED + ["--loss", "sigmoid_bce"])
+        assert model_config_from_args(args, 3) == ModelConfig(num_labels=3,
+                                                              loss_mode="sigmoid_bce")

@@ -80,11 +80,12 @@ class TestLoadEmbeddings:
         path = write_emb(tmp_path, ["cat 1.0 2.0", "dog 3.0 4.0", "Cat 9.0 9.0"])
         table = load_embeddings(path, dim=2)
         assert len(table) == 2
-        for token, vec in table.entries.items():
+        for token in table.index:
+            vec = table.lookup_word(token)
             assert np.shares_memory(vec, table.matrix)
             np.testing.assert_array_equal(vec, table.matrix[table.index[token]])
         with pytest.raises(ValueError):
-            table.entries["cat"][0] = 0.0
+            table.lookup_word("cat")[0] = 0.0
 
 
 def embed(table, phrase):

@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict, replace
 from itertools import product
 
 import numpy as np
@@ -15,7 +17,7 @@ from symgraph.model import (Batch, ModelConfig, attention_fuse, classify,
                             encode_nodes, forward, forward_batch, fuse_concat,
                             gcn_layer, init_params, load_checkpoint,
                             pack_batch, pack_graph, pack_graphs, param_count,
-                            read_checkpoint, readout_sum, save_checkpoint, take)
+                            readout_sum, save_checkpoint, take)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
 
@@ -225,7 +227,7 @@ class TestClassify:
                          mlp_hidden=3)
         watched = self._watched(cfg, np.zeros((3, 3)), np.zeros(3),
                                 np.zeros((4, 3)), np.zeros(4))
-        probs, _ = classify(Tensor([1.0, 2.0, 3.0]), watched, cfg)
+        probs = classify(Tensor([1.0, 2.0, 3.0]), watched, cfg)
         np.testing.assert_allclose(probs.data, [0.25] * 4)
 
     def test_sums_to_one(self, rng):
@@ -233,7 +235,7 @@ class TestClassify:
                          mlp_hidden=5)
         watched = self._watched(cfg, rng.normal(size=(5, 4)), rng.normal(size=5),
                                 rng.normal(size=(3, 5)), rng.normal(size=3))
-        probs, _ = classify(Tensor(rng.normal(size=4)), watched, cfg)
+        probs = classify(Tensor(rng.normal(size=4)), watched, cfg)
         assert abs(probs.data.sum() - 1.0) <= 1e-12
 
     def test_hand_sized_mlp(self):
@@ -248,7 +250,7 @@ class TestClassify:
         h = np.maximum(w1 @ x + b1, 0.0)       # [2.5, 0.0]
         logits = w2 @ h + b2                   # [2.5, 1.0]
         expected = np.exp(logits) / np.exp(logits).sum()
-        probs, _ = classify(Tensor(x), watched, cfg)
+        probs = classify(Tensor(x), watched, cfg)
         np.testing.assert_allclose(probs.data, expected)
 
     def test_width_mismatch(self):
@@ -431,6 +433,16 @@ class TestBatchedForward:
                 ref = forward_ref(ex, weights, toy_table, cfg)
                 np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
 
+    def test_sigmoid_head_scores_each_label_with_a_sigmoid(self, rng, toy_table):
+        cfg = toy_config(num_labels=3, hidden_dim=5, loss_mode="sigmoid_bce")
+        params = init_params(cfg)
+        weights = {p.name: p.value for p in params}
+        for ex in mixed_examples(rng):
+            scores, _ = forward(ex, params, toy_table, cfg)
+            ref = forward_ref(ex, weights, toy_table, cfg)
+            np.testing.assert_allclose(scores.data, ref, rtol=0, atol=1e-12)
+            assert abs(scores.data.sum() - 1.0) > 1e-3  # not a softmax
+
     def test_chunked_evaluation_matches_single_calls(self, rng, toy_table, monkeypatch):
         examples = mixed_examples(rng) * 3
         labels = ["label0", "label1", "label2"]
@@ -445,10 +457,10 @@ class TestBatchedForward:
             return np.array([[r.tp, r.fp, r.fn] for r in report.per_label])
 
         for mode in ("softmax_ce", "sigmoid_bce"):
-            bulk = evaluation.evaluate_dataset(examples, params, toy_table, cfg, labels,
-                                               loss_mode=mode)
+            cfg = replace(cfg, loss_mode=mode)
+            bulk = evaluation.evaluate_dataset(examples, params, toy_table, cfg, labels)
             singles = sum(counts(evaluation.evaluate_dataset(
-                [ex], params, toy_table, cfg, labels, loss_mode=mode)) for ex in examples)
+                [ex], params, toy_table, cfg, labels)) for ex in examples)
             np.testing.assert_array_equal(counts(bulk), singles)
 
 
@@ -599,7 +611,7 @@ class TestAggregationClasses:
         assert kg.num_classes < kg.num_nodes
         assert kg.num_sources < kg.num_nodes  # leaves get no encoder row
         for loss_mode in ("softmax_ce", "sigmoid_bce"):
-            report = gradcheck(cfg, seed=3, loss_mode=loss_mode)
+            report = gradcheck(replace(cfg, loss_mode=loss_mode), seed=3)
             assert report.ok, (loss_mode, report.per_param)
 
     def test_collate_never_merges_classes_across_graphs(self, rng, toy_table):
@@ -743,14 +755,35 @@ class TestCheckpoint:
             assert np.array_equal(params2[p.name].value, p.value)
 
     def test_output_head_recorded(self, tmp_path):
-        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1,
+                          loss_mode="sigmoid_bce")
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, cfg, init_params(cfg), loss_mode="sigmoid_bce")
-        assert read_checkpoint(path)[2] == "sigmoid_bce"
         save_checkpoint(path, cfg, init_params(cfg))
-        assert read_checkpoint(path)[2] == "softmax_ce"
-        with pytest.raises(ConfigError):
-            save_checkpoint(path, cfg, init_params(cfg), loss_mode="hinge")
+        assert load_checkpoint(path)[0].loss_mode == "sigmoid_bce"
+        save_checkpoint(path, replace(cfg, loss_mode="softmax_ce"), init_params(cfg))
+        assert load_checkpoint(path)[0].loss_mode == "softmax_ce"
+
+    def test_head_is_stored_beside_the_config(self, tmp_path):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1,
+                          loss_mode="sigmoid_bce")
+        params = init_params(cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, cfg, params)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        assert set(meta) == {"version", "config", "loss_mode"}
+        assert "loss_mode" not in meta["config"]
+        assert meta["loss_mode"] == "sigmoid_bce"
+        # a file written in that layout by hand loads with its head
+        fields = {k: v for k, v in asdict(cfg).items() if k != "loss_mode"}
+        meta = json.dumps({"version": 2, "config": fields, "loss_mode": "sigmoid_bce"})
+        np.savez(tmp_path / "hand.npz",
+                 __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
+                 **{f"param/{p.name}": p.value for p in params})
+        cfg2, params2 = load_checkpoint(tmp_path / "hand.npz")
+        assert cfg2 == cfg
+        for p in params:
+            assert np.array_equal(params2[p.name].value, p.value)
 
     def test_non_finite_weight_refused(self, tmp_path):
         cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
@@ -759,4 +792,4 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, cfg, params)
         with pytest.raises(ConfigError, match="kg.gcn0"):
-            read_checkpoint(path)
+            load_checkpoint(path)

@@ -7,7 +7,7 @@ from symgraph.errors import ConfigError, DomainError, TrainingError
 from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
 from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
-from symgraph.tensor import Tensor
+from symgraph.tensor import Tensor, sigmoid
 from symgraph.training import (Example, RunLog, EpochRecord, TrainConfig,
                                bce_loss, loss, pack_split,
                                target_vector, train, train_epoch)
@@ -88,11 +88,11 @@ class TestLoss:
 class TestBceLoss:
     def test_zero_logits(self):
         # sigmoid(0)=0.5 on both labels: -log(.5) - log(.5) = 2 ln 2
-        out = bce_loss(Tensor([0.0, 0.0]), target_vector(["alpha"], LABELS))
+        out = bce_loss(sigmoid(Tensor([0.0, 0.0])), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
     def test_strong_correct_logits_near_zero(self):
-        out = bce_loss(Tensor([20.0, -20.0]), target_vector(["alpha"], LABELS))
+        out = bce_loss(sigmoid(Tensor([20.0, -20.0])), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(0.0, abs=1e-6)
 
 
@@ -151,13 +151,13 @@ class TestTrainEpoch:
         # of the overflow in the matmul); the error names the examples of the
         # failing batch and keeps the tensor message
         table = make_table(rng)
-        mcfg = small_config()
         split = pack_split(make_dataset(2), table, LABELS)
+        tc = TrainConfig(epochs=1, batch_size=2, shuffle=False)
         for mode in ("softmax_ce", "sigmoid_bce"):
+            mcfg = small_config(loss_mode=mode)
             params = init_params(mcfg)
             for name in ("mlp.w1", "mlp.w2"):
                 params[name].value *= 1e200
-            tc = TrainConfig(epochs=1, batch_size=2, shuffle=False, loss_mode=mode)
             with np.errstate(over="ignore"), pytest.raises(
                     TrainingError, match=r"\['img0_0', 'img0_1'\]: .*non-finite"):
                 train_epoch(split, params, mcfg, tc, child_rng(0, "shuffle"))
@@ -250,9 +250,9 @@ class TestTrain:
 
     def test_bce_mode_runs(self, rng):
         table = make_table(rng)
-        mcfg = small_config()
+        mcfg = small_config(loss_mode="sigmoid_bce")
         data = make_dataset(3)
-        tc = TrainConfig(epochs=2, batch_size=4, lr=0.02, loss_mode="sigmoid_bce")
+        tc = TrainConfig(epochs=2, batch_size=4, lr=0.02)
         _, log, _, _ = train(data, data, LABELS, table, mcfg, tc)
         assert all(np.isfinite(r.train_loss) for r in log.records)
 
@@ -265,8 +265,8 @@ class TestConfigAndLog:
             TrainConfig(epochs=1, lr=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=1, loss_mode="hinge")
+        with pytest.raises(ConfigError):  # the output head is part of the model
+            ModelConfig(num_labels=2, loss_mode="hinge")
 
     def test_runlog_csv_layout(self):
         log = RunLog([EpochRecord(0, 0.6931, 50.0, 1.2345),
