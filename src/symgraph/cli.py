@@ -23,7 +23,7 @@ import numpy as np
 from . import dataset, evaluation, synth
 from .embeddings import load_embeddings
 from .errors import (ConfigError, EmbeddingParseError, SchemaError,
-                     SymgraphError, ValidationError)
+                     SymgraphError, ValidationError, read_text)
 from .evaluation import ThresholdPolicy, ablation_csv, collect_attention
 from .gradcheck import gradcheck
 from .model import ModelConfig, load_checkpoint, param_count, save_checkpoint
@@ -71,15 +71,14 @@ def load_config_file(path) -> dict:
     """key=value lines; '#' starts a comment.  A key is a flag name without
     its dashes (``_`` may stand for ``-``)."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("_", "-")] = value.strip()
+    for lineno, line in enumerate(read_text(path, ConfigError).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("_", "-")] = value.strip()
     return values
 
 

@@ -11,7 +11,7 @@ import json
 import logging
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, read_text
 from .graphs import (RelationWhitelist, add_reverse_edges, build_knowledge_graph,
                      check_image_id, graph_from_dict, graph_to_dict, load_facts,
                      load_scene_document, load_vocab, validate_graph)
@@ -90,10 +90,9 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
     if not files:
         raise SchemaError(f"no scene-graph documents in {scene_dir}")
     for path in files:
+        text = read_text(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            image_id, sg, labels = load_scene_document(doc)
+            image_id, sg, labels = load_scene_document(json.loads(text))
         except (SchemaError, json.JSONDecodeError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
         if not labels:
@@ -119,8 +118,8 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
 
 
 def read_labels(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        labels = [line.strip() for line in fh if line.strip()]
+    """One label per line of a UTF-8 file, blank lines skipped."""
+    labels = [line.strip() for line in read_text(path).split("\n") if line.strip()]
     if len(labels) < 2:
         raise SchemaError(f"{path}: need at least 2 labels")
     return labels

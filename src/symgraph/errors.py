@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader that
+turns bytes which are not UTF-8 into one of them."""
 
 
 class SymgraphError(Exception):
@@ -31,3 +32,13 @@ class TrainingError(SymgraphError):
 
 class ConfigError(SymgraphError):
     """Invalid run configuration."""
+
+
+def read_text(path, error=SchemaError) -> str:
+    """The whole UTF-8 file, newlines translated to ``\\n``; bytes that are
+    not UTF-8 raise ``error`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None

@@ -66,11 +66,13 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def predict_labels(probs, policy: ThresholdPolicy, label_list) -> set:
-    """Threshold a probability vector into a label set.
+def predict_labels(probs, policy: ThresholdPolicy, label_list,
+                   loss_mode: str = "softmax_ce") -> set:
+    """Threshold the scores of a ``loss_mode`` head into a label set.
 
-    Default policy predicts labels with probability strictly above the
-    uniform prior 1/C; an empty prediction set is allowed.
+    Default policy predicts labels scoring strictly above the uniform prior:
+    1/C over a softmax's C labels, and 0.5 for per-label sigmoids, each its
+    own Bernoulli.  An empty prediction set is allowed.
     """
     p = np.asarray(probs, dtype=float)
     if p.shape != (len(label_list),):
@@ -78,7 +80,10 @@ def predict_labels(probs, policy: ThresholdPolicy, label_list) -> set:
     if policy.kind == "top_k":
         chosen = np.argsort(-p, kind="stable")[: policy.k]
         return {label_list[i] for i in chosen}
-    cutoff = policy.tau if policy.kind == "fixed" else 1.0 / len(label_list)
+    if policy.kind == "fixed":
+        cutoff = policy.tau
+    else:
+        cutoff = 0.5 if loss_mode == "sigmoid_bce" else 1.0 / len(label_list)
     return {label_list[i] for i in range(len(label_list)) if p[i] > cutoff}
 
 
@@ -149,7 +154,7 @@ def evaluate_batches(batches, truth, params, mconfig: ModelConfig, label_list,
     ``truth``, the label set of each of their examples in order."""
     if policy is None:
         policy = ThresholdPolicy()
-    predictions = [predict_labels(row, policy, label_list)
+    predictions = [predict_labels(row, policy, label_list, mconfig.loss_mode)
                    for scores, _ in _forward_chunks(batches, params, mconfig)
                    for row in scores]
     return f_scores(predictions, truth, label_list, policy)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 from .embeddings import normalize_token
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, read_text
 
 # The 20 admitted fact relations (most frequent ones of the source KB).
 DEFAULT_RELATIONS = (
@@ -54,17 +54,32 @@ class RelationWhitelist:
 
 
 class FactStore:
-    """Indexed set of (relation, head, tail) triples; concepts normalized."""
+    """Indexed set of (relation, head, tail) triples; concepts normalized,
+    relations stripped.
+
+    ``triples`` holds each distinct triple once, in first-occurrence order;
+    ``by_head`` and ``by_tail`` list them per concept in that order.
+    """
 
     def __init__(self, triples):
-        self.triples = set()
+        self._index(*(tuple(zip(*triples)) or ((), (), ())))
+
+    @classmethod
+    def from_columns(cls, relations, heads, tails) -> "FactStore":
+        """The store of the triples ``zip(relations, heads, tails)``."""
+        store = cls.__new__(cls)
+        store._index(relations, heads, tails)
+        return store
+
+    def _index(self, relations, heads, tails):
+        # each distinct string is normalized once
+        concept = {c: normalize_token(c) for c in {*heads, *tails}}.__getitem__
+        relation = {r: r.strip() for r in set(relations)}.__getitem__
+        self.triples = dict.fromkeys(zip(map(relation, relations), map(concept, heads),
+                                         map(concept, tails))).keys()
         self.by_head = defaultdict(list)
         self.by_tail = defaultdict(list)
-        for rel, head, tail in triples:
-            t = (rel.strip(), normalize_token(head), normalize_token(tail))
-            if t in self.triples:
-                continue
-            self.triples.add(t)
+        for t in self.triples:
             self.by_head[t[1]].append(t)
             self.by_tail[t[2]].append(t)
 
@@ -73,24 +88,30 @@ class FactStore:
 
 
 def load_facts(path) -> FactStore:
-    """Read a TSV triple file: relation<TAB>head<TAB>tail per line."""
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise SchemaError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            triples.append(tuple(fields))
-    return FactStore(triples)
+    """Read a UTF-8 TSV triple file: relation<TAB>head<TAB>tail per line,
+    blank lines skipped.
+
+    The file is read once and its lines joined and split on tabs once, so
+    each field column is a slice; a line without exactly two tabs raises
+    naming the first such line.
+    """
+    lines = read_text(path).split("\n")
+    facts = list(filter(str.strip, lines))
+    if set(map(str.count, facts, repeat("\t"))) - {2}:
+        _raise_bad_fact_line(path, lines)
+    fields = "\t".join(facts).split("\t")
+    return FactStore.from_columns(fields[0::3], fields[1::3], fields[2::3])
+
+
+def _raise_bad_fact_line(path, lines):
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() and line.count("\t") != 2:
+            raise SchemaError(f"{path}:{lineno}: expected 3 tab-separated fields")
 
 
 def load_vocab(path) -> set:
-    """One token per line; returns the normalized token set."""
-    with open(path, encoding="utf-8") as fh:
-        return {normalize_token(line) for line in fh if line.strip()}
+    """One token per line of a UTF-8 file; returns the normalized token set."""
+    return {normalize_token(line) for line in read_text(path).split("\n") if line.strip()}
 
 
 # ---------------------------------------------------------------------------

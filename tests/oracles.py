@@ -5,11 +5,17 @@ triple loops instead of BLAS, explicit dense adjacency matrices instead of
 per-node gathers, exhaustive filters instead of indexed lookups, central
 finite differences instead of the tape, concatenation of per-example
 batches instead of a gather from a packed union, and per-node list scans
-instead of the packer's numbering of aggregation classes and sources.
+instead of the packer's numbering of aggregation classes and sources, and
+line-at-a-time text readers instead of bulk parses.
 """
+
+import math
+from collections import defaultdict
 
 import numpy as np
 
+from symgraph.embeddings import normalize_token
+from symgraph.errors import EmbeddingParseError, SchemaError
 from symgraph.model import Batch, GraphBatch
 
 
@@ -207,3 +213,58 @@ def collate(batches):
     of the parts concatenated, ids shifted by the counts of the parts before
     (the reference for ``model.take``)."""
     return Batch(_union([b.kg for b in batches]), _union([b.sg for b in batches]))
+
+
+def load_embeddings_ref(path, dim):
+    """(matrix, index) of an embedding text file, read one line at a time
+    with Python's ``float``, naming the first malformed line (the reference
+    for ``load_embeddings``)."""
+    with open(path, encoding="utf-8") as fh:
+        matrix = np.empty((sum(1 for _ in fh), dim), dtype=np.float64)
+        fh.seek(0)
+        index = {}
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != dim + 1:
+                raise EmbeddingParseError(
+                    f"{path}:{lineno}: expected token + {dim} floats, "
+                    f"got {len(fields) - 1} values"
+                )
+            try:
+                values = list(map(float, fields[1:]))
+            except ValueError as exc:
+                raise EmbeddingParseError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise EmbeddingParseError(f"{path}:{lineno}: non-finite value")
+            key = normalize_token(fields[0])
+            if key and key not in index:
+                matrix[len(index)] = values
+                index[key] = len(index)
+    if not index:
+        raise EmbeddingParseError(f"{path}: no embedding entries found")
+    return matrix[:len(index)], index
+
+
+def load_facts_ref(path):
+    """(triples set, by_head, by_tail) of a TSV fact file, read and indexed
+    one line at a time (the reference for ``load_facts``)."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise SchemaError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            rows.append(fields)
+    triples, by_head, by_tail = set(), defaultdict(list), defaultdict(list)
+    for rel, head, tail in rows:
+        t = (rel.strip(), normalize_token(head), normalize_token(tail))
+        if t not in triples:
+            triples.add(t)
+            by_head[t[1]].append(t)
+            by_tail[t[2]].append(t)
+    return triples, dict(by_head), dict(by_tail)

@@ -393,6 +393,34 @@ class TestErrorHandling:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and ":3:" in err[0]
 
+    @pytest.mark.parametrize("command,target", [
+        ("prepare", "facts.tsv"),
+        ("prepare", "vocab.txt"),
+        ("prepare", "labels.txt"),
+        ("prepare", "scene_graphs/img0000.json"),
+        ("train", "embeddings.txt"),
+        ("train", "bundle/labels.txt"),
+    ], ids=["facts", "vocab", "labels", "scene_document", "embeddings", "bundle_labels"])
+    def test_non_utf8_input_exits_2_naming_the_file(self, tmp_path, capsys, command,
+                                                    target):
+        # each was a UnicodeDecodeError traceback with exit 1
+        data = synth_bundle(tmp_path, examples=10)
+        path = data / target
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        if command == "prepare":
+            argv = ["prepare", "--scene-dir", data / "scene_graphs",
+                    "--facts", data / "facts.tsv", "--vocab", data / "vocab.txt",
+                    "--labels", data / "labels.txt", "--out", tmp_path / "o"]
+        else:
+            argv = ["train", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert "utf-8" in err[0]
+
 
 class TestBundleFormat:
     def test_example_documents_are_one_compact_sorted_line(self, tmp_path):
@@ -543,6 +571,14 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no equals sign here\n")
         assert run(["synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        # was a UnicodeDecodeError traceback with exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs = 2\n\xff\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
 
     def test_value_starting_with_dash_is_read(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -23,6 +23,18 @@ class TestPredictLabels:
         got = predict_labels([0.25] * 4, ThresholdPolicy(), FOUR)
         assert got == set()
 
+    def test_sigmoid_head_cuts_each_label_at_one_half(self):
+        # a per-label sigmoid was cut at 1/C, which is no prior for it
+        three = FOUR[:3]
+        assert predict_labels([0.4, 0.4, 0.4], ThresholdPolicy(), three,
+                              "sigmoid_bce") == set()
+        assert predict_labels([0.4, 0.6, 0.5], ThresholdPolicy(), three,
+                              "sigmoid_bce") == {"b"}
+        assert predict_labels([0.4, 0.4, 0.2], ThresholdPolicy(), three,
+                              "softmax_ce") == {"a", "b"}
+        assert predict_labels([0.4, 0.6, 0.5], ThresholdPolicy("fixed", tau=0.3),
+                              three, "sigmoid_bce") == set(three)
+
     def test_top_k(self):
         probs = [0.1, 0.5, 0.15, 0.25]
         assert predict_labels(probs, ThresholdPolicy("top_k", k=2), FOUR) == \
@@ -121,6 +133,18 @@ class TestEvaluateDataset:
         report = evaluate_dataset(make_dataset(1), init_params(mcfg), table,
                                   mcfg, LABELS, ThresholdPolicy("top_k", k=1))
         assert report.threshold == "top_k(k=1)"
+
+    def test_sigmoid_model_scoring_below_one_half_predicts_nothing(self, rng):
+        # every per-label sigmoid reads 0.4, above 1/3 but no evidence for
+        # any label; it was cut at 1/3 and predicted all three
+        from symgraph.model import init_params
+        labels = LABELS + ["gamma"]
+        mcfg = small_config(num_labels=3, loss_mode="sigmoid_bce")
+        params = init_params(mcfg)
+        params["mlp.w2"].value[:] = 0.0
+        params["mlp.b2"].value[:] = np.log(0.4 / 0.6)
+        report = evaluate_dataset(make_dataset(2), params, make_table(rng), mcfg, labels)
+        assert [row.tp + row.fp for row in report.per_label] == [0, 0, 0]
 
     def test_collect_attention_rows(self, rng):
         table = make_table(rng)
