@@ -10,7 +10,7 @@ from .embeddings import EmbeddingTable, load_embeddings
 from .evaluation import MetricsReport, ThresholdPolicy, f_scores, predict_labels
 from .graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                      LabeledGraph, RelationWhitelist, build_knowledge_graph,
-                     load_scene_graph, validate_graph)
+                     build_knowledge_graphs, load_scene_graph, validate_graph)
 from .model import (Batch, GraphBatch, ModelConfig, ModelParams, attention_fuse,
                     classify, encode_nodes, forward, forward_batch, fuse_concat,
                     gcn_layer, init_params, pack_batch, param_count, readout_sum,

@@ -12,9 +12,10 @@ import logging
 from pathlib import Path
 
 from .errors import SchemaError, read_text
-from .graphs import (RelationWhitelist, add_reverse_edges, build_knowledge_graph,
-                     check_image_id, graph_from_dict, graph_to_dict, load_facts,
-                     load_scene_document, load_vocab, validate_graph)
+from .graphs import (FactStore, RelationWhitelist, add_reverse_edges,
+                     admissible_columns, build_knowledge_graphs, check_image_id,
+                     graph_from_dict, graph_to_dict, load_scene_document, load_vocab,
+                     read_fact_columns, seed_tokens, validate_graph)
 from .embeddings import normalize_token
 from .rng import child_rng
 from .training import Example
@@ -78,14 +79,19 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
 
     Returns (examples sorted by image id, label list).  The knowledge-graph
     vocabulary is the vocab file plus the label names.
+
+    The fact file is read and checked first, so a bad one is reported before
+    any scene document.  Only the facts that some image's seed tokens can
+    admit (``admissible_columns``) are indexed, and every knowledge graph
+    comes from one ``build_knowledge_graphs`` call, which filters each
+    distinct seed token's facts once.
     """
-    store = load_facts(facts_path)
-    whitelist = RelationWhitelist()
+    fact_columns = read_fact_columns(facts_path)
     label_list = read_labels(labels_path)
     vocab = load_vocab(vocab_path) | {normalize_token(l) for l in label_list}
     label_set = set(label_list)
 
-    examples = []
+    images = []
     files = sorted(Path(scene_dir).glob("*.json"))
     if not files:
         raise SchemaError(f"no scene-graph documents in {scene_dir}")
@@ -104,12 +110,19 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
         if not sg.nodes:
             log.warning("image %s has no detected objects; keeping empty graphs",
                         image_id)
-        kg = build_knowledge_graph(sg.nodes, store, whitelist, vocab,
-                                   match_tail=match_tail)
+        images.append((image_id, sg, sorted(set(labels))))
+
+    seeds = set().union(*(seed_tokens(sg.nodes) for _, sg, _ in images))
+    store = FactStore.from_columns(*admissible_columns(*fact_columns, seeds, vocab,
+                                                       match_tail=match_tail))
+    kgs = build_knowledge_graphs([sg.nodes for _, sg, _ in images], store,
+                                 RelationWhitelist(), vocab, match_tail=match_tail)
+    examples = []
+    for (image_id, sg, labels), kg in zip(images, kgs):
         if reverse_edges:
             sg = add_reverse_edges(sg)
             kg = add_reverse_edges(kg)
-        examples.append(Example(image_id, sg, kg, sorted(set(labels))))
+        examples.append(Example(image_id, sg, kg, labels))
     examples.sort(key=lambda ex: ex.image_id)
     ids = [ex.image_id for ex in examples]
     if len(set(ids)) != len(ids):

@@ -18,7 +18,12 @@ _SPLIT = re.compile(r"[\s_]+")
 
 
 def normalize_token(token: str) -> str:
-    """Lowercase, trim, collapse inner whitespace, underscores to spaces."""
+    """Lowercase, trim, collapse inner whitespace, underscores to spaces.
+
+    A lowercase ASCII letters-and-digits token is already in that form and
+    is returned as it is, without the regex pass."""
+    if token.isascii() and token.isalnum() and token.islower():
+        return token
     return _WS.sub(" ", token.replace("_", " ").strip().lower())
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import and_, or_
 
 from .embeddings import normalize_token
 from .errors import SchemaError, ValidationError, read_text
@@ -87,20 +88,44 @@ class FactStore:
         return len(self.triples)
 
 
-def load_facts(path) -> FactStore:
-    """Read a UTF-8 TSV triple file: relation<TAB>head<TAB>tail per line,
-    blank lines skipped.
+def read_fact_columns(path) -> tuple:
+    """(relations, heads, tails): the raw field columns of a UTF-8 TSV triple
+    file, relation<TAB>head<TAB>tail per line, blank lines skipped.
 
     The file is read once and its lines joined and split on tabs once, so
-    each field column is a slice; a line without exactly two tabs raises
-    naming the first such line.
+    each column is a slice; a line without exactly two tabs raises naming
+    the first such line.
     """
     lines = read_text(path).split("\n")
     facts = list(filter(str.strip, lines))
     if set(map(str.count, facts, repeat("\t"))) - {2}:
         _raise_bad_fact_line(path, lines)
     fields = "\t".join(facts).split("\t")
-    return FactStore.from_columns(fields[0::3], fields[1::3], fields[2::3])
+    return fields[0::3], fields[1::3], fields[2::3]
+
+
+def load_facts(path) -> FactStore:
+    """The store of every triple of a TSV triple file (``read_fact_columns``)."""
+    return FactStore.from_columns(*read_fact_columns(path))
+
+
+def admissible_columns(relations, heads, tails, seeds, vocab, match_tail=False) -> tuple:
+    """The rows of fact columns whose fact can join the knowledge graph of
+    some seed token in ``seeds``: the normalized head is a seed and the
+    normalized tail is in ``vocab``; with ``match_tail``, also the rows whose
+    tail is a seed and head is in ``vocab``.  Relations are not checked here.
+
+    Each distinct concept string is normalized once, and each row is then
+    two set lookups on its raw strings.
+    """
+    norm = {c: normalize_token(c) for c in {*heads, *tails}}
+    is_seed = {c for c, n in norm.items() if n in seeds}.__contains__
+    in_vocab = {c for c, n in norm.items() if n in vocab}.__contains__
+    keep = map(and_, map(is_seed, heads), map(in_vocab, tails))
+    if match_tail:
+        keep = map(or_, keep, map(and_, map(is_seed, tails), map(in_vocab, heads)))
+    keep = list(keep)
+    return tuple(list(compress(column, keep)) for column in (relations, heads, tails))
 
 
 def _raise_bad_fact_line(path, lines):
@@ -201,29 +226,55 @@ def seed_tokens(seeds) -> list:
     return out
 
 
-def build_knowledge_graph(seeds, store: FactStore, whitelist: RelationWhitelist,
-                          vocab: set, match_tail: bool = False) -> LabeledGraph:
-    """1-hop expansion of the seeds against the fact store.
+def build_knowledge_graphs(seed_lists, store: FactStore, whitelist: RelationWhitelist,
+                           vocab: set, match_tail: bool = False) -> list:
+    """1-hop expansion of each list of seed nodes against the fact store;
+    one knowledge graph per list.
 
     A fact (r, a, b) is admitted iff r is whitelisted, a is a seed token and
     b is in the vocabulary; the edge keeps the stored direction a -> b.
     With ``match_tail`` facts whose tail is a seed (and head in vocab) are
-    admitted too.  Output is canonical (sorted, deduped).
+    admitted too.  Output is canonical: nodes sorted by name, edges sorted
+    by (head, relation, tail) and deduped.
+
+    Each distinct seed token's admitted facts are filtered from the store
+    once per call and kept sorted.  Without ``match_tail`` every fact of a
+    token's entry has that token as its head, so a graph's sorted edge list
+    is its sorted tokens' entries one after another.
     """
-    tokens = set(seed_tokens(seeds))
-    admitted = set()
-    for t in tokens:
-        for rel, head, tail in store.by_head.get(t, ()):
-            if rel in whitelist and tail in vocab:
-                admitted.add((head, rel, tail))
-        if match_tail:
-            for rel, head, tail in store.by_tail.get(t, ()):
-                if rel in whitelist and head in vocab:
-                    admitted.add((head, rel, tail))
-    names = sorted(tokens | {h for h, _, _ in admitted} | {t for _, _, t in admitted})
-    idx = {name: i for i, name in enumerate(names)}
-    edges = [GraphEdge(idx[h], idx[t], r) for h, r, t in sorted(admitted)]
-    return LabeledGraph([GraphNode(n) for n in names], edges, kind="knowledge")
+    admitted = {}  # seed token -> its sorted, deduped admitted facts
+
+    def facts_of(token):
+        facts = admitted.get(token)
+        if facts is None:
+            found = {(h, r, t) for r, h, t in store.by_head.get(token, ())
+                     if r in whitelist and t in vocab}
+            if match_tail:
+                found.update((h, r, t) for r, h, t in store.by_tail.get(token, ())
+                             if r in whitelist and h in vocab)
+            facts = admitted[token] = sorted(found)
+        return facts
+
+    graphs = []
+    for seeds in seed_lists:
+        tokens = sorted(seed_tokens(seeds))
+        entries = map(facts_of, tokens)
+        edges = (sorted(set().union(*entries)) if match_tail
+                 else list(chain.from_iterable(entries)))
+        heads, relations, tails = zip(*edges) if edges else ((), (), ())
+        names = sorted({*tokens, *heads, *tails})
+        idx = dict(zip(names, range(len(names)))).__getitem__
+        graphs.append(LabeledGraph(
+            list(map(GraphNode, names)),
+            list(map(GraphEdge, map(idx, heads), map(idx, tails), relations)),
+            kind="knowledge"))
+    return graphs
+
+
+def build_knowledge_graph(seeds, store: FactStore, whitelist: RelationWhitelist,
+                          vocab: set, match_tail: bool = False) -> LabeledGraph:
+    """The knowledge graph of one list of seed nodes (``build_knowledge_graphs``)."""
+    return build_knowledge_graphs([seeds], store, whitelist, vocab, match_tail)[0]
 
 
 # ---------------------------------------------------------------------------

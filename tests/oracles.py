@@ -10,6 +10,7 @@ line-at-a-time text readers instead of bulk parses.
 """
 
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -17,6 +18,12 @@ import numpy as np
 from symgraph.embeddings import normalize_token
 from symgraph.errors import EmbeddingParseError, SchemaError
 from symgraph.model import Batch, GraphBatch
+
+
+def normalize_token_ref(token):
+    """``normalize_token`` without its fast path: every token through the
+    regex substitution."""
+    return re.sub(r"\s+", " ", token.replace("_", " ").strip().lower())
 
 
 def matmul_ref(a, b):

@@ -158,6 +158,19 @@ class TestPrepare:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
+    def test_bad_facts_file_reported_before_bad_document(self, tmp_path, capsys):
+        scene_dir = self._raw_inputs(tmp_path, n=3)
+        doc = {"image_id": "bad", "objects": [{"name": "car"}], "relations": [
+            {"subj": 5, "pred": "on", "obj": 0}], "labels": ["go"]}
+        (scene_dir / "bad.json").write_text(json.dumps(doc))
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("IsA\tcar\tvehicle\nIsA\tcar\n")
+        assert run(["prepare", "--scene-dir", scene_dir, "--facts", facts,
+                    "--vocab", tmp_path / "vocab.txt",
+                    "--labels", tmp_path / "labels.txt", "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {facts}:2: ")
+
     def test_manifest_written_with_hashes(self, tmp_path):
         scene_dir = self._raw_inputs(tmp_path, n=3)
         out = tmp_path / "out"

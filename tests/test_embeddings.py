@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from oracles import phrase_ref
+from oracles import normalize_token_ref, phrase_ref
 from symgraph.embeddings import EmbeddingTable, load_embeddings, normalize_token
 from symgraph.errors import EmbeddingParseError
 
@@ -17,6 +19,24 @@ class TestNormalizeToken:
         assert normalize_token("  Car ") == "car"
         assert normalize_token("part_of") == "part of"
         assert normalize_token("red   car") == "red car"
+
+    # pieces of tokens: the first four make tokens the fast path returns
+    # unchanged, every other piece sends a token to the regex path
+    PIECES = ["cat", "x1", "0", "z", "Cat", "DOG", "2024", "_", "part_of", "\t", "  ",
+              " ", "\xa0", "\u2003", "\u0130", "\xdf", "e\u0301", "\u0301", "\u0661",
+              "\x0b", "\x1c", "\n", "-", "\xe9"]
+
+    def test_equals_regex_reference_on_random_tokens(self):
+        rnd = random.Random(20261019)
+        tokens = ["", "a", "1", "ab12", "AB12", "12", "\u0130stanbul", "stra\xdfe",
+                  "cafe\u0301", "a\xa0b", "a\u2003b"]
+        for _ in range(3000):
+            pieces = self.PIECES[:4] if rnd.random() < 0.4 else self.PIECES
+            tokens.append("".join(rnd.choice(pieces) for _ in range(rnd.randint(1, 6))))
+        for token in tokens:
+            assert normalize_token(token) == normalize_token_ref(token), repr(token)
+        fast = sum(t.isascii() and t.isalnum() and t.islower() for t in tokens)
+        assert 500 < fast < len(tokens) - 500  # both paths taken many times
 
 
 class TestLoadEmbeddings:

@@ -1,15 +1,19 @@
 import json
+import random
 from dataclasses import asdict
 
 import pytest
 
 from oracles import brute_force_knowledge_graph
+from symgraph.dataset import prepare
+from symgraph.embeddings import normalize_token
 from symgraph.errors import SchemaError, ValidationError
 from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                              LabeledGraph, RelationWhitelist, add_reverse_edges,
-                             build_knowledge_graph, graph_from_dict,
-                             graph_to_dict, load_facts, load_scene_document,
-                             load_scene_graph, seed_tokens, validate_graph)
+                             build_knowledge_graph, build_knowledge_graphs,
+                             graph_from_dict, graph_to_dict, load_facts,
+                             load_scene_document, load_scene_graph, seed_tokens,
+                             validate_graph)
 
 
 def doc(objects, relations, labels=("safety",)):
@@ -220,6 +224,127 @@ class TestBuildKnowledgeGraph:
         g = build_knowledge_graph([GraphNode("a"), GraphNode("b")],
                                   FactStore(triples), self.wl, {"a", "b"})
         assert all(e.relation in self.wl for e in g.edges)
+
+
+# Raw concept spellings: several normalize to one concept ("Bottle_Cap",
+# "bottle cap"; "  x ", "x"), and "ghost" is a seed no fact mentions.
+CORPUS_CONCEPTS = ["bottle", "Bottle_Cap", "bottle cap", "  x ", "x", "cup", "Cup",
+                   "water", "Water", "glass", "red", "Red", "lid", "sea", "rock"]
+CORPUS_RELATIONS = ["IsA", " IsA ", "RelatedTo", "UsedFor", "HasA", "Synonym",
+                    "Antonym", "dbpedia_genre"]
+
+
+def write_corpus(tmp_path, rnd, docs=32, facts=160, background=0):
+    """Raw prepare inputs: ``docs`` scene documents (the first one without
+    objects) over one shared fact store, plus ``background`` facts between
+    concepts that no document names.  Returns (prepare arguments, fact rows,
+    documents)."""
+    rows = [(rnd.choice(CORPUS_RELATIONS), rnd.choice(CORPUS_CONCEPTS),
+             rnd.choice(CORPUS_CONCEPTS)) for _ in range(facts)]
+    rows += [(r, c, c) for r, c, _ in rows[:12]]  # self-loops
+    rows += rows[:20]  # duplicates
+    rows += [(rnd.choice(CORPUS_RELATIONS), f"bg{rnd.randrange(50)}", f"bg{rnd.randrange(50)}")
+             for _ in range(background)]
+    rnd.shuffle(rows)
+    scene_dir = tmp_path / "scenes"
+    scene_dir.mkdir()
+    documents = []
+    for i in range(docs):
+        objects = [{"name": rnd.choice(CORPUS_CONCEPTS + ["ghost"]),
+                    "attributes": rnd.sample(["red", "Red", "ghost", "sea"],
+                                             rnd.randint(0, 2))}
+                   for _ in range(rnd.randint(1, 4) if i else 0)]
+        doc = {"image_id": f"img{i:02d}", "objects": objects, "relations": [],
+               "labels": [rnd.choice(["go", "Water"])]}
+        (scene_dir / f"img{i:02d}.json").write_text(json.dumps(doc), encoding="utf-8")
+        documents.append(doc)
+    paths = {name: tmp_path / name for name in ("facts.tsv", "vocab.txt", "labels.txt")}
+    paths["facts.tsv"].write_text("".join(f"{r}\t{h}\t{t}\n" for r, h, t in rows),
+                                  encoding="utf-8")
+    vocab = rnd.sample(CORPUS_CONCEPTS + [f"bg{i}" for i in range(50)], 30)
+    paths["vocab.txt"].write_text("\n".join(vocab) + "\n", encoding="utf-8")
+    paths["labels.txt"].write_text("go\nWater\n", encoding="utf-8")
+    args = (scene_dir, paths["facts.tsv"], paths["vocab.txt"], paths["labels.txt"])
+    return args, rows, documents
+
+
+def corpus_seeds(doc):
+    return {normalize_token(t) for obj in doc["objects"]
+            for t in [obj["name"], *obj["attributes"]]}
+
+
+def corpus_vocab(args):
+    return {normalize_token(line)
+            for path in args[2:] for line in path.read_text().split("\n")} - {""}
+
+
+def oracle_graph(seeds, triples, allowed, vocab, match_tail):
+    names, edges = brute_force_knowledge_graph(seeds, triples, allowed, vocab, match_tail)
+    idx = {name: i for i, name in enumerate(names)}
+    return LabeledGraph([GraphNode(n) for n in names],
+                        [GraphEdge(idx[h], idx[t], r) for h, r, t in edges], kind="knowledge")
+
+
+class TestSharedStore:
+    """prepare's knowledge graphs, built once per call over a filtered store,
+    against the brute-force builder over every triple of the file."""
+
+    @pytest.mark.parametrize("reverse_edges", [False, True])
+    @pytest.mark.parametrize("match_tail", [False, True])
+    def test_prepare_matches_brute_force(self, tmp_path, match_tail, reverse_edges):
+        args, rows, documents = write_corpus(tmp_path, random.Random(11))
+        triples = {(r.strip(), normalize_token(h), normalize_token(t)) for r, h, t in rows}
+        allowed, vocab = RelationWhitelist().allowed, corpus_vocab(args)
+        examples, _ = prepare(*args, match_tail=match_tail, reverse_edges=reverse_edges)
+        assert [ex.image_id for ex in examples] == [d["image_id"] for d in documents]
+        for ex, doc in zip(examples, documents):
+            want = oracle_graph(corpus_seeds(doc), triples, allowed, vocab, match_tail)
+            if reverse_edges:
+                want = add_reverse_edges(want)
+            assert graph_to_dict(ex.knowledge_graph) == graph_to_dict(want), ex.image_id
+        # the corpus reaches what the filter and the whitelist must drop
+        seeds = [corpus_seeds(doc) for doc in documents]
+        everything = set(CORPUS_RELATIONS) | {r.strip() for r in CORPUS_RELATIONS}
+        assert not seeds[0] and any("ghost" in s for s in seeds)
+        assert any(oracle_graph(s, triples, allowed, vocab, True).edges
+                   != oracle_graph(s, triples, allowed, vocab, False).edges for s in seeds)
+        assert any(oracle_graph(s, triples, everything, vocab, match_tail).edges
+                   != oracle_graph(s, triples, allowed, vocab, match_tail).edges
+                   for s in seeds)
+
+    @pytest.mark.parametrize("match_tail", [False, True])
+    def test_many_seed_lists_equal_one_at_a_time(self, tmp_path, match_tail):
+        args, _, documents = write_corpus(tmp_path, random.Random(12))
+        store, wl, vocab = load_facts(args[1]), RelationWhitelist(), corpus_vocab(args)
+        seed_lists = [[GraphNode(o["name"], o["attributes"]) for o in d["objects"]]
+                      for d in documents]
+        graphs = build_knowledge_graphs(seed_lists, store, wl, vocab, match_tail)
+        assert len(graphs) == len(seed_lists)
+        for g, seeds in zip(graphs, seed_lists):
+            one = build_knowledge_graph(seeds, store, wl, vocab, match_tail)
+            assert graph_to_dict(g) == graph_to_dict(one)
+
+    @pytest.mark.parametrize("match_tail", [False, True])
+    def test_prepare_indexes_only_admissible_rows(self, tmp_path, monkeypatch, match_tail):
+        # a later change must not go back to indexing the whole store
+        args, rows, documents = write_corpus(tmp_path, random.Random(13), background=1000)
+        seeds = set().union(*map(corpus_seeds, documents))
+        vocab = corpus_vocab(args)
+        admissible = sum(
+            normalize_token(h) in seeds and normalize_token(t) in vocab
+            or match_tail and normalize_token(t) in seeds and normalize_token(h) in vocab
+            for _, h, t in rows)
+        assert 0 < admissible < len(rows) / 4
+        indexed = []
+        from_columns = FactStore.from_columns.__func__
+
+        def counting(cls, relations, heads, tails):
+            indexed.append(len(relations))
+            return from_columns(cls, relations, heads, tails)
+
+        monkeypatch.setattr(FactStore, "from_columns", classmethod(counting))
+        prepare(*args, match_tail=match_tail)
+        assert indexed == [admissible]
 
 
 class TestValidateGraph:
