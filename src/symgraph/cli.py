@@ -210,7 +210,12 @@ def cmd_synth(args) -> int:
 
 
 def _load_inputs(args):
+    """Bundle and embedding table of a train or ablate run; the bundle must
+    have a train and a val split."""
     splits, label_list = dataset.load_bundle(args.bundle)
+    for name in ("train", "val"):
+        if name not in splits:
+            raise SchemaError(f"{Path(args.bundle) / 'splits.json'}: no '{name}' split")
     table = load_embeddings(args.embeddings, dim=args.embed_dim)
     return splits, label_list, table
 

@@ -107,15 +107,15 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
         if unknown:
             raise SchemaError(f"{path}: unknown label(s) {sorted(unknown)}")
         sg = validate_graph(sg)
-        if not sg.nodes:
+        if not sg.names:
             log.warning("image %s has no detected objects; keeping empty graphs",
                         image_id)
         images.append((image_id, sg, sorted(set(labels))))
 
-    seeds = set().union(*(seed_tokens(sg.nodes) for _, sg, _ in images))
+    seeds = set().union(*(seed_tokens(sg) for _, sg, _ in images))
     store = FactStore.from_columns(*admissible_columns(*fact_columns, seeds, vocab,
                                                        match_tail=match_tail))
-    kgs = build_knowledge_graphs([sg.nodes for _, sg, _ in images], store,
+    kgs = build_knowledge_graphs([sg for _, sg, _ in images], store,
                                  RelationWhitelist(), vocab, match_tail=match_tail)
     examples = []
     for (image_id, sg, labels), kg in zip(images, kgs):
@@ -178,9 +178,15 @@ def load_bundle(bundle_dir):
             raise SchemaError(f"{path}: {exc}") from exc
         by_id[ex.image_id] = ex
     splits = {}
+    split_of = {}  # image id -> the split that lists it
     for name, ids in split_map.items():
         missing = [i for i in ids if i not in by_id]
         if missing:
             raise SchemaError(f"split '{name}' lists unknown image ids: {missing[:3]}")
+        for i in ids:  # an example in two splits would be scored on what trained it
+            if i in split_of:
+                raise SchemaError(f"{splits_path}: image id {i!r} is listed in "
+                                  f"'{split_of[i]}' and in '{name}'")
+            split_of[i] = name
         splits[name] = [by_id[i] for i in ids]
     return splits, label_list

@@ -136,7 +136,7 @@ def packed_chunks(data, table):
     """One batch per chunk of raw examples, each packed straight into one
     union per graph kind; consumed lazily, only one chunk's arrays are alive
     at a time."""
-    nodes = [len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes) for ex in data]
+    nodes = [len(ex.knowledge_graph.names) + len(ex.scene_graph.names) for ex in data]
     for part in chunks(nodes):
         yield pack_batch(data[part], table)
 

@@ -65,7 +65,7 @@ def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
                       tokens[rng.integers(0, 12)])
             for _ in range(n_nodes + 2)
         ]
-        return validate_graph(LabeledGraph(nodes, edges, kind="scene"))
+        return validate_graph(LabeledGraph.from_records(nodes, edges, kind="scene"))
 
     def star_knowledge_graph():
         names = rng.permutation(10)[:n_nodes]  # distinct concepts; 0 and 1 are seeds
@@ -73,8 +73,8 @@ def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
         edges = [GraphEdge(s, tail, tokens[rng.integers(0, 12)])
                  for tail in range(2, n_nodes)
                  for s in parents[0 if tail == 2 else rng.integers(0, 3)]]
-        return validate_graph(LabeledGraph([GraphNode(tokens[i]) for i in names],
-                                           edges, kind="knowledge"))
+        return validate_graph(LabeledGraph.from_records([GraphNode(tokens[i]) for i in names],
+                                                        edges, kind="knowledge"))
 
     labels = [f"label{i}" for i in range(mconfig.num_labels)]
     ex = Example("gradcheck-0", random_scene_graph(), star_knowledge_graph(),

@@ -26,24 +26,59 @@ DEFAULT_RELATIONS = (
 
 @dataclass(slots=True)
 class GraphNode:
+    """One node as a record: the item type of ``LabeledGraph.nodes``."""
+
     name: str
     attributes: list = field(default_factory=list)
 
 
 @dataclass(slots=True)
 class GraphEdge:
+    """One edge as a record: the item type of ``LabeledGraph.edges``."""
+
     src: int
     dst: int
     relation: str
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledGraph:
-    """Directed graph with relation-labeled edges; kind is scene|knowledge."""
+    """Directed graph with relation-labeled edges, held as columns (tuples);
+    kind is scene|knowledge.
 
-    nodes: list
-    edges: list
+    Node ``i`` is named ``names[i]`` and has the attribute tokens
+    ``attributes[i]``, the shared ``()`` when it has none.  Edge ``e`` runs
+    from node ``src[e]`` to node ``dst[e]`` with the label ``relations[e]``.
+    """
+
+    names: tuple
+    attributes: tuple
+    src: tuple
+    dst: tuple
+    relations: tuple
     kind: str = "scene"
+
+    @classmethod
+    def from_records(cls, nodes, edges, kind: str = "scene") -> "LabeledGraph":
+        """The graph of ``GraphNode`` and ``GraphEdge`` records."""
+        return cls(tuple(n.name for n in nodes), tuple(tuple(n.attributes) for n in nodes),
+                   tuple(e.src for e in edges), tuple(e.dst for e in edges),
+                   tuple(e.relation for e in edges), kind)
+
+    @property
+    def nodes(self) -> list:
+        """The nodes as new ``GraphNode`` records, built on each access."""
+        return list(map(GraphNode, self.names, map(list, self.attributes)))
+
+    @property
+    def edges(self) -> list:
+        """The edges as new ``GraphEdge`` records, built on each access."""
+        return list(map(GraphEdge, self.src, self.dst, self.relations))
+
+
+def _columns(triples) -> tuple:
+    """The three columns of a sequence of triples."""
+    return tuple(zip(*triples)) or ((), (), ())
 
 
 class RelationWhitelist:
@@ -63,7 +98,7 @@ class FactStore:
     """
 
     def __init__(self, triples):
-        self._index(*(tuple(zip(*triples)) or ((), (), ())))
+        self._index(*_columns(triples))
 
     @classmethod
     def from_columns(cls, relations, heads, tails) -> "FactStore":
@@ -171,7 +206,7 @@ def load_scene_document(doc: dict):
     for key in ("objects", "relations"):
         if type(doc[key]) is not list:
             raise SchemaError(f"{key}: must be a list")
-    nodes = []
+    names, attributes = [], []
     for i, obj in enumerate(doc["objects"]):
         if not isinstance(obj, dict) or set(obj) - _OBJ_KEYS:
             raise SchemaError(f"objects[{i}]: unexpected shape")
@@ -181,9 +216,10 @@ def load_scene_document(doc: dict):
         attrs = obj.get("attributes", [])
         if type(attrs) is not list or not all(isinstance(a, str) for a in attrs):
             raise SchemaError(f"objects[{i}].attributes: must be a list of strings")
-        nodes.append(GraphNode(name, list(attrs)))
-    edges = []
-    n = len(nodes)
+        names.append(name)
+        attributes.append(tuple(attrs))
+    src, dst, relations = [], [], []
+    n = len(names)
     for i, rel in enumerate(doc["relations"]):
         if not isinstance(rel, dict) or set(rel) != _REL_KEYS:
             raise SchemaError(f"relations[{i}]: expected subj/pred/obj fields")
@@ -194,14 +230,18 @@ def load_scene_document(doc: dict):
             raise SchemaError(f"relations[{i}].obj: index {obj!r} out of range 0..{n - 1}")
         if not isinstance(pred, str) or not pred.strip():
             raise SchemaError(f"relations[{i}].pred: missing predicate token")
-        edges.append(GraphEdge(subj, obj, pred))
+        src.append(subj)
+        dst.append(obj)
+        relations.append(pred)
     labels = doc["labels"]
     if type(labels) is not list or not all(isinstance(l, str) for l in labels):
         raise SchemaError("labels: must be a list of strings")
     if type(doc["image_id"]) is not str:
         raise SchemaError(f"image_id: must be a string, got {doc['image_id']!r}")
     image_id = check_image_id(doc["image_id"])
-    return image_id, LabeledGraph(nodes, edges, kind="scene"), list(labels)
+    graph = LabeledGraph(tuple(names), tuple(attributes), tuple(src), tuple(dst),
+                         tuple(relations), kind="scene")
+    return image_id, graph, list(labels)
 
 
 def load_scene_graph(doc: dict) -> LabeledGraph:
@@ -213,23 +253,17 @@ def load_scene_graph(doc: dict) -> LabeledGraph:
 # knowledge-graph construction
 
 
-def seed_tokens(seeds) -> list:
-    """Normalized object and attribute tokens of the seed nodes, deduped."""
-    out = []
-    seen = set()
-    for node in seeds:
-        for tok in [node.name] + list(node.attributes):
-            t = normalize_token(tok)
-            if t and t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+def seed_tokens(g: LabeledGraph) -> list:
+    """Normalized object and attribute tokens of a graph's nodes, deduped, in
+    first-occurrence order."""
+    tokens = chain.from_iterable((name, *attrs) for name, attrs in zip(g.names, g.attributes))
+    return [t for t in dict.fromkeys(map(normalize_token, tokens)) if t]
 
 
-def build_knowledge_graphs(seed_lists, store: FactStore, whitelist: RelationWhitelist,
+def build_knowledge_graphs(seed_graphs, store: FactStore, whitelist: RelationWhitelist,
                            vocab: set, match_tail: bool = False) -> list:
-    """1-hop expansion of each list of seed nodes against the fact store;
-    one knowledge graph per list.
+    """1-hop expansion of the nodes of each seed graph (a scene graph)
+    against the fact store; one knowledge graph per seed graph.
 
     A fact (r, a, b) is admitted iff r is whitelisted, a is a seed token and
     b is in the vocabulary; the edge keeps the stored direction a -> b.
@@ -240,7 +274,8 @@ def build_knowledge_graphs(seed_lists, store: FactStore, whitelist: RelationWhit
     Each distinct seed token's admitted facts are filtered from the store
     once per call and kept sorted.  Without ``match_tail`` every fact of a
     token's entry has that token as its head, so a graph's sorted edge list
-    is its sorted tokens' entries one after another.
+    is its sorted tokens' entries one after another.  The edge columns come
+    straight from those facts, and no node has attributes.
     """
     admitted = {}  # seed token -> its sorted, deduped admitted facts
 
@@ -256,24 +291,23 @@ def build_knowledge_graphs(seed_lists, store: FactStore, whitelist: RelationWhit
         return facts
 
     graphs = []
-    for seeds in seed_lists:
+    for seeds in seed_graphs:
         tokens = sorted(seed_tokens(seeds))
         entries = map(facts_of, tokens)
         edges = (sorted(set().union(*entries)) if match_tail
                  else list(chain.from_iterable(entries)))
-        heads, relations, tails = zip(*edges) if edges else ((), (), ())
-        names = sorted({*tokens, *heads, *tails})
+        heads, relations, tails = _columns(edges)
+        names = tuple(sorted({*tokens, *heads, *tails}))
         idx = dict(zip(names, range(len(names)))).__getitem__
-        graphs.append(LabeledGraph(
-            list(map(GraphNode, names)),
-            list(map(GraphEdge, map(idx, heads), map(idx, tails), relations)),
-            kind="knowledge"))
+        graphs.append(LabeledGraph(names, ((),) * len(names), tuple(map(idx, heads)),
+                                   tuple(map(idx, tails)), relations, kind="knowledge"))
     return graphs
 
 
-def build_knowledge_graph(seeds, store: FactStore, whitelist: RelationWhitelist,
-                          vocab: set, match_tail: bool = False) -> LabeledGraph:
-    """The knowledge graph of one list of seed nodes (``build_knowledge_graphs``)."""
+def build_knowledge_graph(seeds: LabeledGraph, store: FactStore,
+                          whitelist: RelationWhitelist, vocab: set,
+                          match_tail: bool = False) -> LabeledGraph:
+    """The knowledge graph of one seed graph (``build_knowledge_graphs``)."""
     return build_knowledge_graphs([seeds], store, whitelist, vocab, match_tail)[0]
 
 
@@ -284,66 +318,47 @@ def build_knowledge_graph(seeds, store: FactStore, whitelist: RelationWhitelist,
 def validate_graph(g: LabeledGraph) -> LabeledGraph:
     """Canonical form: normalized tokens, deduped edges, deterministic order.
 
-    Knowledge graphs merge nodes by normalized name and sort them; scene
-    graphs keep document node order (distinct detections stay distinct).
+    Knowledge graphs merge nodes by normalized name and sort them, with the
+    sorted union of the merged nodes' attributes; scene graphs keep document
+    node order (distinct detections stay distinct) and edge order.
     """
-    n = len(g.nodes)
-    for e in g.edges:
-        if not (0 <= e.src < n and 0 <= e.dst < n):
-            raise ValidationError(f"edge ({e.src},{e.dst}) out of range for {n} nodes")
+    n = len(g.names)
+    if g.src and not (0 <= min(g.src) and max(g.src) < n
+                      and 0 <= min(g.dst) and max(g.dst) < n):
+        s, d = next((s, d) for s, d in zip(g.src, g.dst) if not (0 <= s < n and 0 <= d < n))
+        raise ValidationError(f"edge ({s},{d}) out of range for {n} nodes")
+    names = tuple(map(normalize_token, g.names))
+    if not all(names):
+        raise ValidationError("empty node name after normalization")
+    relations = map(normalize_token, g.relations)
     if g.kind == "knowledge":
-        merged = {}
-        order = []
-        attrs = defaultdict(list)
-        for node in g.nodes:
-            name = normalize_token(node.name)
-            if not name:
-                raise ValidationError("empty node name after normalization")
-            if name not in merged:
-                merged[name] = None
-                order.append(name)
-            for a in node.attributes:
-                na = normalize_token(a)
-                if na and na not in attrs[name]:
-                    attrs[name].append(na)
-        names = sorted(order)
-        idx = {name: i for i, name in enumerate(names)}
-        remap = [idx[normalize_token(node.name)] for node in g.nodes]
-        nodes = [GraphNode(name, sorted(attrs[name])) for name in names]
-        edge_set = {
-            (remap[e.src], remap[e.dst], normalize_token(e.relation)) for e in g.edges
-        }
-        edges = [GraphEdge(s, d, r) for s, d, r in sorted(edge_set)]
-    else:
-        nodes = []
-        for node in g.nodes:
-            name = normalize_token(node.name)
-            if not name:
-                raise ValidationError("empty node name after normalization")
-            nodes.append(GraphNode(
-                name, [normalize_token(a) for a in node.attributes if normalize_token(a)]
-            ))
-        seen = set()
-        edges = []
-        for e in g.edges:
-            key = (e.src, e.dst, normalize_token(e.relation))
-            if key not in seen:
-                seen.add(key)
-                edges.append(GraphEdge(*key))
-    return LabeledGraph(nodes, edges, kind=g.kind)
+        attrs = {}  # normalized name -> its merged nodes' attribute tokens
+        for name, tokens in zip(names, g.attributes):
+            attrs.setdefault(name, set()).update(filter(None, map(normalize_token, tokens)))
+        merged = tuple(sorted(attrs))
+        idx = dict(zip(merged, range(len(merged))))
+        remap = [idx[name] for name in names]
+        edges = sorted({(remap[s], remap[d], r) for s, d, r in zip(g.src, g.dst, relations)})
+        return LabeledGraph(merged, tuple(tuple(sorted(attrs[name])) for name in merged),
+                            *_columns(edges), kind=g.kind)
+    attributes = tuple(tuple(filter(None, map(normalize_token, tokens)))
+                       for tokens in g.attributes)
+    edges = dict.fromkeys(zip(g.src, g.dst, relations))  # deduped, first occurrence first
+    return LabeledGraph(names, attributes, *_columns(edges), kind=g.kind)
 
 
 def add_reverse_edges(g: LabeledGraph) -> LabeledGraph:
     """Augment with a reversed copy of every edge (then re-canonicalize)."""
-    edges = list(g.edges) + [GraphEdge(e.dst, e.src, e.relation) for e in g.edges]
-    return validate_graph(LabeledGraph(list(g.nodes), edges, kind=g.kind))
+    return validate_graph(LabeledGraph(g.names, g.attributes, g.src + g.dst, g.dst + g.src,
+                                       g.relations + g.relations, kind=g.kind))
 
 
 def graph_to_dict(g: LabeledGraph) -> dict:
     return {
         "kind": g.kind,
-        "nodes": [{"name": n.name, "attributes": list(n.attributes)} for n in g.nodes],
-        "edges": [[e.src, e.relation, e.dst] for e in g.edges],
+        "nodes": [{"name": name, "attributes": list(attrs)}
+                  for name, attrs in zip(g.names, g.attributes)],
+        "edges": list(map(list, zip(g.src, g.relations, g.dst))),
     }
 
 
@@ -354,8 +369,9 @@ _GRAPH_KINDS = ("scene", "knowledge")
 def graph_from_dict(d: dict) -> LabeledGraph:
     """Graph of a bundle document (``graph_to_dict``'s layout), with JSON
     types checked exactly as in ``load_scene_document`` and every edge index
-    in range.  The checks run over whole lists in C loops; only a graph that
-    fails them is walked item by item, to name its first bad item."""
+    in range.  The checks run over whole lists in C loops, and they compute
+    every column; only a graph that fails them is walked item by item, to
+    name its first bad item."""
     if type(d) is not dict:
         raise SchemaError("graph is not an object")
     if set(d) != _GRAPH_KEYS:
@@ -369,9 +385,9 @@ def graph_from_dict(d: dict) -> LabeledGraph:
     ok = (set(map(type, nodes)) <= {dict} and set().union(*nodes) <= _OBJ_KEYS
           and set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3})
     if ok:
-        names = list(map(dict.get, nodes, repeat("name")))
+        names = tuple(map(dict.get, nodes, repeat("name")))
         attrs = list(map(dict.get, nodes, repeat("attributes"), repeat([])))
-        src, relation, dst = zip(*edges) if edges else ((), (), ())
+        src, relation, dst = _columns(edges)
         ends = src + dst
         ok = (set(map(type, names)) <= {str} and set(map(type, attrs)) <= {list}
               and set(map(type, chain.from_iterable(attrs))) <= {str}
@@ -379,8 +395,7 @@ def graph_from_dict(d: dict) -> LabeledGraph:
               and (not ends or 0 <= min(ends) and max(ends) < len(nodes)))
     if not ok:
         raise SchemaError(_first_bad_item(nodes, edges))
-    return LabeledGraph(list(map(GraphNode, names, map(list, attrs))),
-                        list(map(GraphEdge, src, dst, relation)), kind=d["kind"])
+    return LabeledGraph(names, tuple(map(tuple, attrs)), src, dst, relation, kind=d["kind"])
 
 
 def _first_bad_item(nodes, edges) -> str:

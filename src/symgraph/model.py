@@ -280,10 +280,10 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
         s0 = 0  # sources of the part so far
         for gid in range(count):
             g = next(graph_iter)
-            n = len(g.nodes)
+            n = len(g.names)
             in_srcs = {}  # node -> its in-edge sources, in edge order
-            for e in g.edges:
-                in_srcs.setdefault(e.dst, []).append(e.src)
+            for u, v in zip(g.src, g.dst):
+                in_srcs.setdefault(v, []).append(u)
             if in_srcs and (min(in_srcs) < 0 or max(in_srcs) >= n):
                 raise ValidationError(f"edge index out of range for {n} nodes")
             c0 = len(class_graph)
@@ -301,23 +301,21 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
             node_class += local
             class_graph += [gid] * len(number)
 
-            into = {}  # source -> its in-edges, in edge order
+            into = {}  # source -> (reader, relation) of its in-edges, in edge order
             if not in_srcs.keys().isdisjoint(used):
-                for e in g.edges:
-                    if e.dst in row:
-                        into.setdefault(e.dst, []).append(e)
+                for u, v, relation in zip(g.src, g.dst, g.relations):
+                    if v in row:
+                        into.setdefault(v, []).append((u, relation))
             reader = {}  # node -> row of the reader inputs
             for u in used:
-                pairs = ([(e.src, e.relation) for e in into[u]] if u in into
-                         else ((u, SELF_RELATION),))
+                pairs = into.get(u, ((u, SELF_RELATION),))
                 for v, relation in pairs:
                     r = reader.get(v)
                     if r is None:
                         r = reader[v] = len(token_counts)
-                        node = g.nodes[v]
-                        tokens += [ids.setdefault(t, len(ids))
-                                   for t in (node.name, *node.attributes)]
-                        token_counts.append(1 + len(node.attributes))
+                        attrs = g.attributes[v]
+                        tokens += [ids.setdefault(t, len(ids)) for t in (g.names[v], *attrs)]
+                        token_counts.append(1 + len(attrs))
                     readers.append(r)
                     relations.append(ids.setdefault(relation, len(ids)))
                 degree.append(len(pairs))

@@ -5,18 +5,21 @@ triple loops instead of BLAS, explicit dense adjacency matrices instead of
 per-node gathers, exhaustive filters instead of indexed lookups, central
 finite differences instead of the tape, concatenation of per-example
 batches instead of a gather from a packed union, and per-node list scans
-instead of the packer's numbering of aggregation classes and sources, and
-line-at-a-time text readers instead of bulk parses.
+instead of the packer's numbering of aggregation classes and sources,
+line-at-a-time text readers instead of bulk parses, and graphs as lists of
+node and edge records instead of columns.
 """
 
 import math
 import re
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from symgraph.embeddings import normalize_token
 from symgraph.errors import EmbeddingParseError, SchemaError
+from symgraph.graphs import GraphEdge, GraphNode
 from symgraph.model import Batch, GraphBatch
 
 
@@ -275,3 +278,105 @@ def load_facts_ref(path):
             by_head[t[1]].append(t)
             by_tail[t[2]].append(t)
     return triples, dict(by_head), dict(by_tail)
+
+
+# ---------------------------------------------------------------------------
+# the record path: graphs as lists of GraphNode and GraphEdge records, built
+# and canonicalized one record at a time (the reference for the columns)
+
+
+@dataclass
+class RecordGraph:
+    nodes: list  # GraphNode
+    edges: list  # GraphEdge
+    kind: str = "scene"
+
+
+def scene_graph_ref(doc):
+    """The raw scene graph of a valid scene document, one record per object
+    and relation."""
+    nodes = [GraphNode(obj["name"], list(obj.get("attributes", []))) for obj in doc["objects"]]
+    edges = [GraphEdge(rel["subj"], rel["obj"], rel["pred"]) for rel in doc["relations"]]
+    return RecordGraph(nodes, edges, "scene")
+
+
+def validate_graph_ref(g):
+    """Canonical form of a record graph, node by node and edge by edge."""
+    if g.kind == "knowledge":
+        merged = {}
+        attrs = defaultdict(list)
+        for node in g.nodes:
+            name = normalize_token(node.name)
+            merged.setdefault(name, None)
+            for a in node.attributes:
+                na = normalize_token(a)
+                if na and na not in attrs[name]:
+                    attrs[name].append(na)
+        names = sorted(merged)
+        idx = {name: i for i, name in enumerate(names)}
+        remap = [idx[normalize_token(node.name)] for node in g.nodes]
+        nodes = [GraphNode(name, sorted(attrs[name])) for name in names]
+        edge_set = {(remap[e.src], remap[e.dst], normalize_token(e.relation)) for e in g.edges}
+        edges = [GraphEdge(s, d, r) for s, d, r in sorted(edge_set)]
+    else:
+        nodes = [GraphNode(normalize_token(node.name),
+                           [normalize_token(a) for a in node.attributes if normalize_token(a)])
+                 for node in g.nodes]
+        seen = set()
+        edges = []
+        for e in g.edges:
+            key = (e.src, e.dst, normalize_token(e.relation))
+            if key not in seen:
+                seen.add(key)
+                edges.append(GraphEdge(*key))
+    return RecordGraph(nodes, edges, g.kind)
+
+
+def add_reverse_edges_ref(g):
+    edges = list(g.edges) + [GraphEdge(e.dst, e.src, e.relation) for e in g.edges]
+    return validate_graph_ref(RecordGraph(list(g.nodes), edges, g.kind))
+
+
+def seed_tokens_ref(nodes):
+    out = []
+    for node in nodes:
+        for tok in [node.name] + list(node.attributes):
+            t = normalize_token(tok)
+            if t and t not in out:
+                out.append(t)
+    return out
+
+
+def knowledge_graphs_ref(seed_lists, store, whitelist, vocab, match_tail=False):
+    """One record knowledge graph per list of seed nodes, each built alone
+    from the store's head and tail indexes."""
+    graphs = []
+    for seeds in seed_lists:
+        tokens = seed_tokens_ref(seeds)
+        found = set()
+        for token in tokens:
+            found.update((h, r, t) for r, h, t in store.by_head.get(token, ())
+                         if r in whitelist and t in vocab)
+            if match_tail:
+                found.update((h, r, t) for r, h, t in store.by_tail.get(token, ())
+                             if r in whitelist and h in vocab)
+        names = sorted(set(tokens) | {h for h, _, _ in found} | {t for _, _, t in found})
+        idx = {name: i for i, name in enumerate(names)}
+        graphs.append(RecordGraph([GraphNode(name) for name in names],
+                                  [GraphEdge(idx[h], idx[t], r) for h, r, t in sorted(found)],
+                                  "knowledge"))
+    return graphs
+
+
+def graph_to_dict_ref(g):
+    return {
+        "kind": g.kind,
+        "nodes": [{"name": n.name, "attributes": list(n.attributes)} for n in g.nodes],
+        "edges": [[e.src, e.relation, e.dst] for e in g.edges],
+    }
+
+
+def graph_from_dict_ref(d):
+    """The record graph of a valid bundle graph document."""
+    return RecordGraph([GraphNode(n["name"], list(n.get("attributes", []))) for n in d["nodes"]],
+                       [GraphEdge(s, t, r) for s, r, t in d["edges"]], d["kind"])

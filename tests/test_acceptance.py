@@ -73,7 +73,7 @@ def test_criterion_3_gcn_oracle_equivalence():
         nodes = [GraphNode(f"n{i}") for i in range(n)]
         edges = [GraphEdge(int(rng.integers(n)), int(rng.integers(n)), "r")
                  for _ in range(int(rng.integers(0, 2 * n + 1)))]
-        g = validate_graph(LabeledGraph(nodes, edges))
+        g = validate_graph(LabeledGraph.from_records(nodes, edges))
         states = rng.normal(size=(n, 4))
         w = rng.normal(size=(4, 4))
         from symgraph.model import gcn_layer, pack_graph
@@ -98,8 +98,8 @@ def test_criterion_4_kg_builder_equivalence():
         triples = [(relations[rng.integers(len(relations))],
                     concepts[rng.integers(40)], concepts[rng.integers(40)])
                    for _ in range(n_triples)]
-        seeds = [GraphNode(concepts[rng.integers(40)])
-                 for _ in range(int(rng.integers(1, 5)))]
+        seeds = LabeledGraph.from_records([GraphNode(concepts[rng.integers(40)])
+                                           for _ in range(int(rng.integers(1, 5)))], [])
         vocab = {concepts[i] for i in rng.choice(40, 15, replace=False)}
         g = build_knowledge_graph(seeds, FactStore(triples), wl, vocab)
         nodes_ref, edges_ref = brute_force_knowledge_graph(
@@ -142,18 +142,18 @@ def test_criterion_6_invariances():
     nodes = [GraphNode(f"t{i}") for i in range(5)]
     edges = [GraphEdge(int(rng.integers(5)), int(rng.integers(5)), "t7")
              for _ in range(7)]
-    sg = validate_graph(LabeledGraph(nodes, edges))
-    kg = LabeledGraph([], [], kind="knowledge")
+    sg = validate_graph(LabeledGraph.from_records(nodes, edges))
+    kg = LabeledGraph.from_records([], [], kind="knowledge")
     ex = Example("x", sg, kg, ["l0"])
     p1, _ = forward(ex, params, table, cfg)
     perm = rng.permutation(5)
     inv = np.argsort(perm)
-    sg2 = LabeledGraph([sg.nodes[i] for i in perm],
-                       [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
+    sg2 = LabeledGraph.from_records([sg.nodes[i] for i in perm],
+                                    [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
                         for e in sg.edges], kind="scene")
     p2, _ = forward(Example("x", sg2, kg, ["l0"]), params, table, cfg)
     perm_dev = float(np.abs(p1.data - p2.data).max())
-    empty = pack_graph(LabeledGraph([], []), table)
+    empty = pack_graph(LabeledGraph.from_records([], []), table)
     empty_ok = np.array_equal(readout_sum(Tensor(np.zeros((0, 6))), empty).data,
                               np.zeros((1, 6)))
     from symgraph.tensor import softmax

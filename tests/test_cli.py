@@ -1,13 +1,17 @@
 import json
 import platform
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symgraph
 from symgraph.cli import build_parser, main, model_config_from_args
 from symgraph.dataset import example_from_dict, load_bundle, write_bundle
 from symgraph.errors import SchemaError
@@ -379,6 +383,17 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_python_dash_m_runs_the_cli():
+    # was "No module named symgraph.__main__"
+    src = str(Path(symgraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "symgraph", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: symgraph") and "gradcheck" in proc.stdout
+
+
 class TestErrorHandling:
     def test_missing_bundle_exits_2(self, tmp_path):
         assert run(["train", "--bundle", tmp_path / "nope",
@@ -528,6 +543,44 @@ class TestBundleReader:
         path, doc = self._example_doc(data / "bundle", split="test")
         patch(doc)
         path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["train", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_missing_split_exits_2_naming_it(self, tmp_path, capsys, command, split):
+        # was a KeyError traceback with exit 1
+        data = synth_bundle(tmp_path, examples=10)
+        path = data / "bundle" / "splits.json"
+        splits = json.loads(path.read_text())
+        del splits[split]
+        path.write_text(json.dumps(splits))
+        capsys.readouterr()
+        mode = ["--graphs"] if command == "ablate" else []
+        assert run([command, "--bundle", data / "bundle", *mode,
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and f"'{split}'" in err[0]
+
+    @pytest.mark.parametrize("into", ["test", "train"], ids=["other_split", "same_split"])
+    def test_image_id_in_two_splits_exits_2(self, tmp_path, capsys, into):
+        # train ids appended to test let train exit 0, scoring on training data
+        data = synth_bundle(tmp_path, examples=10)
+        path = data / "bundle" / "splits.json"
+        splits = json.loads(path.read_text())
+        twice = splits["train"][1]
+        splits[into] += splits["train"][1:4]
+        path.write_text(json.dumps(splits))
+        with pytest.raises(SchemaError) as info:
+            load_bundle(data / "bundle")
+        names = sorted(re.findall(r"'(\w+)'", str(info.value)))
+        assert names == sorted([twice, "train", into]), str(info.value)
         capsys.readouterr()
         assert run(["train", "--bundle", data / "bundle",
                     "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",

@@ -1,19 +1,31 @@
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from oracles import brute_force_knowledge_graph
-from symgraph.dataset import prepare
-from symgraph.embeddings import normalize_token
+from oracles import (RecordGraph, add_reverse_edges_ref, brute_force_knowledge_graph,
+                     graph_from_dict_ref, graph_to_dict_ref, knowledge_graphs_ref,
+                     scene_graph_ref, seed_tokens_ref, validate_graph_ref)
+from symgraph import synth
+from symgraph.dataset import load_bundle, prepare, split_ids, write_bundle
+from symgraph.embeddings import load_embeddings, normalize_token
 from symgraph.errors import SchemaError, ValidationError
+from symgraph.evaluation import evaluate_dataset
 from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
                              LabeledGraph, RelationWhitelist, add_reverse_edges,
                              build_knowledge_graph, build_knowledge_graphs,
                              graph_from_dict, graph_to_dict, load_facts,
                              load_scene_document, load_scene_graph, seed_tokens,
                              validate_graph)
+from symgraph.model import ModelConfig
+from symgraph.training import TrainConfig, train
+
+
+def seed_graph(*nodes):
+    """A graph of seed nodes, given as names or GraphNode records, and no edges."""
+    return LabeledGraph.from_records(
+        [GraphNode(n) if isinstance(n, str) else n for n in nodes], [])
 
 
 def doc(objects, relations, labels=("safety",)):
@@ -138,7 +150,7 @@ class TestBuildKnowledgeGraph:
     def test_bottle_example(self):
         store = FactStore([("RelatedTo", "bottle", "alcohol"),
                            ("IsA", "bottle", "container")])
-        g = build_knowledge_graph([GraphNode("bottle")], store, self.wl,
+        g = build_knowledge_graph(seed_graph("bottle"), store, self.wl,
                                   {"alcohol", "container"})
         assert [n.name for n in g.nodes] == ["alcohol", "bottle", "container"]
         assert len(g.edges) == 2
@@ -146,24 +158,24 @@ class TestBuildKnowledgeGraph:
 
     def test_non_whitelisted_relation_dropped(self):
         store = FactStore([("Synonym", "bottle", "flask")])
-        g = build_knowledge_graph([GraphNode("bottle")], store, self.wl, {"flask"})
+        g = build_knowledge_graph(seed_graph("bottle"), store, self.wl, {"flask"})
         assert [n.name for n in g.nodes] == ["bottle"]
         assert g.edges == []
 
     def test_out_of_vocab_tail_dropped(self):
         store = FactStore([("IsA", "bottle", "container")])
-        g = build_knowledge_graph([GraphNode("bottle")], store, self.wl, {"cup"})
+        g = build_knowledge_graph(seed_graph("bottle"), store, self.wl, {"cup"})
         assert [n.name for n in g.nodes] == ["bottle"]
 
     def test_attributes_are_seeds(self):
         store = FactStore([("HasProperty", "blue", "calm")])
-        g = build_knowledge_graph([GraphNode("car", ["blue"])], store, self.wl,
+        g = build_knowledge_graph(seed_graph(GraphNode("car", ["blue"])), store, self.wl,
                                   {"calm"})
         assert "calm" in [n.name for n in g.nodes]
 
     def test_match_tail_flag(self):
         store = FactStore([("RelatedTo", "animal", "bird")])
-        seeds = [GraphNode("bird")]
+        seeds = seed_graph("bird")
         off = build_knowledge_graph(seeds, store, self.wl, {"animal", "bird"})
         on = build_knowledge_graph(seeds, store, self.wl, {"animal", "bird"},
                                    match_tail=True)
@@ -184,8 +196,7 @@ class TestBuildKnowledgeGraph:
                  concepts[rng.integers(len(concepts))])
                 for _ in range(50)
             ]
-            seeds = [GraphNode(concepts[rng.integers(len(concepts))])
-                     for _ in range(3)]
+            seeds = seed_graph(*(concepts[rng.integers(len(concepts))] for _ in range(3)))
             vocab = {concepts[i] for i in rng.choice(len(concepts), 10,
                                                      replace=False)}
             g = build_knowledge_graph(seeds, FactStore(triples),
@@ -199,9 +210,9 @@ class TestBuildKnowledgeGraph:
 
     def test_independent_of_triple_order(self):
         triples = [("IsA", "a", "b"), ("HasA", "a", "c"), ("IsA", "b", "c")]
-        g1 = build_knowledge_graph([GraphNode("a")], FactStore(triples),
+        g1 = build_knowledge_graph(seed_graph("a"), FactStore(triples),
                                    self.wl, {"b", "c"})
-        g2 = build_knowledge_graph([GraphNode("a")], FactStore(triples[::-1]),
+        g2 = build_knowledge_graph(seed_graph("a"), FactStore(triples[::-1]),
                                    self.wl, {"b", "c"})
         assert json.dumps(graph_to_dict(g1)) == json.dumps(graph_to_dict(g2))
 
@@ -209,7 +220,7 @@ class TestBuildKnowledgeGraph:
         concepts = [f"c{i}" for i in range(15)]
         triples = [("IsA", concepts[rng.integers(15)], concepts[rng.integers(15)])
                    for _ in range(40)]
-        seeds = [GraphNode("c0"), GraphNode("c1")]
+        seeds = seed_graph("c0", "c1")
         vocab = set(concepts)
         g = build_knowledge_graph(seeds, FactStore(triples), self.wl, vocab)
         seed_set = set(seed_tokens(seeds))
@@ -221,7 +232,7 @@ class TestBuildKnowledgeGraph:
 
     def test_every_edge_relation_whitelisted(self, rng):
         triples = [("Synonym", "a", "b"), ("IsA", "a", "b"), ("RelatedTo", "b", "a")]
-        g = build_knowledge_graph([GraphNode("a"), GraphNode("b")],
+        g = build_knowledge_graph(seed_graph("a", "b"),
                                   FactStore(triples), self.wl, {"a", "b"})
         assert all(e.relation in self.wl for e in g.edges)
 
@@ -281,8 +292,9 @@ def corpus_vocab(args):
 def oracle_graph(seeds, triples, allowed, vocab, match_tail):
     names, edges = brute_force_knowledge_graph(seeds, triples, allowed, vocab, match_tail)
     idx = {name: i for i, name in enumerate(names)}
-    return LabeledGraph([GraphNode(n) for n in names],
-                        [GraphEdge(idx[h], idx[t], r) for h, r, t in edges], kind="knowledge")
+    return LabeledGraph.from_records([GraphNode(n) for n in names],
+                                     [GraphEdge(idx[h], idx[t], r) for h, r, t in edges],
+                                     kind="knowledge")
 
 
 class TestSharedStore:
@@ -316,7 +328,7 @@ class TestSharedStore:
     def test_many_seed_lists_equal_one_at_a_time(self, tmp_path, match_tail):
         args, _, documents = write_corpus(tmp_path, random.Random(12))
         store, wl, vocab = load_facts(args[1]), RelationWhitelist(), corpus_vocab(args)
-        seed_lists = [[GraphNode(o["name"], o["attributes"]) for o in d["objects"]]
+        seed_lists = [seed_graph(*(GraphNode(o["name"], o["attributes"]) for o in d["objects"]))
                       for d in documents]
         graphs = build_knowledge_graphs(seed_lists, store, wl, vocab, match_tail)
         assert len(graphs) == len(seed_lists)
@@ -349,47 +361,47 @@ class TestSharedStore:
 
 class TestValidateGraph:
     def test_duplicate_edge_removed(self):
-        g = LabeledGraph([GraphNode("a"), GraphNode("b")],
-                         [GraphEdge(0, 1, "r"), GraphEdge(0, 1, "r")])
+        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b")],
+                                      [GraphEdge(0, 1, "r"), GraphEdge(0, 1, "r")])
         assert len(validate_graph(g).edges) == 1
 
     def test_knowledge_nodes_merged_by_normalized_name(self):
-        g = LabeledGraph([GraphNode(" Car "), GraphNode("car")],
-                         [GraphEdge(0, 1, "IsA")], kind="knowledge")
+        g = LabeledGraph.from_records([GraphNode(" Car "), GraphNode("car")],
+                                      [GraphEdge(0, 1, "IsA")], kind="knowledge")
         vg = validate_graph(g)
         assert [n.name for n in vg.nodes] == ["car"]
         assert vg.edges[0].src == vg.edges[0].dst == 0
 
     def test_scene_order_preserved_and_not_merged(self):
-        g = LabeledGraph([GraphNode("b"), GraphNode("a"), GraphNode("a")], [])
+        g = LabeledGraph.from_records([GraphNode("b"), GraphNode("a"), GraphNode("a")], [])
         vg = validate_graph(g)
         assert [n.name for n in vg.nodes] == ["b", "a", "a"]
 
     def test_out_of_range_edge(self):
-        g = LabeledGraph([GraphNode("a")], [GraphEdge(0, 3, "r")])
+        g = LabeledGraph.from_records([GraphNode("a")], [GraphEdge(0, 3, "r")])
         with pytest.raises(ValidationError):
             validate_graph(g)
 
     def test_knowledge_nodes_sorted(self):
-        g = LabeledGraph([GraphNode("z"), GraphNode("a")], [], kind="knowledge")
+        g = LabeledGraph.from_records([GraphNode("z"), GraphNode("a")], [], kind="knowledge")
         assert [n.name for n in validate_graph(g).nodes] == ["a", "z"]
 
 
 class TestReverseEdges:
     def test_adds_reversed_copies(self):
-        g = LabeledGraph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
+        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
         rg = add_reverse_edges(g)
         pairs = {(e.src, e.dst) for e in rg.edges}
         assert pairs == {(0, 1), (1, 0)}
 
     def test_self_loop_not_duplicated(self):
-        g = LabeledGraph([GraphNode("a")], [GraphEdge(0, 0, "r")])
+        g = LabeledGraph.from_records([GraphNode("a")], [GraphEdge(0, 0, "r")])
         assert len(add_reverse_edges(g).edges) == 1
 
 
 class TestSerialization:
     def test_round_trip(self):
-        g = validate_graph(LabeledGraph(
+        g = validate_graph(LabeledGraph.from_records(
             [GraphNode("a", ["x"]), GraphNode("b")], [GraphEdge(0, 1, "r")]))
         g2 = graph_from_dict(graph_to_dict(g))
         assert graph_to_dict(g2) == graph_to_dict(g)
@@ -411,7 +423,7 @@ class TestSerialization:
     @pytest.mark.parametrize("field", ["kind", "nodes", "edges"])
     def test_missing_field_rejected(self, field):
         # was a KeyError
-        d = graph_to_dict(LabeledGraph([GraphNode("a")], [], kind="knowledge"))
+        d = graph_to_dict(LabeledGraph.from_records([GraphNode("a")], [], kind="knowledge"))
         del d[field]
         with pytest.raises(SchemaError, match=field):
             graph_from_dict(d)
@@ -421,7 +433,7 @@ class TestSerialization:
         {"nodes": [{"name": "a", "attributes": "red"}]},
     ])
     def test_malformed_kind_or_nodes_rejected(self, patch):
-        d = graph_to_dict(LabeledGraph([GraphNode("a")], [], kind="knowledge"))
+        d = graph_to_dict(LabeledGraph.from_records([GraphNode("a")], [], kind="knowledge"))
         with pytest.raises(SchemaError):
             graph_from_dict({**d, **patch})
 
@@ -440,7 +452,120 @@ class TestGraphRecords:
         assert GraphEdge(0, 1, "r") == GraphEdge(0, 1, "r") != GraphEdge(1, 0, "r")
         assert asdict(GraphNode("a", ["x"])) == {"name": "a", "attributes": ["x"]}
         assert asdict(GraphEdge(0, 1, "r")) == {"src": 0, "dst": 1, "relation": "r"}
-        g = LabeledGraph([GraphNode("a")], [GraphEdge(0, 0, "r")], kind="knowledge")
-        assert asdict(g) == {"nodes": [{"name": "a", "attributes": []}],
-                             "edges": [{"src": 0, "dst": 0, "relation": "r"}],
-                             "kind": "knowledge"}
+        # a graph is its columns; its records are views of them
+        g = LabeledGraph.from_records([GraphNode("a")], [GraphEdge(0, 0, "r")], kind="knowledge")
+        assert asdict(g) == {"names": ("a",), "attributes": ((),), "src": (0,), "dst": (0,),
+                             "relations": ("r",), "kind": "knowledge"}
+        assert g.nodes == [GraphNode("a")] and g.edges == [GraphEdge(0, 0, "r")]
+
+
+# Messy spellings: several names normalize to one ("Bottle_Cap", "bottle
+# cap"), some attributes and one predicate normalize to nothing.
+RECORD_NAMES = ["bottle", "Bottle_Cap", "bottle cap", "  x ", "x", "cup", "Cup", "water",
+                "red", "lid"]
+RECORD_ATTRS = ["red", "Red", "  ", "_", "__ _", "sea", "ghost", "lid"]
+RECORD_PREDS = ["on", " On ", "near", "has_a", "_"]
+
+
+def record_corpus(rnd, docs=40, facts=150):
+    """Valid scene documents (the first without objects, the next two with
+    objects but no relations, the rest with duplicate relations and a
+    self-loop), and a fact store over their normalized concepts."""
+    documents = []
+    for i in range(docs):
+        k = rnd.randint(1, 5) if i else 0
+        objects = [{"name": rnd.choice(RECORD_NAMES),
+                    "attributes": rnd.sample(RECORD_ATTRS, rnd.randint(0, 3))}
+                   for _ in range(k)]
+        for obj in objects[:1]:
+            if i % 4 == 3:
+                del obj["attributes"]
+        relations = []
+        if i >= 3:
+            relations = [{"subj": rnd.randrange(k), "pred": rnd.choice(RECORD_PREDS),
+                          "obj": rnd.randrange(k)} for _ in range(rnd.randint(1, 6))]
+            relations += relations[:2] + [{"subj": k - 1, "pred": "near", "obj": k - 1}]
+        documents.append({"image_id": f"img{i:02d}", "objects": objects,
+                          "relations": relations, "labels": ["go"]})
+    concepts = sorted({normalize_token(c) for c in RECORD_NAMES + RECORD_ATTRS} - {""}
+                      | {"vessel", "liquid", "metal"})
+    relations = list(DEFAULT_RELATIONS[:5]) + ["Synonym"]
+    triples = [(rnd.choice(relations), rnd.choice(concepts), rnd.choice(concepts))
+               for _ in range(facts)]
+    vocab = set(rnd.sample(concepts, len(concepts) * 2 // 3))
+    return documents, FactStore(triples), vocab
+
+
+def record_columns(g):
+    """The columns of a record graph, node and edge fields in record order."""
+    return (tuple(n.name for n in g.nodes), tuple(tuple(n.attributes) for n in g.nodes),
+            tuple(e.src for e in g.edges), tuple(e.dst for e in g.edges),
+            tuple(e.relation for e in g.edges), g.kind)
+
+
+def graph_columns(g):
+    return g.names, g.attributes, g.src, g.dst, g.relations, g.kind
+
+
+class TestColumnsMatchRecordPath:
+    """Every path that builds columns, against the record path of
+    ``oracles`` on a seeded corpus, field by field."""
+
+    @pytest.mark.parametrize("reverse_edges", [False, True])
+    @pytest.mark.parametrize("match_tail", [False, True])
+    def test_ingestion_and_bundle_round_trip(self, match_tail, reverse_edges):
+        documents, store, vocab = record_corpus(random.Random(21))
+        wl = RelationWhitelist()
+        raw = [load_scene_document(d)[1] for d in documents]
+        raw_ref = [scene_graph_ref(d) for d in documents]
+        for g, ref in zip(raw, raw_ref):
+            assert graph_columns(g) == record_columns(ref)
+            assert graph_columns(validate_graph(replace(g, kind="knowledge"))) == \
+                record_columns(validate_graph_ref(RecordGraph(ref.nodes, ref.edges, "knowledge")))
+        sgs = list(map(validate_graph, raw))
+        sgs_ref = list(map(validate_graph_ref, raw_ref))
+        for g, ref in zip(sgs, sgs_ref):
+            assert seed_tokens(g) == seed_tokens_ref(ref.nodes)
+        kgs = build_knowledge_graphs(sgs, store, wl, vocab, match_tail)
+        kgs_ref = knowledge_graphs_ref([g.nodes for g in sgs_ref], store, wl, vocab, match_tail)
+        pairs = list(zip(sgs + kgs, sgs_ref + kgs_ref))
+        if reverse_edges:
+            pairs = [(add_reverse_edges(g), add_reverse_edges_ref(ref)) for g, ref in pairs]
+        for g, ref in pairs:
+            assert graph_columns(g) == record_columns(ref)
+            d = graph_to_dict(g)
+            assert d == graph_to_dict_ref(ref)
+            assert graph_columns(graph_from_dict(json.loads(json.dumps(d)))) == \
+                record_columns(graph_from_dict_ref(d))
+        # the corpus reaches every case it is meant to
+        assert not raw[0].names and raw[1].names and not raw[1].src
+        assert any(len(set(zip(g.src, g.dst, g.relations))) < len(g.src) for g in raw)
+        assert any(s == d for g in raw for s, d in zip(g.src, g.dst))
+        assert any(len(a) > len(b) for g, v in zip(raw, sgs)
+                   for a, b in zip(g.attributes, v.attributes))
+        assert any(len(set(g.names)) < len(g.names) for g in sgs)
+        assert sum(map(len, (g.src for g in kgs))) > len(kgs)
+
+
+def test_program_paths_build_no_records(tmp_path, monkeypatch):
+    # records are views for tests and tools; ingestion, bundles, training and
+    # evaluation read the columns
+    paths = synth.generate(synth.SynthSpec(num_examples=30, seed=3), tmp_path / "raw")
+
+    def refuse(self):
+        raise AssertionError("a program path built graph records")
+
+    monkeypatch.setattr(LabeledGraph, "nodes", property(refuse))
+    monkeypatch.setattr(LabeledGraph, "edges", property(refuse))
+    raw = (paths["scene_dir"], paths["facts"], paths["vocab"], paths["labels"])
+    prepare(*raw, match_tail=True, reverse_edges=True)
+    examples, labels = prepare(*raw)
+    write_bundle(tmp_path / "bundle", examples, labels,
+                 split_ids([ex.image_id for ex in examples], 3))
+    splits, labels = load_bundle(tmp_path / "bundle")
+    table = load_embeddings(paths["embeddings"], dim=16)
+    mconfig = ModelConfig(num_labels=len(labels), embed_dim=16, hidden_dim=8, gcn_layers=2)
+    params, log, _, _ = train(splits["train"], splits["val"], labels, table, mconfig,
+                              TrainConfig(epochs=1, batch_size=8))
+    report = evaluate_dataset(splits["test"], params, table, mconfig, labels)
+    assert len(log.records) == 1 and len(report.per_label) == len(labels)

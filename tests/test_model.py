@@ -22,6 +22,12 @@ from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
 
 
+def seed_graph(*nodes):
+    """A graph of seed nodes, given as names or GraphNode records, and no edges."""
+    return LabeledGraph.from_records(
+        [GraphNode(n) if isinstance(n, str) else n for n in nodes], [])
+
+
 def toy_config(**kw):
     base = dict(num_labels=2, embed_dim=6, hidden_dim=6, gcn_layers=1)
     base.update(kw)
@@ -35,14 +41,14 @@ def random_graph(rng, n, kind="scene", n_edges=None):
     n_edges = n + 2 if n_edges is None else n_edges
     edges = [GraphEdge(int(rng.integers(n)), int(rng.integers(n)),
                        tokens[rng.integers(10)]) for _ in range(n_edges)]
-    return validate_graph(LabeledGraph(nodes, edges, kind=kind))
+    return validate_graph(LabeledGraph.from_records(nodes, edges, kind=kind))
 
 
 class TestEncodeNodes:
     def test_isolated_node_recovers_relu_of_embedding(self, toy_table):
         # W_enc = [I | 0] selects the node part of [x ; e_self]
         cfg = toy_config()
-        g = LabeledGraph([GraphNode("cat")], [])
+        g = LabeledGraph.from_records([GraphNode("cat")], [])
         w = Tensor(np.hstack([np.eye(6), np.zeros((6, 6))]))
         out = encode_nodes(pack_graph(g, toy_table), w, cfg)
         x = phrase_ref(toy_table, "cat")
@@ -50,8 +56,8 @@ class TestEncodeNodes:
 
     def test_zero_weights_give_zero_states(self, toy_table):
         cfg = toy_config()
-        g = LabeledGraph([GraphNode("tok0"), GraphNode("tok1")],
-                         [GraphEdge(0, 1, "near")])
+        g = LabeledGraph.from_records([GraphNode("tok0"), GraphNode("tok1")],
+                                      [GraphEdge(0, 1, "near")])
         out = encode_nodes(pack_graph(g, toy_table), Tensor(np.zeros((6, 12))), cfg)
         assert np.all(out.data == 0.0)
 
@@ -69,7 +75,7 @@ class TestEncodeNodes:
     def test_attributes_enter_node_input(self, toy_table):
         # an isolated node's encoder input is [node input ; e_self]
         def node_input(node):
-            return pack_graph(LabeledGraph([node], []), toy_table).inputs[0, :6]
+            return pack_graph(LabeledGraph.from_records([node], []), toy_table).inputs[0, :6]
 
         with_attr = node_input(GraphNode("cat", ["red"]))
         without = node_input(GraphNode("cat"))
@@ -79,7 +85,7 @@ class TestEncodeNodes:
 
     def test_empty_graph_gives_empty_states(self, toy_table):
         cfg = toy_config()
-        out = encode_nodes(pack_graph(LabeledGraph([], []), toy_table),
+        out = encode_nodes(pack_graph(LabeledGraph.from_records([], []), toy_table),
                            Tensor(np.zeros((6, 12))), cfg)
         assert out.shape == (0, 6)
 
@@ -87,7 +93,7 @@ class TestEncodeNodes:
 class TestGcnLayer:
     def test_single_edge_identity_weight(self, toy_table):
         cfg = toy_config(hidden_dim=4)
-        g = LabeledGraph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
+        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
         states = np.array([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
         packed = pack_graph(g, toy_table)
         # b reads a; a reads itself through its self-loop: only a is encoded
@@ -99,8 +105,8 @@ class TestGcnLayer:
 
     def test_opposite_neighbors_cancel(self, toy_table):
         cfg = toy_config(hidden_dim=3)
-        g = LabeledGraph([GraphNode("a"), GraphNode("b"), GraphNode("c")],
-                         [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
+        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b"), GraphNode("c")],
+                                      [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
         v = np.array([2.0, -1.0, 0.5])
         states = np.vstack([v, -v, np.ones(3)])
         packed = pack_graph(g, toy_table)
@@ -123,7 +129,7 @@ class TestGcnLayer:
 
     def test_row_count_mismatch(self, toy_table):
         cfg = toy_config(hidden_dim=3)
-        g = pack_graph(LabeledGraph([GraphNode("a")], []), toy_table)
+        g = pack_graph(LabeledGraph.from_records([GraphNode("a")], []), toy_table)
         for from_encoder in (True, False):
             with pytest.raises(DimensionError):
                 gcn_layer(Tensor(np.zeros((2, 3))), g, Tensor(np.eye(3)), cfg,
@@ -132,7 +138,8 @@ class TestGcnLayer:
 
 def one_graph(n, table):
     """A packed graph of n isolated nodes."""
-    return pack_graph(LabeledGraph([GraphNode(f"tok{i}") for i in range(n)], []), table)
+    return pack_graph(LabeledGraph.from_records([GraphNode(f"tok{i}") for i in range(n)], []),
+                      table)
 
 
 class TestReadout:
@@ -271,8 +278,8 @@ class TestForward:
         params = init_params(cfg)
         params["mlp.b1"].value[:] = [1.0, -2.0, 0.5]
         params["mlp.b2"].value[:] = [0.2, -0.1]
-        empty_s = LabeledGraph([], [], kind="scene")
-        empty_k = LabeledGraph([], [], kind="knowledge")
+        empty_s = LabeledGraph.from_records([], [], kind="scene")
+        empty_k = LabeledGraph.from_records([], [], kind="knowledge")
         probs, diag = forward(make_example(empty_s, empty_k), params, toy_table, cfg)
         h = np.maximum(params["mlp.b1"].value, 0.0)
         logits = params["mlp.w2"].value @ h + params["mlp.b2"].value
@@ -282,9 +289,9 @@ class TestForward:
         np.testing.assert_array_equal(diag["readout_kg"], np.zeros(4))
 
     def test_depth_unrolls_one_extra_application(self, toy_table):
-        g = validate_graph(LabeledGraph([GraphNode("tok0")],
-                                        [GraphEdge(0, 0, "near")]))
-        ex = make_example(g, LabeledGraph([], [], kind="knowledge"))
+        g = validate_graph(LabeledGraph.from_records([GraphNode("tok0")],
+                                                     [GraphEdge(0, 0, "near")]))
+        ex = make_example(g, LabeledGraph.from_records([], [], kind="knowledge"))
         cfg1 = toy_config(gcn_layers=1, hidden_dim=6, graph_mode="sg_only")
         cfg2 = toy_config(gcn_layers=2, hidden_dim=6, graph_mode="sg_only")
         p2 = init_params(cfg2)
@@ -300,8 +307,8 @@ class TestForward:
 
     def test_identical_graphs_shared_towers_attention(self, toy_table, rng):
         g = random_graph(rng, 3)
-        gk = validate_graph(LabeledGraph(list(g.nodes), list(g.edges),
-                                         kind="knowledge"))
+        gk = validate_graph(LabeledGraph.from_records(list(g.nodes), list(g.edges),
+                                                      kind="knowledge"))
         # same node set in the same order: reuse the scene graph on both sides
         cfg = toy_config(fusion_mode="attention", share_towers=True)
         params = init_params(cfg)
@@ -319,15 +326,15 @@ class TestForward:
         p1, _ = forward(ex, params, toy_table, cfg)
         perm = rng.permutation(5)
         inv = np.argsort(perm)
-        sg2 = LabeledGraph([sg.nodes[i] for i in perm],
-                           [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
+        sg2 = LabeledGraph.from_records([sg.nodes[i] for i in perm],
+                                        [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
                             for e in sg.edges], kind="scene")
         p2, _ = forward(make_example(sg2, kg), params, toy_table, cfg)
         np.testing.assert_allclose(p1.data, p2.data, atol=1e-9)
 
     def test_empty_graph_totality_all_modes(self, toy_table):
-        empty_s = LabeledGraph([], [], kind="scene")
-        empty_k = LabeledGraph([], [], kind="knowledge")
+        empty_s = LabeledGraph.from_records([], [], kind="scene")
+        empty_k = LabeledGraph.from_records([], [], kind="knowledge")
         ex = make_example(empty_s, empty_k)
         for fusion in ("concat", "attention", "attention_learned"):
             for gm in ("both", "sg_only", "kg_only"):
@@ -347,7 +354,7 @@ class TestForward:
         tokens_b["tok3"] = rng.normal(size=6)  # tok3 used as a relation below
         t_b = EmbeddingTable(6, tokens_b)
         # 2-cycle so the encoding that carries tok3 propagates to the readout
-        g = validate_graph(LabeledGraph(
+        g = validate_graph(LabeledGraph.from_records(
             [GraphNode("tok0"), GraphNode("tok1")],
             [GraphEdge(0, 1, "tok3"), GraphEdge(1, 0, "tok4")]))
         cfg = toy_config(gcn_layers=1, graph_mode="sg_only",
@@ -393,18 +400,18 @@ def star_kg():
              ("RelatedTo", "tok0", "tok5"), ("AtLocation", "tok1", "tok5"),
              ("RelatedTo", "tok0", "tok1")]
     vocab = {f"tok{i}" for i in range(6)}
-    return build_knowledge_graph([GraphNode("tok0"), GraphNode("tok1")], FactStore(facts),
+    return build_knowledge_graph(seed_graph("tok0", "tok1"), FactStore(facts),
                                  RelationWhitelist(), vocab)
 
 
 def mixed_examples(rng):
     """Graphs of different sizes: an isolated node, a repeated edge (kept:
     no validation), an empty scene graph, an empty knowledge graph."""
-    sg0 = LabeledGraph(
+    sg0 = LabeledGraph.from_records(
         [GraphNode("tok0", ["tok1"]), GraphNode("tok2"), GraphNode("tok3")],
         [GraphEdge(0, 1, "near"), GraphEdge(0, 1, "near"), GraphEdge(1, 0, "tok4")])
-    empty_sg = LabeledGraph([], [], kind="scene")
-    empty_kg = LabeledGraph([], [], kind="knowledge")
+    empty_sg = LabeledGraph.from_records([], [], kind="scene")
+    empty_kg = LabeledGraph.from_records([], [], kind="knowledge")
     return [
         Example("a", sg0, random_graph(rng, 4, kind="knowledge"), ["label0"]),
         Example("b", empty_sg, random_graph(rng, 2, kind="knowledge"), ["label1"]),
@@ -476,7 +483,7 @@ class TestPack:
         """mixed_examples plus an all-OOV node and relation, relation tokens
         ("near", "tok4") shared with other graphs of the call, and a star
         knowledge graph with merged aggregation classes."""
-        oov_sg = LabeledGraph(
+        oov_sg = LabeledGraph.from_records(
             [GraphNode("qq zz", ["red"]), GraphNode("cat"), GraphNode("tok4")],
             [GraphEdge(0, 1, "zq_qz"), GraphEdge(2, 1, "near"),
              GraphEdge(1, 2, "tok4")], kind="scene")
@@ -537,9 +544,9 @@ class TestPack:
                 assert np.array_equal(packed.inputs[row], want)
 
     def test_edge_out_of_range_names_its_graph(self, toy_table):
-        ok = LabeledGraph([GraphNode("a")] * 5, [GraphEdge(4, 0, "r")])
-        bad = LabeledGraph([GraphNode("a")] * 2,
-                           [GraphEdge(0, 1, "r"), GraphEdge(2, 0, "r")])
+        ok = LabeledGraph.from_records([GraphNode("a")] * 5, [GraphEdge(4, 0, "r")])
+        bad = LabeledGraph.from_records([GraphNode("a")] * 2,
+                                        [GraphEdge(0, 1, "r"), GraphEdge(2, 0, "r")])
         with pytest.raises(ValidationError, match="for 2 nodes"):
             pack_graphs([ok, bad], toy_table)
         assert pack_graphs([], toy_table) == []
@@ -637,9 +644,9 @@ class TestAggregationClasses:
 def path_graph(kind):
     """tok0 -> tok1 -> tok2: tok0 (by its self-loop) and tok1 both read tok0,
     tok2 reads tok1, so two sources and two classes."""
-    return validate_graph(LabeledGraph([GraphNode(f"tok{i}") for i in range(3)],
-                                       [GraphEdge(0, 1, "near"), GraphEdge(1, 2, "tok4")],
-                                       kind=kind))
+    nodes = [GraphNode(f"tok{i}") for i in range(3)]
+    edges = [GraphEdge(0, 1, "near"), GraphEdge(1, 2, "tok4")]
+    return validate_graph(LabeledGraph.from_records(nodes, edges, kind=kind))
 
 
 class TestSourceRows:
@@ -648,7 +655,7 @@ class TestSourceRows:
         facts = ([("IsA", "tok0", f"leaf{i}") for i in range(5)]
                  + [("HasA", "tok1", f"leaf{i}") for i in range(3, 8)])
         vocab = {f"leaf{i}" for i in range(8)}
-        g = build_knowledge_graph([GraphNode("tok0"), GraphNode("tok1")], FactStore(facts),
+        g = build_knowledge_graph(seed_graph("tok0", "tok1"), FactStore(facts),
                                   RelationWhitelist(), vocab)
         packed = pack_graph(g, toy_table)
         has_in = {e.dst for e in g.edges}

@@ -24,11 +24,11 @@ def make_table(rng, dim=8):
 
 def make_example(label_idx, i):
     # planted signal on a 2-cycle so it survives in-neighbor aggregation
-    sg = validate_graph(LabeledGraph(
+    sg = validate_graph(LabeledGraph.from_records(
         [GraphNode(f"obj{label_idx}a"), GraphNode(f"obj{label_idx}b")],
         [GraphEdge(0, 1, f"rel{label_idx}"), GraphEdge(1, 0, f"rel{label_idx}")],
         kind="scene"))
-    kg = LabeledGraph([], [], kind="knowledge")
+    kg = LabeledGraph.from_records([], [], kind="knowledge")
     return Example(f"img{label_idx}_{i}", sg, kg, [LABELS[label_idx]])
 
 
