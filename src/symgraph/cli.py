@@ -24,9 +24,10 @@ from . import dataset, evaluation, synth
 from .embeddings import load_embeddings
 from .errors import (ConfigError, EmbeddingParseError, SchemaError,
                      SymgraphError, ValidationError, read_text)
-from .evaluation import ThresholdPolicy, ablation_csv, collect_attention
+from .evaluation import POLICY_KINDS, ThresholdPolicy, ablation_csv, collect_attention
 from .gradcheck import gradcheck
-from .model import ModelConfig, load_checkpoint, param_count, save_checkpoint
+from .model import (FUSION_MODES, GRAPH_MODES, LOSS_MODES, NONLINEARITIES, ModelConfig,
+                    load_checkpoint, param_count, save_checkpoint)
 from .training import TrainConfig, train
 
 USAGE_ERRORS = (ConfigError, SchemaError, EmbeddingParseError, ValidationError)
@@ -118,12 +119,10 @@ def add_model_flags(p):
     p.add_argument("--embed-dim", type=int, default=300)
     p.add_argument("--hidden-dim", type=int, default=512)
     p.add_argument("--gcn-layers", type=int, default=3)
-    p.add_argument("--fusion", default="concat",
-                   choices=["concat", "attention", "attention_learned"])
-    p.add_argument("--nonlinearity", default="relu", choices=["relu", "sigmoid"])
+    p.add_argument("--fusion", default="concat", choices=FUSION_MODES)
+    p.add_argument("--nonlinearity", default="relu", choices=NONLINEARITIES)
     p.add_argument("--share-towers", action="store_true")
-    p.add_argument("--graph-mode", default="both",
-                   choices=["both", "sg_only", "kg_only"])
+    p.add_argument("--graph-mode", default="both", choices=GRAPH_MODES)
     p.add_argument("--mlp-hidden", type=int, default=None)
 
 
@@ -132,13 +131,11 @@ def add_train_flags(p):
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--no-shuffle", action="store_true")
-    p.add_argument("--loss", default="softmax_ce",
-                   choices=["softmax_ce", "sigmoid_bce"])
+    p.add_argument("--loss", default="softmax_ce", choices=LOSS_MODES)
 
 
 def add_policy_flags(p):
-    p.add_argument("--policy", default="uniform_prior",
-                   choices=["uniform_prior", "top_k", "fixed"])
+    p.add_argument("--policy", default="uniform_prior", choices=POLICY_KINDS)
     p.add_argument("--top-k", type=int, default=1)
     p.add_argument("--tau", type=float, default=0.5)
 

@@ -8,11 +8,12 @@ mean over labels.  A micro aggregate over pooled counts is emitted too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .model import ModelConfig, forward_batch, pack_batch
 from .training import TrainConfig
 
@@ -26,13 +27,24 @@ from .training import TrainConfig
 MAX_CHUNK_NODES = 2048
 
 
+POLICY_KINDS = ("uniform_prior", "top_k", "fixed")
+
+
 @dataclass
 class ThresholdPolicy:
     """How a probability vector becomes a predicted label set."""
 
-    kind: str = "uniform_prior"  # uniform_prior | top_k | fixed
+    kind: str = "uniform_prior"  # one of POLICY_KINDS
     k: int = 1
     tau: float = 0.5
+
+    def __post_init__(self):  # each of these gave a metric, silently wrong
+        if self.kind not in POLICY_KINDS:
+            raise ConfigError(f"unknown threshold policy '{self.kind}'")
+        if self.k < 1:
+            raise ConfigError(f"threshold policy k must be >= 1, got {self.k}")
+        if not math.isfinite(self.tau):
+            raise ConfigError(f"threshold policy tau must be finite, got {self.tau}")
 
     def describe(self):
         if self.kind == "top_k":

@@ -457,16 +457,15 @@ def attention_fuse(v_kg: Tensor, v_sg: Tensor, tape: Tape = None,
 
 
 def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = None):
-    """MLP head (one hidden layer); returns its scores per row: a softmax, or
-    a sigmoid per label when ``config.loss_mode`` is ``sigmoid_bce``."""
+    """MLP head (one hidden layer); returns its logits per row.  The loss
+    takes them as they are; ``forward_batch`` turns them into scores."""
     if fused.shape[-1] != config.fusion_input_dim:
         raise DimensionError(
             f"fused width {fused.shape[-1]} != expected {config.fusion_input_dim}"
         )
     h = _nonlin(config)(
         T.add(T.linear(fused, watched["mlp.w1"], tape), watched["mlp.b1"], tape), tape)
-    logits = T.add(T.linear(h, watched["mlp.w2"], tape), watched["mlp.b2"], tape)
-    return (T.sigmoid if config.loss_mode == "sigmoid_bce" else T.softmax)(logits, tape)
+    return T.add(T.linear(h, watched["mlp.w2"], tape), watched["mlp.b2"], tape)
 
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
@@ -480,10 +479,10 @@ def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfi
     return readout_sum(states, graphs, tape)
 
 
-def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
-                  tape: Tape = None):
-    """Full pipeline on a packed batch; returns (scores, diagnostics), one
-    row per example; the scores are the configured head's (``classify``).
+def forward_logits(batch: Batch, params: ModelParams, config: ModelConfig,
+                   tape: Tape = None):
+    """Full pipeline on a packed batch; returns (logits, diagnostics), one
+    row per example.  This is the path the loss is traced on.
 
     Diagnostics are arrays: the attention weights (None in concat mode) and
     both readouts.
@@ -508,6 +507,14 @@ def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig,
         "readout_sg": v_sg.data,
     }
     return classify(fused, watched, config, tape), diagnostics
+
+
+def forward_batch(batch: Batch, params: ModelParams, config: ModelConfig):
+    """Untraced ``forward_logits`` through the configured head: returns (scores,
+    diagnostics), the scores a softmax, or a sigmoid per label."""
+    logits, diagnostics = forward_logits(batch, params, config)
+    head = T.sigmoid if config.loss_mode == "sigmoid_bce" else T.softmax
+    return head(logits), diagnostics
 
 
 def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelConfig):

@@ -21,11 +21,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, TrainingError
 
 
-def _as_f64(data):
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A dense float64 array, optionally attached to a differentiation tape.
 
@@ -36,7 +31,7 @@ class Tensor:
     __slots__ = ("data", "node_id")
 
     def __init__(self, data, node_id=None):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         # Sum of squares: a nan or inf makes it non-finite, and np.vdot (no
         # ufunc) warns of no overflow, where a sum warns on 1e308 + 1e308 and
         # inf - inf.  It overflows past |x| ~ 1e154, so then recheck elementwise.
@@ -73,7 +68,7 @@ class Parameter:
     grad: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.value = _as_f64(self.value)
+        self.value = np.asarray(self.value, dtype=np.float64)
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         assert self.grad.shape == self.value.shape
@@ -180,27 +175,15 @@ def mul(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
                  lambda g: [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)])
 
 
-def scale(a: Tensor, c: float, tape: Tape = None) -> Tensor:
-    return _emit(tape, a.data * c, [a], lambda g: [g * c])
-
-
-def add_const(a: Tensor, c: float, tape: Tape = None) -> Tensor:
-    return _emit(tape, a.data + c, [a], lambda g: [g])
-
-
 def relu(a: Tensor, tape: Tape = None) -> Tensor:
     mask = a.data > 0
     return _emit(tape, np.maximum(a.data, 0.0), [a], lambda g: [g * mask])
 
 
 def sigmoid(a: Tensor, tape: Tape = None) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp(-x) is inf below x ~ -709; 1 / inf is 0
+        y = 1.0 / (1.0 + np.exp(-a.data))
     return _emit(tape, y, [a], lambda g: [g * y * (1.0 - y)])
-
-
-def log(a: Tensor, tape: Tape = None) -> Tensor:
-    ad = a.data
-    return _emit(tape, np.log(ad), [a], lambda g: [g / ad])
 
 
 def softmax(a: Tensor, tape: Tape = None) -> Tensor:
@@ -215,9 +198,30 @@ def softmax(a: Tensor, tape: Tape = None) -> Tensor:
                  lambda g: [y * (g - np.sum(g * y, axis=-1, keepdims=True))])
 
 
-def sum_all(a: Tensor, tape: Tape = None) -> Tensor:
-    shp = a.data.shape
-    return _emit(tape, a.data.sum(), [a], lambda g: [np.broadcast_to(g, shp).copy()])
+def softmax_cross_entropy(z: Tensor, targets, tape: Tape = None) -> Tensor:
+    """Soft-target cross-entropy of logits, summed over rows:
+    ``sum t * (logsumexp(z) - z)``, from max-shifted logits, so it has no cap
+    and its gradient ``(softmax(z) * sum t - t) * g`` (``p - t`` for targets
+    that sum to 1) does not vanish when the softmax saturates."""
+    t = np.asarray(targets, dtype=np.float64)
+    _broadcast_check("softmax_cross_entropy", z, t)
+    shifted = z.data - z.data.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    mass = t.sum(axis=-1, keepdims=True)
+    return _emit(tape, -np.sum(t * log_p), [z],
+                 lambda g: [(np.exp(log_p) * mass - t) * g])
+
+
+def sigmoid_cross_entropy(z: Tensor, targets, tape: Tape = None) -> Tensor:
+    """Binary cross-entropy of each logit, summed; with y = targets > 0 it is
+    ``max(z, 0) - y * z + log1p(exp(-|z|))``, which overflows nowhere, and
+    its gradient is ``(sigmoid(z) - y) * g``."""
+    zd, y = z.data, (np.asarray(targets) > 0).astype(np.float64)
+    _broadcast_check("sigmoid_cross_entropy", z, y)
+    e = np.exp(-np.abs(zd))  # in (0, 1]
+    p = np.where(zd >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z)
+    out = np.sum(np.maximum(zd, 0.0) - y * zd + np.log1p(e))
+    return _emit(tape, out, [z], lambda g: [(p - y) * g])
 
 
 def concat(parts, tape: Tape = None) -> Tensor:

@@ -1,5 +1,6 @@
-"""Multi-label losses of the configured output head (softmax cross-entropy or
-per-label binary cross-entropy) and the mini-batch SGD training loop.
+"""The mini-batch SGD training loop, on the configured output head's loss
+taken from the logits in one taped op (``T.softmax_cross_entropy`` or
+``T.sigmoid_cross_entropy``).
 
 ``train`` packs its train split once into one disjoint union per graph kind
 (``pack_split``), then records one tape per mini-batch: the batch is a row
@@ -9,6 +10,7 @@ validation split is packed once too, into the chunks evaluation scores.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,12 +18,10 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, TrainingError
-from .model import (Batch, ModelConfig, ModelParams, forward_batch, init_params,
+from .model import (Batch, ModelConfig, ModelParams, forward_logits, init_params,
                     pack_batch, take)
 from .rng import child_rng
 from .tensor import Tape, Tensor, backward, sgd_step
-
-LOG_EPS = 1e-12  # clamp inside log; keeps the loss finite at hard zeros
 
 
 @dataclass
@@ -43,8 +43,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -83,28 +83,6 @@ def target_vector(labels, label_list) -> np.ndarray:
     return t / t.sum()
 
 
-def loss(probs: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
-    """Soft-target cross-entropy summed over rows: -sum t log(p + eps)."""
-    return T.scale(
-        T.sum_all(T.mul(Tensor(targets), T.log(T.add_const(probs, LOG_EPS, tape), tape),
-                        tape), tape),
-        -1.0, tape,
-    )
-
-
-def bce_loss(p: Tensor, targets: np.ndarray, tape: Tape = None) -> Tensor:
-    """Binary cross-entropy per label on the sigmoid head's scores, summed over
-    labels and rows; a label is positive where its target is."""
-    y = (np.asarray(targets) > 0).astype(np.float64)
-    pos = T.mul(Tensor(y), T.log(T.add_const(p, LOG_EPS, tape), tape), tape)
-    neg = T.mul(
-        Tensor(1.0 - y),
-        T.log(T.add_const(T.scale(p, -1.0, tape), 1.0 + LOG_EPS, tape), tape),
-        tape,
-    )
-    return T.scale(T.sum_all(T.add(pos, neg, tape), tape), -1.0, tape)
-
-
 @dataclass
 class PackedSplit:
     """A split packed once into one union per graph kind (``pack_batch``),
@@ -130,9 +108,10 @@ def batch_loss(split: PackedSplit, rows, params: ModelParams, mconfig: ModelConf
                tape: Tape = None) -> Tensor:
     """Forward the examples at ``rows`` as one batch; returns their summed loss."""
     batch = Batch(take(split.batch.kg, rows), take(split.batch.sg, rows))
-    scores, _ = forward_batch(batch, params, mconfig, tape)
-    head_loss = bce_loss if mconfig.loss_mode == "sigmoid_bce" else loss
-    return head_loss(scores, split.targets[rows], tape)
+    logits, _ = forward_logits(batch, params, mconfig, tape)
+    head_loss = (T.sigmoid_cross_entropy if mconfig.loss_mode == "sigmoid_bce"
+                 else T.softmax_cross_entropy)
+    return head_loss(logits, split.targets[rows], tape)
 
 
 def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,

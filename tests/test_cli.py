@@ -315,6 +315,25 @@ class TestTrainEval:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(tmp_path / wrong) in err[0]
 
+    @pytest.mark.parametrize("flags,names", [
+        (["--policy", "top_k", "--top-k", "-1"], "k"),
+        (["--policy", "top_k", "--top-k", "0"], "k"),
+        (["--policy", "fixed", "--tau", "nan"], "tau"),
+    ], ids=["top_k_negative", "top_k_zero", "tau_nan"])
+    def test_eval_refuses_bad_threshold_policy(self, tmp_path, capsys, flags, names):
+        # top-k -1 predicted all labels but one, and top-k 0 and tau nan no
+        # label at all, each a macro F with exit 0
+        data, run_dir = self._trained(tmp_path)
+        capsys.readouterr()
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", run_dir / "checkpoint.npz",
+                    "--out", tmp_path / "e2", *flags]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f" {names} " in err[0]
+        assert not (tmp_path / "e2" / "metrics.json").exists()
+
     def test_eval_split_flag_validated(self, tmp_path):
         data, run_dir = self._trained(tmp_path)
         assert run(["eval", "--bundle", data / "bundle",
@@ -407,6 +426,17 @@ class TestErrorHandling:
         assert run(["train", "--bundle", data / "bundle",
                     "--embeddings", bad, "--out", tmp_path / "o",
                     "--embed-dim", 16, "--epochs", 1]) == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_exits_2_naming_it(self, tmp_path, capsys, lr):
+        # both ran, and failed with exit 1 blaming the first batch
+        data = synth_bundle(tmp_path, examples=20)
+        capsys.readouterr()
+        assert run(["train", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                    "--embed-dim", 16, "--epochs", 1, "--lr", lr]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: lr ")
 
     def test_non_finite_embedding_exits_2_naming_line(self, tmp_path, capsys):
         data = synth_bundle(tmp_path, examples=20)

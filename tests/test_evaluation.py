@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symgraph.errors import DomainError
+from symgraph.errors import ConfigError, DomainError
 from symgraph.evaluation import (MetricsReport, ThresholdPolicy, ablate_graphs,
                                  ablate_layers, ablation_csv, collect_attention,
                                  evaluate_dataset, f_scores, predict_labels)
@@ -53,6 +53,15 @@ class TestPredictLabels:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             predict_labels([0.5, 0.5], ThresholdPolicy(), FOUR)
+
+    @pytest.mark.parametrize("kwargs", [dict(kind="top-k"), dict(kind="top_k", k=0),
+                                        dict(kind="top_k", k=-1),
+                                        dict(kind="fixed", tau=float("nan")),
+                                        dict(kind="fixed", tau=float("inf"))])
+    def test_bad_policy_refused(self, kwargs):
+        # k = -1 predicted all labels but one; k = 0 and tau = nan no label
+        with pytest.raises(ConfigError):
+            ThresholdPolicy(**kwargs)
 
 
 class TestFScores:

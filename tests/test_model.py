@@ -13,6 +13,7 @@ from symgraph.gradcheck import gradcheck, random_toy_world
 from symgraph.graphs import (FactStore, GraphEdge, GraphNode, LabeledGraph,
                              RelationWhitelist, build_knowledge_graph, validate_graph)
 from symgraph import evaluation
+from symgraph import tensor as T
 from symgraph.model import (Batch, ModelConfig, attention_fuse, classify,
                             encode_nodes, forward, forward_batch, fuse_concat,
                             gcn_layer, init_params, load_checkpoint,
@@ -234,15 +235,16 @@ class TestClassify:
                          mlp_hidden=3)
         watched = self._watched(cfg, np.zeros((3, 3)), np.zeros(3),
                                 np.zeros((4, 3)), np.zeros(4))
-        probs = classify(Tensor([1.0, 2.0, 3.0]), watched, cfg)
-        np.testing.assert_allclose(probs.data, [0.25] * 4)
+        logits = classify(Tensor([1.0, 2.0, 3.0]), watched, cfg)
+        np.testing.assert_array_equal(logits.data, np.zeros(4))
+        np.testing.assert_allclose(T.softmax(logits).data, [0.25] * 4)
 
     def test_sums_to_one(self, rng):
         cfg = toy_config(num_labels=3, fusion_mode="attention", hidden_dim=4,
                          mlp_hidden=5)
         watched = self._watched(cfg, rng.normal(size=(5, 4)), rng.normal(size=5),
                                 rng.normal(size=(3, 5)), rng.normal(size=3))
-        probs = classify(Tensor(rng.normal(size=4)), watched, cfg)
+        probs = T.softmax(classify(Tensor(rng.normal(size=4)), watched, cfg))
         assert abs(probs.data.sum() - 1.0) <= 1e-12
 
     def test_hand_sized_mlp(self):
@@ -256,9 +258,7 @@ class TestClassify:
         x = np.array([2.0, 3.0])
         h = np.maximum(w1 @ x + b1, 0.0)       # [2.5, 0.0]
         logits = w2 @ h + b2                   # [2.5, 1.0]
-        expected = np.exp(logits) / np.exp(logits).sum()
-        probs = classify(Tensor(x), watched, cfg)
-        np.testing.assert_allclose(probs.data, expected)
+        np.testing.assert_allclose(classify(Tensor(x), watched, cfg).data, logits)
 
     def test_width_mismatch(self):
         cfg = toy_config(fusion_mode="concat", hidden_dim=3, mlp_hidden=3)

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,21 @@ from oracles import finite_difference, matmul_ref
 from symgraph import tensor as T
 from symgraph.errors import DimensionError, DomainError, TrainingError
 from symgraph.tensor import Parameter, Tape, Tensor, backward, sgd_step
+
+
+def _weights(shape):
+    """Fixed, distinct, nonzero weights of a shape."""
+    return np.cos(1.0 + np.arange(int(np.prod(shape)))).reshape(shape)
+
+
+def _total(x: Tensor, tape: Tape = None, weights=None) -> Tensor:
+    """``sum(weights * x)`` (all weights 1 by default) as one test-local step
+    on the tape: the tape has no reduction of its own besides the losses."""
+    c = np.ones(x.shape) if weights is None else weights
+    out = np.sum(c * x.data)
+    if tape is None:
+        return Tensor(out)
+    return tape.record(out, [x], lambda g: [g * c])
 
 
 class TestMatmul:
@@ -56,7 +74,7 @@ class TestRelu:
             p = Parameter(np.array(x0), "x")
             # relu works on arrays; wrap the scalar as a 1-vector
             xt = tape.watch(Parameter(np.array([x0]), "x"))
-            loss = T.sum_all(T.relu(xt, tape), tape)
+            loss = _total(T.relu(xt, tape), tape)
             backward(tape, loss)
             num = finite_difference(lambda v: max(v[0], 0.0), np.array([x0]))
             assert tape.params[xt.node_id].grad[0] == pytest.approx(expected)
@@ -90,12 +108,20 @@ class TestSoftmax:
             np.testing.assert_allclose(shifted, y, atol=1e-12)
 
 
+class TestSigmoid:
+    def test_large_negative_input_is_zero_without_warning(self):
+        # exp(800) overflows to inf, and 1 / (1 + inf) is the right 0.0; the
+        # suite turns numpy's overflow warning into an error
+        assert T.sigmoid(Tensor([-800.0])).data[0] == 0.0
+        assert T.sigmoid(Tensor([800.0])).data[0] == 1.0
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         tape = Tape()
         w = Parameter(np.array([1.0, 2.0]), "w")
         wt = tape.watch(w)
-        loss = T.sum_all(T.mul(wt, wt, tape), tape)
+        loss = _total(T.mul(wt, wt, tape), tape)
         backward(tape, loss)
         np.testing.assert_allclose(w.grad, [2.0, 4.0])
 
@@ -104,7 +130,7 @@ class TestBackward:
         w = Parameter(np.array([1.0, 2.0]), "w")
         tape.watch(w)
         c = Tensor([3.0, 4.0])
-        loss = T.sum_all(T.mul(c, c, tape), tape)
+        loss = _total(T.mul(c, c, tape), tape)
         backward(tape, loss)
         np.testing.assert_array_equal(w.grad, [0.0, 0.0])
 
@@ -118,7 +144,7 @@ class TestBackward:
         tape = Tape()
         w = Parameter(np.array([1.0, 2.0]), "w")
         wt = tape.watch(w)
-        loss = T.sum_all(T.mul(wt, wt, tape), tape)
+        loss = _total(T.mul(wt, wt, tape), tape)
         backward(tape, loss)
         once = w.grad.copy()
         backward(tape, loss)
@@ -128,7 +154,7 @@ class TestBackward:
         tape = Tape()
         w = Parameter(np.array([3.0]), "w")
         wt = tape.watch(w)
-        loss = T.sum_all(T.add(wt, wt, tape), tape)
+        loss = _total(T.add(wt, wt, tape), tape)
         backward(tape, loss)
         assert w.grad[0] == pytest.approx(2.0)
 
@@ -153,8 +179,8 @@ class TestSgdStep:
         for expected in (1.5, 2.25):
             tape = Tape()
             wt = tape.watch(p)
-            diff = T.add_const(wt, -3.0, tape)
-            loss = T.sum_all(T.mul(diff, diff, tape), tape)
+            diff = T.add(wt, Tensor([-3.0]), tape)
+            loss = _total(T.mul(diff, diff, tape), tape)
             backward(tape, loss)
             sgd_step([p], 0.25)
             assert p.value[0] == pytest.approx(expected)
@@ -190,18 +216,24 @@ class TestGradientsAgainstFiniteDifferences:
         def build(args, tape):
             a, b, c = args
             h = T.relu(T.linear(a, b, tape), tape)
-            return T.sum_all(T.relu(T.linear(h, c, tape), tape), tape)
+            return _total(T.relu(T.linear(h, c, tape), tape), tape)
 
         _check_grad(build, [(4, 3), (5, 3), (2, 5)], rng)
 
     def test_softmax_log_pipeline(self, rng):
-        def build(args, tape):
-            (x,) = args
-            p = T.softmax(x, tape)
-            return T.scale(T.sum_all(T.log(T.add_const(p, 1e-12, tape), tape), tape),
-                           -1.0, tape)
+        # -sum log softmax(x), once a softmax, a log and a sum on the tape, is
+        # the fused loss with every target 1; behind a product, so the
+        # logits' gradient flows on into a weight
+        x = rng.normal(size=6)
+        want = -np.log(T.softmax(Tensor(x)).data).sum()
+        assert T.softmax_cross_entropy(Tensor(x), np.ones(6)).item() == \
+            pytest.approx(want, rel=1e-12)
 
-        _check_grad(build, [(6,)], rng)
+        def build(args, tape):
+            w, h = args
+            return T.softmax_cross_entropy(T.linear(h, w, tape), np.ones(6), tape)
+
+        _check_grad(build, [(6, 3), (3,)], rng)
 
     def test_attention_style_composition(self, rng):
         # row-wise attention over a batch of 3: column scores, row softmax,
@@ -216,7 +248,7 @@ class TestGradientsAgainstFiniteDifferences:
             a_u = T.linear(alpha, Tensor([[1.0, 0.0]]), tape)
             a_v = T.linear(alpha, Tensor([[0.0, 1.0]]), tape)
             fused = T.add(T.mul(a_u, u, tape), T.mul(a_v, v, tape), tape)
-            return T.sum_all(T.sigmoid(fused, tape), tape)
+            return _total(T.sigmoid(fused, tape), tape)
 
         _check_grad(build, [(3, 5), (3, 5)], rng)
 
@@ -231,7 +263,7 @@ class TestGradientsAgainstFiniteDifferences:
             (s,) = args
             agg = T.scatter_add(s, dst, src, weight, 3, tape)
             per_graph = T.scatter_add(agg, [0, 1, 1], np.arange(3), np.ones(3), 2, tape)
-            return T.sum_all(T.mul(per_graph, per_graph, tape), tape)
+            return _total(T.mul(per_graph, per_graph, tape), tape)
 
         _check_grad(build, [(3, 4)], rng)
 
@@ -239,8 +271,8 @@ class TestGradientsAgainstFiniteDifferences:
         def build(args, tape):
             w, x, b = args
             y = T.linear(x, w, tape)  # w @ x
-            return T.sum_all(T.relu(T.add(T.concat([y, y], tape),
-                                          T.concat([b, b], tape), tape), tape), tape)
+            return _total(T.relu(T.add(T.concat([y, y], tape),
+                                       T.concat([b, b], tape), tape), tape), tape)
 
         _check_grad(build, [(4, 3), (3,), (4,)], rng)
 
@@ -256,9 +288,73 @@ class TestGradientsAgainstFiniteDifferences:
                 for d in range(depth):
                     cur = T.relu(T.linear(cur, Tensor(np.eye(dim) * 0.7 + 0.1),
                                           tape), tape)
-                return T.sum_all(T.mul(cur, cur, tape), tape)
+                return _total(T.mul(cur, cur, tape), tape)
 
             _check_grad(build, [(dim,)], rng)
+
+
+def _weighted(op):
+    """A build that reduces ``op``'s output by ``_weights``, so each output
+    entry gets its own upstream gradient (a plain sum gives softmax none)."""
+    def build(args, tape):
+        out = op(args, tape)
+        return _total(out, tape, _weights(out.shape))
+    return build
+
+
+_EDGES = (np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 2, 1]),
+          np.array([0.5, 0.5, 1.0, 2.0, -1.0]))  # dst, src, weight
+_SOFT_TARGETS = np.array([[0.0, 2.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0],
+                          [0.25, 0.25, 0.25, 0.25]])  # rows that sum to 2.5, 1, 1
+
+# taped primitive -> cases of (shapes of its traced operands, build to a scalar)
+PRIMITIVE_CASES = {
+    "linear": [
+        ([(4, 3), (5, 3)], _weighted(lambda a, t: T.linear(a[0], a[1], t))),
+        ([(3,), (5, 3)], _weighted(lambda a, t: T.linear(a[0], a[1], t))),
+    ],
+    "add": [([(3, 4), (4,)], _weighted(lambda a, t: T.add(a[0], a[1], t)))],
+    "mul": [([(3, 4), (3, 1)], _weighted(lambda a, t: T.mul(a[0], a[1], t)))],
+    "relu": [([(3, 4)], _weighted(lambda a, t: T.relu(a[0], t)))],
+    "sigmoid": [([(3, 4)], _weighted(lambda a, t: T.sigmoid(a[0], t)))],
+    "softmax": [
+        ([(3, 4)], _weighted(lambda a, t: T.softmax(a[0], t))),
+        ([(5,)], _weighted(lambda a, t: T.softmax(a[0], t))),
+    ],
+    "concat": [([(3, 2), (3, 4)], _weighted(lambda a, t: T.concat(a, t)))],
+    "scatter_add": [
+        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(a[0], *_EDGES, 4, t))),
+    ],
+    "softmax_cross_entropy": [
+        ([(3, 4)], lambda a, t: T.softmax_cross_entropy(a[0], _SOFT_TARGETS, t)),
+        ([(4,)], lambda a, t: T.softmax_cross_entropy(a[0], _SOFT_TARGETS[0], t)),
+    ],
+    "sigmoid_cross_entropy": [
+        ([(3, 4)], lambda a, t: T.sigmoid_cross_entropy(a[0], _SOFT_TARGETS, t)),
+        ([(4,)], lambda a, t: T.sigmoid_cross_entropy(a[0], _SOFT_TARGETS[0], t)),
+    ],
+}
+
+
+def _emitters(module):
+    """Names of the module's functions that call ``_emit``: its taped primitives."""
+    tree = ast.parse(inspect.getsource(module))
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "_emit"
+                    for call in ast.walk(node))}
+
+
+class TestPrimitiveGradients:
+    def test_table_covers_every_taped_primitive(self):
+        # a new primitive fails here until it has a finite-difference case
+        assert set(PRIMITIVE_CASES) == _emitters(T)
+
+    @pytest.mark.parametrize("name,i", [(name, i) for name, cases in PRIMITIVE_CASES.items()
+                                        for i in range(len(cases))])
+    def test_matches_finite_differences(self, rng, name, i):
+        shapes, build = PRIMITIVE_CASES[name][i]
+        _check_grad(build, shapes, rng)
 
 
 class TestScatterAdd:
@@ -295,13 +391,6 @@ class TestLinear:
     def test_width_mismatch(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(5, 2\)"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 2))))
-
-    def test_gradient(self, rng):
-        def build(args, tape):
-            x, w = args
-            return T.sum_all(T.relu(T.linear(x, w, tape), tape), tape)
-
-        _check_grad(build, [(4, 3), (5, 3)], rng)
 
 
 class TestTensorInvariants:

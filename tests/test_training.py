@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from symgraph import evaluation, model
+from symgraph import tensor as T
 from symgraph.embeddings import EmbeddingTable
 from symgraph.errors import ConfigError, DomainError, TrainingError
 from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
 from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
-from symgraph.tensor import Tensor, sigmoid
-from symgraph.training import (Example, RunLog, EpochRecord, TrainConfig,
-                               bce_loss, loss, pack_split,
-                               target_vector, train, train_epoch)
+from symgraph.tensor import Tape, Tensor, backward
+from symgraph.training import (Example, RunLog, EpochRecord, TrainConfig, batch_loss,
+                               pack_split, target_vector, train, train_epoch)
 
 LABELS = ["alpha", "beta"]
 
@@ -65,34 +65,40 @@ class TestTargetVector:
 
 
 class TestLoss:
+    """Soft-target cross-entropy of the softmax head, from its logits."""
+
     def test_uniform_over_four(self):
-        probs = Tensor([0.25] * 4)
-        out = loss(probs, target_vector(["c"], ["a", "b", "c", "d"]))
+        out = T.softmax_cross_entropy(Tensor(np.zeros(4)),
+                                      target_vector(["c"], ["a", "b", "c", "d"]))
         assert out.item() == pytest.approx(np.log(4.0), abs=1e-9)
 
     def test_confident_correct_is_near_zero(self):
-        out = loss(Tensor([1.0 - 1e-9, 1e-9]), target_vector(["alpha"], LABELS))
+        out = T.softmax_cross_entropy(Tensor([40.0, 0.0]), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(0.0, abs=1e-8)
 
     def test_soft_target_two_labels(self):
-        out = loss(Tensor([0.5, 0.5]), target_vector(["alpha", "beta"], LABELS))
+        out = T.softmax_cross_entropy(Tensor([0.0, 0.0]),
+                                      target_vector(["alpha", "beta"], LABELS))
         assert out.item() == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_higher_mass_on_target_lowers_loss(self):
         t = target_vector(["alpha"], LABELS)
-        low = loss(Tensor([0.9, 0.1]), t).item()
-        high = loss(Tensor([0.2, 0.8]), t).item()
-        assert low < high
+        low = T.softmax_cross_entropy(Tensor(np.log([0.9, 0.1])), t).item()
+        high = T.softmax_cross_entropy(Tensor(np.log([0.2, 0.8])), t).item()
+        assert low == pytest.approx(-np.log(0.9)) and high == pytest.approx(-np.log(0.2))
 
 
 class TestBceLoss:
+    """Per-label binary cross-entropy of the sigmoid head, from its logits."""
+
     def test_zero_logits(self):
         # sigmoid(0)=0.5 on both labels: -log(.5) - log(.5) = 2 ln 2
-        out = bce_loss(sigmoid(Tensor([0.0, 0.0])), target_vector(["alpha"], LABELS))
+        out = T.sigmoid_cross_entropy(Tensor([0.0, 0.0]), target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(2.0 * np.log(2.0), abs=1e-9)
 
     def test_strong_correct_logits_near_zero(self):
-        out = bce_loss(sigmoid(Tensor([20.0, -20.0])), target_vector(["alpha"], LABELS))
+        out = T.sigmoid_cross_entropy(Tensor([20.0, -20.0]),
+                                      target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(0.0, abs=1e-6)
 
 
@@ -161,6 +167,28 @@ class TestTrainEpoch:
             with np.errstate(over="ignore"), pytest.raises(
                     TrainingError, match=r"\['img0_0', 'img0_1'\]: .*non-finite"):
                 train_epoch(split, params, mcfg, tc, child_rng(0, "shuffle"))
+
+
+class TestSaturatedHead:
+    @pytest.mark.parametrize("mode,bias,want_loss", [("softmax_ce", [0.0, 800.0], 800.0),
+                                                     ("sigmoid_bce", [-800.0, 800.0], 1600.0)])
+    def test_logit_gradient_is_p_minus_t_at_gap_800(self, rng, mode, bias, want_loss):
+        # the true label trails by a logit gap of 800; with mlp.w2 zero the
+        # logits are mlp.b2, so its gradient is the gradient with respect to
+        # the logits.  Through a separate head and log(p + 1e-12) it was 0.
+        table = make_table(rng)
+        mcfg = small_config(loss_mode=mode)
+        params = init_params(mcfg)
+        params["mlp.w2"].value[...] = 0.0
+        params["mlp.b2"].value[...] = bias
+        split = pack_split([make_example(0, 0)], table, LABELS)  # label alpha
+        tape = Tape()
+        lt = batch_loss(split, [0], params, mcfg, tape)
+        backward(tape, lt)
+        p, t = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        np.testing.assert_allclose(params["mlp.b2"].grad, p - t, rtol=0, atol=1e-12)
+        # 800 per wrong logit, where each capped at -log(1e-12) = 27.63
+        assert lt.item() == want_loss
 
 
 class TestTrain:
@@ -263,6 +291,9 @@ class TestConfigAndLog:
             TrainConfig(epochs=1, batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, lr=0.0)
+        for lr in (float("nan"), float("inf")):  # nan passed the lr <= 0 check
+            with pytest.raises(ConfigError, match="lr"):
+                TrainConfig(epochs=1, lr=lr)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
         with pytest.raises(ConfigError):  # the output head is part of the model
