@@ -307,14 +307,15 @@ def cmd_gradcheck(args) -> int:
              else ["concat", "attention"])
     failed = False
     for mode in modes:
-        report = gradcheck(replace(mconfig, fusion_mode=mode), seed=args.seed,
-                           tolerance=args.tolerance)
-        print(f"fusion={mode}:")
-        for line in report.lines():
-            print("  " + line)
-        print(f"  max_rel_err={report.max_error:.3e} "
-              f"{'PASS' if report.ok else 'FAIL'} (tolerance {report.tolerance:g})")
-        failed = failed or not report.ok
+        for head in LOSS_MODES:
+            report = gradcheck(replace(mconfig, fusion_mode=mode, loss_mode=head),
+                               seed=args.seed, tolerance=args.tolerance)
+            print(f"fusion={mode} loss={head}:")
+            for line in report.lines():
+                print("  " + line)
+            print(f"  max_rel_err={report.max_error:.3e} "
+                  f"{'PASS' if report.ok else 'FAIL'} (tolerance {report.tolerance:g})")
+            failed = failed or not report.ok
     return 1 if failed else 0
 
 
@@ -382,7 +383,8 @@ def build_parser():
     add_train_flags(p)
     add_policy_flags(p)
 
-    p = new_sub("gradcheck", cmd_gradcheck, "finite-difference gradient check")
+    p = new_sub("gradcheck", cmd_gradcheck,
+                "finite-difference gradient check, both output heads")
     p.add_argument("--embed-dim", type=int, default=6)
     p.add_argument("--hidden-dim", type=int, default=8)
     p.add_argument("--gcn-layers", type=int, default=3)

@@ -25,6 +25,19 @@ union.  Each tower is then one encoder product over the sources, one
 ``scatter_add`` and product over the classes per GCN layer, and one
 ``scatter_add`` over graph ids for the readout; fusion and the head work on
 the (batch, hidden) rows.
+
+The same rule trims the GCN stack: a layer before the last computes only
+the classes that some in-edge reads, and only the last computes every
+class, for the readout.  A layer sums its in-edges as ``tensor.Edges``
+rounds of exact gathers: a class's in-edges are consecutive and every class
+has one, so round 0 gathers each class's first in-edge and round k adds the
+k-th of those that have one.  The ``rank`` of each in-edge in its list is
+numbered when packing and gathered by ``take``, so a union's rounds need no
+sort of its edges by class; they are built once, on its first forward pass.
+The sums have the bits of a loop over the edges.  A trimmed layer's product
+has fewer rows than one over every class, and BLAS may round a row of a
+product differently when the row count changes, so scores agree with
+computing every class to rounding (bit for bit on the benchmark's inputs).
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ import dataclasses
 import io
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -192,16 +205,24 @@ class GraphBatch:
     node order, and no class spans two graphs; class ``c`` has
     ``class_sizes[c]`` nodes and belongs to graph ``class_graph[c]``.
 
-    ``(dst, src, src_class, weight)`` holds the in-edges of each class, in
-    edge order within a class: ``dst`` is the class, ``src`` the row of the
-    edge's source in ``inputs``, ``src_class`` the class of that source and
-    ``weight`` one over the length of the list.  Only these sources are
+    ``(dst, src, src_class, weight, rank)`` holds the in-edges of each
+    class, in edge order within a class: ``dst`` is the class, ``src`` the
+    row of the edge's source in ``inputs``, ``src_class`` the class of that
+    source, ``weight`` one over the length of the list and ``rank`` the
+    edge's position in it.  Only these sources are
     encoded: ``inputs`` has one row per source, in node order.  So at least
     one in-edge of its own graph reads every row of ``inputs``, which is how
     ``offsets`` finds a row's graph.  A GCN layer's aggregate of class ``c``
     is the sum of ``weight[e] * states[...]`` over the edges with
     ``dst[e] == c``, read at ``src[e]`` from the encoder's rows and at
-    ``src_class[e]`` from an earlier layer's rows (a row per class).
+    ``src_class[e]`` from an earlier layer's rows.
+
+    An earlier layer computes only the classes that some in-edge reads
+    (``read``), a row each in class order; only the last layer computes
+    every class, because the readout sums them all.  The ``Edges`` lists a
+    layer and the readout apply are built on first use and kept, so a union
+    builds each once: ``rank`` orders their rounds, and their indices are
+    range-checked then.
     """
 
     inputs: np.ndarray  # (sources, 2 * embed_dim)
@@ -209,9 +230,11 @@ class GraphBatch:
     src: np.ndarray
     src_class: np.ndarray
     weight: np.ndarray
+    rank: np.ndarray
     class_sizes: np.ndarray
     class_graph: np.ndarray
     num_graphs: int
+    _layer_edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -235,6 +258,47 @@ class GraphBatch:
         counts = [np.bincount(graph_ids, minlength=self.num_graphs)
                   for graph_ids in (self.class_graph, source_graph, edge_graph)]
         return np.pad(np.cumsum(counts, axis=1), ((0, 0), (1, 0)))
+
+    @cached_property
+    def read(self) -> np.ndarray:
+        """Per class: whether an in-edge reads it, so that an earlier layer
+        must compute its row."""
+        return np.bincount(self.src_class, minlength=self.num_classes) > 0
+
+    @cached_property
+    def _read_rows(self):
+        """(row, count): each class's row among the read ones, the rows an
+        earlier layer computes (None when every class is read), and how
+        many there are."""
+        n_read = int(np.count_nonzero(self.read))
+        return (None if n_read == self.num_classes else self.read.cumsum() - 1), n_read
+
+    def layer_edges(self, from_encoder: bool, all_classes: bool) -> T.Edges:
+        """The in-edges a GCN layer sums: from the encoder's rows (a row per
+        source) or from an earlier layer's (a row per read class), into
+        every class or only into the read ones."""
+        row, n_read = self._read_rows
+        trim = not all_classes and row is not None
+        edges = self._layer_edges.get((from_encoder, trim))
+        if edges is None:
+            keep = self.read[self.dst] if trim else slice(None)  # whole in-lists: ranks stay
+            if from_encoder:
+                src, n_in = self.src[keep], self.num_sources
+            else:
+                src, n_in = self.src_class[keep], n_read
+                src = src if row is None else row[src]
+            dst, n_out = (row[self.dst[keep]], n_read) if trim else (self.dst, self.num_classes)
+            edges = T.Edges(dst, src, self.weight[keep], n_out, n_in, self.rank[keep])
+            self._layer_edges[from_encoder, trim] = edges
+        return edges
+
+    @cached_property
+    def readout_edges(self) -> T.Edges:
+        """Each class into its graph, weighted by its node count.  A graph
+        may have tens of classes, and so its rounds tens of small gathers:
+        this sum is one bincount (``gather=False``)."""
+        return T.Edges(self.class_graph, np.arange(self.num_classes), self.class_sizes,
+                       self.num_graphs, self.num_classes, gather=False)
 
 
 @dataclass
@@ -335,16 +399,18 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     # class ids are numbered over the call, then shifted to number within each part
     part_classes = np.diff(np.array(ends, dtype=np.intp)[:, 0])
     lengths = np.array(lengths, dtype=np.intp)
-    first = np.repeat(np.cumsum(part_classes) - part_classes, part_classes)  # per class
-    start = np.repeat(first, lengths)  # per class in-edge: the first class of its part
-    dst = np.repeat(np.arange(lengths.size), lengths) - start
+    first = (part_classes.cumsum() - part_classes).repeat(part_classes)  # per class
+    start = first.repeat(lengths)  # per class in-edge: the first class of its part
+    dst = np.arange(lengths.size).repeat(lengths) - start
+    rank = np.arange(dst.size) - (lengths.cumsum() - lengths).repeat(lengths)
     src = np.array(src, dtype=np.intp)
     src_class = np.array(src_class, dtype=np.intp) - start
-    weight = 1.0 / np.repeat(lengths, lengths)
+    weight = 1.0 / lengths.repeat(lengths)
     class_sizes = np.bincount(np.array(node_class, dtype=np.intp), minlength=lengths.size)
     class_graph = np.array(class_graph, dtype=np.intp)
     return [GraphBatch(inputs[s0:s1], dst[e0:e1], src[e0:e1], src_class[e0:e1],
-                       weight[e0:e1], class_sizes[c0:c1], class_graph[c0:c1], count)
+                       weight[e0:e1], rank[e0:e1], class_sizes[c0:c1], class_graph[c0:c1],
+                       count)
             for count, (c0, s0, e0), (c1, s1, e1) in zip(parts, ends, ends[1:])]
 
 
@@ -379,6 +445,7 @@ def take(graphs: GraphBatch, rows) -> GraphBatch:
         graphs.src[edges] - source_shift[edge_graph],
         graphs.src_class[edges] - class_shift[edge_graph],
         graphs.weight[edges],
+        graphs.rank[edges],
         graphs.class_sizes[classes],
         class_graph,
         rows.size,
@@ -401,20 +468,21 @@ def encode_nodes(graphs: GraphBatch, w_enc: Tensor, config: ModelConfig,
 
 
 def gcn_layer(states: Tensor, graphs: GraphBatch, w: Tensor, config: ModelConfig,
-              tape: Tape = None, from_encoder: bool = False) -> Tensor:
+              tape: Tape = None, from_encoder: bool = False,
+              all_classes: bool = True) -> Tensor:
     """One message-passing layer: nonlinearity of the in-neighbor mean of the
     previous states through the layer weight (no edge features past layer 0).
 
     ``states`` holds a row per source (the encoder's output, with
-    ``from_encoder``) or a row per aggregation class (an earlier layer's
-    output); the result holds a row per class, the state of every node of
-    that class.
+    ``from_encoder``) or a row per read class (an earlier layer's output).
+    The result holds a row per class (``all_classes``, the last layer), the
+    state of every node of that class, or a row per read class.
     """
-    src, n_in, rows = ((graphs.src, graphs.num_sources, "source") if from_encoder
-                       else (graphs.src_class, graphs.num_classes, "class"))
-    if states.shape[0] != n_in:
-        raise DimensionError(f"state rows {states.shape[0]} != {rows} count {n_in}")
-    agg = T.scatter_add(states, graphs.dst, src, graphs.weight, graphs.num_classes, tape)
+    edges = graphs.layer_edges(from_encoder, all_classes)
+    if states.shape[0] != edges.n_in:
+        rows = "source" if from_encoder else "read class"
+        raise DimensionError(f"state rows {states.shape[0]} != {rows} count {edges.n_in}")
+    agg = T.scatter_add(states, edges, tape)
     return _nonlin(config)(T.linear(agg, w, tape), tape)
 
 
@@ -422,8 +490,7 @@ def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor
     """Per-graph sum of node states, (graphs, hidden), from a row per
     aggregation class: each class adds its row times its node count.  An
     empty graph reads out as the zero vector."""
-    return T.scatter_add(states, graphs.class_graph, np.arange(graphs.num_classes),
-                         graphs.class_sizes, graphs.num_graphs, tape)
+    return T.scatter_add(states, graphs.readout_edges, tape)
 
 
 def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
@@ -470,12 +537,14 @@ def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = Non
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
               tape: Tape = None) -> Tensor:
-    """Encoder (a row per source) plus GCN stack (a row per aggregation
-    class) plus readout; returns the (graphs, hidden) readouts."""
+    """Encoder (a row per source) plus GCN stack (a row per read class, then
+    a row per class at the last layer) plus readout; returns the (graphs,
+    hidden) readouts."""
     states = encode_nodes(graphs, watched[f"{prefix}.enc"], config, tape)
+    last = config.gcn_layers - 1
     for l in range(config.gcn_layers):
         states = gcn_layer(states, graphs, watched[f"{prefix}.gcn{l}"], config, tape,
-                           from_encoder=l == 0)
+                           from_encoder=l == 0, all_classes=l == last)
     return readout_sum(states, graphs, tape)
 
 

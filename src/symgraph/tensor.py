@@ -5,7 +5,16 @@ The tape (``Tape``) records one step per primitive op, in execution order.
 ``grad`` buffers of every ``Parameter`` the loss depends on.  Training
 records one tape per mini-batch: the batch's graphs are one disjoint union,
 so every op works on whole (rows, features) matrices, and ``scatter_add``
-does the per-edge and per-graph sums.
+does the per-edge and per-graph sums over an ``Edges`` list.
+
+An ``Edges`` list is range-checked once and applied as exact gathers in
+"rounds", the jagged-diagonal layout of sparse kernels (Saad, 1989): round
+k adds the k-th edge of every output row that has one, so no row repeats
+within a round and each row sums its edges in edge order, bit for bit as a
+loop over the edges from zero would (but for the sign of a zero: round 0
+starts a row at its first term, so a -0.0 term stays -0.0).  Its rounds are
+built when it is made, and those of its transposed list, which the
+backward pass applies, on first use; both are kept with it.
 
 All ops accept an optional ``tape``; with ``tape=None`` they are plain
 numpy computations, which is what evaluation uses.
@@ -176,8 +185,8 @@ def mul(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
 
 
 def relu(a: Tensor, tape: Tape = None) -> Tensor:
-    mask = a.data > 0
-    return _emit(tape, np.maximum(a.data, 0.0), [a], lambda g: [g * mask])
+    out = np.maximum(a.data, 0.0)
+    return _emit(tape, out, [a], lambda g: [g * (out > 0)])  # out > 0 iff a > 0
 
 
 def sigmoid(a: Tensor, tape: Tape = None) -> Tensor:
@@ -242,7 +251,8 @@ def concat(parts, tape: Tape = None) -> Tensor:
 
 def scatter_rows(values, rows, n):
     """``out[rows[e]] += values[e]`` for every row e of ``values``, into n rows
-    (plain numpy; ``scatter_add`` is the taped op).
+    (plain numpy: packing's means, and the sum of an ``Edges`` list made
+    with ``gather=False``).
 
     One bincount over flat (row, column) slots: summing happens in the order
     of ``values``, so results are reproducible bit for bit.
@@ -261,30 +271,106 @@ def segment_mean(values, rows, n):
     return scatter_rows(values, rows, n) / counts[:, None]
 
 
-def scatter_add(x: Tensor, dst, src, weight, n_out: int, tape: Tape = None) -> Tensor:
-    """Weighted edge-list sum of rows: ``out[dst[e]] += weight[e] * x[src[e]]``
-    into ``n_out`` rows.
+def _row_ids(ids, n: int) -> np.ndarray:
+    """``ids`` as an index array, refused unless each is one of n rows."""
+    ids = np.asarray(ids, dtype=np.intp)
+    try:
+        fits = np.bincount(ids, minlength=n).size == n  # an id past n lengthens it
+    except ValueError:  # a negative id, or not a vector
+        fits = False
+    if not fits:
+        raise DimensionError(f"edge indices must be a vector of ids below {n}")
+    return ids
+
+
+class Edges:
+    """A weighted edge list from ``n_in`` rows into ``n_out`` rows: the sum
+    ``out[dst[e]] += weight[e] * x[src[e]]`` that ``scatter_add`` applies.
 
     ``dst``, ``src`` and ``weight`` are equal-length arrays; pairs may repeat
-    and rows no pair reaches are zero.  With row-normalized in-edges it is a
-    GCN mean aggregation; with graph ids as ``dst``, every node as ``src``
-    and unit weights it is a per-graph sum readout.
+    and rows no edge reaches are zero.  The indices are range-checked and the
+    rounds built here, once.  ``rank``, when given, is each edge's position
+    among the edges into its row, in edge order, for a list sorted by
+    ``dst`` that reaches every out row; otherwise a sort finds it.  With
+    ``gather=False`` the sum is one bincount over (edges x width) slots
+    instead, for a list whose rows have tens of edges each (a readout),
+    where rounds would be tens of small gathers; its transposed list, which
+    the backward pass applies, still sums in rounds.
     """
-    xd = x.data
-    if xd.ndim != 2:
-        raise DimensionError(f"scatter_add needs a matrix, got shape {x.shape}")
-    dst = np.asarray(dst, dtype=np.intp)
-    src = np.asarray(src, dtype=np.intp)
-    w = np.asarray(weight, dtype=np.float64)[:, None]
-    if not dst.shape == src.shape == w.shape[:1] or dst.ndim != 1:
-        raise DimensionError(
-            f"edge arrays disagree: {dst.shape}, {src.shape}, {w.shape[:1]}")
-    n_in = xd.shape[0]
-    if dst.size and (dst.min() < 0 or dst.max() >= n_out
-                     or src.min() < 0 or src.max() >= n_in):
-        raise DimensionError(f"edge index out of range for {n_in} -> {n_out} rows")
-    out = scatter_rows(xd[src] * w, dst, n_out)
-    return _emit(tape, out, [x], lambda g: [scatter_rows(g[dst] * w, src, n_in)])
+
+    __slots__ = ("dst", "src", "weight", "n_out", "n_in", "rounds", "_transposed")
+
+    def __init__(self, dst, src, weight, n_out: int, n_in: int, rank=None,
+                 gather: bool = True):
+        self.dst, self.src = _row_ids(dst, n_out), _row_ids(src, n_in)
+        self.weight = np.asarray(weight, dtype=np.float64)
+        if not self.dst.shape == self.src.shape == self.weight.shape:
+            raise DimensionError(f"edge arrays disagree: {self.dst.shape}, "
+                                 f"{self.src.shape}, {self.weight.shape}")
+        self.n_out, self.n_in, self._transposed = n_out, n_in, None
+        self.rounds = _rounds(self.dst, self.src, self.weight, n_out, rank) if gather else None
+
+    @property
+    def transposed(self) -> "Edges":
+        """The same edges from the out rows back to the in rows: the list
+        whose sum is the backward pass of this one's, built on first use."""
+        if self._transposed is None:
+            self._transposed = Edges(self.src, self.dst, self.weight, self.n_in, self.n_out)
+        return self._transposed
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The (n_out, width) edge sum of the (n_in, width) rows ``x``."""
+        rounds = self.rounds
+        if rounds is None:
+            terms = x.take(self.src, axis=0)
+            terms *= self.weight[:, None]
+            return scatter_rows(terms, self.dst, self.n_out)
+        out = None if rounds and rounds[0][0] is None else np.zeros((self.n_out, x.shape[1]))
+        for rows, srcs, w in rounds:
+            terms = x.take(srcs, axis=0)
+            terms *= w
+            if rows is None:  # round 0, one term for each row in order
+                out = terms
+            else:  # no row repeats within a round
+                sums = out.take(rows, axis=0)
+                sums += terms
+                out[rows] = sums
+        return out
+
+
+def _rounds(dst, src, weight, n_out: int, rank) -> list:
+    """(rows, sources, weight column) of each round of an edge list, in row
+    order within a round; ``rows`` is None when round 0 holds every out row
+    in order, so that round is a plain gather."""
+    n, w = dst.size, weight[:, None]
+    if rank is None:
+        order = dst.argsort(kind="stable")
+        counts = np.bincount(dst, minlength=n_out)
+        rank = np.arange(n) - (counts.cumsum() - counts).repeat(counts)
+        order = order[rank.argsort(kind="stable")]  # by round, then by row
+    elif n == n_out:  # one edge per row: one round, in row order
+        return [(None, src, w)]
+    else:
+        order = rank.argsort(kind="stable")
+    ends = np.bincount(rank).cumsum().tolist()
+    rows, srcs, w = dst.take(order), src.take(order), w.take(order, axis=0)
+    rounds = [(rows[a:b], srcs[a:b], w[a:b]) for a, b in zip([0] + ends, ends)]
+    if ends and ends[0] == n_out:
+        rounds[0] = (None,) + rounds[0][1:]
+    return rounds
+
+
+def scatter_add(x: Tensor, edges: Edges, tape: Tape = None) -> Tensor:
+    """Weighted edge-list sum of rows over ``edges``:
+    ``out[dst[e]] += weight[e] * x[src[e]]`` into ``edges.n_out`` rows.
+
+    With row-normalized in-edges it is a GCN mean aggregation; with graph
+    ids as ``dst``, every node as ``src`` and unit weights it is a per-graph
+    sum readout.  Its backward pass is the sum over the transposed edges.
+    """
+    if x.data.ndim != 2 or x.shape[0] != edges.n_in:
+        raise DimensionError(f"scatter_add needs {edges.n_in} rows, got shape {x.shape}")
+    return _emit(tape, edges.apply(x.data), [x], lambda g: [edges.transposed.apply(g)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +404,15 @@ def backward(tape: Tape, loss: Tensor):
 
 
 def sgd_step(params, lr: float):
-    """value <- value - lr * grad for every parameter, then zero the grads."""
+    """value <- value - lr * grad for every parameter, then zero the grads.
+    Every gradient is checked before any value changes, and the update
+    runs in place in the gradient buffer."""
     params = list(params)
     for p in params:
-        if not np.all(np.isfinite(p.grad)):
+        flat = p.grad.ravel("K")  # the finite test of Tensor.__init__
+        if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient for parameter '{p.name}'")
     for p in params:
-        p.value -= lr * p.grad
+        p.grad *= lr
+        p.value -= p.grad
         p.zero_grad()

@@ -159,7 +159,7 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
     val_truth = [set(ex.labels) for ex in val_data]
     val_batches = list(packed_chunks(val_data, table))
     log = RunLog()
-    best = params.copy()
+    best = None  # a copy of the parameters, taken when validation improves
     best_f = -1.0
     best_epoch = -1
     for epoch in range(tconfig.epochs):
@@ -173,4 +173,4 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
             best_f = report.macro_f
             best_epoch = epoch
             best = params.copy()
-    return params, log, best, best_epoch
+    return params, log, params.copy() if best is None else best, best_epoch

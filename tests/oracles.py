@@ -6,8 +6,9 @@ per-node gathers, exhaustive filters instead of indexed lookups, central
 finite differences instead of the tape, concatenation of per-example
 batches instead of a gather from a packed union, and per-node list scans
 instead of the packer's numbering of aggregation classes and sources,
-line-at-a-time text readers instead of bulk parses, and graphs as lists of
-node and edge records instead of columns.
+line-at-a-time text readers instead of bulk parses, graphs as lists of
+node and edge records instead of columns, and one bincount over (edge,
+column) slots instead of rounds of gathers for edge-list sums.
 """
 
 import math
@@ -41,6 +42,19 @@ def matmul_ref(a, b):
             for l in range(k):
                 out[i, j] += a[i, l] * b[l, j]
     return out
+
+
+def scatter_add_ref(x, dst, src, weight, n_out):
+    """``out[dst[e]] += weight[e] * x[src[e]]`` into n_out rows, as one
+    bincount over flat (row, column) slots, summing in edge order (the
+    reference for ``tensor.Edges``).  The backward pass of such a sum is the
+    same sum with ``dst`` and ``src`` swapped, over the output gradient."""
+    x = np.asarray(x, dtype=np.float64)
+    width = x.shape[1]
+    values = x[np.asarray(src, dtype=np.intp)] * np.asarray(weight, dtype=np.float64)[:, None]
+    slots = (np.asarray(dst, dtype=np.intp)[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(slots, weights=values.ravel(),
+                       minlength=n_out * width).reshape(n_out, width)
 
 
 def row_normalized_adjacency(g):
@@ -212,6 +226,7 @@ def _union(parts):
         np.concatenate([p.src for p in parts]) + np.repeat(source_start, edges),
         np.concatenate([p.src_class for p in parts]) + edge_classes,
         np.concatenate([p.weight for p in parts]),
+        np.concatenate([p.rank for p in parts]),
         np.concatenate([p.class_sizes for p in parts]),
         np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
         int(graphs.sum()),

@@ -394,7 +394,12 @@ class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
         assert run(["gradcheck", "--gcn-layers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert "FAIL" not in out
+        # each fusion mode's report under each output head, and each passes
+        headers = [line for line in out.splitlines() if line.startswith("fusion=")]
+        assert headers == [f"fusion={mode} loss={head}:" for mode in ("concat", "attention")
+                           for head in ("softmax_ce", "sigmoid_bce")]
+        assert out.count("PASS") == 4
 
     def test_impossible_tolerance_fails(self, capsys):
         assert run(["gradcheck", "--gcn-layers", "1", "--fusion", "concat",

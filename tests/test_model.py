@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (collate, encode_nodes_ref, forward_ref, gcn_layer_ref,
-                     node_classes_ref, node_input_ref, phrase_ref, source_nodes_ref)
+                     node_classes_ref, node_input_ref, phrase_ref, scatter_add_ref,
+                     source_nodes_ref)
 from symgraph.embeddings import EmbeddingTable
 from symgraph.errors import ConfigError, DimensionError, ValidationError
 from symgraph.gradcheck import gradcheck, random_toy_world
@@ -18,7 +19,7 @@ from symgraph.model import (Batch, ModelConfig, attention_fuse, classify,
                             encode_nodes, forward, forward_batch, fuse_concat,
                             gcn_layer, init_params, load_checkpoint,
                             pack_batch, pack_graph, pack_graphs, param_count,
-                            readout_sum, save_checkpoint, take)
+                            readout_sum, run_tower, save_checkpoint, take)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
 
@@ -475,7 +476,8 @@ def node_count(ex):
     return len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes)
 
 
-FIELDS = ("inputs", "dst", "src", "src_class", "weight", "class_sizes", "class_graph")
+FIELDS = ("inputs", "dst", "src", "src_class", "weight", "rank", "class_sizes",
+          "class_graph")
 
 
 class TestPack:
@@ -594,21 +596,34 @@ class TestAggregationClasses:
         np.testing.assert_array_equal(packed.src, [0, 1, 0, 1])
         np.testing.assert_array_equal(packed.src_class, [0, 0, 0, 0])
         np.testing.assert_array_equal(packed.weight, [1.0, 1.0, 0.5, 0.5])
+        np.testing.assert_array_equal(packed.rank, [0, 0, 0, 1])
+        # only class 0 (the seeds) is read, so an earlier layer computes one row
+        np.testing.assert_array_equal(packed.read, [True, False, False])
         # the encoder still reads each source's own edges: within class 0, tok0
         # has the ``self`` relation and tok1 an (out-of-table) "relatedto"
         assert packed.inputs.shape == (2, 12)
         assert not np.array_equal(packed.inputs[0], packed.inputs[1])
 
     def test_layers_compute_a_row_per_class(self, rng, toy_table):
+        # the last layer computes a row per class (3); an earlier one only
+        # the read classes (1, the seeds' class), which is what a later
+        # layer reads
         cfg = toy_config(hidden_dim=5)
         packed = pack_graph(star_kg(), toy_table)
         w = Tensor(rng.normal(size=(5, 5)))
-        first = gcn_layer(Tensor(rng.normal(size=(2, 5))), packed, w, cfg,
-                          from_encoder=True)
-        assert first.shape == (3, 5)
-        assert gcn_layer(first, packed, w, cfg).shape == (3, 5)
-        with pytest.raises(DimensionError, match="class count 3"):
-            gcn_layer(Tensor(np.zeros((4, 5))), packed, w, cfg)
+        sources = Tensor(rng.normal(size=(2, 5)))
+        assert gcn_layer(sources, packed, w, cfg, from_encoder=True).shape == (3, 5)
+        first = gcn_layer(sources, packed, w, cfg, from_encoder=True, all_classes=False)
+        assert first.shape == (1, 5)
+        assert gcn_layer(first, packed, w, cfg, all_classes=False).shape == (1, 5)
+        last = gcn_layer(first, packed, w, cfg)
+        assert last.shape == (3, 5)
+        # the read rows of a layer that computes every class; their sums have
+        # equal bits, but a product over fewer rows may round differently
+        full = gcn_layer(sources, packed, w, cfg, from_encoder=True)
+        np.testing.assert_allclose(first.data, full.data[packed.read], rtol=1e-12, atol=1e-15)
+        with pytest.raises(DimensionError, match="read class count 1"):
+            gcn_layer(Tensor(np.zeros((3, 5))), packed, w, cfg)
 
     def test_gradient_check_through_merged_classes(self):
         cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=2,
@@ -639,6 +654,108 @@ class TestAggregationClasses:
                                       np.r_[alone.src_class, alone.src_class + c])
         np.testing.assert_array_equal(kg.inputs, np.r_[alone.inputs, alone.inputs])
         np.testing.assert_array_equal(kg.class_graph, np.repeat([0, 1], c))
+
+
+def in_degree_graph(rng, n, kind="scene"):
+    """n nodes (none for n = 0), node 0 with 1 to 8 in-edges and the rest
+    random, repeated edges kept (the graph is not validated)."""
+    nodes = [GraphNode(f"tok{rng.integers(10)}") for _ in range(n)]
+    edges = []
+    if n:
+        edges = [GraphEdge(int(rng.integers(n)), 0, "near")
+                 for _ in range(int(rng.integers(1, 9)))]
+        edges += [GraphEdge(int(rng.integers(n)), int(rng.integers(n)), f"tok{rng.integers(10)}")
+                  for _ in range(int(rng.integers(0, 2 * n)))]
+        edges += edges[-2:]  # repeats
+    return LabeledGraph.from_records(nodes, edges, kind=kind)
+
+
+def layer_lists_ref(g):
+    """{(from_encoder, all_classes): (dst, src, weight, n_out, n_in)} of the
+    in-edge lists a GCN layer of a union sums, by a loop over its edges:
+    read classes are those some in-edge reads, numbered in class order."""
+    read = sorted(set(g.src_class.tolist()))
+    row = {c: i for i, c in enumerate(read)}
+    lists = {}
+    for from_encoder, all_classes in product((True, False), repeat=2):
+        edges = [(d if all_classes else row[d], s if from_encoder else row[c], w)
+                 for d, s, c, w in zip(g.dst, g.src, g.src_class, g.weight)
+                 if all_classes or d in row]
+        dst, src, weight = list(zip(*edges)) or [(), (), ()]
+        lists[from_encoder, all_classes] = (
+            np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(weight),
+            g.num_classes if all_classes else len(read),
+            g.num_sources if from_encoder else len(read))
+    return lists
+
+
+class TestLayerEdges:
+    """A layer's rounds of gathers against the bincount over (edge, column)
+    slots, bit for bit, on packed and gathered unions."""
+
+    def unions(self, rng, table):
+        graphs = [in_degree_graph(rng, int(n)) for n in rng.integers(0, 7, size=6)]
+        graphs += [in_degree_graph(rng, 4), LabeledGraph.from_records([], []),
+                   LabeledGraph.from_records([GraphNode("tok1")] * 3, []), star_kg()]
+        union = pack_graphs(graphs, table, [len(graphs)])[0]
+        rows = rng.integers(len(graphs), size=12)
+        return [union, take(union, rows), take(union, [6, 6, 9, 9])]
+
+    def test_forward_and_backward_equal_bincount(self, rng, toy_table):
+        for trial in range(5):
+            for g in self.unions(rng, toy_table):
+                assert max(np.bincount(g.dst)) > 1 and not g.read.all()
+                for (from_encoder, all_classes), ref in layer_lists_ref(g).items():
+                    dst, src, weight, n_out, n_in = ref
+                    edges = g.layer_edges(from_encoder, all_classes)
+                    assert (edges.n_out, edges.n_in) == (n_out, n_in)
+                    x = Parameter(rng.normal(size=(n_in, 4)), "x")
+                    grad_out = rng.normal(size=(n_out, 4))
+                    tape = Tape()
+                    out = T.scatter_add(tape.watch(x), edges, tape)
+                    assert np.array_equal(out.data, scatter_add_ref(x.value, dst, src, weight,
+                                                                    n_out))
+                    loss = tape.record(np.sum(grad_out * out.data), [out],
+                                       lambda upstream, c=grad_out: [upstream * c])
+                    backward(tape, loss)
+                    assert np.array_equal(x.grad, scatter_add_ref(grad_out, src, dst, weight,
+                                                                  n_in))
+
+    def test_tower_equals_every_class_at_every_layer(self, rng, toy_table):
+        # trimming drops rows nothing reads; the products then have fewer
+        # rows, which BLAS may round differently, so equal to rounding
+        cfg = toy_config(hidden_dim=5, gcn_layers=3)
+        watched = init_params(cfg).tensors()
+        for g in self.unions(rng, toy_table):
+            states = encode_nodes(g, watched["kg.enc"], cfg).data
+            for l in range(3):
+                src = g.src if l == 0 else g.src_class
+                agg = scatter_add_ref(states, g.dst, src, g.weight, g.num_classes)
+                states = np.maximum(agg @ watched[f"kg.gcn{l}"].data.T, 0.0)
+            want = scatter_add_ref(states, g.class_graph, np.arange(g.num_classes),
+                                   g.class_sizes, g.num_graphs)
+            np.testing.assert_allclose(run_tower(g, "kg", watched, cfg).data, want,
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_gcn_layers_build_no_slot_array(self, rng, toy_table, monkeypatch):
+        # the bincount over (edge, column) slots is for packing and the readout
+        def refuse(*args):
+            raise AssertionError("a GCN layer summed by slots")
+
+        cfg = toy_config(hidden_dim=5, gcn_layers=3)
+        params = init_params(cfg)
+        g = self.unions(rng, toy_table)[1]
+        monkeypatch.setattr(T, "scatter_rows", refuse)
+        tape = Tape()
+        watched = params.tensors(tape)
+        states = encode_nodes(g, watched["kg.enc"], cfg, tape)
+        for l in range(3):
+            states = gcn_layer(states, g, watched[f"kg.gcn{l}"], cfg, tape,
+                               from_encoder=l == 0, all_classes=l == 2)
+        loss = tape.record(np.sum(states.data), [states],
+                           lambda upstream: [np.full(states.shape, upstream)])
+        backward(tape, loss)
+        assert params["kg.gcn0"].grad.any()
 
 
 def path_graph(kind):

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from oracles import finite_difference, matmul_ref
+from oracles import finite_difference, matmul_ref, scatter_add_ref
 from symgraph import tensor as T
 from symgraph.errors import DimensionError, DomainError, TrainingError
 from symgraph.tensor import Parameter, Tape, Tensor, backward, sgd_step
@@ -192,6 +192,23 @@ class TestSgdStep:
             sgd_step([p], 0.1)
         assert p.value[0] == 1.0  # step aborted, value unchanged
 
+    def test_huge_finite_gradient_is_not_refused(self):
+        # its sum of squares overflows, so the elementwise recheck decides
+        p = Parameter(np.array([5.0, 1.0]), "w")
+        p.grad[:] = 1e200
+        sgd_step([p], 0.5)
+        np.testing.assert_array_equal(p.value, [5.0 - 5e199, 1.0 - 5e199])
+        assert not p.grad.any()
+
+    def test_nan_in_a_later_parameter_changes_no_parameter(self):
+        first, second = Parameter(np.array([1.0, 2.0]), "a"), Parameter(np.zeros(2), "b")
+        first.grad[:] = 3.0
+        second.grad[:] = [0.0, np.nan]
+        with pytest.raises(TrainingError, match="'b'"):
+            sgd_step([first, second], 0.1)
+        np.testing.assert_array_equal(first.value, [1.0, 2.0])
+        np.testing.assert_array_equal(first.grad, [3.0, 3.0])
+
 
 def _check_grad(build, shapes, rng, tol=1e-4):
     """Analytic vs central-difference gradients for a composite op."""
@@ -259,10 +276,13 @@ class TestGradientsAgainstFiniteDifferences:
         src = np.array([1, 2, 0, 2, 2, 1])
         weight = 1.0 / np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0])
 
+        neighbors = T.Edges(dst, src, weight, 3, 3)
+        readout = T.Edges([0, 1, 1], np.arange(3), np.ones(3), 2, 3, gather=False)
+
         def build(args, tape):
             (s,) = args
-            agg = T.scatter_add(s, dst, src, weight, 3, tape)
-            per_graph = T.scatter_add(agg, [0, 1, 1], np.arange(3), np.ones(3), 2, tape)
+            agg = T.scatter_add(s, neighbors, tape)
+            per_graph = T.scatter_add(agg, readout, tape)
             return _total(T.mul(per_graph, per_graph, tape), tape)
 
         _check_grad(build, [(3, 4)], rng)
@@ -304,6 +324,10 @@ def _weighted(op):
 
 _EDGES = (np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 2, 1]),
           np.array([0.5, 0.5, 1.0, 2.0, -1.0]))  # dst, src, weight
+# in-lists sorted by row, with each edge's rank in its list: round 0 is a
+# gather of every row, then two more rounds
+_RANKED = (np.array([0, 0, 1, 2, 2, 2]), np.array([1, 2, 0, 2, 2, 1]),
+           np.array([0.5, 0.5, 1.0, 2.0, -1.0, 0.25]), np.array([0, 1, 0, 0, 1, 2]))
 _SOFT_TARGETS = np.array([[0.0, 2.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0],
                           [0.25, 0.25, 0.25, 0.25]])  # rows that sum to 2.5, 1, 1
 
@@ -323,7 +347,11 @@ PRIMITIVE_CASES = {
     ],
     "concat": [([(3, 2), (3, 4)], _weighted(lambda a, t: T.concat(a, t)))],
     "scatter_add": [
-        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(a[0], *_EDGES, 4, t))),
+        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(a[0], T.Edges(*_EDGES, 4, 3), t))),
+        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(
+            a[0], T.Edges(*_EDGES, 4, 3, gather=False), t))),
+        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(
+            a[0], T.Edges(*_RANKED[:3], 3, 3, rank=_RANKED[3]), t))),
     ],
     "softmax_cross_entropy": [
         ([(3, 4)], lambda a, t: T.softmax_cross_entropy(a[0], _SOFT_TARGETS, t)),
@@ -366,19 +394,71 @@ class TestScatterAdd:
         want = np.zeros((4, 3))
         for d, s, c in zip(dst, src, w):
             want[d] += c * x[s]
-        got = T.scatter_add(Tensor(x), dst, src, w, 4).data
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        for gather in (True, False):
+            got = T.scatter_add(Tensor(x), T.Edges(dst, src, w, 4, 5, gather=gather)).data
+            np.testing.assert_array_equal(got, want)  # each row summed in edge order
 
     def test_unreached_rows_are_zero(self):
-        out = T.scatter_add(Tensor(np.ones((2, 3))), [0, 2], [0, 1], [1.0, 1.0], 4).data
+        edges = T.Edges([0, 2], [0, 1], [1.0, 1.0], 4, 2)
+        out = T.scatter_add(Tensor(np.ones((2, 3))), edges).data
         np.testing.assert_array_equal(out[[1, 3]], np.zeros((2, 3)))
-        assert T.scatter_add(Tensor(np.zeros((0, 3))), [], [], [], 2).shape == (2, 3)
+        empty = T.Edges([], [], [], 2, 0)
+        assert T.scatter_add(Tensor(np.zeros((0, 3))), empty).shape == (2, 3)
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(DimensionError):
-            T.scatter_add(Tensor(np.ones((2, 3))), [0], [2], [1.0], 1)
-        with pytest.raises(DimensionError):
-            T.scatter_add(Tensor(np.ones((2, 3))), [1], [0], [1.0], 1)
+        for dst, src in (([0], [2]), ([1], [0]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(DimensionError, match="below"):
+                T.Edges(dst, src, [1.0], 1, 2)
+        with pytest.raises(DimensionError, match="disagree"):
+            T.Edges([0, 0], [0], [1.0, 1.0], 1, 2)
+        with pytest.raises(DimensionError, match="needs 2 rows"):
+            T.scatter_add(Tensor(np.ones((3, 3))), T.Edges([0], [1], [1.0], 1, 2))
+
+
+def _random_edges(rng, n_out, n_in, ranked):
+    """A random edge list with 0 to 8 edges per out row and repeated pairs:
+    shuffled, or (``ranked``) sorted by row with every row reached, as
+    (dst, src, weight, rank)."""
+    counts = rng.integers(1 if ranked else 0, 9, size=n_out)
+    dst = np.repeat(np.arange(n_out), counts)
+    rank = np.arange(dst.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    src = rng.integers(0, n_in, size=dst.size)
+    src[1::3] = src[0:-1:3]  # repeated sources, and so repeated pairs
+    weight = rng.normal(size=dst.size)
+    if not ranked:
+        order = rng.permutation(dst.size)
+        return dst[order], src[order], weight[order], None
+    return dst, src, weight, rank
+
+
+class TestEdgesAgainstBincount:
+    """Rounds of gathers against the bincount over (edge, column) slots,
+    bit for bit, forward and backward."""
+
+    @pytest.mark.parametrize("ranked,gather", [(False, True), (True, True), (False, False)])
+    def test_forward_and_backward_bit_equal(self, rng, ranked, gather):
+        for trial in range(20):
+            n_out, n_in = int(rng.integers(0, 7)), int(rng.integers(1, 7))
+            dst, src, weight, rank = _random_edges(rng, n_out, n_in, ranked)
+            edges = T.Edges(dst, src, weight, n_out, n_in, rank=rank, gather=gather)
+            x = Parameter(rng.normal(size=(n_in, 5)), "x")
+            g = rng.normal(size=(n_out, 5))  # the gradient of the output
+            tape = Tape()
+            out = T.scatter_add(tape.watch(x), edges, tape)
+            assert np.array_equal(out.data, scatter_add_ref(x.value, dst, src, weight, n_out))
+            backward(tape, _total(out, tape, g))
+            assert np.array_equal(x.grad, scatter_add_ref(g, src, dst, weight, n_in))
+
+    def test_rows_of_one_edge_are_one_gather(self, rng):
+        # every row reached once, in row order: a single round that gathers
+        edges = T.Edges([0, 1, 2], [2, 0, 2], [1.0, 2.0, 3.0], 3, 3, rank=np.zeros(3, int))
+        assert len(edges.rounds) == 1 and edges.rounds[0][0] is None
+        # the readout's backward pass: every class once, into its graph
+        readout = T.Edges([0, 0, 1], [0, 1, 2], [2.0, 1.0, 3.0], 2, 3, gather=False)
+        assert [r[0] for r in readout.transposed.rounds] == [None]
+        g = rng.normal(size=(2, 4))
+        np.testing.assert_array_equal(readout.transposed.apply(g),
+                                      g[[0, 0, 1]] * np.array([[2.0], [1.0], [3.0]]))
 
 
 class TestLinear:

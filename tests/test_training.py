@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,18 @@ class TestTrain:
         assert log.records == [] and best_epoch == -1
         for p in params:
             assert np.array_equal(p.value, best[p.name].value)
+            assert best[p.name].value is not p.value  # a copy
+
+    def test_best_params_are_those_of_the_best_epoch(self, rng):
+        table = make_table(rng)
+        mcfg = small_config(seed=5)
+        data, val = make_dataset(6), make_dataset(3)
+        tc = TrainConfig(epochs=5, batch_size=4, lr=0.05, seed=5)
+        _, _, best, best_epoch = train(data, val, LABELS, table, mcfg, tc)
+        until_best, _, _, _ = train(data, val, LABELS, table, mcfg,
+                                    replace(tc, epochs=best_epoch + 1))
+        for p in until_best:
+            assert np.array_equal(p.value, best[p.name].value), p.name
 
     def test_best_epoch_has_max_val_f(self, rng):
         table = make_table(rng)
