@@ -274,11 +274,8 @@ def segment_mean(values, rows, n):
 def _row_ids(ids, n: int) -> np.ndarray:
     """``ids`` as an index array, refused unless each is one of n rows."""
     ids = np.asarray(ids, dtype=np.intp)
-    try:
-        fits = np.bincount(ids, minlength=n).size == n  # an id past n lengthens it
-    except ValueError:  # a negative id, or not a vector
-        fits = False
-    if not fits:
+    # as unsigned, a negative id is past every n: one max checks both ends
+    if ids.ndim != 1 or (ids.size and ids.view(np.uintp).max() >= n):
         raise DimensionError(f"edge indices must be a vector of ids below {n}")
     return ids
 
@@ -289,26 +286,23 @@ class Edges:
 
     ``dst``, ``src`` and ``weight`` are equal-length arrays; pairs may repeat
     and rows no edge reaches are zero.  The indices are range-checked and the
-    rounds built here, once.  ``rank``, when given, is each edge's position
-    among the edges into its row, in edge order, for a list sorted by
-    ``dst`` that reaches every out row; otherwise a sort finds it.  With
-    ``gather=False`` the sum is one bincount over (edges x width) slots
-    instead, for a list whose rows have tens of edges each (a readout),
-    where rounds would be tens of small gathers; its transposed list, which
-    the backward pass applies, still sums in rounds.
+    rounds built here, once.  With ``gather=False`` the sum is one bincount
+    over (edges x width) slots instead, for a list whose rows have tens of
+    edges each (a readout), where rounds would be tens of small gathers;
+    its transposed list, which the backward pass applies, still sums in
+    rounds.
     """
 
     __slots__ = ("dst", "src", "weight", "n_out", "n_in", "rounds", "_transposed")
 
-    def __init__(self, dst, src, weight, n_out: int, n_in: int, rank=None,
-                 gather: bool = True):
+    def __init__(self, dst, src, weight, n_out: int, n_in: int, gather: bool = True):
         self.dst, self.src = _row_ids(dst, n_out), _row_ids(src, n_in)
         self.weight = np.asarray(weight, dtype=np.float64)
         if not self.dst.shape == self.src.shape == self.weight.shape:
             raise DimensionError(f"edge arrays disagree: {self.dst.shape}, "
                                  f"{self.src.shape}, {self.weight.shape}")
         self.n_out, self.n_in, self._transposed = n_out, n_in, None
-        self.rounds = _rounds(self.dst, self.src, self.weight, n_out, rank) if gather else None
+        self.rounds = _rounds(self.dst, self.src, self.weight, n_out) if gather else None
 
     @property
     def transposed(self) -> "Edges":
@@ -338,22 +332,18 @@ class Edges:
         return out
 
 
-def _rounds(dst, src, weight, n_out: int, rank) -> list:
+def _rounds(dst, src, weight, n_out: int) -> list:
     """(rows, sources, weight column) of each round of an edge list, in row
     order within a round; ``rows`` is None when round 0 holds every out row
     in order, so that round is a plain gather."""
-    n, w = dst.size, weight[:, None]
-    if rank is None:
-        order = dst.argsort(kind="stable")
-        counts = np.bincount(dst, minlength=n_out)
-        rank = np.arange(n) - (counts.cumsum() - counts).repeat(counts)
-        order = order[rank.argsort(kind="stable")]  # by round, then by row
-    elif n == n_out:  # one edge per row: one round, in row order
-        return [(None, src, w)]
-    else:
-        order = rank.argsort(kind="stable")
+    if dst.size == n_out and (dst == np.arange(n_out)).all():  # an edge per row, in order
+        return [(None, src, weight[:, None])]
+    order = dst.argsort(kind="stable")  # by row, in edge order within a row
+    counts = np.bincount(dst, minlength=n_out)
+    rank = np.arange(dst.size) - (counts.cumsum() - counts).repeat(counts)
+    order = order[rank.argsort(kind="stable")]  # by round, then by row
     ends = np.bincount(rank).cumsum().tolist()
-    rows, srcs, w = dst.take(order), src.take(order), w.take(order, axis=0)
+    rows, srcs, w = dst.take(order), src.take(order), weight.take(order)[:, None]
     rounds = [(rows[a:b], srcs[a:b], w[a:b]) for a, b in zip([0] + ends, ends)]
     if ends and ends[0] == n_out:
         rounds[0] = (None,) + rounds[0][1:]

@@ -226,7 +226,6 @@ def _union(parts):
         np.concatenate([p.src for p in parts]) + np.repeat(source_start, edges),
         np.concatenate([p.src_class for p in parts]) + edge_classes,
         np.concatenate([p.weight for p in parts]),
-        np.concatenate([p.rank for p in parts]),
         np.concatenate([p.class_sizes for p in parts]),
         np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
         int(graphs.sum()),

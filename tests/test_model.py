@@ -476,8 +476,7 @@ def node_count(ex):
     return len(ex.knowledge_graph.nodes) + len(ex.scene_graph.nodes)
 
 
-FIELDS = ("inputs", "dst", "src", "src_class", "weight", "rank", "class_sizes",
-          "class_graph")
+FIELDS = ("inputs", "dst", "src", "src_class", "weight", "class_sizes", "class_graph")
 
 
 class TestPack:
@@ -596,7 +595,6 @@ class TestAggregationClasses:
         np.testing.assert_array_equal(packed.src, [0, 1, 0, 1])
         np.testing.assert_array_equal(packed.src_class, [0, 0, 0, 0])
         np.testing.assert_array_equal(packed.weight, [1.0, 1.0, 0.5, 0.5])
-        np.testing.assert_array_equal(packed.rank, [0, 0, 0, 1])
         # only class 0 (the seeds) is read, so an earlier layer computes one row
         np.testing.assert_array_equal(packed.read, [True, False, False])
         # the encoder still reads each source's own edges: within class 0, tok0

@@ -324,10 +324,10 @@ def _weighted(op):
 
 _EDGES = (np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 2, 1]),
           np.array([0.5, 0.5, 1.0, 2.0, -1.0]))  # dst, src, weight
-# in-lists sorted by row, with each edge's rank in its list: round 0 is a
-# gather of every row, then two more rounds
-_RANKED = (np.array([0, 0, 1, 2, 2, 2]), np.array([1, 2, 0, 2, 2, 1]),
-           np.array([0.5, 0.5, 1.0, 2.0, -1.0, 0.25]), np.array([0, 1, 0, 0, 1, 2]))
+# in-lists sorted by row that reach every row: round 0 is a gather of every
+# row, then two more rounds
+_SORTED = (np.array([0, 0, 1, 2, 2, 2]), np.array([1, 2, 0, 2, 2, 1]),
+           np.array([0.5, 0.5, 1.0, 2.0, -1.0, 0.25]))
 _SOFT_TARGETS = np.array([[0.0, 2.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0],
                           [0.25, 0.25, 0.25, 0.25]])  # rows that sum to 2.5, 1, 1
 
@@ -351,7 +351,7 @@ PRIMITIVE_CASES = {
         ([(3, 4)], _weighted(lambda a, t: T.scatter_add(
             a[0], T.Edges(*_EDGES, 4, 3, gather=False), t))),
         ([(3, 4)], _weighted(lambda a, t: T.scatter_add(
-            a[0], T.Edges(*_RANKED[:3], 3, 3, rank=_RANKED[3]), t))),
+            a[0], T.Edges(*_SORTED, 3, 3), t))),
     ],
     "softmax_cross_entropy": [
         ([(3, 4)], lambda a, t: T.softmax_cross_entropy(a[0], _SOFT_TARGETS, t)),
@@ -406,7 +406,9 @@ class TestScatterAdd:
         assert T.scatter_add(Tensor(np.zeros((0, 3))), empty).shape == (2, 3)
 
     def test_out_of_range_index_rejected(self):
-        for dst, src in (([0], [2]), ([1], [0]), ([-1], [0]), ([0], [-1])):
+        # a huge id is refused like any other, without memory sized by it
+        for dst, src in (([0], [2]), ([1], [0]), ([-1], [0]), ([0], [-1]),
+                         ([10**12], [0]), ([0], [-10**12])):
             with pytest.raises(DimensionError, match="below"):
                 T.Edges(dst, src, [1.0], 1, 2)
         with pytest.raises(DimensionError, match="disagree"):
@@ -415,32 +417,31 @@ class TestScatterAdd:
             T.scatter_add(Tensor(np.ones((3, 3))), T.Edges([0], [1], [1.0], 1, 2))
 
 
-def _random_edges(rng, n_out, n_in, ranked):
+def _random_edges(rng, n_out, n_in, in_lists):
     """A random edge list with 0 to 8 edges per out row and repeated pairs:
-    shuffled, or (``ranked``) sorted by row with every row reached, as
-    (dst, src, weight, rank)."""
-    counts = rng.integers(1 if ranked else 0, 9, size=n_out)
+    shuffled, or (``in_lists``) sorted by row with every row reached, as
+    (dst, src, weight)."""
+    counts = rng.integers(1 if in_lists else 0, 9, size=n_out)
     dst = np.repeat(np.arange(n_out), counts)
-    rank = np.arange(dst.size) - np.repeat(np.cumsum(counts) - counts, counts)
     src = rng.integers(0, n_in, size=dst.size)
     src[1::3] = src[0:-1:3]  # repeated sources, and so repeated pairs
     weight = rng.normal(size=dst.size)
-    if not ranked:
+    if not in_lists:
         order = rng.permutation(dst.size)
-        return dst[order], src[order], weight[order], None
-    return dst, src, weight, rank
+        return dst[order], src[order], weight[order]
+    return dst, src, weight
 
 
 class TestEdgesAgainstBincount:
     """Rounds of gathers against the bincount over (edge, column) slots,
     bit for bit, forward and backward."""
 
-    @pytest.mark.parametrize("ranked,gather", [(False, True), (True, True), (False, False)])
-    def test_forward_and_backward_bit_equal(self, rng, ranked, gather):
+    @pytest.mark.parametrize("in_lists,gather", [(False, True), (True, True), (False, False)])
+    def test_forward_and_backward_bit_equal(self, rng, in_lists, gather):
         for trial in range(20):
             n_out, n_in = int(rng.integers(0, 7)), int(rng.integers(1, 7))
-            dst, src, weight, rank = _random_edges(rng, n_out, n_in, ranked)
-            edges = T.Edges(dst, src, weight, n_out, n_in, rank=rank, gather=gather)
+            dst, src, weight = _random_edges(rng, n_out, n_in, in_lists)
+            edges = T.Edges(dst, src, weight, n_out, n_in, gather=gather)
             x = Parameter(rng.normal(size=(n_in, 5)), "x")
             g = rng.normal(size=(n_out, 5))  # the gradient of the output
             tape = Tape()
@@ -451,8 +452,13 @@ class TestEdgesAgainstBincount:
 
     def test_rows_of_one_edge_are_one_gather(self, rng):
         # every row reached once, in row order: a single round that gathers
-        edges = T.Edges([0, 1, 2], [2, 0, 2], [1.0, 2.0, 3.0], 3, 3, rank=np.zeros(3, int))
+        edges = T.Edges([0, 1, 2], [2, 0, 2], [1.0, 2.0, 3.0], 3, 3)
         assert len(edges.rounds) == 1 and edges.rounds[0][0] is None
+        # as many edges as rows, but not one per row: rounds as usual
+        x = rng.normal(size=(3, 4))
+        for dst in ([0, 0, 2], [2, 0, 1]):
+            got = T.Edges(dst, [2, 0, 1], [1.0, 2.0, 3.0], 3, 3).apply(x)
+            assert np.array_equal(got, scatter_add_ref(x, dst, [2, 0, 1], [1.0, 2.0, 3.0], 3))
         # the readout's backward pass: every class once, into its graph
         readout = T.Edges([0, 0, 1], [0, 1, 2], [2.0, 1.0, 3.0], 2, 3, gather=False)
         assert [r[0] for r in readout.transposed.rounds] == [None]
