@@ -254,6 +254,8 @@ def cmd_eval(args) -> int:
     table = load_embeddings(args.embeddings, dim=mconfig.embed_dim)
     if args.split not in splits:
         raise ConfigError(f"bundle has no split '{args.split}'")
+    if not splits[args.split]:
+        raise ConfigError(f"bundle split '{args.split}' has no examples")
     policy = policy_from_args(args)
     report = evaluation.evaluate_dataset(
         splits[args.split], params, table, mconfig, label_list, policy)
@@ -280,9 +282,13 @@ def cmd_ablate(args) -> int:
     mconfig = model_config_from_args(args, len(label_list))
     tconfig = train_config_from_args(args)
     if args.layers is not None:
-        k_values = [int(k) for k in args.layers.split(",") if k]
-        if not k_values or min(k_values) < 1:
-            raise ConfigError(f"bad --layers list '{args.layers}'")
+        try:
+            k_values = [int(k) for k in args.layers.split(",") if k]
+        except ValueError:
+            k_values = []
+        if not k_values or min(k_values) < 1 or len(set(k_values)) < len(k_values):
+            raise ConfigError(f"bad --layers list '{args.layers}': "
+                              "give distinct integer depths >= 1")
         logs = evaluation.ablate_layers(
             k_values, splits["train"], splits["val"], label_list, table,
             mconfig, tconfig)

@@ -10,7 +10,9 @@ validation split is packed once too, into the chunks evaluation scores.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -22,6 +24,26 @@ from .model import (Batch, ModelConfig, ModelParams, forward_logits, init_params
                     pack_batch, take)
 from .rng import child_rng
 from .tensor import Tape, Tensor, backward, sgd_step
+
+
+# mallopt(3) parameter numbers, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# freed heap kept for reuse, with room over the 12-16 MiB one ~200-node batch frees
+_TRIM_THRESHOLD = 64 << 20
+# a set trim threshold stops glibc moving this one, so fix it where numpy asks for huge pages
+_MMAP_THRESHOLD = 4 << 20
+
+
+def _keep_freed_heap():
+    """Make glibc keep the memory freed between batches in the heap for the
+    next batch; does nothing where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None) if sys.platform == "linux" else None,
+                      "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 @dataclass
@@ -143,11 +165,24 @@ def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
 def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
           tconfig: TrainConfig, params: ModelParams = None, policy=None):
     """Full run: per-epoch SGD plus validation; returns
-    (final params, RunLog, best params by validation macro F, best epoch)."""
+    (final params, RunLog, best params by validation macro F, best epoch).
+
+    The first ``train()`` call in a process sets glibc's allocator through
+    ``mallopt``, and the setting holds for the rest of the process: up to
+    64 MiB of freed memory stays in the heap (``M_TRIM_THRESHOLD``; by default
+    glibc returns it once 128 KiB is free at the top), and blocks from 4 MiB on
+    are mmapped (``M_MMAP_THRESHOLD``, which a set trim threshold would
+    otherwise freeze).  Each mini-batch then reuses the pages the previous one
+    freed, instead of faulting them in again one page at a time.  It works
+    only with glibc; elsewhere nothing is set.  Its cost is resident memory:
+    the process keeps up to 64 MiB of freed heap, while peak RSS did not move
+    on either benchmark workload (49.8 MB on train_small, 108.8 MB on
+    infer_large)."""
     from .evaluation import ThresholdPolicy, evaluate_batches, packed_chunks
 
     if not train_data or not val_data:
         raise ConfigError("train and validation splits must be nonempty")
+    _keep_freed_heap()
     if params is None:
         params = init_params(mconfig)
     if policy is None:

@@ -17,7 +17,7 @@ from symgraph.dataset import example_from_dict, load_bundle, write_bundle
 from symgraph.errors import SchemaError
 from symgraph.embeddings import load_embeddings
 from symgraph.evaluation import evaluate_dataset
-from symgraph.model import ModelConfig, load_checkpoint, save_checkpoint
+from symgraph.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -381,6 +381,19 @@ class TestAblate:
                     for line in (out / "ablation.csv").read_text().splitlines()[1:]}
         assert variants == {"k1", "k2"}
 
+    @pytest.mark.parametrize("layers", ["1,x", "1,1"], ids=["not_integer", "repeated"])
+    def test_bad_layers_list_exits_2_naming_it(self, tmp_path, capsys, layers):
+        # "1,x" was a ValueError traceback with exit 1; "1,1" trained depth 1
+        # twice and wrote it once to ablation.csv
+        data = synth_bundle(tmp_path, examples=24)
+        capsys.readouterr()
+        assert run(["ablate", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt", "--out", tmp_path / "ab",
+                    "--layers", layers, "--embed-dim", 16, "--epochs", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"'{layers}'" in err[0]
+        assert not (tmp_path / "ab" / "ablation.csv").exists()
+
     def test_requires_exactly_one_mode(self, tmp_path):
         data = synth_bundle(tmp_path, examples=24)
         base = ["ablate", "--bundle", data / "bundle",
@@ -602,6 +615,22 @@ class TestBundleReader:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(path) in err[0] and f"'{split}'" in err[0]
+
+    def test_eval_on_empty_split_exits_2_naming_it(self, tmp_path, capsys):
+        # four examples leave the val split empty; eval printed macro F 0.00
+        # and exited 0
+        data = synth_bundle(tmp_path, examples=4)
+        assert load_bundle(data / "bundle")[0]["val"] == []
+        config = ModelConfig(num_labels=2, embed_dim=16, hidden_dim=8, gcn_layers=1)
+        save_checkpoint(tmp_path / "init.npz", config, init_params(config))
+        capsys.readouterr()
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", tmp_path / "init.npz", "--out", tmp_path / "e",
+                    "--split", "val"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'val'" in err[0]
+        assert not (tmp_path / "e" / "metrics.json").exists()
 
     @pytest.mark.parametrize("into", ["test", "train"], ids=["other_split", "same_split"])
     def test_image_id_in_two_splits_exits_2(self, tmp_path, capsys, into):

@@ -375,7 +375,7 @@ class TestForward:
                                    out_b.data)
 
     def test_full_model_gradient_check_toy_dims(self):
-        for fusion in ("concat", "attention"):
+        for fusion in ("concat", "attention", "attention_learned"):
             cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5,
                               gcn_layers=2, fusion_mode=fusion)
             report = gradcheck(cfg, seed=3)

@@ -1,11 +1,14 @@
+import platform
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from symgraph import evaluation, model
+from symgraph import dataset, evaluation, model, synth, training
 from symgraph import tensor as T
-from symgraph.embeddings import EmbeddingTable
+from symgraph.embeddings import EmbeddingTable, load_embeddings
 from symgraph.errors import ConfigError, DomainError, TrainingError
 from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
 from symgraph.model import ModelConfig, init_params
@@ -297,6 +300,39 @@ class TestTrain:
         tc = TrainConfig(epochs=2, batch_size=4, lr=0.02)
         _, log, _, _ = train(data, data, LABELS, table, mcfg, tc)
         assert all(np.isfinite(r.train_loss) for r in log.records)
+
+
+class TestAllocator:
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the allocator setting needs glibc's mallopt")
+    def test_second_run_reuses_freed_heap(self, tmp_path):
+        # glibc gave each batch's freed tape back to the kernel, so every
+        # batch faulted its pages in again: thousands of minor faults per call
+        import resource  # POSIX only, like the setting
+
+        paths = synth.generate(synth.SynthSpec(), tmp_path)
+        examples, labels = dataset.prepare(paths["scene_dir"], paths["facts"],
+                                           paths["vocab"], paths["labels"])
+        table = load_embeddings(paths["embeddings"], dim=16)
+        mcfg = ModelConfig(num_labels=2, embed_dim=16, hidden_dim=128, gcn_layers=2,
+                           fusion_mode="attention")
+        tc = TrainConfig(epochs=2, batch_size=32)
+        args = (examples[:120], examples[120:160], labels, table, mcfg, tc)
+        train(*args)  # warm-up: the first call sets the allocator
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(*args)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+    @pytest.mark.parametrize("platform_name,libc", [
+        ("linux", SimpleNamespace()),  # a C library without mallopt
+        ("darwin", None),  # not loaded at all
+    ], ids=["no_mallopt", "not_linux"])
+    def test_no_mallopt_is_a_no_op(self, monkeypatch, platform_name, libc):
+        opened = []
+        monkeypatch.setattr(training.sys, "platform", platform_name)
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+        training._keep_freed_heap()
+        assert opened == ([None] if libc is not None else [])
 
 
 class TestConfigAndLog:
