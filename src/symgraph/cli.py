@@ -309,8 +309,7 @@ def cmd_gradcheck(args) -> int:
         num_labels=args.labels_count, embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim, gcn_layers=args.gcn_layers,
         fusion_mode="concat", seed=args.seed)
-    modes = ([args.fusion] if args.fusion != "both"
-             else ["concat", "attention"])
+    modes = [args.fusion] if args.fusion != "both" else list(FUSION_MODES)
     failed = False
     for mode in modes:
         for head in LOSS_MODES:
@@ -395,8 +394,8 @@ def build_parser():
     p.add_argument("--hidden-dim", type=int, default=8)
     p.add_argument("--gcn-layers", type=int, default=3)
     p.add_argument("--labels-count", type=int, default=4)
-    p.add_argument("--fusion", default="both",
-                   choices=["both", "concat", "attention", "attention_learned"])
+    p.add_argument("--fusion", default="both", choices=["both", *FUSION_MODES],
+                   help="fusion mode to check; both (the default) checks every mode")
     p.add_argument("--tolerance", type=float, default=1e-4)
 
     return parser, subs

@@ -175,7 +175,10 @@ def evaluate_batches(batches, truth, params, mconfig: ModelConfig, label_list,
 def evaluate_dataset(data, params, table, mconfig: ModelConfig, label_list,
                      policy: ThresholdPolicy = None) -> MetricsReport:
     """Pack and forward the examples chunk by chunk (untraced), threshold,
-    and score."""
+    and score.  No examples raises ``ConfigError``: over nothing, every F
+    would read 0.0."""
+    if not len(data):
+        raise ConfigError("evaluate_dataset got no examples to score")
     return evaluate_batches(packed_chunks(data, table), [set(ex.labels) for ex in data],
                             params, mconfig, label_list, policy)
 

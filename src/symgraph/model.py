@@ -23,8 +23,11 @@ what the forward reads, so it holds no per-node array: a node is counted in
 its class's size.  Evaluation packs each chunk of examples straight into a
 union.  Each tower is then one encoder product over the sources, one
 ``scatter_add`` and product over the classes per GCN layer, and one
-``scatter_add`` over graph ids for the readout; fusion and the head work on
-the (batch, hidden) rows.
+``segment_sum`` for the readout: a product with the (graphs, classes)
+matrix of class sizes, applied to at most ``T.SEGMENT_BLOCK`` graphs at a
+time, since a graph's classes are consecutive in a union.  Fusion (attention
+is one ``pair_attention`` step) and the head work on the (batch, hidden)
+rows.
 
 The same rule trims the GCN stack: a layer before the last computes only
 the classes that some in-edge reads, and only the last computes every
@@ -218,8 +221,8 @@ class GraphBatch:
     An earlier layer computes only the classes that some in-edge reads
     (``read``), a row each in class order; only the last layer computes
     every class, because the readout sums them all.  The ``Edges`` lists a
-    layer and the readout apply are built on first use and kept, so a union
-    builds each once, and range-checks their indices then.
+    layer applies are built on first use and kept, so a union builds each
+    once, and range-checks their indices then.
     """
 
     inputs: np.ndarray  # (sources, 2 * embed_dim)
@@ -287,15 +290,6 @@ class GraphBatch:
             edges = T.Edges(dst, src, self.weight[keep], n_out, n_in)
             self._layer_edges[from_encoder, trim] = edges
         return edges
-
-    @cached_property
-    def readout_edges(self) -> T.Edges:
-        """Each class into its graph, weighted by its node count.  A graph
-        may have tens of classes, and so its rounds tens of small gathers:
-        this sum is one bincount (``gather=False``), which keeps
-        one-example predicts about 5-10% faster than rounds do."""
-        return T.Edges(self.class_graph, np.arange(self.num_classes), self.class_sizes,
-                       self.num_graphs, self.num_classes, gather=False)
 
 
 @dataclass
@@ -482,9 +476,11 @@ def gcn_layer(states: Tensor, graphs: GraphBatch, w: Tensor, config: ModelConfig
 
 def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor:
     """Per-graph sum of node states, (graphs, hidden), from a row per
-    aggregation class: each class adds its row times its node count.  An
+    aggregation class: each class adds its row times its node count (a
+    graph's classes are consecutive, so this is ``T.segment_sum``).  An
     empty graph reads out as the zero vector."""
-    return T.scatter_add(states, graphs.readout_edges, tape)
+    return T.segment_sum(states, graphs.class_sizes, graphs.class_graph,
+                         graphs.num_graphs, tape)
 
 
 def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
@@ -496,25 +492,14 @@ def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
 
 def attention_fuse(v_kg: Tensor, v_sg: Tensor, tape: Tape = None,
                    score_w: Tensor = None):
-    """Weighted average of the graph vectors, per row.
+    """Weighted average of the graph vectors, per row (``T.pair_attention``).
 
     The per-graph score is the squared norm (or a learned dot product when
     ``score_w`` is given); the two scores go through a joint softmax.
     Returns (fused, alpha) with alpha's last axis ordered [kg, sg].
     """
-    if v_kg.shape != v_sg.shape:
-        raise DimensionError(f"fusion inputs disagree: {v_kg.shape} vs {v_sg.shape}")
-    ones = Tensor(np.ones((1, v_kg.shape[-1])))  # a weight row that sums a row
-
-    def score(v):
-        per_unit = T.mul(v, v if score_w is None else score_w, tape)
-        return T.linear(per_unit, ones, tape)
-
-    alpha = T.softmax(T.concat([score(v_kg), score(v_sg)], tape), tape)
-    weight_kg = T.linear(alpha, Tensor([[1.0, 0.0]]), tape)
-    weight_sg = T.linear(alpha, Tensor([[0.0, 1.0]]), tape)
-    fused = T.add(T.mul(weight_kg, v_kg, tape), T.mul(weight_sg, v_sg, tape), tape)
-    return fused, alpha
+    fused, alpha = T.pair_attention(v_kg, v_sg, score_w, tape)
+    return fused, T._wrap(alpha)  # finite, or the scan of fused has refused it
 
 
 def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = None):

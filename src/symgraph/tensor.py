@@ -4,8 +4,10 @@ The tape (``Tape``) records one step per primitive op, in execution order.
 ``backward`` replays the steps in reverse and accumulates gradients into the
 ``grad`` buffers of every ``Parameter`` the loss depends on.  Training
 records one tape per mini-batch: the batch's graphs are one disjoint union,
-so every op works on whole (rows, features) matrices, and ``scatter_add``
-does the per-edge and per-graph sums over an ``Edges`` list.
+so every op works on whole (rows, features) matrices: ``scatter_add`` does
+the per-edge sums over an ``Edges`` list, ``segment_sum`` the per-graph
+sums as products with blocks of a dense weight matrix, and
+``pair_attention`` the whole attention fusion of two graph vectors.
 
 An ``Edges`` list is range-checked once and applied as exact gathers in
 "rounds", the jagged-diagonal layout of sparse kernels (Saad, 1989): round
@@ -207,6 +209,41 @@ def softmax(a: Tensor, tape: Tape = None) -> Tensor:
                  lambda g: [y * (g - np.sum(g * y, axis=-1, keepdims=True))])
 
 
+def pair_attention(a: Tensor, b: Tensor, w: Tensor = None, tape: Tape = None):
+    """Softmax attention over two vectors, or over each pair of rows of two
+    matrices: scores ``s_k = v_k . u_k`` for v = (a, b), where u_k is v_k
+    itself (a squared norm) or the score vector ``w``; ``alpha`` the
+    max-shifted softmax of (s_a, s_b); output ``alpha_a * a + alpha_b * b``.
+    Returns (output, alpha), alpha's last axis ordered (a, b).
+
+    One step on the tape.  Its backward pass, for the output gradient g:
+    ``d_k = g . v_k``, ``ds_k = alpha_k * (d_k - sum_j alpha_j * d_j)``;
+    v_k gets ``alpha_k * g + ds_k * (2 * v_k or w)``, and w gets
+    ``sum ds_k * v_k`` over both inputs and every row.
+    """
+    ad, bd = a.data, b.data
+    if ad.ndim not in (1, 2) or ad.shape != bd.shape or (
+            w is not None and w.shape != ad.shape[-1:]):
+        raise DimensionError(f"attention inputs disagree: {a.shape}, {b.shape}"
+                             + ("" if w is None else f", score vector {w.shape}"))
+    pair = np.array([ad, bd])  # (2, [rows,] width): k = 0 is a, 1 is b
+    s = np.einsum("k...i,k...i->k...", pair, pair) if w is None else pair @ w.data
+    e = np.exp(s - s.max(axis=0))
+    alpha = e / e.sum(axis=0)  # (2, [rows])
+    weights = alpha[..., None]
+
+    def back(g):
+        d = np.einsum("k...i,...i->k...", pair, g)
+        ds = (alpha * (d - (alpha * d).sum(axis=0)))[..., None]
+        grads = weights * g + ds * (2.0 * pair if w is None else w.data)
+        if w is None:
+            return [grads[0], grads[1]]
+        return [grads[0], grads[1], (ds * pair).reshape(-1, ad.shape[-1]).sum(axis=0)]
+
+    out = weights[0] * ad + weights[1] * bd
+    return _emit(tape, out, [a, b] if w is None else [a, b, w], back), alpha.T
+
+
 def softmax_cross_entropy(z: Tensor, targets, tape: Tape = None) -> Tensor:
     """Soft-target cross-entropy of logits, summed over rows:
     ``sum t * (logsumexp(z) - z)``, from max-shifted logits, so it has no cap
@@ -251,8 +288,7 @@ def concat(parts, tape: Tape = None) -> Tensor:
 
 def scatter_rows(values, rows, n):
     """``out[rows[e]] += values[e]`` for every row e of ``values``, into n rows
-    (plain numpy: packing's means, and the sum of an ``Edges`` list made
-    with ``gather=False``).
+    (plain numpy: packing's means).
 
     One bincount over flat (row, column) slots: summing happens in the order
     of ``values``, so results are reproducible bit for bit.
@@ -286,23 +322,19 @@ class Edges:
 
     ``dst``, ``src`` and ``weight`` are equal-length arrays; pairs may repeat
     and rows no edge reaches are zero.  The indices are range-checked and the
-    rounds built here, once.  With ``gather=False`` the sum is one bincount
-    over (edges x width) slots instead, for a list whose rows have tens of
-    edges each (a readout), where rounds would be tens of small gathers;
-    its transposed list, which the backward pass applies, still sums in
-    rounds.
+    rounds built here, once.
     """
 
     __slots__ = ("dst", "src", "weight", "n_out", "n_in", "rounds", "_transposed")
 
-    def __init__(self, dst, src, weight, n_out: int, n_in: int, gather: bool = True):
+    def __init__(self, dst, src, weight, n_out: int, n_in: int):
         self.dst, self.src = _row_ids(dst, n_out), _row_ids(src, n_in)
         self.weight = np.asarray(weight, dtype=np.float64)
         if not self.dst.shape == self.src.shape == self.weight.shape:
             raise DimensionError(f"edge arrays disagree: {self.dst.shape}, "
                                  f"{self.src.shape}, {self.weight.shape}")
         self.n_out, self.n_in, self._transposed = n_out, n_in, None
-        self.rounds = _rounds(self.dst, self.src, self.weight, n_out) if gather else None
+        self.rounds = _rounds(self.dst, self.src, self.weight, n_out)
 
     @property
     def transposed(self) -> "Edges":
@@ -315,10 +347,6 @@ class Edges:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The (n_out, width) edge sum of the (n_in, width) rows ``x``."""
         rounds = self.rounds
-        if rounds is None:
-            terms = x.take(self.src, axis=0)
-            terms *= self.weight[:, None]
-            return scatter_rows(terms, self.dst, self.n_out)
         out = None if rounds and rounds[0][0] is None else np.zeros((self.n_out, x.shape[1]))
         for rows, srcs, w in rounds:
             terms = x.take(srcs, axis=0)
@@ -354,13 +382,62 @@ def scatter_add(x: Tensor, edges: Edges, tape: Tape = None) -> Tensor:
     """Weighted edge-list sum of rows over ``edges``:
     ``out[dst[e]] += weight[e] * x[src[e]]`` into ``edges.n_out`` rows.
 
-    With row-normalized in-edges it is a GCN mean aggregation; with graph
-    ids as ``dst``, every node as ``src`` and unit weights it is a per-graph
-    sum readout.  Its backward pass is the sum over the transposed edges.
+    With row-normalized in-edges it is a GCN mean aggregation.  Its backward
+    pass is the sum over the transposed edges.
     """
     if x.data.ndim != 2 or x.shape[0] != edges.n_in:
         raise DimensionError(f"scatter_add needs {edges.n_in} rows, got shape {x.shape}")
     return _emit(tape, edges.apply(x.data), [x], lambda g: [edges.transposed.apply(g)])
+
+
+# Out rows per block of ``segment_sum``.  A block's weight matrix is dense,
+# so the blocks hold SEGMENT_BLOCK entries per input row in all: time and
+# memory grow linearly with the rows at any segment count.  Smaller blocks
+# multiply fewer zeros, larger ones cost fewer calls.  Forward plus backward
+# (one BLAS thread, best of 7) at 8 / 16 / 32 / 64: 32 graphs of 30 classes
+# at width 512, 0.95 / 1.37 / 1.74 / 1.81 ms; 341 graphs of 3 classes at
+# width 128, 0.61 / 0.54 / 0.58 / 0.91 ms; 1,024 one-class graphs at width
+# 128, 1.38 / 1.00 / 0.94 / 1.20 ms.
+SEGMENT_BLOCK = 16
+
+
+def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None) -> Tensor:
+    """``out[segment[i]] += weight[i] * x[i]`` into n rows.  With graph ids
+    as ``segment`` and node counts as weights, it is the per-graph sum
+    readout of class rows.
+
+    Each block of SEGMENT_BLOCK out rows is one product ``C @ x[run]``,
+    where C is the dense (out rows, run rows) matrix of the weights, and its
+    backward pass is ``C.T @ g``.  So past one block, ``segment`` must not
+    decrease: each block's rows are then one run.
+    """
+    xd = x.data
+    segment, weight = _row_ids(segment, n), np.asarray(weight, dtype=np.float64)
+    if xd.ndim != 2 or not segment.shape == weight.shape == xd.shape[:1]:
+        raise DimensionError(f"segment_sum needs a segment and a weight per row: "
+                             f"{x.shape}, {segment.shape}, {weight.shape}")
+    if n <= SEGMENT_BLOCK:  # one block, whose rows may come in any order
+        spans = [(0, 0, segment.size)]
+    elif (segment[1:] < segment[:-1]).any():
+        raise DimensionError("segment ids must not decrease")
+    else:
+        starts = range(0, n, SEGMENT_BLOCK)
+        cuts = np.searchsorted(segment, [*starts, n]).tolist()  # each block's rows
+        spans = zip(starts, cuts, cuts[1:])
+    blocks = []  # (first out row, first row, end row, weight matrix)
+    for s0, r0, r1 in spans:
+        c = np.zeros((min(SEGMENT_BLOCK, n - s0), r1 - r0))
+        c[segment[r0:r1] - s0, np.arange(r1 - r0)] = weight[r0:r1]
+        blocks.append((s0, r0, r1, c))
+    outs = [c @ xd[r0:r1] for _, r0, r1, c in blocks]
+
+    def back(g):
+        gx = np.empty(xd.shape)
+        for s0, r0, r1, c in blocks:
+            np.matmul(c.T, g[s0:s0 + len(c)], out=gx[r0:r1])
+        return [gx]
+
+    return _emit(tape, outs[0] if len(outs) == 1 else np.concatenate(outs), [x], back)
 
 
 # ---------------------------------------------------------------------------

@@ -201,16 +201,22 @@ def forward_ref(example, weights, table, cfg):
     if cfg.fusion_mode == "concat":
         fused = np.concatenate([v["kg"], v["sg"], v["kg"] * v["sg"]])
     else:
-        score = weights.get("attn.score")
-        s = (np.array([v["kg"] @ v["kg"], v["sg"] @ v["sg"]]) if score is None else
-             np.array([score @ v["kg"], score @ v["sg"]]))
-        alpha = softmax(s)
-        fused = alpha[0] * v["kg"] + alpha[1] * v["sg"]
+        fused, _ = attention_ref(v["kg"], v["sg"], weights.get("attn.score"))
     hidden = f(weights["mlp.w1"] @ fused + weights["mlp.b1"])
     logits = weights["mlp.w2"] @ hidden + weights["mlp.b2"]
     if cfg.loss_mode == "sigmoid_bce":
         return 1.0 / (1.0 + np.exp(-logits))
     return softmax(logits)
+
+
+def attention_ref(v_kg, v_sg, score=None):
+    """(fused, alpha) of two plain vectors: a softmax over their squared
+    norms, or over their dot products with ``score``."""
+    s = (np.array([v_kg @ v_kg, v_sg @ v_sg]) if score is None else
+         np.array([score @ v_kg, score @ v_sg]))
+    e = np.exp(s - s.max())
+    alpha = e / e.sum()
+    return alpha[0] * v_kg + alpha[1] * v_sg, alpha
 
 
 def _union(parts):

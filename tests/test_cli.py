@@ -410,9 +410,11 @@ class TestGradcheckCommand:
         assert "FAIL" not in out
         # each fusion mode's report under each output head, and each passes
         headers = [line for line in out.splitlines() if line.startswith("fusion=")]
-        assert headers == [f"fusion={mode} loss={head}:" for mode in ("concat", "attention")
+        assert headers == [f"fusion={mode} loss={head}:"
+                           for mode in ("concat", "attention", "attention_learned")
                            for head in ("softmax_ce", "sigmoid_bce")]
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 6
+        assert "attn.score" in out
 
     def test_impossible_tolerance_fails(self, capsys):
         assert run(["gradcheck", "--gcn-layers", "1", "--fusion", "concat",

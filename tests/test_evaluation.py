@@ -5,7 +5,7 @@ from symgraph.errors import ConfigError, DomainError
 from symgraph.evaluation import (MetricsReport, ThresholdPolicy, ablate_graphs,
                                  ablate_layers, ablation_csv, collect_attention,
                                  evaluate_dataset, f_scores, predict_labels)
-from symgraph.model import ModelConfig, param_count
+from symgraph.model import ModelConfig, init_params, param_count
 from symgraph.training import TrainConfig, train
 
 from test_training import LABELS, make_dataset, make_table, small_config
@@ -154,6 +154,12 @@ class TestEvaluateDataset:
         params["mlp.b2"].value[:] = np.log(0.4 / 0.6)
         report = evaluate_dataset(make_dataset(2), params, make_table(rng), mcfg, labels)
         assert [row.tp + row.fp for row in report.per_label] == [0, 0, 0]
+
+    def test_no_examples_raise_config_error(self, rng):
+        # returned macro F 0.0, a score of nothing
+        mcfg = small_config()
+        with pytest.raises(ConfigError, match="no examples"):
+            evaluate_dataset([], init_params(mcfg), make_table(rng), mcfg, LABELS)
 
     def test_collect_attention_rows(self, rng):
         table = make_table(rng)

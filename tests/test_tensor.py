@@ -1,10 +1,11 @@
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import finite_difference, matmul_ref, scatter_add_ref
+from oracles import attention_ref, finite_difference, matmul_ref, scatter_add_ref
 from symgraph import tensor as T
 from symgraph.errors import DimensionError, DomainError, TrainingError
 from symgraph.tensor import Parameter, Tape, Tensor, backward, sgd_step
@@ -277,12 +278,11 @@ class TestGradientsAgainstFiniteDifferences:
         weight = 1.0 / np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0])
 
         neighbors = T.Edges(dst, src, weight, 3, 3)
-        readout = T.Edges([0, 1, 1], np.arange(3), np.ones(3), 2, 3, gather=False)
 
         def build(args, tape):
             (s,) = args
             agg = T.scatter_add(s, neighbors, tape)
-            per_graph = T.scatter_add(agg, readout, tape)
+            per_graph = T.segment_sum(agg, np.ones(3), [0, 1, 1], 2, tape)
             return _total(T.mul(per_graph, per_graph, tape), tape)
 
         _check_grad(build, [(3, 4)], rng)
@@ -328,6 +328,9 @@ _EDGES = (np.array([0, 0, 1, 2, 2]), np.array([1, 2, 0, 2, 1]),
 # row, then two more rounds
 _SORTED = (np.array([0, 0, 1, 2, 2, 2]), np.array([1, 2, 0, 2, 2, 1]),
            np.array([0.5, 0.5, 1.0, 2.0, -1.0, 0.25]))
+# 1,000 one-node graphs, with an empty graph after every 100th: 1,010 out
+# rows, so several blocks of ``segment_sum``
+_ONE_NODE_GRAPHS = np.arange(1000) + np.arange(1000) // 100
 _SOFT_TARGETS = np.array([[0.0, 2.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0],
                           [0.25, 0.25, 0.25, 0.25]])  # rows that sum to 2.5, 1, 1
 
@@ -348,10 +351,22 @@ PRIMITIVE_CASES = {
     "concat": [([(3, 2), (3, 4)], _weighted(lambda a, t: T.concat(a, t)))],
     "scatter_add": [
         ([(3, 4)], _weighted(lambda a, t: T.scatter_add(a[0], T.Edges(*_EDGES, 4, 3), t))),
-        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(
-            a[0], T.Edges(*_EDGES, 4, 3, gather=False), t))),
+        ([(3, 4)], _weighted(lambda a, t: T.scatter_add(  # an edge per row, in order
+            a[0], T.Edges([0, 1, 2], [2, 0, 2], [1.5, -2.0, 0.5], 3, 3), t))),
         ([(3, 4)], _weighted(lambda a, t: T.scatter_add(
             a[0], T.Edges(*_SORTED, 3, 3), t))),
+    ],
+    "segment_sum": [
+        ([(5, 3)], _weighted(lambda a, t: T.segment_sum(  # graphs 1 and 4 empty
+            a[0], [2.0, 1.0, 3.0, 1.0, 0.5], [0, 0, 2, 2, 3], 5, t))),
+        ([(1000, 1)], _weighted(lambda a, t: T.segment_sum(
+            a[0], 1.0 + np.arange(1000) % 3, _ONE_NODE_GRAPHS, 1010, t))),
+    ],
+    "pair_attention": [  # squared-norm and learned scores, on rows and on vectors
+        ([(3, 4), (3, 4)], _weighted(lambda a, t: T.pair_attention(a[0], a[1], None, t)[0])),
+        ([(5,), (5,)], _weighted(lambda a, t: T.pair_attention(a[0], a[1], None, t)[0])),
+        ([(3, 4), (3, 4), (4,)], _weighted(lambda a, t: T.pair_attention(*a, t)[0])),
+        ([(5,), (5,), (5,)], _weighted(lambda a, t: T.pair_attention(*a, t)[0])),
     ],
     "softmax_cross_entropy": [
         ([(3, 4)], lambda a, t: T.softmax_cross_entropy(a[0], _SOFT_TARGETS, t)),
@@ -394,9 +409,8 @@ class TestScatterAdd:
         want = np.zeros((4, 3))
         for d, s, c in zip(dst, src, w):
             want[d] += c * x[s]
-        for gather in (True, False):
-            got = T.scatter_add(Tensor(x), T.Edges(dst, src, w, 4, 5, gather=gather)).data
-            np.testing.assert_array_equal(got, want)  # each row summed in edge order
+        got = T.scatter_add(Tensor(x), T.Edges(dst, src, w, 4, 5)).data
+        np.testing.assert_array_equal(got, want)  # each row summed in edge order
 
     def test_unreached_rows_are_zero(self):
         edges = T.Edges([0, 2], [0, 1], [1.0, 1.0], 4, 2)
@@ -436,12 +450,12 @@ class TestEdgesAgainstBincount:
     """Rounds of gathers against the bincount over (edge, column) slots,
     bit for bit, forward and backward."""
 
-    @pytest.mark.parametrize("in_lists,gather", [(False, True), (True, True), (False, False)])
-    def test_forward_and_backward_bit_equal(self, rng, in_lists, gather):
+    @pytest.mark.parametrize("in_lists", [False, True])
+    def test_forward_and_backward_bit_equal(self, rng, in_lists):
         for trial in range(20):
             n_out, n_in = int(rng.integers(0, 7)), int(rng.integers(1, 7))
             dst, src, weight = _random_edges(rng, n_out, n_in, in_lists)
-            edges = T.Edges(dst, src, weight, n_out, n_in, gather=gather)
+            edges = T.Edges(dst, src, weight, n_out, n_in)
             x = Parameter(rng.normal(size=(n_in, 5)), "x")
             g = rng.normal(size=(n_out, 5))  # the gradient of the output
             tape = Tape()
@@ -459,12 +473,86 @@ class TestEdgesAgainstBincount:
         for dst in ([0, 0, 2], [2, 0, 1]):
             got = T.Edges(dst, [2, 0, 1], [1.0, 2.0, 3.0], 3, 3).apply(x)
             assert np.array_equal(got, scatter_add_ref(x, dst, [2, 0, 1], [1.0, 2.0, 3.0], 3))
-        # the readout's backward pass: every class once, into its graph
-        readout = T.Edges([0, 0, 1], [0, 1, 2], [2.0, 1.0, 3.0], 2, 3, gather=False)
-        assert [r[0] for r in readout.transposed.rounds] == [None]
-        g = rng.normal(size=(2, 4))
-        np.testing.assert_array_equal(readout.transposed.apply(g),
-                                      g[[0, 0, 1]] * np.array([[2.0], [1.0], [3.0]]))
+
+
+class TestSegmentSum:
+    """The block products against the bincount over (edge, column) slots,
+    forward and backward."""
+
+    @staticmethod
+    def segments(rng, n):
+        """Non-decreasing graph ids of 0 to 4 rows each: some graphs empty."""
+        return np.repeat(np.arange(n), rng.integers(0, 5, size=n))
+
+    def test_matches_bincount_reference(self, rng):
+        for n in (0, 1, 5, T.SEGMENT_BLOCK, 3 * T.SEGMENT_BLOCK + 7, 200):
+            seg = self.segments(rng, n)
+            weight = rng.integers(1, 6, size=seg.size).astype(float)
+            x = Parameter(rng.normal(size=(seg.size, 4)), "x")
+            g = rng.normal(size=(n, 4))
+            tape = Tape()
+            out = T.segment_sum(tape.watch(x), weight, seg, n, tape)
+            want = scatter_add_ref(x.value, seg, np.arange(seg.size), weight, n)
+            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+            assert not out.data[np.bincount(seg, minlength=n) == 0].any()  # empty graphs
+            backward(tape, _total(out, tape, g))
+            np.testing.assert_allclose(
+                x.grad, scatter_add_ref(g, np.arange(seg.size), seg, weight, seg.size),
+                rtol=0, atol=1e-12)
+
+    def test_one_row_graphs_use_memory_linear_in_rows(self, rng):
+        # one (graphs, rows) matrix would be 4096 * 4096 * 8 bytes = 128 MiB
+        n = 4096
+        x = Parameter(rng.normal(size=(n, 8)), "x")
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            out = T.segment_sum(tape.watch(x), np.ones(n), np.arange(n), n, tape)
+            backward(tape, _total(out, tape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.data, x.value)
+        np.testing.assert_array_equal(x.grad, np.ones((n, 8)))
+        # x, out, the gradients and SEGMENT_BLOCK * n block entries: under 2 MiB
+        assert peak < 4 * 2**20, peak
+
+    def test_bad_segments_rejected(self):
+        x = Tensor(np.ones((3, 2)))
+        for seg, n in (([0, 1, 3], 3), ([-1, 0, 0], 2)):
+            with pytest.raises(DimensionError, match="below"):
+                T.segment_sum(x, np.ones(3), seg, n)
+        with pytest.raises(DimensionError, match="weight per row"):
+            T.segment_sum(x, np.ones(2), [0, 0, 1], 2)
+        n = T.SEGMENT_BLOCK + 1  # past one block, rows must come in segment order
+        with pytest.raises(DimensionError, match="decrease"):
+            T.segment_sum(x, np.ones(3), [0, n - 1, 1], n)
+        # within one block, any order sums the same
+        got = T.segment_sum(Tensor([[1.0], [2.0], [4.0]]), [1.0, 1.0, 1.0], [1, 0, 1], 2)
+        np.testing.assert_array_equal(got.data, [[2.0], [5.0]])
+
+
+class TestPairAttention:
+    @pytest.mark.parametrize("learned", [False, True])
+    def test_rows_match_vector_reference(self, rng, learned):
+        a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        w = rng.normal(size=5) if learned else None
+        out, alpha = T.pair_attention(Tensor(a), Tensor(b), None if w is None else Tensor(w))
+        assert out.shape == (6, 5) and alpha.shape == (6, 2)
+        for i in range(6):
+            fused, want = attention_ref(a[i], b[i], w)
+            np.testing.assert_allclose(out.data[i], fused, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(alpha[i], want, rtol=0, atol=1e-12)
+            one, one_alpha = T.pair_attention(Tensor(a[i]), Tensor(b[i]),
+                                              None if w is None else Tensor(w))
+            np.testing.assert_allclose(one.data, fused, rtol=0, atol=1e-12)
+            assert one_alpha.shape == (2,)
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionError, match="disagree"):
+            T.pair_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
+        with pytest.raises(DimensionError, match="score vector"):
+            T.pair_attention(Tensor(np.ones(3)), Tensor(np.ones(3)), Tensor(np.ones(4)))
 
 
 class TestLinear:

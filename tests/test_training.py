@@ -10,6 +10,7 @@ from symgraph import dataset, evaluation, model, synth, training
 from symgraph import tensor as T
 from symgraph.embeddings import EmbeddingTable, load_embeddings
 from symgraph.errors import ConfigError, DomainError, TrainingError
+from symgraph.gradcheck import random_toy_world
 from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
 from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
@@ -105,6 +106,24 @@ class TestBceLoss:
         out = T.sigmoid_cross_entropy(Tensor([20.0, -20.0]),
                                       target_vector(["alpha"], LABELS))
         assert out.item() == pytest.approx(0.0, abs=1e-6)
+
+
+class TestTapeLength:
+    """One ``batch_loss`` at 2 GCN layers: 9 steps per tower (encoder and
+    its nonlinearity, 3 per layer, the readout), the fusion (one step for
+    attention, a product and a concatenation for concat), 5 in the head and
+    the loss.  Spreading attention or a readout over many ops again fails
+    here."""
+
+    @pytest.mark.parametrize("fusion,steps", [("concat", 26), ("attention", 25),
+                                              ("attention_learned", 25)])
+    def test_steps_per_batch_loss(self, fusion, steps):
+        mcfg = ModelConfig(num_labels=4, embed_dim=6, hidden_dim=8, gcn_layers=2,
+                           fusion_mode=fusion)
+        table, ex, labels = random_toy_world(mcfg, seed=0)
+        tape = Tape()
+        batch_loss(pack_split([ex], table, labels), [0], init_params(mcfg), mcfg, tape)
+        assert len(tape.steps) == steps
 
 
 class TestTrainEpoch:
