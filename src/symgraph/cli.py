@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import asdict, replace
@@ -305,6 +306,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < math.inf:  # refuses nan too
+        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     mconfig = ModelConfig(
         num_labels=args.labels_count, embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim, gcn_layers=args.gcn_layers,

@@ -25,9 +25,9 @@ union.  Each tower is then one encoder product over the sources, one
 ``scatter_add`` and product over the classes per GCN layer, and one
 ``segment_sum`` for the readout: a product with the (graphs, classes)
 matrix of class sizes, applied to at most ``T.SEGMENT_BLOCK`` graphs at a
-time, since a graph's classes are consecutive in a union.  Fusion (attention
-is one ``pair_attention`` step) and the head work on the (batch, hidden)
-rows.
+time, since a graph's classes are consecutive in a union.  Fusion (one
+``pair_concat`` or ``pair_attention`` step) and the head (two ``linear``
+steps with their biases) work on the (batch, hidden) rows.
 
 The same rule trims the GCN stack: a layer before the last computes only
 the classes that some in-edge reads, and only the last computes every
@@ -381,11 +381,10 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     num_readers, num_sources = len(token_counts), len(degree)
     x = T.segment_mean(phrase_vecs[np.array(tokens, dtype=np.intp)],
                        np.repeat(np.arange(num_readers), token_counts), num_readers)
-    degree = np.array(degree, dtype=np.intp)
     messages = np.hstack([x[np.array(readers, dtype=np.intp)],
                           phrase_vecs[np.array(relations, dtype=np.intp)]])
-    inputs = T.scatter_rows(messages, np.repeat(np.arange(num_sources), degree),
-                            num_sources) / degree[:, None]
+    inputs = T.segment_mean(messages, np.repeat(np.arange(num_sources), degree),
+                            num_sources)  # every source has a message
 
     # class ids are numbered over the call, then shifted to number within each part
     part_classes = np.diff(np.array(ends, dtype=np.intp)[:, 0])
@@ -484,10 +483,8 @@ def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor
 
 
 def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:
-    """[v_kg ; v_sg ; v_kg * v_sg], per row."""
-    if v_kg.shape != v_sg.shape:
-        raise DimensionError(f"fusion inputs disagree: {v_kg.shape} vs {v_sg.shape}")
-    return T.concat([v_kg, v_sg, T.mul(v_kg, v_sg, tape)], tape)
+    """[v_kg ; v_sg ; v_kg * v_sg], per row (``T.pair_concat``)."""
+    return T.pair_concat(v_kg, v_sg, tape)
 
 
 def attention_fuse(v_kg: Tensor, v_sg: Tensor, tape: Tape = None,
@@ -509,9 +506,8 @@ def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = Non
         raise DimensionError(
             f"fused width {fused.shape[-1]} != expected {config.fusion_input_dim}"
         )
-    h = _nonlin(config)(
-        T.add(T.linear(fused, watched["mlp.w1"], tape), watched["mlp.b1"], tape), tape)
-    return T.add(T.linear(h, watched["mlp.w2"], tape), watched["mlp.b2"], tape)
+    h = _nonlin(config)(T.linear(fused, watched["mlp.w1"], tape, watched["mlp.b1"]), tape)
+    return T.linear(h, watched["mlp.w2"], tape, watched["mlp.b2"])
 
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,

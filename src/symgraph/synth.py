@@ -13,6 +13,7 @@ neither graph alone can determine the label.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,10 @@ class SynthSpec:
             raise ConfigError(f"num_examples must be >= 1, got {self.num_examples}")
         if not 0.0 <= self.noise <= 1.0:
             raise ConfigError(f"noise must be in [0,1], got {self.noise}")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if not 0 < self.embed_scale < math.inf:  # refuses nan too
+            raise ConfigError(f"embed_scale must be finite and > 0, got {self.embed_scale}")
         if self.dual_signal and self.num_labels != 4:
             raise ConfigError("dual_signal datasets have exactly 4 labels")
 

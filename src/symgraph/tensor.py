@@ -4,10 +4,13 @@ The tape (``Tape``) records one step per primitive op, in execution order.
 ``backward`` replays the steps in reverse and accumulates gradients into the
 ``grad`` buffers of every ``Parameter`` the loss depends on.  Training
 records one tape per mini-batch: the batch's graphs are one disjoint union,
-so every op works on whole (rows, features) matrices: ``scatter_add`` does
-the per-edge sums over an ``Edges`` list, ``segment_sum`` the per-graph
-sums as products with blocks of a dense weight matrix, and
-``pair_attention`` the whole attention fusion of two graph vectors.
+so every op works on whole (rows, features) matrices.  There are nine
+primitives: ``linear`` (a product with an optional bias), ``relu`` and
+``sigmoid``; ``scatter_add``, the per-edge sums over an ``Edges`` list;
+``segment_sum``, the per-graph sums as products with blocks of a dense
+weight matrix; ``pair_attention`` and ``pair_concat``, the whole attention
+or concat fusion of two graph vectors; and the two fused losses,
+``softmax_cross_entropy`` and ``sigmoid_cross_entropy``.
 
 An ``Edges`` list is range-checked once and applied as exact gathers in
 "rounds", the jagged-diagonal layout of sparse kernels (Saad, 1989): round
@@ -18,8 +21,10 @@ starts a row at its first term, so a -0.0 term stays -0.0).  Its rounds are
 built when it is made, and those of its transposed list, which the
 backward pass applies, on first use; both are kept with it.
 
-All ops accept an optional ``tape``; with ``tape=None`` they are plain
-numpy computations, which is what evaluation uses.
+All primitives accept an optional ``tape``; with ``tape=None`` they are
+plain numpy computations, which is what evaluation uses.  ``softmax`` (the
+softmax head's scores) and ``segment_mean`` (packing's means) are never
+taped.
 """
 
 from __future__ import annotations
@@ -134,16 +139,6 @@ def _emit(tape, out_data, inputs, back):
 # primitive ops
 
 
-def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to an operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def _broadcast_check(op, a, b):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -151,39 +146,29 @@ def _broadcast_check(op, a, b):
         raise DimensionError(f"{op} shapes disagree: {a.shape} {b.shape}") from None
 
 
-def linear(x: Tensor, w: Tensor, tape: Tape = None) -> Tensor:
-    """``x @ w.T``: the rows of x (or the vector x) through an (out, in)
-    weight, without copying the weight's transpose; the one matrix product
-    of the tape."""
+def linear(x: Tensor, w: Tensor, tape: Tape = None, bias: Tensor = None) -> Tensor:
+    """``x @ w.T``, plus ``bias`` when given: the rows of x (or the vector x)
+    through an (out, in) weight, without copying the weight's transpose;
+    the one matrix product of the tape."""
     xd, wd = x.data, w.data
     if xd.ndim not in (1, 2) or wd.ndim != 2:
         raise DimensionError(f"linear needs rows and a matrix: {x.shape}, {w.shape}")
     if xd.shape[-1] != wd.shape[1]:
         raise DimensionError(f"linear widths disagree: {x.shape} through {w.shape}")
+    if bias is not None and bias.shape != wd.shape[:1]:
+        raise DimensionError(f"linear bias {bias.shape} does not fit {w.shape}")
 
     def back(g):
         x2 = xd.reshape(-1, xd.shape[-1])
         g2 = np.reshape(g, (x2.shape[0], wd.shape[0]))
-        return [(g2 @ wd).reshape(xd.shape), g2.T @ x2]
+        grads = [(g2 @ wd).reshape(xd.shape), g2.T @ x2]
+        return grads if bias is None else grads + [g2.sum(axis=0)]
 
-    return _emit(tape, xd @ wd.T, [x, w], back)
-
-
-def add(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Elementwise sum with numpy broadcasting (e.g. a (m,) bias over (n, m))."""
-    _broadcast_check("add", a, b)
-    sa, sb = a.shape, b.shape
-    return _emit(tape, a.data + b.data, [a, b],
-                 lambda g: [_unbroadcast(g, sa), _unbroadcast(g, sb)])
-
-
-def mul(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
-    """Elementwise product with numpy broadcasting (e.g. an (n, 1) column of
-    row weights over (n, m))."""
-    _broadcast_check("mul", a, b)
-    ad, bd = a.data, b.data
-    return _emit(tape, ad * bd, [a, b],
-                 lambda g: [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)])
+    out = xd @ wd.T
+    if bias is None:
+        return _emit(tape, out, [x, w], back)
+    out += bias.data
+    return _emit(tape, out, [x, w, bias], back)
 
 
 def relu(a: Tensor, tape: Tape = None) -> Tensor:
@@ -197,16 +182,15 @@ def sigmoid(a: Tensor, tape: Tape = None) -> Tensor:
     return _emit(tape, y, [a], lambda g: [g * y * (1.0 - y)])
 
 
-def softmax(a: Tensor, tape: Tape = None) -> Tensor:
+def softmax(a: Tensor) -> Tensor:
     """Stable softmax over the last axis (max subtraction): a vector, or each
-    row of a matrix."""
+    row of a matrix.  Untaped: the softmax head's scores, which no loss
+    reads (the loss is ``softmax_cross_entropy`` of the logits)."""
     if a.data.ndim not in (1, 2) or a.data.shape[-1] < 1:
         raise DomainError(f"softmax needs nonempty rows, got shape {a.shape}")
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    return _emit(tape, y, [a],
-                 lambda g: [y * (g - np.sum(g * y, axis=-1, keepdims=True))])
+    return Tensor(e / e.sum(axis=-1, keepdims=True))
 
 
 def pair_attention(a: Tensor, b: Tensor, w: Tensor = None, tape: Tape = None):
@@ -270,41 +254,36 @@ def sigmoid_cross_entropy(z: Tensor, targets, tape: Tape = None) -> Tensor:
     return _emit(tape, out, [z], lambda g: [(p - y) * g])
 
 
-def concat(parts, tape: Tape = None) -> Tensor:
-    """Concatenate along the last axis: vectors end to end, or matrices with
-    equal row counts side by side."""
-    lead = parts[0].shape[:-1]
-    for p in parts:
-        if p.data.ndim not in (1, 2) or p.shape[:-1] != lead:
-            raise DimensionError(
-                f"concat parts disagree: {[q.shape for q in parts]}")
-    offs = np.cumsum([0] + [p.shape[-1] for p in parts])
+def pair_concat(a: Tensor, b: Tensor, tape: Tape = None) -> Tensor:
+    """``[a ; b ; a * b]`` along the last axis, for two vectors or two
+    matrices of the same shape: concat fusion as one step.  Its backward
+    pass, for the output gradient ``[g0 ; g1 ; g2]``, is ``g0 + g2 * b``
+    for a and ``g1 + g2 * a`` for b."""
+    ad, bd = a.data, b.data
+    if ad.ndim not in (1, 2) or ad.shape != bd.shape:
+        raise DimensionError(f"pair_concat inputs disagree: {a.shape}, {b.shape}")
+    m = ad.shape[-1]
 
     def back(g):
-        return [g[..., offs[i]:offs[i + 1]] for i in range(len(parts))]
+        g0, g1, g2 = g[..., :m], g[..., m:2 * m], g[..., 2 * m:]
+        return [g0 + g2 * bd, g1 + g2 * ad]
 
-    return _emit(tape, np.concatenate([p.data for p in parts], axis=-1), list(parts), back)
-
-
-def scatter_rows(values, rows, n):
-    """``out[rows[e]] += values[e]`` for every row e of ``values``, into n rows
-    (plain numpy: packing's means).
-
-    One bincount over flat (row, column) slots: summing happens in the order
-    of ``values``, so results are reproducible bit for bit.
-    """
-    width = values.shape[1]
-    slots = (rows[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(slots, weights=values.ravel(),
-                       minlength=n * width).reshape(n, width)
+    return _emit(tape, np.concatenate([ad, bd, ad * bd], axis=-1), [a, b], back)
 
 
 def segment_mean(values, rows, n):
     """Mean of the rows of ``values`` sent to each of n output rows (row e
-    goes to ``rows[e]``); an output row that nothing reaches is zero.  Sums
-    run in the order of ``values``, as in ``scatter_rows``."""
+    goes to ``rows[e]``); an output row that nothing reaches is zero.
+    Plain numpy, for packing's means.
+
+    One bincount over flat (row, column) slots: sums run in the order of
+    ``values``, so results are reproducible bit for bit.
+    """
+    width = values.shape[1]
+    slots = (rows[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(slots, weights=values.ravel(), minlength=n * width)
     counts = np.maximum(np.bincount(rows, minlength=n), 1)
-    return scatter_rows(values, rows, n) / counts[:, None]
+    return sums.reshape(n, width) / counts[:, None]
 
 
 def _row_ids(ids, n: int) -> np.ndarray:

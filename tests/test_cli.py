@@ -55,6 +55,20 @@ class TestSynth:
             assert (out / rel).exists(), rel
         assert len(list((out / "scene_graphs").glob("*.json"))) == 40
 
+    @pytest.mark.parametrize("flag,value", [("--embed-dim", "0"), ("--embed-dim", "-3"),
+                                            ("--embed-scale", "nan"),
+                                            ("--embed-scale", "inf"),
+                                            ("--embed-scale", "0"),
+                                            ("--embed-scale", "-2")])
+    def test_bad_embedding_spec_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        # an embed dim of 0 or a nan scale wrote an embeddings file of no
+        # values or all nan, with exit 0
+        assert run(["synth", "--out", tmp_path / "o", "--examples", 10, flag, value]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        name = flag[2:].replace("-", "_")
+        assert len(err) == 1 and err[0].startswith(f"error: {name} ")
+        assert not (tmp_path / "o" / "embeddings.txt").exists()
+
 
 class TestPrepare:
     def _raw_inputs(self, tmp_path, n=10):
@@ -421,6 +435,17 @@ class TestGradcheckCommand:
                     "--tolerance", "1e-18"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+    def test_meaningless_tolerance_exits_2_naming_it(self, capsys, tolerance):
+        # inf passed every gradient unchecked; the others failed every
+        # group with exit 1, as a gradient bug would
+        assert run(["gradcheck", "--gcn-layers", "1", "--fusion", "concat",
+                    "--tolerance", tolerance]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tolerance ")
+        assert "FAIL" not in captured.out
+
 
 def test_python_dash_m_runs_the_cli():
     # was "No module named symgraph.__main__"
@@ -446,6 +471,25 @@ class TestErrorHandling:
         assert run(["train", "--bundle", data / "bundle",
                     "--embeddings", bad, "--out", tmp_path / "o",
                     "--embed-dim", 16, "--epochs", 1]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "synth", "prepare", "gradcheck"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, command):
+        # each ended in a numpy ValueError traceback with exit 1
+        data = synth_bundle(tmp_path, examples=10)
+        argv = {
+            "train": ["train", "--bundle", data / "bundle",
+                      "--embeddings", data / "embeddings.txt", "--out", tmp_path / "o",
+                      "--embed-dim", 16, "--epochs", 1],
+            "synth": ["synth", "--out", tmp_path / "o", "--examples", 10],
+            "prepare": ["prepare", "--scene-dir", data / "scene_graphs",
+                        "--facts", data / "facts.tsv", "--vocab", data / "vocab.txt",
+                        "--labels", data / "labels.txt", "--out", tmp_path / "o"],
+            "gradcheck": ["gradcheck", "--gcn-layers", 1, "--fusion", "concat"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--seed", -1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: seed must be >= 0, got -1"]
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_exits_2_naming_it(self, tmp_path, capsys, lr):

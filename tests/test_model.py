@@ -736,14 +736,14 @@ class TestLayerEdges:
                                        rtol=1e-12, atol=1e-14)
 
     def test_gcn_layers_build_no_slot_array(self, rng, toy_table, monkeypatch):
-        # the bincount over (edge, column) slots is for packing and the readout
+        # the bincount over (edge, column) slots is packing's alone
         def refuse(*args):
             raise AssertionError("a GCN layer summed by slots")
 
         cfg = toy_config(hidden_dim=5, gcn_layers=3)
         params = init_params(cfg)
         g = self.unions(rng, toy_table)[1]
-        monkeypatch.setattr(T, "scatter_rows", refuse)
+        monkeypatch.setattr(T, "segment_mean", refuse)
         tape = Tape()
         watched = params.tensors(tape)
         states = encode_nodes(g, watched["kg.enc"], cfg, tape)

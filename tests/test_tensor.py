@@ -26,6 +26,15 @@ def _total(x: Tensor, tape: Tape = None, weights=None) -> Tensor:
     return tape.record(out, [x], lambda g: [g * c])
 
 
+def _square(x: Tensor, tape: Tape = None) -> Tensor:
+    """``x * x`` elementwise: the last third of ``pair_concat(x, x)``, whose
+    gradient to x is ``2 * g * x``."""
+    m = x.shape[-1]
+    keep = np.zeros((m, 3 * m))
+    keep[:, 2 * m:] = np.eye(m)
+    return T.linear(T.pair_concat(x, x, tape), Tensor(keep), tape)
+
+
 class TestMatmul:
     """Matrix products.  ``linear`` (``x @ w.T``) is the tape's one product
     primitive, so the product checks run on it."""
@@ -122,7 +131,7 @@ class TestBackward:
         tape = Tape()
         w = Parameter(np.array([1.0, 2.0]), "w")
         wt = tape.watch(w)
-        loss = _total(T.mul(wt, wt, tape), tape)
+        loss = _total(_square(wt, tape), tape)
         backward(tape, loss)
         np.testing.assert_allclose(w.grad, [2.0, 4.0])
 
@@ -131,7 +140,7 @@ class TestBackward:
         w = Parameter(np.array([1.0, 2.0]), "w")
         tape.watch(w)
         c = Tensor([3.0, 4.0])
-        loss = _total(T.mul(c, c, tape), tape)
+        loss = _total(_square(c, tape), tape)
         backward(tape, loss)
         np.testing.assert_array_equal(w.grad, [0.0, 0.0])
 
@@ -139,13 +148,13 @@ class TestBackward:
         tape = Tape()
         wt = tape.watch(Parameter(np.array([1.0, 2.0]), "w"))
         with pytest.raises(DomainError):
-            backward(tape, T.mul(wt, wt, tape))
+            backward(tape, _square(wt, tape))
 
     def test_double_replay_doubles_gradient(self):
         tape = Tape()
         w = Parameter(np.array([1.0, 2.0]), "w")
         wt = tape.watch(w)
-        loss = _total(T.mul(wt, wt, tape), tape)
+        loss = _total(_square(wt, tape), tape)
         backward(tape, loss)
         once = w.grad.copy()
         backward(tape, loss)
@@ -155,7 +164,7 @@ class TestBackward:
         tape = Tape()
         w = Parameter(np.array([3.0]), "w")
         wt = tape.watch(w)
-        loss = _total(T.add(wt, wt, tape), tape)
+        loss = _total(T.linear(wt, Tensor([[1.0]]), tape, wt), tape)  # w * 1 + w
         backward(tape, loss)
         assert w.grad[0] == pytest.approx(2.0)
 
@@ -180,8 +189,8 @@ class TestSgdStep:
         for expected in (1.5, 2.25):
             tape = Tape()
             wt = tape.watch(p)
-            diff = T.add(wt, Tensor([-3.0]), tape)
-            loss = _total(T.mul(diff, diff, tape), tape)
+            diff = T.linear(wt, Tensor([[1.0]]), tape, Tensor([-3.0]))
+            loss = _total(_square(diff, tape), tape)
             backward(tape, loss)
             sgd_step([p], 0.25)
             assert p.value[0] == pytest.approx(expected)
@@ -254,21 +263,15 @@ class TestGradientsAgainstFiniteDifferences:
         _check_grad(build, [(6, 3), (3,)], rng)
 
     def test_attention_style_composition(self, rng):
-        # row-wise attention over a batch of 3: column scores, row softmax,
-        # and (3, 1) weight columns broadcast over the (3, 5) rows
-        ones = Tensor(np.ones((1, 5)))
-
+        # row-wise attention over a batch of 3, its output beside u in a
+        # concat fusion, then a biased head: u reaches the loss two ways
         def build(args, tape):
-            u, v = args
-            su = T.linear(T.mul(u, u, tape), ones, tape)
-            sv = T.linear(T.mul(v, v, tape), ones, tape)
-            alpha = T.softmax(T.concat([su, sv], tape), tape)
-            a_u = T.linear(alpha, Tensor([[1.0, 0.0]]), tape)
-            a_v = T.linear(alpha, Tensor([[0.0, 1.0]]), tape)
-            fused = T.add(T.mul(a_u, u, tape), T.mul(a_v, v, tape), tape)
-            return _total(T.sigmoid(fused, tape), tape)
+            u, v, w, b = args
+            fused, _ = T.pair_attention(u, v, None, tape)
+            both = T.pair_concat(fused, u, tape)
+            return _total(T.sigmoid(T.linear(both, w, tape, b), tape), tape)
 
-        _check_grad(build, [(3, 5), (3, 5)], rng)
+        _check_grad(build, [(3, 5), (3, 5), (2, 15), (2,)], rng)
 
     def test_neighbor_mean_and_readout(self, rng):
         # in-neighbor lists [[1, 2], [0], [2, 2, 1]] as an edge list (the
@@ -283,16 +286,15 @@ class TestGradientsAgainstFiniteDifferences:
             (s,) = args
             agg = T.scatter_add(s, neighbors, tape)
             per_graph = T.segment_sum(agg, np.ones(3), [0, 1, 1], 2, tape)
-            return _total(T.mul(per_graph, per_graph, tape), tape)
+            return _total(_square(per_graph, tape), tape)
 
         _check_grad(build, [(3, 4)], rng)
 
     def test_concat_transpose_bias(self, rng):
         def build(args, tape):
             w, x, b = args
-            y = T.linear(x, w, tape)  # w @ x
-            return _total(T.relu(T.add(T.concat([y, y], tape),
-                                       T.concat([b, b], tape), tape), tape), tape)
+            y = T.linear(x, w, tape, b)  # w @ x + b
+            return _total(T.relu(T.pair_concat(y, b, tape), tape), tape)
 
         _check_grad(build, [(4, 3), (3,), (4,)], rng)
 
@@ -308,7 +310,7 @@ class TestGradientsAgainstFiniteDifferences:
                 for d in range(depth):
                     cur = T.relu(T.linear(cur, Tensor(np.eye(dim) * 0.7 + 0.1),
                                           tape), tape)
-                return _total(T.mul(cur, cur, tape), tape)
+                return _total(_square(cur, tape), tape)
 
             _check_grad(build, [(dim,)], rng)
 
@@ -339,16 +341,11 @@ PRIMITIVE_CASES = {
     "linear": [
         ([(4, 3), (5, 3)], _weighted(lambda a, t: T.linear(a[0], a[1], t))),
         ([(3,), (5, 3)], _weighted(lambda a, t: T.linear(a[0], a[1], t))),
+        ([(4, 3), (5, 3), (5,)], _weighted(lambda a, t: T.linear(a[0], a[1], t, a[2]))),
+        ([(3,), (5, 3), (5,)], _weighted(lambda a, t: T.linear(a[0], a[1], t, a[2]))),
     ],
-    "add": [([(3, 4), (4,)], _weighted(lambda a, t: T.add(a[0], a[1], t)))],
-    "mul": [([(3, 4), (3, 1)], _weighted(lambda a, t: T.mul(a[0], a[1], t)))],
     "relu": [([(3, 4)], _weighted(lambda a, t: T.relu(a[0], t)))],
     "sigmoid": [([(3, 4)], _weighted(lambda a, t: T.sigmoid(a[0], t)))],
-    "softmax": [
-        ([(3, 4)], _weighted(lambda a, t: T.softmax(a[0], t))),
-        ([(5,)], _weighted(lambda a, t: T.softmax(a[0], t))),
-    ],
-    "concat": [([(3, 2), (3, 4)], _weighted(lambda a, t: T.concat(a, t)))],
     "scatter_add": [
         ([(3, 4)], _weighted(lambda a, t: T.scatter_add(a[0], T.Edges(*_EDGES, 4, 3), t))),
         ([(3, 4)], _weighted(lambda a, t: T.scatter_add(  # an edge per row, in order
@@ -367,6 +364,10 @@ PRIMITIVE_CASES = {
         ([(5,), (5,)], _weighted(lambda a, t: T.pair_attention(a[0], a[1], None, t)[0])),
         ([(3, 4), (3, 4), (4,)], _weighted(lambda a, t: T.pair_attention(*a, t)[0])),
         ([(5,), (5,), (5,)], _weighted(lambda a, t: T.pair_attention(*a, t)[0])),
+    ],
+    "pair_concat": [
+        ([(3, 4), (3, 4)], _weighted(lambda a, t: T.pair_concat(a[0], a[1], t))),
+        ([(5,), (5,)], _weighted(lambda a, t: T.pair_concat(a[0], a[1], t))),
     ],
     "softmax_cross_entropy": [
         ([(3, 4)], lambda a, t: T.softmax_cross_entropy(a[0], _SOFT_TARGETS, t)),
@@ -566,6 +567,27 @@ class TestLinear:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(5, 2\)"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 2))))
 
+    def test_bias_added_to_every_row(self, rng):
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
+        got = T.linear(Tensor(x), Tensor(w), bias=Tensor(b)).data
+        assert np.array_equal(got, x @ w.T + b)
+        with pytest.raises(DimensionError, match="bias"):
+            T.linear(Tensor(x), Tensor(w), bias=Tensor(np.zeros(3)))
+
+
+class TestPairConcat:
+    def test_matches_concatenation(self, rng):
+        for shape in ((3, 4), (5,)):
+            a, b = rng.normal(size=shape), rng.normal(size=shape)
+            got = T.pair_concat(Tensor(a), Tensor(b)).data
+            assert np.array_equal(got, np.concatenate([a, b, a * b], axis=-1))
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionError, match="disagree"):
+            T.pair_concat(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
+        with pytest.raises(DimensionError, match="disagree"):
+            T.pair_concat(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 2, 3))))
+
 
 class TestTensorInvariants:
     def test_non_finite_rejected(self):
@@ -579,8 +601,9 @@ class TestTensorInvariants:
     def test_every_non_finite_kind_rejected(self, values):
         with pytest.raises(DomainError):
             Tensor(values)
+        bias = np.array(values, float).ravel()
         with pytest.raises(DomainError):
-            T.add(Tensor(np.zeros(np.shape(values))), T._wrap(np.array(values, float)))
+            T.linear(Tensor(np.zeros(1)), Tensor(np.zeros((bias.size, 1))), bias=T._wrap(bias))
 
     def test_finite_values_accepted(self):
         assert Tensor([1e308, 1e308]).shape == (2,)  # their sum would overflow
