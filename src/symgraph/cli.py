@@ -230,8 +230,8 @@ def cmd_train(args) -> int:
         policy=policy)
     out = Path(args.out)
     (out / "runlog.csv").write_text(log.to_csv(), encoding="utf-8")
-    save_checkpoint(out / "checkpoint.npz", mconfig, best)
-    save_checkpoint(out / "final.npz", mconfig, final)
+    save_checkpoint(out / "checkpoint.npz", mconfig, best, label_list)
+    save_checkpoint(out / "final.npz", mconfig, final, label_list)
     if args.dump_attention:
         rows = collect_attention(splits["val"], best, table, mconfig)
         lines = ["image_id,alpha_kg,alpha_sg"]
@@ -248,7 +248,7 @@ def cmd_eval(args) -> int:
         "bundle": args.bundle, "embeddings": args.embeddings,
         "checkpoint": args.checkpoint})
     splits, label_list = dataset.load_bundle(args.bundle)
-    mconfig, params = load_checkpoint(args.checkpoint)
+    mconfig, params = load_checkpoint(args.checkpoint, labels=label_list)
     if mconfig.num_labels != len(label_list):
         raise ConfigError(
             f"checkpoint has {mconfig.num_labels} labels, bundle {len(label_list)}")

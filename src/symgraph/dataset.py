@@ -2,7 +2,11 @@
 
 A bundle directory holds ``examples/<image_id>.json`` (one line of compact
 JSON each), ``labels.txt`` and ``splits.json`` ({"train": [...], "val":
-[...], "test": [...]}).
+[...], "test": [...]}).  An example document holds its two graphs as their
+columns (``graphs.graph_to_dict``): ``{"kind", "names", "attributes", "src",
+"dst", "relations"}``.  A graph in the record layout of older bundles
+(``nodes``, ``edges``) is refused, naming the file; ``prepare`` or
+``synth`` re-makes the bundle.
 """
 
 from __future__ import annotations

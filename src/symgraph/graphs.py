@@ -354,67 +354,71 @@ def add_reverse_edges(g: LabeledGraph) -> LabeledGraph:
 
 
 def graph_to_dict(g: LabeledGraph) -> dict:
-    return {
-        "kind": g.kind,
-        "nodes": [{"name": name, "attributes": list(attrs)}
-                  for name, attrs in zip(g.names, g.attributes)],
-        "edges": list(map(list, zip(g.src, g.relations, g.dst))),
-    }
+    """The bundle document of a graph: its columns, which encode as JSON
+    arrays (``attributes`` as an array of string arrays)."""
+    return {"kind": g.kind, "names": g.names, "attributes": g.attributes,
+            "src": g.src, "dst": g.dst, "relations": g.relations}
 
 
-_GRAPH_KEYS = {"kind", "nodes", "edges"}
+_COLUMNS = ("names", "attributes", "src", "dst", "relations")
+_GRAPH_KEYS = {"kind", *_COLUMNS}
 _GRAPH_KINDS = ("scene", "knowledge")
+_ARRAYS = {list, tuple}  # a JSON array, or a column as graph_to_dict returns it
 
 
 def graph_from_dict(d: dict) -> LabeledGraph:
     """Graph of a bundle document (``graph_to_dict``'s layout), with JSON
-    types checked exactly as in ``load_scene_document`` and every edge index
-    in range.  The checks run over whole lists in C loops, and they compute
-    every column; only a graph that fails them is walked item by item, to
-    name its first bad item."""
+    types checked exactly as in ``load_scene_document``, equal column
+    lengths and every edge index in range.  The checks run over whole
+    columns in C loops; only a graph that fails them is walked entry by
+    entry, to name its first bad entry.
+
+    A document in the record layout of older bundles (``nodes`` and
+    ``edges``) is refused with a message saying how to re-make the bundle.
+    """
     if type(d) is not dict:
         raise SchemaError("graph is not an object")
     if set(d) != _GRAPH_KEYS:
+        if {"nodes", "edges"} & set(d):
+            raise SchemaError("graph in the record layout (nodes, edges) that an older "
+                              "symgraph wrote; re-make the bundle with 'symgraph prepare' "
+                              "(or 'symgraph synth')")
         raise SchemaError(f"expected fields {sorted(_GRAPH_KEYS)}, got {sorted(d)}")
     if d["kind"] not in _GRAPH_KINDS:
         raise SchemaError(f"kind: must be 'scene' or 'knowledge', got {d['kind']!r}")
-    for key in ("nodes", "edges"):
-        if type(d[key]) is not list:
+    for key in _COLUMNS:
+        if type(d[key]) not in _ARRAYS:
             raise SchemaError(f"{key}: must be a list")
-    nodes, edges = d["nodes"], d["edges"]
-    ok = (set(map(type, nodes)) <= {dict} and set().union(*nodes) <= _OBJ_KEYS
-          and set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3})
-    if ok:
-        names = tuple(map(dict.get, nodes, repeat("name")))
-        attrs = list(map(dict.get, nodes, repeat("attributes"), repeat([])))
-        src, relation, dst = _columns(edges)
-        ends = src + dst
-        ok = (set(map(type, names)) <= {str} and set(map(type, attrs)) <= {list}
-              and set(map(type, chain.from_iterable(attrs))) <= {str}
-              and set(map(type, relation)) <= {str} and set(map(type, ends)) <= {int}
-              and (not ends or 0 <= min(ends) and max(ends) < len(nodes)))
-    if not ok:
-        raise SchemaError(_first_bad_item(nodes, edges))
-    return LabeledGraph(names, tuple(map(tuple, attrs)), src, dst, relation, kind=d["kind"])
+    names, attributes, src, dst, relations = map(d.__getitem__, _COLUMNS)
+    if len(attributes) != len(names):
+        raise SchemaError(f"attributes: {len(attributes)} entries for {len(names)} names")
+    for key, column in (("dst", dst), ("relations", relations)):
+        if len(column) != len(src):
+            raise SchemaError(f"{key}: {len(column)} entries for {len(src)} in src")
+    ends = (*src, *dst)
+    if not (set(map(type, names)) <= {str} and set(map(type, attributes)) <= _ARRAYS
+            and set(map(type, chain.from_iterable(attributes))) <= {str}
+            and set(map(type, relations)) <= {str} and set(map(type, ends)) <= {int}
+            and (not ends or 0 <= min(ends) and max(ends) < len(names))):
+        raise SchemaError(_first_bad_item(names, attributes, src, dst, relations))
+    return LabeledGraph(tuple(names), tuple(map(tuple, attributes)), tuple(src), tuple(dst),
+                        tuple(relations), kind=d["kind"])
 
 
-def _first_bad_item(nodes, edges) -> str:
-    """What is wrong with the first node or edge that fails the checks of
-    ``graph_from_dict``."""
-    n = len(nodes)
-    for i, node in enumerate(nodes):
-        if (type(node) is not dict or set(node) - _OBJ_KEYS
-                or type(node.get("name")) is not str):
-            return f"nodes[{i}]: expected a string name and attributes"
-        attrs = node.get("attributes", [])
-        if type(attrs) is not list or not all(type(a) is str for a in attrs):
-            return f"nodes[{i}].attributes: must be a list of strings"
-    for i, edge in enumerate(edges):
-        if type(edge) is not list or len(edge) != 3:
-            return f"edges[{i}]: expected [source, relation, target]"
-        src, relation, dst = edge
-        if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
-            return (f"edges[{i}]: node indexes must be integers in 0..{n - 1}, "
-                    f"got {src!r}, {dst!r}")
+def _first_bad_item(names, attributes, src, dst, relations) -> str:
+    """What is wrong with the first entry of the columns of a graph document
+    that fails the checks of ``graph_from_dict``."""
+    for i, name in enumerate(names):
+        if type(name) is not str:
+            return f"names[{i}]: must be a string"
+    for i, attrs in enumerate(attributes):
+        if type(attrs) not in _ARRAYS or not all(type(a) is str for a in attrs):
+            return f"attributes[{i}]: must be a list of strings"
+    n = len(names)
+    for key, column in (("src", src), ("dst", dst)):
+        for i, end in enumerate(column):
+            if type(end) is not int or not 0 <= end < n:
+                return f"{key}[{i}]: node index must be an integer in 0..{n - 1}, got {end!r}"
+    for i, relation in enumerate(relations):
         if type(relation) is not str:
-            return f"edges[{i}]: relation must be a string"
+            return f"relations[{i}]: must be a string"

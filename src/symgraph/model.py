@@ -50,6 +50,7 @@ import json
 import zipfile
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -571,17 +572,23 @@ def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelCo
 # ---------------------------------------------------------------------------
 # checkpointing
 
-CHECKPOINT_VERSION = 2  # 2: records the output head (loss_mode) beside the config
+# 2: records the output head (loss_mode) beside the config; 3: may pin the
+# ordered label list the model was trained on
+CHECKPOINT_VERSION = 3
+_READ_VERSIONS = (2, 3)
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams):
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, labels=None):
     """Write config and named parameter tensors; values round-trip bit-exact.
-    The output head is stored as its own metadata key, beside the config."""
+    The output head is stored as its own metadata key, beside the config,
+    and so is ``labels``, the ordered label list, when it is given."""
     fields = asdict(config)
     loss_mode = fields.pop("loss_mode")
     arrays = {f"param/{p.name}": p.value for p in params}
-    meta = json.dumps({"version": CHECKPOINT_VERSION, "config": fields,
-                       "loss_mode": loss_mode})
+    meta = {"version": CHECKPOINT_VERSION, "config": fields, "loss_mode": loss_mode}
+    if labels is not None:
+        meta["labels"] = list(labels)
+    meta = json.dumps(meta)
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
              **arrays)
@@ -592,19 +599,21 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams):
 _JSON_TYPES = {"int": int, "str": str, "bool": bool}  # ModelConfig annotations
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, labels=None):
     """Returns (config, params): the model with the output head it was
     trained with (``config.loss_mode``), so library calls score it as the
     CLI does.  An unreadable file, another version, a config field of the
     wrong JSON type or a parameter of the wrong shape raises ``ConfigError``
-    naming the file."""
+    naming the file.  So does a pinned label list that differs from
+    ``labels``, naming the first position where they differ; a checkpoint
+    that pins none is not checked."""
     try:
-        return _load_checkpoint(path)
+        return _load_checkpoint(path, labels)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_checkpoint(path):
+def _load_checkpoint(path, labels):
     try:  # np.load leaks a file it opens itself when the zip is broken
         with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
@@ -617,11 +626,20 @@ def _load_checkpoint(path):
         raise ConfigError(f"not a readable checkpoint ({type(exc).__name__})") from None
     if type(meta) is not dict:
         raise ConfigError("checkpoint metadata is not an object")
-    if meta.get("version") != CHECKPOINT_VERSION:
+    if meta.get("version") not in _READ_VERSIONS:
         raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
     if meta.get("loss_mode") not in LOSS_MODES:
         raise ConfigError(f"checkpoint has unknown loss_mode {meta.get('loss_mode')!r}")
     config = _config_from_json(meta.get("config"), meta["loss_mode"])
+    pinned = meta.get("labels")
+    if pinned is not None:
+        if (type(pinned) is not list or len(pinned) != config.num_labels
+                or not all(type(l) is str for l in pinned)):
+            raise ConfigError(f"checkpoint labels must be a list of {config.num_labels} strings")
+        if labels is not None and pinned != list(labels):
+            i = next(i for i, (a, b) in enumerate(zip_longest(pinned, labels)) if a != b)
+            raise ConfigError(f"label {i} is {_label_at(pinned, i)} in the checkpoint but "
+                              f"{_label_at(labels, i)} in the bundle")
     shapes = dict(param_shapes(config))
     if set(arrays) != set(shapes):
         raise ConfigError("checkpoint parameters do not match its config")
@@ -632,6 +650,10 @@ def _load_checkpoint(path):
         if not np.isfinite(arr).all():
             raise ConfigError(f"checkpoint parameter '{name}' has non-finite values")
     return config, ModelParams([Parameter(arr.copy(), name) for name, arr in arrays.items()])
+
+
+def _label_at(labels, i) -> str:
+    return repr(labels[i]) if i < len(labels) else "missing"
 
 
 def _config_from_json(fields, loss_mode: str) -> ModelConfig:

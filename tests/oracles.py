@@ -389,14 +389,21 @@ def knowledge_graphs_ref(seed_lists, store, whitelist, vocab, match_tail=False):
 
 
 def graph_to_dict_ref(g):
+    """The bundle document of a record graph: its columns, read off the
+    records one at a time."""
     return {
         "kind": g.kind,
-        "nodes": [{"name": n.name, "attributes": list(n.attributes)} for n in g.nodes],
-        "edges": [[e.src, e.relation, e.dst] for e in g.edges],
+        "names": [n.name for n in g.nodes],
+        "attributes": [list(n.attributes) for n in g.nodes],
+        "src": [e.src for e in g.edges],
+        "dst": [e.dst for e in g.edges],
+        "relations": [e.relation for e in g.edges],
     }
 
 
 def graph_from_dict_ref(d):
-    """The record graph of a valid bundle graph document."""
-    return RecordGraph([GraphNode(n["name"], list(n.get("attributes", []))) for n in d["nodes"]],
-                       [GraphEdge(s, t, r) for s, r, t in d["edges"]], d["kind"])
+    """The record graph of a valid bundle graph document, one record per
+    node and per edge."""
+    nodes = [GraphNode(d["names"][i], list(d["attributes"][i])) for i in range(len(d["names"]))]
+    edges = [GraphEdge(d["src"][e], d["dst"][e], d["relations"][e]) for e in range(len(d["src"]))]
+    return RecordGraph(nodes, edges, d["kind"])

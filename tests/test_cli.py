@@ -1,6 +1,7 @@
 import json
 import platform
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -262,6 +263,28 @@ class TestTrainEval:
         assert got == reports["sigmoid_bce"].macro_f
         # the two heads score this model differently, so the check can fail
         assert reports["sigmoid_bce"].macro_f != reports["softmax_ce"].macro_f
+
+    @pytest.mark.parametrize("relabel,position", [
+        (lambda labels: labels[::-1], "label 0 is 'sym0' in the checkpoint but 'sym1'"),
+        (lambda labels: labels[:-1] + ["renamed"], "label 1 is 'sym1' in the checkpoint but "
+                                                   "'renamed'"),
+    ], ids=["reversed", "renamed"])
+    def test_eval_refuses_a_bundle_with_other_labels(self, tmp_path, capsys, relabel,
+                                                     position):
+        # only the label count was compared: a reversed labels.txt exited 0
+        # with every score read against the wrong label
+        data, run_dir = self._trained(tmp_path)
+        path = data / "bundle" / "labels.txt"
+        labels = path.read_text(encoding="utf-8").split()
+        path.write_text("\n".join(relabel(labels)) + "\n", encoding="utf-8")
+        checkpoint = run_dir / "checkpoint.npz"
+        capsys.readouterr()
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", checkpoint, "--out", tmp_path / "e2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {checkpoint}: {position} in the bundle"]
+        assert not (tmp_path / "e2" / "metrics.json").exists()
 
     def test_dump_attention_csv(self, tmp_path):
         data, run_dir = self._trained(
@@ -592,9 +615,9 @@ class TestBundleReader:
         with pytest.raises(SchemaError, match="^labels: must be a list of strings"):
             example_from_dict(doc)
 
-    @pytest.mark.parametrize("field", ["kind", "nodes"])
+    @pytest.mark.parametrize("field", ["kind", "names"])
     def test_load_bundle_names_the_file(self, tmp_path, field):
-        # a graph without its kind or nodes was a KeyError
+        # a graph without its kind or node names was a KeyError
         bundle = synth_bundle(tmp_path, examples=10) / "bundle"
         path, doc = self._example_doc(bundle)
         del doc["knowledge_graph"][field]
@@ -627,8 +650,8 @@ class TestBundleReader:
         assert len(err) == 1 and err[0].startswith("error:") and "splits.json" in err[0]
 
     @pytest.mark.parametrize("patch", [
-        lambda doc: doc["knowledge_graph"]["edges"].append([0, "IsA", 10_000]),
-        lambda doc: doc["scene_graph"]["edges"].append([True, "on", 0]),
+        lambda doc: _append_edge(doc["knowledge_graph"], 0, "IsA", 10_000),
+        lambda doc: _append_edge(doc["scene_graph"], True, "on", 0),
         lambda doc: doc.update(labels="ab"),
     ], ids=["edge_out_of_range", "boolean_edge_index", "string_labels"])
     def test_train_on_bad_test_split_example_exits_2(self, tmp_path, capsys, patch):
@@ -643,6 +666,31 @@ class TestBundleReader:
                     "--embed-dim", 16, "--epochs", 1]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+    def test_record_layout_bundle_refused_naming_the_file(self, tmp_path, capsys):
+        # a bundle an older symgraph wrote: its graphs are lists of records
+        data = synth_bundle(tmp_path, examples=10)
+        path, doc = self._example_doc(data / "bundle", split="val")
+        for key in ("scene_graph", "knowledge_graph"):
+            g = doc[key]
+            doc[key] = {"kind": g["kind"],
+                        "nodes": [{"name": name, "attributes": attrs}
+                                  for name, attrs in zip(g["names"], g["attributes"])],
+                        "edges": [list(e) for e in zip(g["src"], g["relations"], g["dst"])]}
+        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+        with pytest.raises(SchemaError) as info:
+            load_bundle(data / "bundle")
+        message = str(info.value)
+        assert message.startswith(f"{path}: scene_graph: ")
+        assert "older symgraph" in message and "'symgraph prepare'" in message
+        config = ModelConfig(num_labels=2, embed_dim=16, hidden_dim=8, gcn_layers=1)
+        save_checkpoint(tmp_path / "init.npz", config, init_params(config))
+        capsys.readouterr()
+        assert run(["eval", "--bundle", data / "bundle",
+                    "--embeddings", data / "embeddings.txt",
+                    "--checkpoint", tmp_path / "init.npz", "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("split", ["train", "val"])
@@ -697,6 +745,105 @@ class TestBundleReader:
                     "--embed-dim", 16, "--epochs", 1]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
+def _append_edge(graph_doc, src, relation, dst):
+    graph_doc["src"].append(src)
+    graph_doc["relations"].append(relation)
+    graph_doc["dst"].append(dst)
+
+
+# one value of each JSON type, drawn by the seeded generator
+JSON_VALUES = {
+    "string": lambda rnd: rnd.choice(["", "a", "img0000", "scene", "knowledge", "sym0"]),
+    "int": lambda rnd: rnd.randint(-2, 3),
+    "bool": lambda rnd: rnd.random() < 0.5,
+    "null": lambda rnd: None,
+    "list": lambda rnd: rnd.choice([[], [0], ["a"], [[]], [True]]),
+    "object": lambda rnd: rnd.choice([{}, {"a": 1}]),
+}
+
+
+def document_mutations(doc, rnd):
+    """(name, mutated document) pairs: each key of the example document and
+    of each of its graphs given a value of each JSON type, or deleted, and
+    each of those objects given an unknown key."""
+    for where in (None, "scene_graph", "knowledge_graph"):
+        target = doc if where is None else doc[where]
+        for key in sorted(target):
+            for kind, value in JSON_VALUES.items():
+                yield f"{where}.{key}={kind}", _patched(doc, where, key, value(rnd))
+            yield f"{where}.{key} deleted", _patched(doc, where, key, None, delete=True)
+        yield f"{where} unknown key", _patched(doc, where, "zz_unknown", rnd.randint(0, 9))
+
+
+def _patched(doc, where, key, value, delete=False):
+    doc = json.loads(json.dumps(doc))
+    target = doc if where is None else doc[where]
+    if delete:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
+
+
+def assert_valid_examples(splits, labels):
+    """Every loaded example has the types and index ranges a reader promises."""
+    assert type(labels) is list and all(type(l) is str for l in labels)
+    for ex in (ex for split in splits.values() for ex in split):
+        assert type(ex.image_id) is str and ex.image_id
+        assert type(ex.labels) is list and all(type(l) is str for l in ex.labels)
+        for g in (ex.scene_graph, ex.knowledge_graph):
+            n = len(g.names)
+            assert g.kind in ("scene", "knowledge")
+            assert all(type(name) is str for name in g.names)
+            assert len(g.attributes) == n
+            assert all(type(a) is tuple and all(type(t) is str for t in a)
+                       for a in g.attributes)
+            assert len(g.src) == len(g.dst) == len(g.relations)
+            assert all(type(i) is int and 0 <= i < n for i in g.src + g.dst)
+            assert all(type(r) is str for r in g.relations)
+
+
+class TestBundleMutations:
+    """Seeded mutations of one bundle document: each must be refused with a
+    SchemaError naming the file, or load to valid examples; through eval,
+    each exits 0, or 2 with one error line."""
+
+    def test_each_mutation_is_refused_naming_the_file_or_loads_valid(self, tmp_path, capsys):
+        rnd = random.Random(18)
+        data = synth_bundle(tmp_path, examples=10)
+        bundle = data / "bundle"
+        config = ModelConfig(num_labels=2, embed_dim=16, hidden_dim=8, gcn_layers=1)
+        save_checkpoint(tmp_path / "init.npz", config, init_params(config))
+        path = rnd.choice(sorted((bundle / "examples").glob("*.json")))
+        original = path.read_bytes()
+        doc = json.loads(original)
+        mutations = [(name, json.dumps(doc).encode("utf-8"))
+                     for name, doc in document_mutations(doc, rnd)]
+        for offset in sorted(rnd.sample(range(1, len(original) - 1), 8)):
+            mutations.append((f"truncated at {offset}", original[:offset]))
+        for offset in sorted(rnd.sample(range(len(original)), 2)):
+            mutations.append((f"invalid UTF-8 at {offset}",
+                              original[:offset] + b"\xff\xfe" + original[offset:]))
+        outcomes = {"refused": 0, "loaded": 0}
+        for name, content in mutations:
+            path.write_bytes(content)
+            try:
+                assert_valid_examples(*load_bundle(bundle))
+                outcomes["loaded"] += 1
+            except SchemaError as exc:
+                assert str(exc).startswith(f"{path}: "), name
+                outcomes["refused"] += 1
+            capsys.readouterr()
+            code = run(["eval", "--bundle", bundle, "--embeddings", data / "embeddings.txt",
+                        "--checkpoint", tmp_path / "init.npz", "--out", tmp_path / "e"])
+            err = capsys.readouterr().err.strip().splitlines()
+            assert (code, err) == (0, []) or (code == 2 and len(err) == 1
+                                              and err[0].startswith("error: ")), name
+        path.write_bytes(original)
+        # the mutations reach both outcomes
+        assert len(mutations) > 100 and min(outcomes.values()) > 0, outcomes
 
 
 class TestConfigFile:

@@ -406,21 +406,25 @@ class TestSerialization:
         g2 = graph_from_dict(graph_to_dict(g))
         assert graph_to_dict(g2) == graph_to_dict(g)
 
-    @pytest.mark.parametrize("edge", [
-        [True, "r", 0],  # true is a JSON boolean, not node index 1 (was taken as 1)
-        [0, "r", 5],  # out of range for 2 nodes (was accepted)
-        [-1, "r", 0],
-        [0, 1, 1],  # the relation is not a string
-        [0, "r"],
-        "0 r 1",
+    @pytest.mark.parametrize("edge,bad", [
+        # true is a JSON boolean, not node index 1 (was taken as 1)
+        ({"src": True, "dst": 0, "relations": "r"}, "src"),
+        ({"src": 0, "dst": 5, "relations": "r"}, "dst"),  # out of range for 2 nodes (was accepted)
+        ({"src": -1, "dst": 0, "relations": "r"}, "src"),
+        ({"src": 0, "dst": 1, "relations": 1}, "relations"),  # the relation is not a string
+        ({"src": 0, "relations": "r"}, "dst"),  # no target: dst is one entry short
+        ({"src": "0", "dst": 1, "relations": "r"}, "src"),
     ], ids=["boolean", "out_of_range", "negative", "int_relation", "short", "string"])
-    def test_malformed_edge_rejected(self, edge):
-        d = {"kind": "scene", "nodes": [{"name": "a", "attributes": []}, {"name": "b"}],
-             "edges": [[0, "r", 1], edge]}
-        with pytest.raises(SchemaError, match=r"^edges\[1\]"):
+    def test_malformed_edge_rejected(self, edge, bad):
+        d = {"kind": "scene", "names": ["a", "b"], "attributes": [[], []],
+             "src": [0], "dst": [1], "relations": ["r"]}
+        for key, value in edge.items():
+            d[key].append(value)
+        with pytest.raises(SchemaError, match=rf"^{bad}(\[1\]|: 1 entries for 2 in src)"):
             graph_from_dict(d)
 
-    @pytest.mark.parametrize("field", ["kind", "nodes", "edges"])
+    @pytest.mark.parametrize("field", ["kind", "names", "attributes", "src", "dst",
+                                       "relations"])
     def test_missing_field_rejected(self, field):
         # was a KeyError
         d = graph_to_dict(LabeledGraph.from_records([GraphNode("a")], [], kind="knowledge"))
@@ -429,13 +433,29 @@ class TestSerialization:
             graph_from_dict(d)
 
     @pytest.mark.parametrize("patch", [
-        {"kind": "dense"}, {"nodes": "ab"}, {"nodes": [{"name": 3}]},
-        {"nodes": [{"name": "a", "attributes": "red"}]},
+        {"kind": "dense"}, {"names": "ab"}, {"names": [3]}, {"attributes": ["red"]},
     ])
     def test_malformed_kind_or_nodes_rejected(self, patch):
         d = graph_to_dict(LabeledGraph.from_records([GraphNode("a")], [], kind="knowledge"))
         with pytest.raises(SchemaError):
             graph_from_dict({**d, **patch})
+
+    @pytest.mark.parametrize("patch,message", [
+        ({"attributes": [["x"]]}, "attributes: 1 entries for 2 names"),
+        ({"relations": ["r"]}, "relations: 1 entries for 2 in src"),
+    ], ids=["attributes_short", "relations_short"])
+    def test_ragged_columns_rejected(self, patch, message):
+        # zip would have dropped the second node's attributes or edge
+        d = {"kind": "scene", "names": ["a", "b"], "attributes": [["x"], []],
+             "src": [0, 1], "dst": [1, 0], "relations": ["r", "s"]}
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            graph_from_dict({**d, **patch})
+
+    def test_record_layout_refused_with_how_to_remake(self):
+        d = {"kind": "scene", "nodes": [{"name": "a", "attributes": []}],
+             "edges": [[0, "r", 0]]}
+        with pytest.raises(SchemaError, match="older symgraph.*'symgraph prepare'"):
+            graph_from_dict(d)
 
 
 class TestGraphRecords:
@@ -534,7 +554,8 @@ class TestColumnsMatchRecordPath:
         for g, ref in pairs:
             assert graph_columns(g) == record_columns(ref)
             d = graph_to_dict(g)
-            assert d == graph_to_dict_ref(ref)
+            assert json.dumps(d, sort_keys=True) == json.dumps(graph_to_dict_ref(ref),
+                                                               sort_keys=True)
             assert graph_columns(graph_from_dict(json.loads(json.dumps(d)))) == \
                 record_columns(graph_from_dict_ref(d))
         # the corpus reaches every case it is meant to

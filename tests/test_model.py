@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict, replace
 from itertools import product
 
@@ -890,12 +891,16 @@ class TestCheckpoint:
                           loss_mode="sigmoid_bce")
         params = init_params(cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, cfg, params)
+        save_checkpoint(path, cfg, params, ["a", "b", "c"])
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        assert set(meta) == {"version", "config", "loss_mode"}
+        assert set(meta) == {"version", "config", "loss_mode", "labels"}
         assert "loss_mode" not in meta["config"]
         assert meta["loss_mode"] == "sigmoid_bce"
+        assert meta["labels"] == ["a", "b", "c"]
+        save_checkpoint(path, cfg, params)  # no label list: none pinned
+        with np.load(path) as data:
+            assert "labels" not in json.loads(bytes(data["__meta__"]).decode("utf-8"))
         # a file written in that layout by hand loads with its head
         fields = {k: v for k, v in asdict(cfg).items() if k != "loss_mode"}
         meta = json.dumps({"version": 2, "config": fields, "loss_mode": "sigmoid_bce"})
@@ -907,6 +912,32 @@ class TestCheckpoint:
         for p in params:
             assert np.array_equal(params2[p.name].value, p.value)
 
+    @pytest.mark.parametrize("given,position", [
+        (["c", "b", "a"], "label 0 is 'a' in the checkpoint but 'c'"),
+        (["a", "b", "z"], "label 2 is 'c' in the checkpoint but 'z'"),
+        (["a", "b"], "label 2 is 'c' in the checkpoint but missing"),
+    ], ids=["reversed", "renamed", "dropped"])
+    def test_pinned_labels_checked(self, tmp_path, given, position):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, cfg, init_params(cfg), ["a", "b", "c"])
+        assert load_checkpoint(path, labels=("a", "b", "c"))[0] == cfg
+        assert load_checkpoint(path)[0] == cfg  # no list given: nothing to compare
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {position}"):
+            load_checkpoint(path, labels=given)
+        # a checkpoint that pins no list loads against any
+        save_checkpoint(path, cfg, init_params(cfg))
+        assert load_checkpoint(path, labels=given)[0] == cfg
+
+    @pytest.mark.parametrize("labels", ["abc", ["a", "b"], ["a", "b", 3]],
+                             ids=["string", "short", "int_label"])
+    def test_malformed_pinned_labels_refused(self, tmp_path, labels):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
+        path = tmp_path / "ckpt.npz"
+        _rewrite_meta(path, cfg, init_params(cfg), labels=labels)
+        with pytest.raises(ConfigError, match="checkpoint labels must be a list of 3 strings"):
+            load_checkpoint(path)
+
     def test_non_finite_weight_refused(self, tmp_path):
         cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
         params = init_params(cfg)
@@ -915,3 +946,14 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, params)
         with pytest.raises(ConfigError, match="kg.gcn0"):
             load_checkpoint(path)
+
+
+def _rewrite_meta(path, cfg, params, **meta):
+    """Save a checkpoint whose metadata has the given keys replaced."""
+    save_checkpoint(path, cfg, params)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    fields = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    arrays["__meta__"] = np.frombuffer(json.dumps({**fields, **meta}).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez(path, **arrays)
