@@ -247,11 +247,13 @@ def cmd_eval(args) -> int:
     write_manifest(args.out, "eval", vars(args), {
         "bundle": args.bundle, "embeddings": args.embeddings,
         "checkpoint": args.checkpoint})
-    splits, label_list = dataset.load_bundle(args.bundle)
+    # labels first: an edited labels.txt is a mismatch with the checkpoint
+    label_list = dataset.read_labels(Path(args.bundle) / "labels.txt")
     mconfig, params = load_checkpoint(args.checkpoint, labels=label_list)
     if mconfig.num_labels != len(label_list):
         raise ConfigError(
             f"checkpoint has {mconfig.num_labels} labels, bundle {len(label_list)}")
+    splits, _ = dataset.load_bundle(args.bundle)
     table = load_embeddings(args.embeddings, dim=mconfig.embed_dim)
     if args.split not in splits:
         raise ConfigError(f"bundle has no split '{args.split}'")
@@ -290,13 +292,13 @@ def cmd_ablate(args) -> int:
         if not k_values or min(k_values) < 1 or len(set(k_values)) < len(k_values):
             raise ConfigError(f"bad --layers list '{args.layers}': "
                               "give distinct integer depths >= 1")
-        logs = evaluation.ablate_layers(
-            k_values, splits["train"], splits["val"], label_list, table,
-            mconfig, tconfig)
+        logs = evaluation.ablate("gcn_layers", k_values, splits["train"], splits["val"],
+                                 label_list, table, mconfig, tconfig)
         logs = {f"k{k}": log for k, log in logs.items()}
     else:
-        logs = evaluation.ablate_graphs(
-            splits["train"], splits["val"], label_list, table, mconfig, tconfig)
+        logs = evaluation.ablate("graph_mode", ("sg_only", "kg_only", "both"),
+                                 splits["train"], splits["val"], label_list, table,
+                                 mconfig, tconfig)
     out = Path(args.out)
     (out / "ablation.csv").write_text(ablation_csv(logs), encoding="utf-8")
     for variant, log in logs.items():

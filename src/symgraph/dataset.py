@@ -16,10 +16,10 @@ import logging
 from pathlib import Path
 
 from .errors import SchemaError, read_text
-from .graphs import (FactStore, RelationWhitelist, add_reverse_edges,
-                     admissible_columns, build_knowledge_graphs, check_image_id,
-                     graph_from_dict, graph_to_dict, load_scene_document, load_vocab,
-                     read_fact_columns, seed_tokens, validate_graph)
+from .graphs import (DEFAULT_RELATIONS, FactStore, add_reverse_edges, admissible_columns,
+                     build_knowledge_graphs, check_image_id, graph_from_dict,
+                     graph_to_dict, load_scene_document, load_vocab, read_fact_columns,
+                     seed_tokens, validate_graph)
 from .embeddings import normalize_token
 from .rng import child_rng
 from .training import Example
@@ -117,10 +117,9 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
         images.append((image_id, sg, sorted(set(labels))))
 
     seeds = set().union(*(seed_tokens(sg) for _, sg, _ in images))
-    store = FactStore.from_columns(*admissible_columns(*fact_columns, seeds, vocab,
-                                                       match_tail=match_tail))
+    store = FactStore(*admissible_columns(*fact_columns, seeds, vocab, match_tail=match_tail))
     kgs = build_knowledge_graphs([sg for _, sg, _ in images], store,
-                                 RelationWhitelist(), vocab, match_tail=match_tail)
+                                 frozenset(DEFAULT_RELATIONS), vocab, match_tail=match_tail)
     examples = []
     for (image_id, sg, labels), kg in zip(images, kgs):
         if reverse_edges:
@@ -135,10 +134,15 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
 
 
 def read_labels(path) -> list:
-    """One label per line of a UTF-8 file, blank lines skipped."""
+    """One label per line of a UTF-8 file, blank lines skipped.  A label
+    listed twice is refused: it would get two output columns, and each would
+    be scored as its own label."""
     labels = [line.strip() for line in read_text(path).split("\n") if line.strip()]
     if len(labels) < 2:
         raise SchemaError(f"{path}: need at least 2 labels")
+    if len(set(labels)) < len(labels):
+        repeated = next(l for i, l in enumerate(labels) if l in labels[:i])
+        raise SchemaError(f"{path}: label {repeated!r} is listed twice")
     return labels
 
 
@@ -158,9 +162,13 @@ def write_bundle(out_dir, examples, label_list, splits: dict):
 
 
 def load_bundle(bundle_dir):
-    """Returns (splits dict of Example lists, label list)."""
+    """Returns (splits dict of Example lists, label list).  An example
+    document with no labels, or with a label that ``labels.txt`` does not
+    list, is refused naming the file."""
     bundle = Path(bundle_dir)
-    label_list = read_labels(bundle / "labels.txt")
+    labels_path = bundle / "labels.txt"
+    label_list = read_labels(labels_path)
+    label_set = set(label_list)
     splits_path = bundle / "splits.json"
     try:
         with open(splits_path, encoding="utf-8") as fh:
@@ -178,6 +186,11 @@ def load_bundle(bundle_dir):
                 ex = example_from_dict(json.load(fh))
             if ex.image_id != path.stem:  # else a stray file could replace an example
                 raise SchemaError(f"image_id {ex.image_id!r} does not match the file name")
+            if not ex.labels:
+                raise SchemaError("example has no labels")
+            unknown = [l for l in ex.labels if l not in label_set]
+            if unknown:
+                raise SchemaError(f"label {unknown[0]!r} is not in {labels_path}")
         except (SchemaError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise SchemaError(f"{path}: {exc}") from exc
         by_id[ex.image_id] = ex

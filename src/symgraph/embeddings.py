@@ -30,35 +30,12 @@ def normalize_token(token: str) -> str:
 class EmbeddingTable:
     """token -> fixed vector of width ``dim``; read-only after construction.
 
-    ``index`` maps a normalized token to its row of ``matrix``.  Phrases are
-    split into word rows once per table (``phrase_rows``) and remembered.
+    ``index`` maps a token, as the loaders normalized it, to its row of
+    ``matrix``, which the table adopts without copying and makes read-only.
+    Phrases are split into word rows once per table (``phrase_rows``) and remembered.
     """
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray]):
-        index, rows = {}, []
-        for token, vec in entries.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (dim,):
-                raise EmbeddingParseError(
-                    f"vector for '{token}' has length {vec.size}, expected {dim}"
-                )
-            if not np.isfinite(vec).all():
-                raise EmbeddingParseError(f"vector for '{token}' has non-finite values")
-            key = normalize_token(token)
-            if key not in index:
-                index[key] = len(rows)
-                rows.append(vec)
-        self._adopt(dim, np.array(rows, dtype=np.float64).reshape(len(rows), dim), index)
-
-    @classmethod
-    def from_rows(cls, dim: int, matrix: np.ndarray, index: dict) -> "EmbeddingTable":
-        """A table over ``matrix`` (finite, ``dim`` columns) without copying it;
-        ``index`` maps normalized tokens to rows."""
-        table = cls.__new__(cls)
-        table._adopt(dim, matrix, index)
-        return table
-
-    def _adopt(self, dim, matrix, index):
+    def __init__(self, dim: int, matrix: np.ndarray, index: dict):
         matrix.flags.writeable = False
         self.dim, self.matrix, self.index = dim, matrix, index
         self._phrase_rows = {}  # phrase as given -> tuple of its found word rows
@@ -71,7 +48,8 @@ class EmbeddingTable:
 
     @property
     def entries(self) -> dict:
-        """token -> its row of ``matrix`` (a view), built on each access."""
+        """token -> its row of ``matrix`` (a view), built on each access; no
+        program path reads it, and it stays because the benchmark does."""
         return {token: self.matrix[row] for token, row in self.index.items()}
 
     def lookup_word(self, word: str):
@@ -122,7 +100,7 @@ def load_embeddings(path, dim: int = 300) -> EmbeddingTable:
     non-ASCII digits).
     """
     if os.stat(path).st_size < BULK_MIN_BYTES:
-        return EmbeddingTable.from_rows(dim, *_parse_lines(path, dim))
+        return EmbeddingTable(dim, *_parse_lines(path, dim))
     tokens = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,7 +110,7 @@ def load_embeddings(path, dim: int = 300) -> EmbeddingTable:
     except ValueError:  # also bytes that are not UTF-8, which _parse_lines names
         matrix = None
     if matrix is None or matrix.shape != (len(tokens), dim) or not np.isfinite(matrix).all():
-        return EmbeddingTable.from_rows(dim, *_parse_lines(path, dim))
+        return EmbeddingTable(dim, *_parse_lines(path, dim))
     keys = list(map(normalize_token, tokens))
     index = dict(zip(keys, range(len(keys))))
     if len(index) < len(keys) or "" in index:  # duplicates, or an empty token
@@ -144,7 +122,7 @@ def load_embeddings(path, dim: int = 300) -> EmbeddingTable:
         index = dict(zip(first, range(len(first))))
     if not index:
         raise EmbeddingParseError(f"{path}: no embedding entries found")
-    return EmbeddingTable.from_rows(dim, matrix, index)
+    return EmbeddingTable(dim, matrix, index)
 
 
 def _values(rows, tokens):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import ModelConfig, forward_batch, pack_batch
-from .training import TrainConfig
+from .training import TrainConfig, train
 
 # Evaluation forwards examples in chunks of at most this many nodes (both
 # graphs counted; a chunk holds at least one example).  On the infer_large
@@ -197,29 +197,16 @@ def collect_attention(data, params, table, mconfig: ModelConfig):
 # ablation harnesses
 
 
-def ablate_layers(k_values, train_data, val_data, label_list, table,
-                  mconfig: ModelConfig, tconfig: TrainConfig) -> dict:
-    """Train one model per GCN depth with a shared seed; returns {K: RunLog}."""
-    from .training import train
-
+def ablate(field: str, values, train_data, val_data, label_list, table,
+           mconfig: ModelConfig, tconfig: TrainConfig) -> dict:
+    """Train one model per value of the ``ModelConfig`` field ``field``
+    (``gcn_layers``, ``graph_mode``, ...) with a shared seed; returns
+    {value: RunLog} in the order of ``values``."""
     logs = {}
-    for k in k_values:
-        cfg = replace(mconfig, gcn_layers=int(k))
+    for value in values:
+        cfg = replace(mconfig, **{field: value})
         _, log, _, _ = train(train_data, val_data, label_list, table, cfg, tconfig)
-        logs[int(k)] = log
-    return logs
-
-
-def ablate_graphs(train_data, val_data, label_list, table, mconfig: ModelConfig,
-                  tconfig: TrainConfig, modes=("sg_only", "kg_only", "both")) -> dict:
-    """Train single-graph and both-graph variants; returns {mode: RunLog}."""
-    from .training import train
-
-    logs = {}
-    for mode in modes:
-        cfg = replace(mconfig, graph_mode=mode)
-        _, log, _, _ = train(train_data, val_data, label_list, table, cfg, tconfig)
-        logs[mode] = log
+        logs[value] = log
     return logs
 
 

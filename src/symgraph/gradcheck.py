@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
+from .graphs import LabeledGraph, validate_graph
 from .model import ModelConfig, init_params
 from .rng import child_rng
 from .tensor import Tape, backward
@@ -39,42 +39,37 @@ class GradCheckReport:
         return out
 
 
-def random_toy_world(mconfig: ModelConfig, seed: int, n_nodes: int = 5):
+def random_toy_world(mconfig: ModelConfig, seed: int):
     """Random embedding table plus one random example for checking.
 
     The scene graph has random edges.  The knowledge graph is a 1-hop star
-    like the ones ``build_knowledge_graph`` gives: two seed concepts without
+    like the ones ``build_knowledge_graphs`` gives: two seed concepts without
     in-edges, and tails under one seed or both, the first under one.  So
     some nodes share their in-edge list (an aggregation class) and the check
     runs through merged classes.
     """
     rng = child_rng(seed, "gradcheck")
+    n_nodes = 5  # per graph; the star takes 3 to 10
     tokens = [f"tok{i}" for i in range(12)] + ["self"]
-    table = EmbeddingTable(
-        mconfig.embed_dim,
-        {t: rng.normal(size=mconfig.embed_dim) for t in tokens},
-    )
+    matrix = rng.normal(size=(len(tokens), mconfig.embed_dim))
+    table = EmbeddingTable(mconfig.embed_dim, matrix, dict(zip(tokens, range(len(tokens)))))
 
     def random_scene_graph():
-        nodes = [
-            GraphNode(tokens[rng.integers(0, 10)], [tokens[rng.integers(0, 10)]])
-            for _ in range(n_nodes)
-        ]
-        edges = [
-            GraphEdge(int(rng.integers(0, n_nodes)), int(rng.integers(0, n_nodes)),
-                      tokens[rng.integers(0, 12)])
-            for _ in range(n_nodes + 2)
-        ]
-        return validate_graph(LabeledGraph.from_records(nodes, edges, kind="scene"))
+        nodes = [(tokens[rng.integers(0, 10)], (tokens[rng.integers(0, 10)],))
+                 for _ in range(n_nodes)]
+        edges = [(int(rng.integers(0, n_nodes)), int(rng.integers(0, n_nodes)),
+                  tokens[rng.integers(0, 12)])
+                 for _ in range(n_nodes + 2)]
+        return validate_graph(LabeledGraph(*zip(*nodes), *zip(*edges), kind="scene"))
 
     def star_knowledge_graph():
         names = rng.permutation(10)[:n_nodes]  # distinct concepts; 0 and 1 are seeds
         parents = [[0], [1], [0, 1]]
-        edges = [GraphEdge(s, tail, tokens[rng.integers(0, 12)])
+        edges = [(s, tail, tokens[rng.integers(0, 12)])
                  for tail in range(2, n_nodes)
                  for s in parents[0 if tail == 2 else rng.integers(0, 3)]]
-        return validate_graph(LabeledGraph.from_records([GraphNode(tokens[i]) for i in names],
-                                                        edges, kind="knowledge"))
+        return validate_graph(LabeledGraph(tuple(tokens[i] for i in names), ((),) * n_nodes,
+                                           *zip(*edges), kind="knowledge"))
 
     labels = [f"label{i}" for i in range(mconfig.num_labels)]
     ex = Example("gradcheck-0", random_scene_graph(), star_knowledge_graph(),

@@ -26,7 +26,7 @@ DEFAULT_RELATIONS = (
 
 @dataclass(slots=True)
 class GraphNode:
-    """One node as a record: the item type of ``LabeledGraph.nodes``."""
+    """One node as a record (``LabeledGraph.nodes``), kept because the benchmark reads it."""
 
     name: str
     attributes: list = field(default_factory=list)
@@ -34,7 +34,7 @@ class GraphNode:
 
 @dataclass(slots=True)
 class GraphEdge:
-    """One edge as a record: the item type of ``LabeledGraph.edges``."""
+    """One edge as a record (``LabeledGraph.edges``), kept because the benchmark reads it."""
 
     src: int
     dst: int
@@ -58,21 +58,16 @@ class LabeledGraph:
     relations: tuple
     kind: str = "scene"
 
-    @classmethod
-    def from_records(cls, nodes, edges, kind: str = "scene") -> "LabeledGraph":
-        """The graph of ``GraphNode`` and ``GraphEdge`` records."""
-        return cls(tuple(n.name for n in nodes), tuple(tuple(n.attributes) for n in nodes),
-                   tuple(e.src for e in edges), tuple(e.dst for e in edges),
-                   tuple(e.relation for e in edges), kind)
-
     @property
     def nodes(self) -> list:
-        """The nodes as new ``GraphNode`` records, built on each access."""
+        """The nodes as new ``GraphNode`` records, built on each access; no
+        program path reads them, and they stay because the benchmark does."""
         return list(map(GraphNode, self.names, map(list, self.attributes)))
 
     @property
     def edges(self) -> list:
-        """The edges as new ``GraphEdge`` records, built on each access."""
+        """The edges as new ``GraphEdge`` records, built on each access; no
+        program path reads them, and they stay because the benchmark does."""
         return list(map(GraphEdge, self.src, self.dst, self.relations))
 
 
@@ -81,33 +76,15 @@ def _columns(triples) -> tuple:
     return tuple(zip(*triples)) or ((), (), ())
 
 
-class RelationWhitelist:
-    def __init__(self, relations=DEFAULT_RELATIONS):
-        self.allowed = frozenset(relations)
-
-    def __contains__(self, relation):
-        return relation in self.allowed
-
-
 class FactStore:
-    """Indexed set of (relation, head, tail) triples; concepts normalized,
-    relations stripped.
+    """Indexed set of the triples ``zip(relations, heads, tails)``; concepts
+    normalized, relations stripped.
 
     ``triples`` holds each distinct triple once, in first-occurrence order;
     ``by_head`` and ``by_tail`` list them per concept in that order.
     """
 
-    def __init__(self, triples):
-        self._index(*_columns(triples))
-
-    @classmethod
-    def from_columns(cls, relations, heads, tails) -> "FactStore":
-        """The store of the triples ``zip(relations, heads, tails)``."""
-        store = cls.__new__(cls)
-        store._index(relations, heads, tails)
-        return store
-
-    def _index(self, relations, heads, tails):
+    def __init__(self, relations, heads, tails):
         # each distinct string is normalized once
         concept = {c: normalize_token(c) for c in {*heads, *tails}}.__getitem__
         relation = {r: r.strip() for r in set(relations)}.__getitem__
@@ -137,11 +114,6 @@ def read_fact_columns(path) -> tuple:
         _raise_bad_fact_line(path, lines)
     fields = "\t".join(facts).split("\t")
     return fields[0::3], fields[1::3], fields[2::3]
-
-
-def load_facts(path) -> FactStore:
-    """The store of every triple of a TSV triple file (``read_fact_columns``)."""
-    return FactStore.from_columns(*read_fact_columns(path))
 
 
 def admissible_columns(relations, heads, tails, seeds, vocab, match_tail=False) -> tuple:
@@ -244,11 +216,6 @@ def load_scene_document(doc: dict):
     return image_id, graph, list(labels)
 
 
-def load_scene_graph(doc: dict) -> LabeledGraph:
-    """Scene graph of a document, nodes in document order."""
-    return load_scene_document(doc)[1]
-
-
 # ---------------------------------------------------------------------------
 # knowledge-graph construction
 
@@ -260,13 +227,13 @@ def seed_tokens(g: LabeledGraph) -> list:
     return [t for t in dict.fromkeys(map(normalize_token, tokens)) if t]
 
 
-def build_knowledge_graphs(seed_graphs, store: FactStore, whitelist: RelationWhitelist,
+def build_knowledge_graphs(seed_graphs, store: FactStore, whitelist: frozenset,
                            vocab: set, match_tail: bool = False) -> list:
     """1-hop expansion of the nodes of each seed graph (a scene graph)
     against the fact store; one knowledge graph per seed graph.
 
-    A fact (r, a, b) is admitted iff r is whitelisted, a is a seed token and
-    b is in the vocabulary; the edge keeps the stored direction a -> b.
+    A fact (r, a, b) is admitted iff r is in ``whitelist``, a is a seed token
+    and b is in the vocabulary; the edge keeps the stored direction a -> b.
     With ``match_tail`` facts whose tail is a seed (and head in vocab) are
     admitted too.  Output is canonical: nodes sorted by name, edges sorted
     by (head, relation, tail) and deduped.
@@ -302,13 +269,6 @@ def build_knowledge_graphs(seed_graphs, store: FactStore, whitelist: RelationWhi
         graphs.append(LabeledGraph(names, ((),) * len(names), tuple(map(idx, heads)),
                                    tuple(map(idx, tails)), relations, kind="knowledge"))
     return graphs
-
-
-def build_knowledge_graph(seeds: LabeledGraph, store: FactStore,
-                          whitelist: RelationWhitelist, vocab: set,
-                          match_tail: bool = False) -> LabeledGraph:
-    """The knowledge graph of one seed graph (``build_knowledge_graphs``)."""
-    return build_knowledge_graphs([seeds], store, whitelist, vocab, match_tail)[0]
 
 
 # ---------------------------------------------------------------------------

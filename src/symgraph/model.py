@@ -57,7 +57,6 @@ import numpy as np
 from . import tensor as T
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, DimensionError, ValidationError
-from .graphs import LabeledGraph
 from .rng import child_rng
 from .tensor import Parameter, Tape, Tensor
 
@@ -401,11 +400,6 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     return [GraphBatch(inputs[s0:s1], dst[e0:e1], src[e0:e1], src_class[e0:e1],
                        weight[e0:e1], class_sizes[c0:c1], class_graph[c0:c1], count)
             for count, (c0, s0, e0), (c1, s1, e1) in zip(parts, ends, ends[1:])]
-
-
-def pack_graph(g: LabeledGraph, table: EmbeddingTable) -> GraphBatch:
-    """Encoder inputs and in-edges of one graph (``pack_graphs`` of one)."""
-    return pack_graphs([g], table)[0]
 
 
 def pack_batch(examples, table: EmbeddingTable) -> Batch:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from symgraph.embeddings import EmbeddingTable
+from oracles import table_of
 
 
 @pytest.fixture
@@ -18,4 +18,4 @@ def rng():
 def toy_table(rng):
     """Small random embedding table covering generic test tokens."""
     tokens = [f"tok{i}" for i in range(12)] + ["self", "near", "cat", "red", "car"]
-    return EmbeddingTable(6, {t: rng.normal(size=6) for t in tokens})
+    return table_of(6, {t: rng.normal(size=6) for t in tokens})

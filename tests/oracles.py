@@ -8,7 +8,9 @@ batches instead of a gather from a packed union, and per-node list scans
 instead of the packer's numbering of aggregation classes and sources,
 line-at-a-time text readers instead of bulk parses, graphs as lists of
 node and edge records instead of columns, and one bincount over (edge,
-column) slots instead of rounds of gathers for edge-list sums.
+column) slots instead of rounds of gathers for edge-list sums.  It also
+holds the small builders tests use in place of one-item constructors
+(``records_graph``, ``store_of``, ``table_of``).
 """
 
 import math
@@ -18,10 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from symgraph.embeddings import normalize_token
+from symgraph.embeddings import EmbeddingTable, normalize_token
 from symgraph.errors import EmbeddingParseError, SchemaError
-from symgraph.graphs import GraphEdge, GraphNode
+from symgraph.graphs import FactStore, GraphEdge, GraphNode, LabeledGraph
 from symgraph.model import Batch, GraphBatch
+
+
+def records_graph(nodes, edges, kind="scene"):
+    """The columnar graph of lists of ``GraphNode`` and ``GraphEdge`` records."""
+    return LabeledGraph(tuple(n.name for n in nodes), tuple(tuple(n.attributes) for n in nodes),
+                        tuple(e.src for e in edges), tuple(e.dst for e in edges),
+                        tuple(e.relation for e in edges), kind)
+
+
+def store_of(triples):
+    """The fact store of a list of (relation, head, tail) triples."""
+    return FactStore(*(tuple(zip(*triples)) or ((), (), ())))
+
+
+def table_of(dim, entries):
+    """The embedding table of a {token: vector} dict, tokens taken as given
+    (only the loaders normalize them), rows in the dict's order."""
+    matrix = np.array(list(entries.values()), dtype=np.float64).reshape(len(entries), dim)
+    return EmbeddingTable(dim, matrix, dict(zip(entries, range(len(entries)))))
 
 
 def normalize_token_ref(token):
@@ -279,7 +300,8 @@ def load_embeddings_ref(path, dim):
 
 def load_facts_ref(path):
     """(triples set, by_head, by_tail) of a TSV fact file, read and indexed
-    one line at a time (the reference for ``load_facts``)."""
+    one line at a time (the reference for ``FactStore`` over
+    ``read_fact_columns``)."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_knowledge_graph, gcn_layer_ref, node_classes_ref,
-                     source_nodes_ref)
+                     records_graph, source_nodes_ref, store_of, table_of)
 from symgraph.cli import main
-from symgraph.embeddings import EmbeddingTable
 from symgraph.gradcheck import gradcheck, random_toy_world
-from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
-                             LabeledGraph, RelationWhitelist,
-                             build_knowledge_graph, seed_tokens, validate_graph)
+from symgraph.graphs import (DEFAULT_RELATIONS, GraphEdge, GraphNode, build_knowledge_graphs,
+                             seed_tokens, validate_graph)
 from symgraph.model import (ModelConfig, attention_fuse, forward, fuse_concat,
-                            init_params, pack_batch, pack_graph, param_count, readout_sum)
+                            init_params, pack_batch, pack_graphs, param_count, readout_sum)
 from symgraph.tensor import Tensor, sgd_step
 from symgraph.training import Example
 
@@ -66,18 +64,18 @@ def test_criterion_2_gradient_oracle():
 def test_criterion_3_gcn_oracle_equivalence():
     rng = np.random.default_rng(0)
     cfg = ModelConfig(num_labels=2, embed_dim=4, hidden_dim=4, gcn_layers=1)
-    table = EmbeddingTable(4, {})  # the layer reads only the packed edges
+    table = table_of(4, {})  # the layer reads only the packed edges
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 9))
         nodes = [GraphNode(f"n{i}") for i in range(n)]
         edges = [GraphEdge(int(rng.integers(n)), int(rng.integers(n)), "r")
                  for _ in range(int(rng.integers(0, 2 * n + 1)))]
-        g = validate_graph(LabeledGraph.from_records(nodes, edges))
+        g = validate_graph(records_graph(nodes, edges))
         states = rng.normal(size=(n, 4))
         w = rng.normal(size=(4, 4))
-        from symgraph.model import gcn_layer, pack_graph
-        packed = pack_graph(g, table)
+        from symgraph.model import gcn_layer
+        packed = pack_graphs([g], table)[0]
         # encoder rows are the nodes some in-edge list reads; the layer gives
         # one row per aggregation class, expanded to one per node
         got = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(w), cfg,
@@ -89,7 +87,7 @@ def test_criterion_3_gcn_oracle_equivalence():
 
 def test_criterion_4_kg_builder_equivalence():
     rng = np.random.default_rng(1)
-    wl = RelationWhitelist()
+    wl = frozenset(DEFAULT_RELATIONS)
     relations = list(DEFAULT_RELATIONS) + ["Synonym", "Antonym", "EtymOf"]
     concepts = [f"c{i}" for i in range(40)]
     mismatches = 0
@@ -98,12 +96,12 @@ def test_criterion_4_kg_builder_equivalence():
         triples = [(relations[rng.integers(len(relations))],
                     concepts[rng.integers(40)], concepts[rng.integers(40)])
                    for _ in range(n_triples)]
-        seeds = LabeledGraph.from_records([GraphNode(concepts[rng.integers(40)])
-                                           for _ in range(int(rng.integers(1, 5)))], [])
+        seeds = records_graph([GraphNode(concepts[rng.integers(40)])
+                               for _ in range(int(rng.integers(1, 5)))], [])
         vocab = {concepts[i] for i in rng.choice(40, 15, replace=False)}
-        g = build_knowledge_graph(seeds, FactStore(triples), wl, vocab)
+        g = build_knowledge_graphs([seeds], store_of(triples), wl, vocab)[0]
         nodes_ref, edges_ref = brute_force_knowledge_graph(
-            seed_tokens(seeds), set(triples), wl.allowed, vocab)
+            seed_tokens(seeds), set(triples), wl, vocab)
         got = json.dumps({
             "nodes": [n.name for n in g.nodes],
             "edges": [[g.nodes[e.src].name, e.relation, g.nodes[e.dst].name]
@@ -136,24 +134,24 @@ def test_criterion_5_fusion_contracts():
 def test_criterion_6_invariances():
     rng = np.random.default_rng(3)
     tokens = [f"t{i}" for i in range(8)] + ["self"]
-    table = EmbeddingTable(6, {t: rng.normal(size=6) for t in tokens})
+    table = table_of(6, {t: rng.normal(size=6) for t in tokens})
     cfg = ModelConfig(num_labels=3, embed_dim=6, hidden_dim=6, gcn_layers=2)
     params = init_params(cfg)
     nodes = [GraphNode(f"t{i}") for i in range(5)]
     edges = [GraphEdge(int(rng.integers(5)), int(rng.integers(5)), "t7")
              for _ in range(7)]
-    sg = validate_graph(LabeledGraph.from_records(nodes, edges))
-    kg = LabeledGraph.from_records([], [], kind="knowledge")
+    sg = validate_graph(records_graph(nodes, edges))
+    kg = records_graph([], [], kind="knowledge")
     ex = Example("x", sg, kg, ["l0"])
     p1, _ = forward(ex, params, table, cfg)
     perm = rng.permutation(5)
     inv = np.argsort(perm)
-    sg2 = LabeledGraph.from_records([sg.nodes[i] for i in perm],
-                                    [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
-                        for e in sg.edges], kind="scene")
+    sg2 = records_graph([sg.nodes[i] for i in perm],
+                        [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
+                         for e in sg.edges], kind="scene")
     p2, _ = forward(Example("x", sg2, kg, ["l0"]), params, table, cfg)
     perm_dev = float(np.abs(p1.data - p2.data).max())
-    empty = pack_graph(LabeledGraph.from_records([], []), table)
+    empty = pack_graphs([records_graph([], [])], table)[0]
     empty_ok = np.array_equal(readout_sum(Tensor(np.zeros((0, 6))), empty).data,
                               np.zeros((1, 6)))
     from symgraph.tensor import softmax

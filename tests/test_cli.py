@@ -33,6 +33,26 @@ def synth_bundle(tmp_path, name="data", seed=0, labels=2, examples=40, extra=())
     return out
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "prepare"])
+def test_repeated_label_exits_2_naming_it(tmp_path, capsys, command):
+    # sym0, sym1, sym0 trained a 3-label model with exit 0, and eval wrote sym0
+    # twice in per_label.csv, each row scored as its own label
+    data = synth_bundle(tmp_path, examples=10)
+    labels = data / ("labels.txt" if command == "prepare" else "bundle/labels.txt")
+    labels.write_text("sym0\nsym1\nsym0\n", encoding="utf-8")
+    config = ModelConfig(num_labels=3, embed_dim=16, hidden_dim=8, gcn_layers=1)
+    save_checkpoint(tmp_path / "init.npz", config, init_params(config))
+    inputs = ["--bundle", data / "bundle", "--embeddings", data / "embeddings.txt"]
+    argv = {"train": inputs + ["--embed-dim", 16, "--epochs", 1],
+            "eval": inputs + ["--checkpoint", tmp_path / "init.npz"],
+            "prepare": ["--scene-dir", data / "scene_graphs", "--facts", data / "facts.tsv",
+                        "--vocab", data / "vocab.txt", "--labels", labels]}[command]
+    capsys.readouterr()
+    assert run([command, *argv, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {labels}: label 'sym0' is listed twice"]
+
+
 def bundle_bytes(bundle_dir):
     return {p.relative_to(bundle_dir).as_posix(): p.read_bytes()
             for p in sorted(Path(bundle_dir).rglob("*")) if p.is_file()}
@@ -725,6 +745,33 @@ class TestBundleReader:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'val'" in err[0]
         assert not (tmp_path / "e" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("labels,problem", [
+        (["sym0", "sym9"], "label 'sym9' is not in {labels_path}"),
+        ([], "example has no labels"),
+    ], ids=["unknown_label", "no_labels"])
+    def test_example_with_bad_labels_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                      labels, problem):
+        # train exited 1 with "label 'sym9' not in configured label list" or
+        # "empty label set", naming no file; eval of the test split exited 0
+        data = synth_bundle(tmp_path, examples=10)
+        bundle = data / "bundle"
+        path, doc = self._example_doc(bundle)
+        doc["labels"] = labels
+        path.write_text(json.dumps(doc))
+        message = f"{path}: " + problem.format(labels_path=bundle / "labels.txt")
+        with pytest.raises(SchemaError) as info:
+            load_bundle(bundle)
+        assert str(info.value) == message
+        config = ModelConfig(num_labels=2, embed_dim=16, hidden_dim=8, gcn_layers=1)
+        save_checkpoint(tmp_path / "init.npz", config, init_params(config), ["sym0", "sym1"])
+        argv = {"train": ["--embed-dim", 16, "--epochs", 1],
+                "eval": ["--checkpoint", tmp_path / "init.npz"]}[command]
+        capsys.readouterr()
+        assert run([command, "--bundle", bundle, "--embeddings", data / "embeddings.txt",
+                    "--out", tmp_path / "o", *argv]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("into", ["test", "train"], ids=["other_split", "same_split"])
     def test_image_id_in_two_splits_exits_2(self, tmp_path, capsys, into):

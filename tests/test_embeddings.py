@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import normalize_token_ref, phrase_ref
-from symgraph.embeddings import EmbeddingTable, load_embeddings, normalize_token
+from oracles import normalize_token_ref, phrase_ref, table_of
+from symgraph.embeddings import load_embeddings, normalize_token
 from symgraph.errors import EmbeddingParseError
 
 
@@ -107,6 +107,18 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError):
             table.lookup_word("cat")[0] = 0.0
 
+    def test_entries_map_every_token_to_a_view_of_its_row(self, tmp_path):
+        # no program path reads this view; the benchmark's worker does
+        path = write_emb(tmp_path, ["cat 1.0 2.0", "dog 3.0 4.0", "Cat 9.0 9.0", "_ 5.0 6.0"])
+        table = load_embeddings(path, dim=2)
+        entries = table.entries
+        assert list(entries) == list(table.index) == ["cat", "dog"]
+        for token, vec in entries.items():
+            assert np.shares_memory(vec, table.matrix[table.index[token]])
+            assert np.array_equal(vec, table.matrix[table.index[token]])
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+
 
 def embed(table, phrase):
     return table.phrase_vectors([phrase])[0]
@@ -115,7 +127,7 @@ def embed(table, phrase):
 class TestEmbedPhrase:
     @pytest.fixture
     def table(self):
-        return EmbeddingTable(3, {
+        return table_of(3, {
             "cat": np.array([1.0, 2.0, 3.0]),
             "red": np.array([1.0, 0.0, 0.0]),
             "car": np.array([0.0, 2.0, 0.0]),
@@ -160,9 +172,9 @@ class TestPhraseMemo:
 
     @staticmethod
     def fresh():
-        return EmbeddingTable(3, {"cat": np.array([1.0, 2.0, 3.0]),
-                                  "red": np.array([1.0, 0.0, 0.0]),
-                                  "car": np.array([0.0, 2.0, 0.0])})
+        return table_of(3, {"cat": np.array([1.0, 2.0, 3.0]),
+                            "red": np.array([1.0, 0.0, 0.0]),
+                            "car": np.array([0.0, 2.0, 0.0])})
 
     def test_warm_memo_equals_fresh_table(self, monkeypatch):
         from symgraph import embeddings

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from symgraph.errors import ConfigError, DomainError
-from symgraph.evaluation import (MetricsReport, ThresholdPolicy, ablate_graphs,
-                                 ablate_layers, ablation_csv, collect_attention,
-                                 evaluate_dataset, f_scores, predict_labels)
+from symgraph.evaluation import (MetricsReport, ThresholdPolicy, ablate, ablation_csv,
+                                 collect_attention, evaluate_dataset, f_scores,
+                                 predict_labels)
 from symgraph.model import ModelConfig, init_params, param_count
 from symgraph.training import TrainConfig, train
 
@@ -186,7 +186,7 @@ class TestAblations:
         data = make_dataset(4)
         val = make_dataset(2)
         tc = TrainConfig(epochs=2, batch_size=4, lr=0.02, seed=4)
-        logs = ablate_layers([1], data, val, LABELS, table, mcfg, tc)
+        logs = ablate("gcn_layers", [1], data, val, LABELS, table, mcfg, tc)
         _, plain, _, _ = train(data, val, LABELS, table, mcfg, tc)
         got = [(r.epoch, r.train_loss, r.val_macro_f) for r in logs[1].records]
         want = [(r.epoch, r.train_loss, r.val_macro_f) for r in plain.records]
@@ -197,8 +197,8 @@ class TestAblations:
         mcfg = small_config(seed=4, gcn_layers=2)
         data = make_dataset(3)
         tc = TrainConfig(epochs=2, batch_size=4, lr=0.02, seed=4)
-        a = ablate_layers([2], data, data, LABELS, table, mcfg, tc)
-        b = ablate_layers([2], data, data, LABELS, table, mcfg, tc)
+        a = ablate("gcn_layers", [2], data, data, LABELS, table, mcfg, tc)
+        b = ablate("gcn_layers", [2], data, data, LABELS, table, mcfg, tc)
         assert ablation_csv(a) == ablation_csv(b)
 
     def test_graph_ablation_covers_three_modes(self, rng):
@@ -206,7 +206,8 @@ class TestAblations:
         mcfg = small_config(seed=0)
         data = make_dataset(3)
         tc = TrainConfig(epochs=1, batch_size=4, lr=0.01, seed=0)
-        logs = ablate_graphs(data, data, LABELS, table, mcfg, tc)
+        logs = ablate("graph_mode", ("sg_only", "kg_only", "both"), data, data, LABELS, table,
+                      mcfg, tc)
         assert set(logs) == {"sg_only", "kg_only", "both"}
         csv = ablation_csv(logs)
         assert csv.splitlines()[0] == "variant,epoch,val_macro_f"

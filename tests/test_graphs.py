@@ -6,25 +6,24 @@ import pytest
 
 from oracles import (RecordGraph, add_reverse_edges_ref, brute_force_knowledge_graph,
                      graph_from_dict_ref, graph_to_dict_ref, knowledge_graphs_ref,
-                     scene_graph_ref, seed_tokens_ref, validate_graph_ref)
-from symgraph import synth
+                     records_graph, scene_graph_ref, seed_tokens_ref, store_of,
+                     validate_graph_ref)
+from symgraph import dataset, synth
 from symgraph.dataset import load_bundle, prepare, split_ids, write_bundle
 from symgraph.embeddings import load_embeddings, normalize_token
 from symgraph.errors import SchemaError, ValidationError
 from symgraph.evaluation import evaluate_dataset
 from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
-                             LabeledGraph, RelationWhitelist, add_reverse_edges,
-                             build_knowledge_graph, build_knowledge_graphs,
-                             graph_from_dict, graph_to_dict, load_facts,
-                             load_scene_document, load_scene_graph, seed_tokens,
-                             validate_graph)
+                             LabeledGraph, add_reverse_edges, build_knowledge_graphs,
+                             graph_from_dict, graph_to_dict, load_scene_document,
+                             read_fact_columns, seed_tokens, validate_graph)
 from symgraph.model import ModelConfig
 from symgraph.training import TrainConfig, train
 
 
 def seed_graph(*nodes):
     """A graph of seed nodes, given as names or GraphNode records, and no edges."""
-    return LabeledGraph.from_records(
+    return records_graph(
         [GraphNode(n) if isinstance(n, str) else n for n in nodes], [])
 
 
@@ -39,31 +38,31 @@ def doc(objects, relations, labels=("safety",)):
 
 class TestLoadSceneGraph:
     def test_car_eggs(self):
-        g = load_scene_graph(doc([("car", []), ("eggs", ["not broken"])],
-                                 [(1, "sit in", 0)]))
+        g = load_scene_document(doc([("car", []), ("eggs", ["not broken"])],
+                                    [(1, "sit in", 0)]))[1]
         assert [n.name for n in g.nodes] == ["car", "eggs"]
         assert g.nodes[1].attributes == ["not broken"]
         assert (g.edges[0].src, g.edges[0].relation, g.edges[0].dst) == (1, "sit in", 0)
         assert g.kind == "scene"
 
     def test_empty_objects_accepted(self):
-        g = load_scene_graph(doc([], []))
+        g = load_scene_document(doc([], []))[1]
         assert g.nodes == [] and g.edges == []
 
     def test_dangling_edge_index(self):
         with pytest.raises(SchemaError, match="out of range"):
-            load_scene_graph(doc([("a", []), ("b", [])], [(0, "x", 5)]))
+            load_scene_document(doc([("a", []), ("b", [])], [(0, "x", 5)]))
 
     def test_unknown_field_rejected(self):
         d = doc([("a", [])], [])
         d["extra"] = 1
         with pytest.raises(SchemaError, match="extra"):
-            load_scene_graph(d)
+            load_scene_document(d)
 
     def test_missing_object_name(self):
         d = doc([("  ", [])], [])
         with pytest.raises(SchemaError, match="objects\\[0\\]"):
-            load_scene_graph(d)
+            load_scene_document(d)
 
     def test_document_parts(self):
         image_id, g, labels = load_scene_document(doc([("a", [])], [], ["x", "y"]))
@@ -121,7 +120,7 @@ class TestFactStore:
     def test_load_and_index(self, tmp_path):
         path = tmp_path / "facts.tsv"
         path.write_text("RelatedTo\tbottle\talcohol\nIsA\tbottle\tcontainer\n")
-        store = load_facts(path)
+        store = FactStore(*read_fact_columns(path))
         assert len(store) == 2
         assert {t[2] for t in store.by_head["bottle"]} == {"alcohol", "container"}
 
@@ -129,56 +128,60 @@ class TestFactStore:
         path = tmp_path / "facts.tsv"
         path.write_text("RelatedTo\tbottle\n")
         with pytest.raises(SchemaError, match=":1"):
-            load_facts(path)
+            read_fact_columns(path)
 
 
 class TestWhitelist:
     def test_default_has_exactly_the_20_relations(self):
-        wl = RelationWhitelist()
-        assert len(wl.allowed) == 20
+        wl = frozenset(DEFAULT_RELATIONS)
+        assert len(wl) == 20
         assert "RelatedTo" in wl and "UsedFor" in wl and "DerivedFrom" in wl
         assert "Synonym" not in wl
 
     def test_default_tuple_matches(self):
-        assert set(DEFAULT_RELATIONS) == RelationWhitelist().allowed
+        # a tuple of distinct relations, in a pinned order: the benchmark's
+        # input generator indexes it
+        assert type(DEFAULT_RELATIONS) is tuple and len(set(DEFAULT_RELATIONS)) == 20
+        assert DEFAULT_RELATIONS[:3] == ("RelatedTo", "IsA", "HasA")
+        assert DEFAULT_RELATIONS[-2:] == ("MotivatedByGoal", "DerivedFrom")
 
 
 class TestBuildKnowledgeGraph:
     def setup_method(self):
-        self.wl = RelationWhitelist()
+        self.wl = frozenset(DEFAULT_RELATIONS)
 
     def test_bottle_example(self):
-        store = FactStore([("RelatedTo", "bottle", "alcohol"),
-                           ("IsA", "bottle", "container")])
-        g = build_knowledge_graph(seed_graph("bottle"), store, self.wl,
-                                  {"alcohol", "container"})
+        store = store_of([("RelatedTo", "bottle", "alcohol"),
+                          ("IsA", "bottle", "container")])
+        g = build_knowledge_graphs([seed_graph("bottle")], store, self.wl,
+                                   {"alcohol", "container"})[0]
         assert [n.name for n in g.nodes] == ["alcohol", "bottle", "container"]
         assert len(g.edges) == 2
         assert g.kind == "knowledge"
 
     def test_non_whitelisted_relation_dropped(self):
-        store = FactStore([("Synonym", "bottle", "flask")])
-        g = build_knowledge_graph(seed_graph("bottle"), store, self.wl, {"flask"})
+        store = store_of([("Synonym", "bottle", "flask")])
+        g = build_knowledge_graphs([seed_graph("bottle")], store, self.wl, {"flask"})[0]
         assert [n.name for n in g.nodes] == ["bottle"]
         assert g.edges == []
 
     def test_out_of_vocab_tail_dropped(self):
-        store = FactStore([("IsA", "bottle", "container")])
-        g = build_knowledge_graph(seed_graph("bottle"), store, self.wl, {"cup"})
+        store = store_of([("IsA", "bottle", "container")])
+        g = build_knowledge_graphs([seed_graph("bottle")], store, self.wl, {"cup"})[0]
         assert [n.name for n in g.nodes] == ["bottle"]
 
     def test_attributes_are_seeds(self):
-        store = FactStore([("HasProperty", "blue", "calm")])
-        g = build_knowledge_graph(seed_graph(GraphNode("car", ["blue"])), store, self.wl,
-                                  {"calm"})
+        store = store_of([("HasProperty", "blue", "calm")])
+        g = build_knowledge_graphs([seed_graph(GraphNode("car", ["blue"]))], store, self.wl,
+                                   {"calm"})[0]
         assert "calm" in [n.name for n in g.nodes]
 
     def test_match_tail_flag(self):
-        store = FactStore([("RelatedTo", "animal", "bird")])
+        store = store_of([("RelatedTo", "animal", "bird")])
         seeds = seed_graph("bird")
-        off = build_knowledge_graph(seeds, store, self.wl, {"animal", "bird"})
-        on = build_knowledge_graph(seeds, store, self.wl, {"animal", "bird"},
-                                   match_tail=True)
+        off = build_knowledge_graphs([seeds], store, self.wl, {"animal", "bird"})[0]
+        on = build_knowledge_graphs([seeds], store, self.wl, {"animal", "bird"},
+                                    match_tail=True)[0]
         assert [n.name for n in off.nodes] == ["bird"]
         assert [n.name for n in on.nodes] == ["animal", "bird"]
         # direction stays as stored: animal -> bird
@@ -199,10 +202,10 @@ class TestBuildKnowledgeGraph:
             seeds = seed_graph(*(concepts[rng.integers(len(concepts))] for _ in range(3)))
             vocab = {concepts[i] for i in rng.choice(len(concepts), 10,
                                                      replace=False)}
-            g = build_knowledge_graph(seeds, FactStore(triples),
-                                      self.wl, vocab)
+            g = build_knowledge_graphs([seeds], store_of(triples),
+                                       self.wl, vocab)[0]
             nodes_ref, edges_ref = brute_force_knowledge_graph(
-                seed_tokens(seeds), set(triples), self.wl.allowed, vocab)
+                seed_tokens(seeds), set(triples), self.wl, vocab)
             assert [n.name for n in g.nodes] == nodes_ref
             got_edges = [(g.nodes[e.src].name, e.relation, g.nodes[e.dst].name)
                          for e in g.edges]
@@ -210,10 +213,10 @@ class TestBuildKnowledgeGraph:
 
     def test_independent_of_triple_order(self):
         triples = [("IsA", "a", "b"), ("HasA", "a", "c"), ("IsA", "b", "c")]
-        g1 = build_knowledge_graph(seed_graph("a"), FactStore(triples),
-                                   self.wl, {"b", "c"})
-        g2 = build_knowledge_graph(seed_graph("a"), FactStore(triples[::-1]),
-                                   self.wl, {"b", "c"})
+        g1 = build_knowledge_graphs([seed_graph("a")], store_of(triples),
+                                    self.wl, {"b", "c"})[0]
+        g2 = build_knowledge_graphs([seed_graph("a")], store_of(triples[::-1]),
+                                    self.wl, {"b", "c"})[0]
         assert json.dumps(graph_to_dict(g1)) == json.dumps(graph_to_dict(g2))
 
     def test_one_hop_closure_property(self, rng):
@@ -222,7 +225,7 @@ class TestBuildKnowledgeGraph:
                    for _ in range(40)]
         seeds = seed_graph("c0", "c1")
         vocab = set(concepts)
-        g = build_knowledge_graph(seeds, FactStore(triples), self.wl, vocab)
+        g = build_knowledge_graphs([seeds], store_of(triples), self.wl, vocab)[0]
         seed_set = set(seed_tokens(seeds))
         for i, node in enumerate(g.nodes):
             if node.name in seed_set:
@@ -232,8 +235,8 @@ class TestBuildKnowledgeGraph:
 
     def test_every_edge_relation_whitelisted(self, rng):
         triples = [("Synonym", "a", "b"), ("IsA", "a", "b"), ("RelatedTo", "b", "a")]
-        g = build_knowledge_graph(seed_graph("a", "b"),
-                                  FactStore(triples), self.wl, {"a", "b"})
+        g = build_knowledge_graphs([seed_graph("a", "b")],
+                                   store_of(triples), self.wl, {"a", "b"})[0]
         assert all(e.relation in self.wl for e in g.edges)
 
 
@@ -292,9 +295,9 @@ def corpus_vocab(args):
 def oracle_graph(seeds, triples, allowed, vocab, match_tail):
     names, edges = brute_force_knowledge_graph(seeds, triples, allowed, vocab, match_tail)
     idx = {name: i for i, name in enumerate(names)}
-    return LabeledGraph.from_records([GraphNode(n) for n in names],
-                                     [GraphEdge(idx[h], idx[t], r) for h, r, t in edges],
-                                     kind="knowledge")
+    return records_graph([GraphNode(n) for n in names],
+                         [GraphEdge(idx[h], idx[t], r) for h, r, t in edges],
+                         kind="knowledge")
 
 
 class TestSharedStore:
@@ -306,7 +309,7 @@ class TestSharedStore:
     def test_prepare_matches_brute_force(self, tmp_path, match_tail, reverse_edges):
         args, rows, documents = write_corpus(tmp_path, random.Random(11))
         triples = {(r.strip(), normalize_token(h), normalize_token(t)) for r, h, t in rows}
-        allowed, vocab = RelationWhitelist().allowed, corpus_vocab(args)
+        allowed, vocab = frozenset(DEFAULT_RELATIONS), corpus_vocab(args)
         examples, _ = prepare(*args, match_tail=match_tail, reverse_edges=reverse_edges)
         assert [ex.image_id for ex in examples] == [d["image_id"] for d in documents]
         for ex, doc in zip(examples, documents):
@@ -327,13 +330,14 @@ class TestSharedStore:
     @pytest.mark.parametrize("match_tail", [False, True])
     def test_many_seed_lists_equal_one_at_a_time(self, tmp_path, match_tail):
         args, _, documents = write_corpus(tmp_path, random.Random(12))
-        store, wl, vocab = load_facts(args[1]), RelationWhitelist(), corpus_vocab(args)
+        store = FactStore(*read_fact_columns(args[1]))
+        wl, vocab = frozenset(DEFAULT_RELATIONS), corpus_vocab(args)
         seed_lists = [seed_graph(*(GraphNode(o["name"], o["attributes"]) for o in d["objects"]))
                       for d in documents]
         graphs = build_knowledge_graphs(seed_lists, store, wl, vocab, match_tail)
         assert len(graphs) == len(seed_lists)
         for g, seeds in zip(graphs, seed_lists):
-            one = build_knowledge_graph(seeds, store, wl, vocab, match_tail)
+            one = build_knowledge_graphs([seeds], store, wl, vocab, match_tail)[0]
             assert graph_to_dict(g) == graph_to_dict(one)
 
     @pytest.mark.parametrize("match_tail", [False, True])
@@ -348,60 +352,59 @@ class TestSharedStore:
             for _, h, t in rows)
         assert 0 < admissible < len(rows) / 4
         indexed = []
-        from_columns = FactStore.from_columns.__func__
 
-        def counting(cls, relations, heads, tails):
+        def counting(relations, heads, tails):
             indexed.append(len(relations))
-            return from_columns(cls, relations, heads, tails)
+            return FactStore(relations, heads, tails)
 
-        monkeypatch.setattr(FactStore, "from_columns", classmethod(counting))
+        monkeypatch.setattr(dataset, "FactStore", counting)
         prepare(*args, match_tail=match_tail)
         assert indexed == [admissible]
 
 
 class TestValidateGraph:
     def test_duplicate_edge_removed(self):
-        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b")],
-                                      [GraphEdge(0, 1, "r"), GraphEdge(0, 1, "r")])
+        g = records_graph([GraphNode("a"), GraphNode("b")],
+                          [GraphEdge(0, 1, "r"), GraphEdge(0, 1, "r")])
         assert len(validate_graph(g).edges) == 1
 
     def test_knowledge_nodes_merged_by_normalized_name(self):
-        g = LabeledGraph.from_records([GraphNode(" Car "), GraphNode("car")],
-                                      [GraphEdge(0, 1, "IsA")], kind="knowledge")
+        g = records_graph([GraphNode(" Car "), GraphNode("car")],
+                          [GraphEdge(0, 1, "IsA")], kind="knowledge")
         vg = validate_graph(g)
         assert [n.name for n in vg.nodes] == ["car"]
         assert vg.edges[0].src == vg.edges[0].dst == 0
 
     def test_scene_order_preserved_and_not_merged(self):
-        g = LabeledGraph.from_records([GraphNode("b"), GraphNode("a"), GraphNode("a")], [])
+        g = records_graph([GraphNode("b"), GraphNode("a"), GraphNode("a")], [])
         vg = validate_graph(g)
         assert [n.name for n in vg.nodes] == ["b", "a", "a"]
 
     def test_out_of_range_edge(self):
-        g = LabeledGraph.from_records([GraphNode("a")], [GraphEdge(0, 3, "r")])
+        g = records_graph([GraphNode("a")], [GraphEdge(0, 3, "r")])
         with pytest.raises(ValidationError):
             validate_graph(g)
 
     def test_knowledge_nodes_sorted(self):
-        g = LabeledGraph.from_records([GraphNode("z"), GraphNode("a")], [], kind="knowledge")
+        g = records_graph([GraphNode("z"), GraphNode("a")], [], kind="knowledge")
         assert [n.name for n in validate_graph(g).nodes] == ["a", "z"]
 
 
 class TestReverseEdges:
     def test_adds_reversed_copies(self):
-        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
+        g = records_graph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
         rg = add_reverse_edges(g)
         pairs = {(e.src, e.dst) for e in rg.edges}
         assert pairs == {(0, 1), (1, 0)}
 
     def test_self_loop_not_duplicated(self):
-        g = LabeledGraph.from_records([GraphNode("a")], [GraphEdge(0, 0, "r")])
+        g = records_graph([GraphNode("a")], [GraphEdge(0, 0, "r")])
         assert len(add_reverse_edges(g).edges) == 1
 
 
 class TestSerialization:
     def test_round_trip(self):
-        g = validate_graph(LabeledGraph.from_records(
+        g = validate_graph(records_graph(
             [GraphNode("a", ["x"]), GraphNode("b")], [GraphEdge(0, 1, "r")]))
         g2 = graph_from_dict(graph_to_dict(g))
         assert graph_to_dict(g2) == graph_to_dict(g)
@@ -427,7 +430,7 @@ class TestSerialization:
                                        "relations"])
     def test_missing_field_rejected(self, field):
         # was a KeyError
-        d = graph_to_dict(LabeledGraph.from_records([GraphNode("a")], [], kind="knowledge"))
+        d = graph_to_dict(records_graph([GraphNode("a")], [], kind="knowledge"))
         del d[field]
         with pytest.raises(SchemaError, match=field):
             graph_from_dict(d)
@@ -436,7 +439,7 @@ class TestSerialization:
         {"kind": "dense"}, {"names": "ab"}, {"names": [3]}, {"attributes": ["red"]},
     ])
     def test_malformed_kind_or_nodes_rejected(self, patch):
-        d = graph_to_dict(LabeledGraph.from_records([GraphNode("a")], [], kind="knowledge"))
+        d = graph_to_dict(records_graph([GraphNode("a")], [], kind="knowledge"))
         with pytest.raises(SchemaError):
             graph_from_dict({**d, **patch})
 
@@ -473,7 +476,7 @@ class TestGraphRecords:
         assert asdict(GraphNode("a", ["x"])) == {"name": "a", "attributes": ["x"]}
         assert asdict(GraphEdge(0, 1, "r")) == {"src": 0, "dst": 1, "relation": "r"}
         # a graph is its columns; its records are views of them
-        g = LabeledGraph.from_records([GraphNode("a")], [GraphEdge(0, 0, "r")], kind="knowledge")
+        g = records_graph([GraphNode("a")], [GraphEdge(0, 0, "r")], kind="knowledge")
         assert asdict(g) == {"names": ("a",), "attributes": ((),), "src": (0,), "dst": (0,),
                              "relations": ("r",), "kind": "knowledge"}
         assert g.nodes == [GraphNode("a")] and g.edges == [GraphEdge(0, 0, "r")]
@@ -513,7 +516,7 @@ def record_corpus(rnd, docs=40, facts=150):
     triples = [(rnd.choice(relations), rnd.choice(concepts), rnd.choice(concepts))
                for _ in range(facts)]
     vocab = set(rnd.sample(concepts, len(concepts) * 2 // 3))
-    return documents, FactStore(triples), vocab
+    return documents, store_of(triples), vocab
 
 
 def record_columns(g):
@@ -535,7 +538,7 @@ class TestColumnsMatchRecordPath:
     @pytest.mark.parametrize("match_tail", [False, True])
     def test_ingestion_and_bundle_round_trip(self, match_tail, reverse_edges):
         documents, store, vocab = record_corpus(random.Random(21))
-        wl = RelationWhitelist()
+        wl = frozenset(DEFAULT_RELATIONS)
         raw = [load_scene_document(d)[1] for d in documents]
         raw_ref = [scene_graph_ref(d) for d in documents]
         for g, ref in zip(raw, raw_ref):

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from oracles import (collate, encode_nodes_ref, forward_ref, gcn_layer_ref,
-                     node_classes_ref, node_input_ref, phrase_ref, scatter_add_ref,
-                     source_nodes_ref)
-from symgraph.embeddings import EmbeddingTable
+                     node_classes_ref, node_input_ref, phrase_ref, records_graph,
+                     scatter_add_ref, source_nodes_ref, store_of, table_of)
 from symgraph.errors import ConfigError, DimensionError, ValidationError
 from symgraph.gradcheck import gradcheck, random_toy_world
-from symgraph.graphs import (FactStore, GraphEdge, GraphNode, LabeledGraph,
-                             RelationWhitelist, build_knowledge_graph, validate_graph)
+from symgraph.graphs import (DEFAULT_RELATIONS, GraphEdge, GraphNode, build_knowledge_graphs,
+                             validate_graph)
 from symgraph import evaluation
 from symgraph import tensor as T
 from symgraph.model import (Batch, ModelConfig, attention_fuse, classify,
                             encode_nodes, forward, forward_batch, fuse_concat,
                             gcn_layer, init_params, load_checkpoint,
-                            pack_batch, pack_graph, pack_graphs, param_count,
+                            pack_batch, pack_graphs, param_count,
                             readout_sum, run_tower, save_checkpoint, take)
 from symgraph.tensor import Parameter, Tape, Tensor, backward
 from symgraph.training import Example
@@ -27,7 +26,7 @@ from symgraph.training import Example
 
 def seed_graph(*nodes):
     """A graph of seed nodes, given as names or GraphNode records, and no edges."""
-    return LabeledGraph.from_records(
+    return records_graph(
         [GraphNode(n) if isinstance(n, str) else n for n in nodes], [])
 
 
@@ -44,24 +43,24 @@ def random_graph(rng, n, kind="scene", n_edges=None):
     n_edges = n + 2 if n_edges is None else n_edges
     edges = [GraphEdge(int(rng.integers(n)), int(rng.integers(n)),
                        tokens[rng.integers(10)]) for _ in range(n_edges)]
-    return validate_graph(LabeledGraph.from_records(nodes, edges, kind=kind))
+    return validate_graph(records_graph(nodes, edges, kind=kind))
 
 
 class TestEncodeNodes:
     def test_isolated_node_recovers_relu_of_embedding(self, toy_table):
         # W_enc = [I | 0] selects the node part of [x ; e_self]
         cfg = toy_config()
-        g = LabeledGraph.from_records([GraphNode("cat")], [])
+        g = records_graph([GraphNode("cat")], [])
         w = Tensor(np.hstack([np.eye(6), np.zeros((6, 6))]))
-        out = encode_nodes(pack_graph(g, toy_table), w, cfg)
+        out = encode_nodes(pack_graphs([g], toy_table)[0], w, cfg)
         x = phrase_ref(toy_table, "cat")
         np.testing.assert_allclose(out.data[0], np.maximum(x, 0.0))
 
     def test_zero_weights_give_zero_states(self, toy_table):
         cfg = toy_config()
-        g = LabeledGraph.from_records([GraphNode("tok0"), GraphNode("tok1")],
-                                      [GraphEdge(0, 1, "near")])
-        out = encode_nodes(pack_graph(g, toy_table), Tensor(np.zeros((6, 12))), cfg)
+        g = records_graph([GraphNode("tok0"), GraphNode("tok1")],
+                          [GraphEdge(0, 1, "near")])
+        out = encode_nodes(pack_graphs([g], toy_table)[0], Tensor(np.zeros((6, 12))), cfg)
         assert np.all(out.data == 0.0)
 
     def test_matches_dense_loop_reference(self, rng, toy_table):
@@ -69,7 +68,7 @@ class TestEncodeNodes:
         for _ in range(10):
             g = random_graph(rng, 4)
             w = rng.normal(size=(6, 12))
-            packed = pack_graph(g, toy_table)
+            packed = pack_graphs([g], toy_table)[0]
             got = encode_nodes(packed, Tensor(w), cfg).data
             ref = encode_nodes_ref(g, toy_table, w, lambda v: np.maximum(v, 0.0))
             # one encoder row per source, at the nodes some in-edge list reads
@@ -78,7 +77,7 @@ class TestEncodeNodes:
     def test_attributes_enter_node_input(self, toy_table):
         # an isolated node's encoder input is [node input ; e_self]
         def node_input(node):
-            return pack_graph(LabeledGraph.from_records([node], []), toy_table).inputs[0, :6]
+            return pack_graphs([records_graph([node], [])], toy_table)[0].inputs[0, :6]
 
         with_attr = node_input(GraphNode("cat", ["red"]))
         without = node_input(GraphNode("cat"))
@@ -88,7 +87,7 @@ class TestEncodeNodes:
 
     def test_empty_graph_gives_empty_states(self, toy_table):
         cfg = toy_config()
-        out = encode_nodes(pack_graph(LabeledGraph.from_records([], []), toy_table),
+        out = encode_nodes(pack_graphs([records_graph([], [])], toy_table)[0],
                            Tensor(np.zeros((6, 12))), cfg)
         assert out.shape == (0, 6)
 
@@ -96,9 +95,9 @@ class TestEncodeNodes:
 class TestGcnLayer:
     def test_single_edge_identity_weight(self, toy_table):
         cfg = toy_config(hidden_dim=4)
-        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
+        g = records_graph([GraphNode("a"), GraphNode("b")], [GraphEdge(0, 1, "r")])
         states = np.array([[1.0, -1.0, 2.0, -2.0], [9.0, 9.0, 9.0, 9.0]])
-        packed = pack_graph(g, toy_table)
+        packed = pack_graphs([g], toy_table)[0]
         # b reads a; a reads itself through its self-loop: only a is encoded
         np.testing.assert_array_equal(source_nodes_ref(g), [0])
         assert packed.num_sources == 1
@@ -108,11 +107,11 @@ class TestGcnLayer:
 
     def test_opposite_neighbors_cancel(self, toy_table):
         cfg = toy_config(hidden_dim=3)
-        g = LabeledGraph.from_records([GraphNode("a"), GraphNode("b"), GraphNode("c")],
-                                      [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
+        g = records_graph([GraphNode("a"), GraphNode("b"), GraphNode("c")],
+                          [GraphEdge(0, 2, "r"), GraphEdge(1, 2, "r")])
         v = np.array([2.0, -1.0, 0.5])
         states = np.vstack([v, -v, np.ones(3)])
-        packed = pack_graph(g, toy_table)
+        packed = pack_graphs([g], toy_table)[0]
         out = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(np.eye(3)),
                         cfg, from_encoder=True)
         np.testing.assert_allclose(out.data[node_classes_ref(g)[2]], 0.0, atol=1e-15)
@@ -124,7 +123,7 @@ class TestGcnLayer:
             g = random_graph(rng, n)
             states = rng.normal(size=(n, 5))
             w = rng.normal(size=(5, 5))
-            packed = pack_graph(g, toy_table)
+            packed = pack_graphs([g], toy_table)[0]
             got = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(w), cfg,
                             from_encoder=True).data[node_classes_ref(g)]
             ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
@@ -132,7 +131,7 @@ class TestGcnLayer:
 
     def test_row_count_mismatch(self, toy_table):
         cfg = toy_config(hidden_dim=3)
-        g = pack_graph(LabeledGraph.from_records([GraphNode("a")], []), toy_table)
+        g = pack_graphs([records_graph([GraphNode("a")], [])], toy_table)[0]
         for from_encoder in (True, False):
             with pytest.raises(DimensionError):
                 gcn_layer(Tensor(np.zeros((2, 3))), g, Tensor(np.eye(3)), cfg,
@@ -141,8 +140,8 @@ class TestGcnLayer:
 
 def one_graph(n, table):
     """A packed graph of n isolated nodes."""
-    return pack_graph(LabeledGraph.from_records([GraphNode(f"tok{i}") for i in range(n)], []),
-                      table)
+    return pack_graphs([records_graph([GraphNode(f"tok{i}") for i in range(n)], [])],
+                       table)[0]
 
 
 class TestReadout:
@@ -163,7 +162,7 @@ class TestReadout:
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_sums_each_node_through_its_class(self, rng, toy_table):
-        packed = pack_graph(star_kg(), toy_table)
+        packed = pack_graphs([star_kg()], toy_table)[0]
         s = rng.normal(size=(packed.num_classes, 5))
         np.testing.assert_allclose(readout_sum(Tensor(s), packed).data[0],
                                    s[node_classes_ref(star_kg())].sum(axis=0),
@@ -280,8 +279,8 @@ class TestForward:
         params = init_params(cfg)
         params["mlp.b1"].value[:] = [1.0, -2.0, 0.5]
         params["mlp.b2"].value[:] = [0.2, -0.1]
-        empty_s = LabeledGraph.from_records([], [], kind="scene")
-        empty_k = LabeledGraph.from_records([], [], kind="knowledge")
+        empty_s = records_graph([], [], kind="scene")
+        empty_k = records_graph([], [], kind="knowledge")
         probs, diag = forward(make_example(empty_s, empty_k), params, toy_table, cfg)
         h = np.maximum(params["mlp.b1"].value, 0.0)
         logits = params["mlp.w2"].value @ h + params["mlp.b2"].value
@@ -291,9 +290,9 @@ class TestForward:
         np.testing.assert_array_equal(diag["readout_kg"], np.zeros(4))
 
     def test_depth_unrolls_one_extra_application(self, toy_table):
-        g = validate_graph(LabeledGraph.from_records([GraphNode("tok0")],
-                                                     [GraphEdge(0, 0, "near")]))
-        ex = make_example(g, LabeledGraph.from_records([], [], kind="knowledge"))
+        g = validate_graph(records_graph([GraphNode("tok0")],
+                                         [GraphEdge(0, 0, "near")]))
+        ex = make_example(g, records_graph([], [], kind="knowledge"))
         cfg1 = toy_config(gcn_layers=1, hidden_dim=6, graph_mode="sg_only")
         cfg2 = toy_config(gcn_layers=2, hidden_dim=6, graph_mode="sg_only")
         p2 = init_params(cfg2)
@@ -309,8 +308,8 @@ class TestForward:
 
     def test_identical_graphs_shared_towers_attention(self, toy_table, rng):
         g = random_graph(rng, 3)
-        gk = validate_graph(LabeledGraph.from_records(list(g.nodes), list(g.edges),
-                                                      kind="knowledge"))
+        gk = validate_graph(records_graph(list(g.nodes), list(g.edges),
+                                          kind="knowledge"))
         # same node set in the same order: reuse the scene graph on both sides
         cfg = toy_config(fusion_mode="attention", share_towers=True)
         params = init_params(cfg)
@@ -328,15 +327,15 @@ class TestForward:
         p1, _ = forward(ex, params, toy_table, cfg)
         perm = rng.permutation(5)
         inv = np.argsort(perm)
-        sg2 = LabeledGraph.from_records([sg.nodes[i] for i in perm],
-                                        [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
-                            for e in sg.edges], kind="scene")
+        sg2 = records_graph([sg.nodes[i] for i in perm],
+                            [GraphEdge(int(inv[e.src]), int(inv[e.dst]), e.relation)
+                             for e in sg.edges], kind="scene")
         p2, _ = forward(make_example(sg2, kg), params, toy_table, cfg)
         np.testing.assert_allclose(p1.data, p2.data, atol=1e-9)
 
     def test_empty_graph_totality_all_modes(self, toy_table):
-        empty_s = LabeledGraph.from_records([], [], kind="scene")
-        empty_k = LabeledGraph.from_records([], [], kind="knowledge")
+        empty_s = records_graph([], [], kind="scene")
+        empty_k = records_graph([], [], kind="knowledge")
         ex = make_example(empty_s, empty_k)
         for fusion in ("concat", "attention", "attention_learned"):
             for gm in ("both", "sg_only", "kg_only"):
@@ -351,19 +350,19 @@ class TestForward:
 
         tokens = {f"tok{i}": rng.normal(size=6) for i in range(5)}
         tokens["self"] = rng.normal(size=6)
-        t_a = EmbeddingTable(6, dict(tokens))
+        t_a = table_of(6, dict(tokens))
         tokens_b = dict(tokens)
         tokens_b["tok3"] = rng.normal(size=6)  # tok3 used as a relation below
-        t_b = EmbeddingTable(6, tokens_b)
+        t_b = table_of(6, tokens_b)
         # 2-cycle so the encoding that carries tok3 propagates to the readout
-        g = validate_graph(LabeledGraph.from_records(
+        g = validate_graph(records_graph(
             [GraphNode("tok0"), GraphNode("tok1")],
             [GraphEdge(0, 1, "tok3"), GraphEdge(1, 0, "tok4")]))
         cfg = toy_config(gcn_layers=1, graph_mode="sg_only",
                          nonlinearity="sigmoid")
         params = init_params(cfg)
         watched = params.tensors()
-        packed_a, packed_b = pack_graph(g, t_a), pack_graph(g, t_b)
+        packed_a, packed_b = pack_graphs([g], t_a)[0], pack_graphs([g], t_b)[0]
         out_a = run_tower(packed_a, "sg", watched, cfg)
         out_b = run_tower(packed_b, "sg", watched, cfg)
         assert not np.allclose(out_a.data, out_b.data)
@@ -402,18 +401,18 @@ def star_kg():
              ("RelatedTo", "tok0", "tok5"), ("AtLocation", "tok1", "tok5"),
              ("RelatedTo", "tok0", "tok1")]
     vocab = {f"tok{i}" for i in range(6)}
-    return build_knowledge_graph(seed_graph("tok0", "tok1"), FactStore(facts),
-                                 RelationWhitelist(), vocab)
+    return build_knowledge_graphs([seed_graph("tok0", "tok1")], store_of(facts),
+                                  frozenset(DEFAULT_RELATIONS), vocab)[0]
 
 
 def mixed_examples(rng):
     """Graphs of different sizes: an isolated node, a repeated edge (kept:
     no validation), an empty scene graph, an empty knowledge graph."""
-    sg0 = LabeledGraph.from_records(
+    sg0 = records_graph(
         [GraphNode("tok0", ["tok1"]), GraphNode("tok2"), GraphNode("tok3")],
         [GraphEdge(0, 1, "near"), GraphEdge(0, 1, "near"), GraphEdge(1, 0, "tok4")])
-    empty_sg = LabeledGraph.from_records([], [], kind="scene")
-    empty_kg = LabeledGraph.from_records([], [], kind="knowledge")
+    empty_sg = records_graph([], [], kind="scene")
+    empty_kg = records_graph([], [], kind="knowledge")
     return [
         Example("a", sg0, random_graph(rng, 4, kind="knowledge"), ["label0"]),
         Example("b", empty_sg, random_graph(rng, 2, kind="knowledge"), ["label1"]),
@@ -485,7 +484,7 @@ class TestPack:
         """mixed_examples plus an all-OOV node and relation, relation tokens
         ("near", "tok4") shared with other graphs of the call, and a star
         knowledge graph with merged aggregation classes."""
-        oov_sg = LabeledGraph.from_records(
+        oov_sg = records_graph(
             [GraphNode("qq zz", ["red"]), GraphNode("cat"), GraphNode("tok4")],
             [GraphEdge(0, 1, "zq_qz"), GraphEdge(2, 1, "near"),
              GraphEdge(1, 2, "tok4")], kind="scene")
@@ -546,9 +545,9 @@ class TestPack:
                 assert np.array_equal(packed.inputs[row], want)
 
     def test_edge_out_of_range_names_its_graph(self, toy_table):
-        ok = LabeledGraph.from_records([GraphNode("a")] * 5, [GraphEdge(4, 0, "r")])
-        bad = LabeledGraph.from_records([GraphNode("a")] * 2,
-                                        [GraphEdge(0, 1, "r"), GraphEdge(2, 0, "r")])
+        ok = records_graph([GraphNode("a")] * 5, [GraphEdge(4, 0, "r")])
+        bad = records_graph([GraphNode("a")] * 2,
+                            [GraphEdge(0, 1, "r"), GraphEdge(2, 0, "r")])
         with pytest.raises(ValidationError, match="for 2 nodes"):
             pack_graphs([ok, bad], toy_table)
         assert pack_graphs([], toy_table) == []
@@ -582,7 +581,7 @@ class TestPack:
 
 class TestAggregationClasses:
     def test_star_packs_to_expected_classes(self, toy_table):
-        packed = pack_graph(star_kg(), toy_table)
+        packed = pack_graphs([star_kg()], toy_table)[0]
         assert packed.num_nodes == 6 and packed.num_classes == 3
         np.testing.assert_array_equal(node_classes_ref(star_kg()), [0, 0, 0, 0, 1, 2])
         np.testing.assert_array_equal(packed.class_sizes, [4, 1, 1])
@@ -608,7 +607,7 @@ class TestAggregationClasses:
         # the read classes (1, the seeds' class), which is what a later
         # layer reads
         cfg = toy_config(hidden_dim=5)
-        packed = pack_graph(star_kg(), toy_table)
+        packed = pack_graphs([star_kg()], toy_table)[0]
         w = Tensor(rng.normal(size=(5, 5)))
         sources = Tensor(rng.normal(size=(2, 5)))
         assert gcn_layer(sources, packed, w, cfg, from_encoder=True).shape == (3, 5)
@@ -666,7 +665,7 @@ def in_degree_graph(rng, n, kind="scene"):
         edges += [GraphEdge(int(rng.integers(n)), int(rng.integers(n)), f"tok{rng.integers(10)}")
                   for _ in range(int(rng.integers(0, 2 * n)))]
         edges += edges[-2:]  # repeats
-    return LabeledGraph.from_records(nodes, edges, kind=kind)
+    return records_graph(nodes, edges, kind=kind)
 
 
 def layer_lists_ref(g):
@@ -694,8 +693,8 @@ class TestLayerEdges:
 
     def unions(self, rng, table):
         graphs = [in_degree_graph(rng, int(n)) for n in rng.integers(0, 7, size=6)]
-        graphs += [in_degree_graph(rng, 4), LabeledGraph.from_records([], []),
-                   LabeledGraph.from_records([GraphNode("tok1")] * 3, []), star_kg()]
+        graphs += [in_degree_graph(rng, 4), records_graph([], []),
+                   records_graph([GraphNode("tok1")] * 3, []), star_kg()]
         union = pack_graphs(graphs, table, [len(graphs)])[0]
         rows = rng.integers(len(graphs), size=12)
         return [union, take(union, rows), take(union, [6, 6, 9, 9])]
@@ -762,7 +761,7 @@ def path_graph(kind):
     tok2 reads tok1, so two sources and two classes."""
     nodes = [GraphNode(f"tok{i}") for i in range(3)]
     edges = [GraphEdge(0, 1, "near"), GraphEdge(1, 2, "tok4")]
-    return validate_graph(LabeledGraph.from_records(nodes, edges, kind=kind))
+    return validate_graph(records_graph(nodes, edges, kind=kind))
 
 
 class TestSourceRows:
@@ -771,9 +770,9 @@ class TestSourceRows:
         facts = ([("IsA", "tok0", f"leaf{i}") for i in range(5)]
                  + [("HasA", "tok1", f"leaf{i}") for i in range(3, 8)])
         vocab = {f"leaf{i}" for i in range(8)}
-        g = build_knowledge_graph(seed_graph("tok0", "tok1"), FactStore(facts),
-                                  RelationWhitelist(), vocab)
-        packed = pack_graph(g, toy_table)
+        g = build_knowledge_graphs([seed_graph("tok0", "tok1")], store_of(facts),
+                                   frozenset(DEFAULT_RELATIONS), vocab)[0]
+        packed = pack_graphs([g], toy_table)[0]
         has_in = {e.dst for e in g.edges}
         read = {e.src for e in g.edges} | set(range(len(g.nodes))) - has_in
         assert packed.num_nodes == 10 and len(read) == 2
@@ -787,7 +786,7 @@ class TestSourceRows:
         examples = [Example("p", path_graph("scene"), path_graph("knowledge"), ["label0"]),
                     Example("q", random_graph(rng, 3), path_graph("knowledge"), ["label1"])]
         batch = pack_batch(examples, toy_table)
-        kg = pack_graph(path_graph("knowledge"), toy_table)
+        kg = pack_graphs([path_graph("knowledge")], toy_table)[0]
         assert kg.num_sources == kg.num_classes == 2 < kg.num_nodes
         assert not np.array_equal(kg.src, kg.src_class)
         # one layer: the readout reads tok2's class, which reads tok1's row

@@ -1,6 +1,7 @@
-"""The bulk text readers (``load_embeddings``, ``load_facts``) against their
-line-at-a-time references in ``oracles``, on a seeded corpus of awkward
-files, and a guard that well-formed files never take the per-line path."""
+"""The bulk text readers (``load_embeddings``, and ``read_fact_columns`` into a
+``FactStore``) against their line-at-a-time references in ``oracles``, on a
+seeded corpus of awkward files, and a guard that well-formed files never take
+the per-line path."""
 
 import random
 
@@ -11,7 +12,7 @@ from oracles import load_embeddings_ref, load_facts_ref
 from symgraph import embeddings, graphs
 from symgraph.embeddings import load_embeddings
 from symgraph.errors import SymgraphError
-from symgraph.graphs import load_facts
+from symgraph.graphs import FactStore, read_fact_columns
 
 ENDINGS = ["\n", "\n", "\n", "\r\n", "\r"]
 BLANKS = ["", "  ", "\t \x0b", "\xa0", "\x1c"]
@@ -98,7 +99,7 @@ def test_fact_reader_matches_line_reference(tmp_path):
         path = tmp_path / f"facts{i}.tsv"
         lines = [fact_line(rnd) for _ in range(rnd.randint(0, 8))]
         texts.append(write_lines(rnd, path, lines))
-        got, got_error = outcome(load_facts, path)
+        got, got_error = outcome(lambda p: FactStore(*read_fact_columns(p)), path)
         want, want_error = outcome(load_facts_ref, path)
         assert got_error == want_error, path.read_bytes()
         if want is not None:
@@ -135,7 +136,7 @@ def test_well_formed_files_load_in_bulk(tmp_path, no_line_path):
     facts = tmp_path / "facts.tsv"
     concepts = rng.integers(300, size=(2000, 2))
     facts.write_text("".join(f"IsA\tc{h}\tc{t}\n" for h, t in concepts), encoding="utf-8")
-    store = load_facts(facts)
+    store = FactStore(*read_fact_columns(facts))
     triples, by_head, by_tail = load_facts_ref(facts)
     assert set(store.triples) == triples and dict(store.by_head) == by_head
     assert dict(store.by_tail) == by_tail

@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import records_graph, table_of
 from symgraph import dataset, evaluation, model, synth, training
 from symgraph import tensor as T
-from symgraph.embeddings import EmbeddingTable, load_embeddings
+from symgraph.embeddings import load_embeddings
 from symgraph.errors import ConfigError, DomainError, TrainingError
 from symgraph.gradcheck import random_toy_world
-from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph, validate_graph
+from symgraph.graphs import GraphEdge, GraphNode, validate_graph
 from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
 from symgraph.tensor import Tape, Tensor, backward
@@ -25,16 +26,16 @@ def make_table(rng, dim=8):
     tokens = ["self", "near"]
     for lab in range(2):
         tokens += [f"obj{lab}a", f"obj{lab}b", f"rel{lab}"]
-    return EmbeddingTable(dim, {t: rng.normal(size=dim) for t in tokens})
+    return table_of(dim, {t: rng.normal(size=dim) for t in tokens})
 
 
 def make_example(label_idx, i):
     # planted signal on a 2-cycle so it survives in-neighbor aggregation
-    sg = validate_graph(LabeledGraph.from_records(
+    sg = validate_graph(records_graph(
         [GraphNode(f"obj{label_idx}a"), GraphNode(f"obj{label_idx}b")],
         [GraphEdge(0, 1, f"rel{label_idx}"), GraphEdge(1, 0, f"rel{label_idx}")],
         kind="scene"))
-    kg = LabeledGraph.from_records([], [], kind="knowledge")
+    kg = records_graph([], [], kind="knowledge")
     return Example(f"img{label_idx}_{i}", sg, kg, [LABELS[label_idx]])
 
 
