@@ -8,8 +8,8 @@ trained with plain SGD on a taped reverse-mode autodiff core.
 
 from .embeddings import EmbeddingTable, load_embeddings
 from .evaluation import MetricsReport, ThresholdPolicy, f_scores, predict_labels
-from .graphs import (DEFAULT_RELATIONS, FactStore, LabeledGraph, build_knowledge_graphs,
-                     load_scene_document, validate_graph)
+from .graphs import (DEFAULT_RELATIONS, LabeledGraph, build_knowledge_graphs,
+                     load_scene_document, read_fact_columns, validate_graph)
 from .model import (Batch, GraphBatch, ModelConfig, ModelParams, attention_fuse,
                     classify, encode_nodes, forward, forward_batch, forward_logits,
                     fuse_concat, gcn_layer, init_params, pack_batch, param_count,

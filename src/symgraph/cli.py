@@ -25,7 +25,8 @@ from . import dataset, evaluation, synth
 from .embeddings import load_embeddings
 from .errors import (ConfigError, EmbeddingParseError, SchemaError,
                      SymgraphError, ValidationError, read_text)
-from .evaluation import POLICY_KINDS, ThresholdPolicy, ablation_csv, collect_attention
+from .evaluation import (POLICY_KINDS, ThresholdPolicy, ablation_csv, collect_attention,
+                         csv_text)
 from .gradcheck import gradcheck
 from .model import (FUSION_MODES, GRAPH_MODES, LOSS_MODES, NONLINEARITIES, ModelConfig,
                     load_checkpoint, param_count, save_checkpoint)
@@ -233,10 +234,10 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "checkpoint.npz", mconfig, best, label_list)
     save_checkpoint(out / "final.npz", mconfig, final, label_list)
     if args.dump_attention:
-        rows = collect_attention(splits["val"], best, table, mconfig)
-        lines = ["image_id,alpha_kg,alpha_sg"]
-        lines += [f"{i},{a:.12g},{b:.12g}" for i, a, b in rows]
-        (out / "attention.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [("image_id", "alpha_kg", "alpha_sg")]
+        rows += [(i, f"{a:.12g}", f"{b:.12g}")
+                 for i, a, b in collect_attention(splits["val"], best, table, mconfig)]
+        (out / "attention.csv").write_text(csv_text(rows), encoding="utf-8")
     best_f = log.records[best_epoch].val_macro_f if log.records else float("nan")
     print(f"trained {tconfig.epochs} epochs; {param_count(mconfig)} parameters; "
           f"best val macro F {best_f:.2f} at epoch {best_epoch}")
@@ -420,10 +421,7 @@ def main(argv=None) -> int:
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PATH_ERRORS as exc:  # the OS message names the path
+    except USAGE_ERRORS + PATH_ERRORS as exc:  # an OS message names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SymgraphError as exc:

@@ -15,11 +15,10 @@ import json
 import logging
 from pathlib import Path
 
-from .errors import SchemaError, read_text
-from .graphs import (DEFAULT_RELATIONS, FactStore, add_reverse_edges, admissible_columns,
-                     build_knowledge_graphs, check_image_id, graph_from_dict,
-                     graph_to_dict, load_scene_document, load_vocab, read_fact_columns,
-                     seed_tokens, validate_graph)
+from .errors import ConfigError, SchemaError, read_text
+from .graphs import (DEFAULT_RELATIONS, add_reverse_edges, build_knowledge_graphs,
+                     check_image_id, graph_from_dict, graph_to_dict, load_scene_document,
+                     load_vocab, read_fact_columns, validate_graph)
 from .embeddings import normalize_token
 from .rng import child_rng
 from .training import Example
@@ -85,12 +84,11 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
     vocabulary is the vocab file plus the label names.
 
     The fact file is read and checked first, so a bad one is reported before
-    any scene document.  Only the facts that some image's seed tokens can
-    admit (``admissible_columns``) are indexed, and every knowledge graph
-    comes from one ``build_knowledge_graphs`` call, which filters each
-    distinct seed token's facts once.
+    any scene document.  Every knowledge graph comes from one
+    ``build_knowledge_graphs`` call over the file's raw columns, which
+    admits each seed token's facts in one pass.
     """
-    fact_columns = read_fact_columns(facts_path)
+    facts = read_fact_columns(facts_path)
     label_list = read_labels(labels_path)
     vocab = load_vocab(vocab_path) | {normalize_token(l) for l in label_list}
     label_set = set(label_list)
@@ -116,17 +114,12 @@ def prepare(scene_dir, facts_path, vocab_path, labels_path,
                         image_id)
         images.append((image_id, sg, sorted(set(labels))))
 
-    seeds = set().union(*(seed_tokens(sg) for _, sg, _ in images))
-    store = FactStore(*admissible_columns(*fact_columns, seeds, vocab, match_tail=match_tail))
-    kgs = build_knowledge_graphs([sg for _, sg, _ in images], store,
+    kgs = build_knowledge_graphs([sg for _, sg, _ in images], facts,
                                  frozenset(DEFAULT_RELATIONS), vocab, match_tail=match_tail)
-    examples = []
-    for (image_id, sg, labels), kg in zip(images, kgs):
-        if reverse_edges:
-            sg = add_reverse_edges(sg)
-            kg = add_reverse_edges(kg)
-        examples.append(Example(image_id, sg, kg, labels))
-    examples.sort(key=lambda ex: ex.image_id)
+    final = add_reverse_edges if reverse_edges else lambda g: g
+    examples = sorted((Example(image_id, final(sg), final(kg), labels)
+                       for (image_id, sg, labels), kg in zip(images, kgs)),
+                      key=lambda ex: ex.image_id)
     ids = [ex.image_id for ex in examples]
     if len(set(ids)) != len(ids):
         raise SchemaError("duplicate image ids in scene-graph directory")
@@ -146,11 +139,22 @@ def read_labels(path) -> list:
     return labels
 
 
+def refuse_other_documents(directory, names):
+    """Raise ``ConfigError`` naming ``directory`` if it holds a ``*.json``
+    document not in ``names``: its readers glob it, and would take that too."""
+    others = sorted({p.name for p in Path(directory).glob("*.json")} - set(names))
+    if others:
+        raise ConfigError(f"{directory}: holds {len(others)} document(s) this run does not "
+                          f"write, {others[0]} first; write to a new directory")
+
+
 def write_bundle(out_dir, examples, label_list, splits: dict):
     """Each example document is one line of compact JSON with sorted keys:
     ``json.dumps`` runs its C encoder only without ``indent``.  Readers take
-    any layout, so older indented bundles still load."""
+    any layout, so older indented bundles still load.  An ``examples/`` that
+    holds other image ids' documents is refused before any write."""
     out = Path(out_dir)
+    refuse_other_documents(out / "examples", [f"{ex.image_id}.json" for ex in examples])
     (out / "examples").mkdir(parents=True, exist_ok=True)
     for ex in examples:
         doc = json.dumps(example_to_dict(ex), sort_keys=True, separators=(",", ":"))

@@ -8,6 +8,8 @@ mean over labels.  A micro aggregate over pooled counts is emitted too.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -72,10 +74,17 @@ class MetricsReport:
     threshold: str = "uniform_prior"
 
     def per_label_csv(self) -> str:
-        lines = ["label,frequency,f_score"]
-        for row in self.per_label:
-            lines.append(f"{row.label},{row.frequency},{row.f_score:.12g}")
-        return "\n".join(lines) + "\n"
+        return csv_text([("label", "frequency", "f_score"),
+                         *((r.label, r.frequency, f"{r.f_score:.12g}") for r in self.per_label)])
+
+
+def csv_text(rows) -> str:
+    """CSV text of rows of fields: ``\\n`` line ends, and a field quoted
+    only when it holds a comma, a quote or a line break (a label or an
+    image id may)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def predict_labels(probs, policy: ThresholdPolicy, label_list,
@@ -211,9 +220,7 @@ def ablate(field: str, values, train_data, val_data, label_list, table,
 
 
 def ablation_csv(logs: dict) -> str:
-    lines = ["variant,epoch,val_macro_f"]
-    for variant, log in logs.items():
-        for r in log.records:
-            lines.append(f"{variant},{r.epoch},{r.val_macro_f:.12g}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("variant", "epoch", "val_macro_f"),
+                     *((variant, r.epoch, f"{r.val_macro_f:.12g}")
+                       for variant, log in logs.items() for r in log.records)])
 

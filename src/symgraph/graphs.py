@@ -1,8 +1,10 @@
 """Scene- and knowledge-graph data model, ingestion, and construction.
 
-Scene graphs arrive as pre-extracted JSON documents; knowledge graphs are
-built per image by a 1-hop expansion of the detected objects/attributes
-against a triple store, filtered by a relation whitelist and a vocabulary.
+Scene graphs arrive as pre-extracted JSON documents.  Facts arrive as the
+raw columns of a TSV triple file (``read_fact_columns``).  Knowledge graphs
+are built per image by a 1-hop expansion of the detected objects and
+attributes against those columns, filtered by a relation whitelist and a
+vocabulary, in one pass for all images (``build_knowledge_graphs``).
 """
 
 from __future__ import annotations
@@ -76,63 +78,21 @@ def _columns(triples) -> tuple:
     return tuple(zip(*triples)) or ((), (), ())
 
 
-class FactStore:
-    """Indexed set of the triples ``zip(relations, heads, tails)``; concepts
-    normalized, relations stripped.
-
-    ``triples`` holds each distinct triple once, in first-occurrence order;
-    ``by_head`` and ``by_tail`` list them per concept in that order.
-    """
-
-    def __init__(self, relations, heads, tails):
-        # each distinct string is normalized once
-        concept = {c: normalize_token(c) for c in {*heads, *tails}}.__getitem__
-        relation = {r: r.strip() for r in set(relations)}.__getitem__
-        self.triples = dict.fromkeys(zip(map(relation, relations), map(concept, heads),
-                                         map(concept, tails))).keys()
-        self.by_head = defaultdict(list)
-        self.by_tail = defaultdict(list)
-        for t in self.triples:
-            self.by_head[t[1]].append(t)
-            self.by_tail[t[2]].append(t)
-
-    def __len__(self):
-        return len(self.triples)
-
-
 def read_fact_columns(path) -> tuple:
     """(relations, heads, tails): the raw field columns of a UTF-8 TSV triple
     file, relation<TAB>head<TAB>tail per line, blank lines skipped.
 
     The file is read once and its lines joined and split on tabs once, so
     each column is a slice; a line without exactly two tabs raises naming
-    the first such line.
+    the first such line.  ``build_knowledge_graphs`` takes the columns as
+    they are.
     """
     lines = read_text(path).split("\n")
     facts = list(filter(str.strip, lines))
     if set(map(str.count, facts, repeat("\t"))) - {2}:
         _raise_bad_fact_line(path, lines)
-    fields = "\t".join(facts).split("\t")
+    fields = "\t".join(facts).split("\t") if facts else []
     return fields[0::3], fields[1::3], fields[2::3]
-
-
-def admissible_columns(relations, heads, tails, seeds, vocab, match_tail=False) -> tuple:
-    """The rows of fact columns whose fact can join the knowledge graph of
-    some seed token in ``seeds``: the normalized head is a seed and the
-    normalized tail is in ``vocab``; with ``match_tail``, also the rows whose
-    tail is a seed and head is in ``vocab``.  Relations are not checked here.
-
-    Each distinct concept string is normalized once, and each row is then
-    two set lookups on its raw strings.
-    """
-    norm = {c: normalize_token(c) for c in {*heads, *tails}}
-    is_seed = {c for c, n in norm.items() if n in seeds}.__contains__
-    in_vocab = {c for c, n in norm.items() if n in vocab}.__contains__
-    keep = map(and_, map(is_seed, heads), map(in_vocab, tails))
-    if match_tail:
-        keep = map(or_, keep, map(and_, map(is_seed, tails), map(in_vocab, heads)))
-    keep = list(keep)
-    return tuple(list(compress(column, keep)) for column in (relations, heads, tails))
 
 
 def _raise_bad_fact_line(path, lines):
@@ -227,47 +187,55 @@ def seed_tokens(g: LabeledGraph) -> list:
     return [t for t in dict.fromkeys(map(normalize_token, tokens)) if t]
 
 
-def build_knowledge_graphs(seed_graphs, store: FactStore, whitelist: frozenset,
-                           vocab: set, match_tail: bool = False) -> list:
+def build_knowledge_graphs(seed_graphs, facts, whitelist: frozenset, vocab: set,
+                           match_tail: bool = False) -> list:
     """1-hop expansion of the nodes of each seed graph (a scene graph)
-    against the fact store; one knowledge graph per seed graph.
+    against the raw fact columns ``facts`` = (relations, heads, tails) that
+    ``read_fact_columns`` returns; one knowledge graph per seed graph.
 
-    A fact (r, a, b) is admitted iff r is in ``whitelist``, a is a seed token
-    and b is in the vocabulary; the edge keeps the stored direction a -> b.
-    With ``match_tail`` facts whose tail is a seed (and head in vocab) are
-    admitted too.  Output is canonical: nodes sorted by name, edges sorted
-    by (head, relation, tail) and deduped.
+    A fact (r, a, b), concepts normalized and r stripped, is admitted iff r
+    is in ``whitelist``, a is a seed token and b is in ``vocab``; the edge
+    keeps the stored direction a -> b.  ``match_tail`` also admits the facts
+    whose tail is a seed and head is in ``vocab``.  Output is canonical:
+    nodes sorted by name and without attributes, edges sorted by (head,
+    relation, tail) and deduped.
 
-    Each distinct seed token's admitted facts are filtered from the store
-    once per call and kept sorted.  Without ``match_tail`` every fact of a
-    token's entry has that token as its head, so a graph's sorted edge list
-    is its sorted tokens' entries one after another.  The edge columns come
-    straight from those facts, and no node has attributes.
+    One pass for all graphs: each distinct concept string is normalized
+    once, each row is two set lookups on its raw strings, and only the rows
+    some seed can admit are stripped and whitelist-checked.  Each seed
+    token's admitted facts are collected in one set and sorted once; without
+    ``match_tail`` they all have that token as head, so a graph's edges are
+    its sorted tokens' entries one after another.
     """
-    admitted = {}  # seed token -> its sorted, deduped admitted facts
-
-    def facts_of(token):
-        facts = admitted.get(token)
-        if facts is None:
-            found = {(h, r, t) for r, h, t in store.by_head.get(token, ())
-                     if r in whitelist and t in vocab}
-            if match_tail:
-                found.update((h, r, t) for r, h, t in store.by_tail.get(token, ())
-                             if r in whitelist and h in vocab)
-            facts = admitted[token] = sorted(found)
-        return facts
+    graph_tokens = [sorted(seed_tokens(g)) for g in seed_graphs]
+    seeds = set().union(*graph_tokens)
+    relations, heads, tails = facts
+    norm = {c: normalize_token(c) for c in {*heads, *tails}}
+    is_seed = {c for c, n in norm.items() if n in seeds}.__contains__
+    in_vocab = {c for c, n in norm.items() if n in vocab}.__contains__
+    keep = map(and_, map(is_seed, heads), map(in_vocab, tails))
+    if match_tail:
+        keep = map(or_, keep, map(and_, map(is_seed, tails), map(in_vocab, heads)))
+    found = defaultdict(set)  # seed token -> its admitted (head, relation, tail) facts
+    for r, h, t in compress(zip(relations, heads, tails), keep):
+        r = r.strip()
+        if r in whitelist:
+            if is_seed(h) and in_vocab(t):
+                found[norm[h]].add((norm[h], r, norm[t]))
+            if match_tail and is_seed(t) and in_vocab(h):
+                found[norm[t]].add((norm[h], r, norm[t]))
+    admitted = {token: sorted(facts) for token, facts in found.items()}
 
     graphs = []
-    for seeds in seed_graphs:
-        tokens = sorted(seed_tokens(seeds))
-        entries = map(facts_of, tokens)
+    for tokens in graph_tokens:
+        entries = [admitted.get(token, ()) for token in tokens]
         edges = (sorted(set().union(*entries)) if match_tail
                  else list(chain.from_iterable(entries)))
-        heads, relations, tails = _columns(edges)
-        names = tuple(sorted({*tokens, *heads, *tails}))
+        a, r, b = _columns(edges)
+        names = tuple(sorted({*tokens, *a, *b}))
         idx = dict(zip(names, range(len(names)))).__getitem__
-        graphs.append(LabeledGraph(names, ((),) * len(names), tuple(map(idx, heads)),
-                                   tuple(map(idx, tails)), relations, kind="knowledge"))
+        graphs.append(LabeledGraph(names, ((),) * len(names), tuple(map(idx, a)),
+                                   tuple(map(idx, b)), r, kind="knowledge"))
     return graphs
 
 

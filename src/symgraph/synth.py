@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dataset import refuse_other_documents
 from .errors import ConfigError
 from .rng import child_rng
 
@@ -48,43 +49,29 @@ class SynthSpec:
             raise ConfigError("dual_signal datasets have exactly 4 labels")
 
 
-def label_names(spec: SynthSpec):
-    return [f"sym{i}" for i in range(spec.num_labels)]
-
-
-def _single_tokens(spec):
-    objs, rels, ideas = [], [], []
-    for l in range(spec.num_labels):
-        objs += [f"obja{l}", f"objb{l}"]
-        rels.append(f"rel{l}")
-        ideas.append(f"idea{l}")
-    things = [f"thing{i}" for i in range(N_DISTRACTORS)]
-    return objs, rels, ideas, things
-
-
-def _write_embeddings(path, vectors, dim):
-    lines = []
-    for token, vec in vectors.items():
-        lines.append(token + " " + " ".join(f"{v:.8f}" for v in vec))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_embeddings(path, vectors):
+    Path(path).write_text("".join(token + " " + " ".join(f"{v:.8f}" for v in vec) + "\n"
+                                  for token, vec in vectors.items()), encoding="utf-8")
 
 
 def generate(spec: SynthSpec, out_dir):
     """Write scene-graph documents, fact store, vocab, labels, and embeddings.
 
-    Returns a dict of the written paths.
+    Returns a dict of the written paths.  A ``scene_graphs`` directory that
+    holds documents this call does not write is refused before any write.
     """
     out = Path(out_dir)
     scenes = out / "scene_graphs"
-    scenes.mkdir(parents=True, exist_ok=True)
     rng = child_rng(spec.seed, "synth")
-    labels = label_names(spec)
+    labels = [f"sym{i}" for i in range(spec.num_labels)]
 
     if spec.dual_signal:
         docs, facts, vocab, tokens = _generate_dual(spec, rng, labels)
     else:
         docs, facts, vocab, tokens = _generate_single(spec, rng, labels)
 
+    refuse_other_documents(scenes, [f"{doc['image_id']}.json" for doc in docs])
+    scenes.mkdir(parents=True, exist_ok=True)
     for doc in docs:
         path = scenes / f"{doc['image_id']}.json"
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
@@ -102,7 +89,7 @@ def generate(spec: SynthSpec, out_dir):
         # scene-indistinguishable pairs; only their fact relations differ
         vectors["kx1"] = vectors["kx0"].copy()
         vectors["ky1"] = vectors["ky0"].copy()
-    _write_embeddings(out / "embeddings.txt", vectors, spec.embed_dim)
+    _write_embeddings(out / "embeddings.txt", vectors)
 
     return {
         "scene_dir": scenes,
@@ -114,7 +101,12 @@ def generate(spec: SynthSpec, out_dir):
 
 
 def _generate_single(spec, rng, labels):
-    objs, rels, ideas, things = _single_tokens(spec)
+    objs, rels, ideas = [], [], []
+    for l in range(spec.num_labels):
+        objs += [f"obja{l}", f"objb{l}"]
+        rels.append(f"rel{l}")
+        ideas.append(f"idea{l}")
+    things = [f"thing{i}" for i in range(N_DISTRACTORS)]
     facts = [("RelatedTo", f"obja{l}", f"idea{l}") for l in range(spec.num_labels)]
     facts.append(("Synonym", things[0], things[1]))  # dropped by the whitelist
     vocab = set(objs + things + ideas)

@@ -22,7 +22,7 @@ import numpy as np
 
 from symgraph.embeddings import EmbeddingTable, normalize_token
 from symgraph.errors import EmbeddingParseError, SchemaError
-from symgraph.graphs import FactStore, GraphEdge, GraphNode, LabeledGraph
+from symgraph.graphs import GraphEdge, GraphNode, LabeledGraph
 from symgraph.model import Batch, GraphBatch
 
 
@@ -34,8 +34,9 @@ def records_graph(nodes, edges, kind="scene"):
 
 
 def store_of(triples):
-    """The fact store of a list of (relation, head, tail) triples."""
-    return FactStore(*(tuple(zip(*triples)) or ((), (), ())))
+    """The fact columns (relations, heads, tails) of a list of (relation,
+    head, tail) triples, as ``read_fact_columns`` returns them."""
+    return tuple(map(list, zip(*triples))) or ([], [], [])
 
 
 def table_of(dim, entries):
@@ -298,11 +299,10 @@ def load_embeddings_ref(path, dim):
     return matrix[:len(index)], index
 
 
-def load_facts_ref(path):
-    """(triples set, by_head, by_tail) of a TSV fact file, read and indexed
-    one line at a time (the reference for ``FactStore`` over
-    ``read_fact_columns``)."""
-    rows = []
+def read_fact_columns_ref(path):
+    """(relations, heads, tails): the raw fields of a TSV fact file, read and
+    split one line at a time (the reference for ``read_fact_columns``)."""
+    columns = ([], [], [])
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -311,15 +311,9 @@ def load_facts_ref(path):
             fields = line.split("\t")
             if len(fields) != 3:
                 raise SchemaError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            rows.append(fields)
-    triples, by_head, by_tail = set(), defaultdict(list), defaultdict(list)
-    for rel, head, tail in rows:
-        t = (rel.strip(), normalize_token(head), normalize_token(tail))
-        if t not in triples:
-            triples.add(t)
-            by_head[t[1]].append(t)
-            by_tail[t[2]].append(t)
-    return triples, dict(by_head), dict(by_tail)
+            for column, value in zip(columns, fields):
+                column.append(value)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +383,18 @@ def seed_tokens_ref(nodes):
     return out
 
 
-def knowledge_graphs_ref(seed_lists, store, whitelist, vocab, match_tail=False):
+def knowledge_graphs_ref(seed_lists, facts, whitelist, vocab, match_tail=False):
     """One record knowledge graph per list of seed nodes, each built alone
-    from the store's head and tail indexes."""
+    by a scan of every row of the fact columns."""
     graphs = []
     for seeds in seed_lists:
         tokens = seed_tokens_ref(seeds)
         found = set()
-        for token in tokens:
-            found.update((h, r, t) for r, h, t in store.by_head.get(token, ())
-                         if r in whitelist and t in vocab)
-            if match_tail:
-                found.update((h, r, t) for r, h, t in store.by_tail.get(token, ())
-                             if r in whitelist and h in vocab)
+        for rel, head, tail in zip(*facts):
+            r, h, t = rel.strip(), normalize_token_ref(head), normalize_token_ref(tail)
+            if r in whitelist and (h in tokens and t in vocab
+                                   or match_tail and t in tokens and h in vocab):
+                found.add((h, r, t))
         names = sorted(set(tokens) | {h for h, _, _ in found} | {t for _, _, t in found})
         idx = {name: i for i, name in enumerate(names)}
         graphs.append(RecordGraph([GraphNode(name) for name in names],

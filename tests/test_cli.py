@@ -1,3 +1,4 @@
+import csv
 import json
 import platform
 import os
@@ -89,6 +90,20 @@ class TestSynth:
         name = flag[2:].replace("-", "_")
         assert len(err) == 1 and err[0].startswith(f"error: {name} ")
         assert not (tmp_path / "o" / "embeddings.txt").exists()
+
+    def test_rerun_with_fewer_examples_exits_2_naming_the_scene_dir(self, tmp_path, capsys):
+        # prepare globs scene_graphs/: the second run said "synthesized 20
+        # examples" and split 12/4/4, with exit 0
+        out = synth_bundle(tmp_path, examples=20, seed=1)
+        before = bundle_bytes(out / "bundle")
+        capsys.readouterr()
+        assert run(["synth", "--out", out, "--examples", 10, "--seed", 1]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out / 'scene_graphs'}: ")
+        assert bundle_bytes(out / "bundle") == before
+        # a re-run that writes the same documents still works
+        assert synth_bundle(tmp_path, examples=20, seed=1) == out
+        assert bundle_bytes(out / "bundle") == before
 
 
 class TestPrepare:
@@ -315,6 +330,34 @@ class TestTrainEval:
         for line in rows[1:]:
             _, a, b = line.split(",")
             assert float(a) + float(b) == pytest.approx(1.0)
+
+    def test_csv_outputs_read_back_with_commas_in_names(self, tmp_path):
+        # a label 'sym,1' gave per_label.csv a 4-field row under a 3-column
+        # header, and an image id 'img0003,x' did the same to attention.csv
+        data = synth_bundle(tmp_path, examples=30)
+        splits, labels = load_bundle(data / "bundle")
+        renamed = {"sym1": "sym,1"}
+        labels = [renamed.get(l, l) for l in labels]
+        examples = [replace(ex, image_id=f"{ex.image_id},x",
+                            labels=[renamed.get(l, l) for l in ex.labels])
+                    for split in splits.values() for ex in split]
+        ids = {name: [f"{ex.image_id},x" for ex in split] for name, split in splits.items()}
+        bundle = tmp_path / "commas"
+        write_bundle(bundle, examples, labels, ids)
+        inputs = ["--bundle", bundle, "--embeddings", data / "embeddings.txt"]
+        assert run(["train", *inputs, "--out", tmp_path / "run", "--embed-dim", 16,
+                    "--hidden-dim", 8, "--epochs", 1, "--fusion", "attention",
+                    "--dump-attention"]) == 0
+        assert run(["eval", *inputs, "--checkpoint", tmp_path / "run" / "checkpoint.npz",
+                    "--out", tmp_path / "eval"]) == 0
+        with open(tmp_path / "eval" / "per_label.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "frequency", "f_score"]
+        assert [row[0] for row in rows[1:]] == labels and {len(r) for r in rows} == {3}
+        with open(tmp_path / "run" / "attention.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["image_id", "alpha_kg", "alpha_sg"]
+        assert [row[0] for row in rows[1:]] == ids["val"] and {len(r) for r in rows} == {3}
 
     def test_eval_refuses_non_finite_checkpoint(self, tmp_path, capsys):
         data, run_dir = self._trained(tmp_path)
@@ -608,6 +651,24 @@ class TestBundleFormat:
             write_bundle(tmp_path / out, examples, labels, ids)
         assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
         assert bundle_bytes(tmp_path / "a") == bundle_bytes(bundle)
+
+    def test_prepare_into_a_bundle_of_other_examples_exits_2(self, tmp_path, capsys):
+        # the stale example files stayed: train then failed naming a file in
+        # no split, or, with matching labels, hashed them into its manifest
+        bundle = tmp_path / "B"
+        for name, labels, examples in (("big", 3, 20), ("small", 2, 10)):
+            raw = synth_bundle(tmp_path, name, labels=labels, examples=examples)
+            before = bundle_bytes(bundle) if bundle.exists() else None
+            capsys.readouterr()
+            code = run(["prepare", "--scene-dir", raw / "scene_graphs", "--facts",
+                        raw / "facts.tsv", "--vocab", raw / "vocab.txt",
+                        "--labels", raw / "labels.txt", "--out", bundle])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bundle / 'examples'}: ")
+        after = bundle_bytes(bundle)
+        del after["manifest.json"], before["manifest.json"]  # the run's own record
+        assert after == before
 
     def test_indented_bundle_loads_to_the_same_examples(self, tmp_path):
         # bundles written before example documents were compact still load

@@ -13,7 +13,7 @@ from symgraph.dataset import load_bundle, prepare, split_ids, write_bundle
 from symgraph.embeddings import load_embeddings, normalize_token
 from symgraph.errors import SchemaError, ValidationError
 from symgraph.evaluation import evaluate_dataset
-from symgraph.graphs import (DEFAULT_RELATIONS, FactStore, GraphEdge, GraphNode,
+from symgraph.graphs import (DEFAULT_RELATIONS, GraphEdge, GraphNode,
                              LabeledGraph, add_reverse_edges, build_knowledge_graphs,
                              graph_from_dict, graph_to_dict, load_scene_document,
                              read_fact_columns, seed_tokens, validate_graph)
@@ -117,12 +117,12 @@ class TestLoadSceneGraph:
 
 
 class TestFactStore:
-    def test_load_and_index(self, tmp_path):
+    def test_read_columns(self, tmp_path):
+        # raw fields: normalization and stripping are the builder's
         path = tmp_path / "facts.tsv"
-        path.write_text("RelatedTo\tbottle\talcohol\nIsA\tbottle\tcontainer\n")
-        store = FactStore(*read_fact_columns(path))
-        assert len(store) == 2
-        assert {t[2] for t in store.by_head["bottle"]} == {"alcohol", "container"}
+        path.write_text("RelatedTo\tbottle\talcohol\n\n IsA\tBottle_Cap\tcontainer\n")
+        assert read_fact_columns(path) == (["RelatedTo", " IsA"], ["bottle", "Bottle_Cap"],
+                                           ["alcohol", "container"])
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "facts.tsv"
@@ -301,8 +301,8 @@ def oracle_graph(seeds, triples, allowed, vocab, match_tail):
 
 
 class TestSharedStore:
-    """prepare's knowledge graphs, built once per call over a filtered store,
-    against the brute-force builder over every triple of the file."""
+    """prepare's knowledge graphs, built in one pass over the file's fact
+    columns, against the brute-force builder over every triple of the file."""
 
     @pytest.mark.parametrize("reverse_edges", [False, True])
     @pytest.mark.parametrize("match_tail", [False, True])
@@ -330,19 +330,20 @@ class TestSharedStore:
     @pytest.mark.parametrize("match_tail", [False, True])
     def test_many_seed_lists_equal_one_at_a_time(self, tmp_path, match_tail):
         args, _, documents = write_corpus(tmp_path, random.Random(12))
-        store = FactStore(*read_fact_columns(args[1]))
+        facts = read_fact_columns(args[1])
         wl, vocab = frozenset(DEFAULT_RELATIONS), corpus_vocab(args)
         seed_lists = [seed_graph(*(GraphNode(o["name"], o["attributes"]) for o in d["objects"]))
                       for d in documents]
-        graphs = build_knowledge_graphs(seed_lists, store, wl, vocab, match_tail)
+        graphs = build_knowledge_graphs(seed_lists, facts, wl, vocab, match_tail)
         assert len(graphs) == len(seed_lists)
         for g, seeds in zip(graphs, seed_lists):
-            one = build_knowledge_graphs([seeds], store, wl, vocab, match_tail)[0]
+            one = build_knowledge_graphs([seeds], facts, wl, vocab, match_tail)[0]
             assert graph_to_dict(g) == graph_to_dict(one)
 
     @pytest.mark.parametrize("match_tail", [False, True])
     def test_prepare_indexes_only_admissible_rows(self, tmp_path, monkeypatch, match_tail):
-        # a later change must not go back to indexing the whole store
+        # a later change must not go back to a per-row step over the whole
+        # store: only the rows some seed can admit get their relation stripped
         args, rows, documents = write_corpus(tmp_path, random.Random(13), background=1000)
         seeds = set().union(*map(corpus_seeds, documents))
         vocab = corpus_vocab(args)
@@ -351,15 +352,21 @@ class TestSharedStore:
             or match_tail and normalize_token(t) in seeds and normalize_token(h) in vocab
             for _, h, t in rows)
         assert 0 < admissible < len(rows) / 4
-        indexed = []
+        stripped = []
 
-        def counting(relations, heads, tails):
-            indexed.append(len(relations))
-            return FactStore(relations, heads, tails)
+        class Relation(str):
+            def strip(self, *chars):
+                stripped.append(self)
+                return str.strip(self, *chars)
 
-        monkeypatch.setattr(dataset, "FactStore", counting)
-        prepare(*args, match_tail=match_tail)
-        assert indexed == [admissible]
+        def counting(path):
+            relations, heads, tails = read_fact_columns(path)
+            return list(map(Relation, relations)), heads, tails
+
+        monkeypatch.setattr(dataset, "read_fact_columns", counting)
+        examples, _ = prepare(*args, match_tail=match_tail)
+        assert len(stripped) == admissible
+        assert sum(len(ex.knowledge_graph.src) for ex in examples) > 0
 
 
 class TestValidateGraph:

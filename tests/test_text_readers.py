@@ -1,18 +1,18 @@
-"""The bulk text readers (``load_embeddings``, and ``read_fact_columns`` into a
-``FactStore``) against their line-at-a-time references in ``oracles``, on a
-seeded corpus of awkward files, and a guard that well-formed files never take
-the per-line path."""
+"""The bulk text readers (``load_embeddings`` and ``read_fact_columns``)
+against their line-at-a-time references in ``oracles``, on a seeded corpus of
+awkward files, and a guard that well-formed files never take the per-line
+path."""
 
 import random
 
 import numpy as np
 import pytest
 
-from oracles import load_embeddings_ref, load_facts_ref
+from oracles import load_embeddings_ref, read_fact_columns_ref
 from symgraph import embeddings, graphs
 from symgraph.embeddings import load_embeddings
 from symgraph.errors import SymgraphError
-from symgraph.graphs import FactStore, read_fact_columns
+from symgraph.graphs import read_fact_columns
 
 ENDINGS = ["\n", "\n", "\n", "\r\n", "\r"]
 BLANKS = ["", "  ", "\t \x0b", "\xa0", "\x1c"]
@@ -99,13 +99,11 @@ def test_fact_reader_matches_line_reference(tmp_path):
         path = tmp_path / f"facts{i}.tsv"
         lines = [fact_line(rnd) for _ in range(rnd.randint(0, 8))]
         texts.append(write_lines(rnd, path, lines))
-        got, got_error = outcome(lambda p: FactStore(*read_fact_columns(p)), path)
-        want, want_error = outcome(load_facts_ref, path)
+        got, got_error = outcome(read_fact_columns, path)
+        want, want_error = outcome(read_fact_columns_ref, path)
         assert got_error == want_error, path.read_bytes()
         if want is not None:
-            triples, by_head, by_tail = want
-            assert set(got.triples) == triples and len(got) == len(triples)
-            assert dict(got.by_head) == by_head and dict(got.by_tail) == by_tail
+            assert got == want, path.read_bytes()
             loaded += 1
     for feature in ["\r\n", "\x0b", "\x1c", "\xa0", "\u2003", " IsA ", "Red  Car"]:
         assert any(feature in text for text in texts), feature
@@ -136,7 +134,4 @@ def test_well_formed_files_load_in_bulk(tmp_path, no_line_path):
     facts = tmp_path / "facts.tsv"
     concepts = rng.integers(300, size=(2000, 2))
     facts.write_text("".join(f"IsA\tc{h}\tc{t}\n" for h, t in concepts), encoding="utf-8")
-    store = FactStore(*read_fact_columns(facts))
-    triples, by_head, by_tail = load_facts_ref(facts)
-    assert set(store.triples) == triples and dict(store.by_head) == by_head
-    assert dict(store.by_tail) == by_tail
+    assert read_fact_columns(facts) == read_fact_columns_ref(facts)
