@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Commands: prepare, synth, train, eval, ablate, gradcheck.  Each command can
-read its flags from a key=value config file (command-line flags win), and
-writes a run manifest (resolved config, input-file hashes, Python and numpy
-versions) before doing any work.
+read its flags from a key=value config file (command-line flags win).  Each
+command with an output directory writes a run manifest there (resolved
+config, input-file hashes, Python and numpy versions) last, once its checks
+have passed and its outputs are written: a refused or failed run leaves the
+manifest of an earlier run as it was.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config/input-path error.
 """
@@ -177,15 +179,15 @@ def train_config_from_args(args):
 
 
 def cmd_prepare(args) -> int:
-    write_manifest(args.out, "prepare", vars(args), {
-        "scene_dir": args.scene_dir, "facts": args.facts,
-        "vocab": args.vocab, "labels": args.labels,
-    })
     examples, label_list = dataset.prepare(
         args.scene_dir, args.facts, args.vocab, args.labels,
         match_tail=args.match_tail, reverse_edges=args.reverse_edges)
     splits = dataset.split_ids([ex.image_id for ex in examples], args.seed)
     dataset.write_bundle(args.out, examples, label_list, splits)
+    write_manifest(args.out, "prepare", vars(args), {
+        "scene_dir": args.scene_dir, "facts": args.facts,
+        "vocab": args.vocab, "labels": args.labels,
+    })
     print(f"prepared {len(examples)} examples "
           f"({len(splits['train'])}/{len(splits['val'])}/{len(splits['test'])} split) "
           f"-> {args.out}")
@@ -197,13 +199,13 @@ def cmd_synth(args) -> int:
         num_labels=args.labels_count, num_examples=args.examples,
         noise=args.noise, seed=args.seed, embed_dim=args.embed_dim,
         embed_scale=args.embed_scale, dual_signal=args.dual_signal)
-    write_manifest(args.out, "synth", vars(args), {})
     paths = synth.generate(spec, args.out)
     examples, label_list = dataset.prepare(
         paths["scene_dir"], paths["facts"], paths["vocab"], paths["labels"])
     splits = dataset.split_ids([ex.image_id for ex in examples], args.seed)
     bundle = Path(args.out) / "bundle"
     dataset.write_bundle(bundle, examples, label_list, splits)
+    write_manifest(args.out, "synth", vars(args), {})
     print(f"synthesized {len(examples)} examples -> {bundle}")
     return 0
 
@@ -219,9 +221,16 @@ def _load_inputs(args):
     return splits, label_list, table
 
 
+def _out_dir(args) -> Path:
+    """``--out``, made before the run's work so that a path that cannot be
+    a directory is refused first."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_train(args) -> int:
-    write_manifest(args.out, "train", vars(args), {
-        "bundle": args.bundle, "embeddings": args.embeddings})
+    out = _out_dir(args)
     splits, label_list, table = _load_inputs(args)
     mconfig = model_config_from_args(args, len(label_list))
     tconfig = train_config_from_args(args)
@@ -229,7 +238,6 @@ def cmd_train(args) -> int:
     final, log, best, best_epoch = train(
         splits["train"], splits["val"], label_list, table, mconfig, tconfig,
         policy=policy)
-    out = Path(args.out)
     (out / "runlog.csv").write_text(log.to_csv(), encoding="utf-8")
     save_checkpoint(out / "checkpoint.npz", mconfig, best, label_list)
     save_checkpoint(out / "final.npz", mconfig, final, label_list)
@@ -238,6 +246,8 @@ def cmd_train(args) -> int:
         rows += [(i, f"{a:.12g}", f"{b:.12g}")
                  for i, a, b in collect_attention(splits["val"], best, table, mconfig)]
         (out / "attention.csv").write_text(csv_text(rows), encoding="utf-8")
+    write_manifest(args.out, "train", vars(args), {
+        "bundle": args.bundle, "embeddings": args.embeddings})
     best_f = log.records[best_epoch].val_macro_f if log.records else float("nan")
     print(f"trained {tconfig.epochs} epochs; {param_count(mconfig)} parameters; "
           f"best val macro F {best_f:.2f} at epoch {best_epoch}")
@@ -245,9 +255,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    write_manifest(args.out, "eval", vars(args), {
-        "bundle": args.bundle, "embeddings": args.embeddings,
-        "checkpoint": args.checkpoint})
+    out = _out_dir(args)
     # labels first: an edited labels.txt is a mismatch with the checkpoint
     label_list = dataset.read_labels(Path(args.bundle) / "labels.txt")
     mconfig, params = load_checkpoint(args.checkpoint, labels=label_list)
@@ -263,7 +271,6 @@ def cmd_eval(args) -> int:
     policy = policy_from_args(args)
     report = evaluation.evaluate_dataset(
         splits[args.split], params, table, mconfig, label_list, policy)
-    out = Path(args.out)
     (out / "per_label.csv").write_text(report.per_label_csv(), encoding="utf-8")
     metrics = {
         "split": args.split,
@@ -273,6 +280,9 @@ def cmd_eval(args) -> int:
     }
     (out / "metrics.json").write_text(
         json.dumps(metrics, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_manifest(args.out, "eval", vars(args), {
+        "bundle": args.bundle, "embeddings": args.embeddings,
+        "checkpoint": args.checkpoint})
     print(f"{args.split} macro F {report.macro_f:.2f}, micro F {report.micro_f:.2f}")
     return 0
 
@@ -280,8 +290,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     if (args.layers is None) == (not args.graphs):
         raise ConfigError("choose exactly one of --layers or --graphs")
-    write_manifest(args.out, "ablate", vars(args), {
-        "bundle": args.bundle, "embeddings": args.embeddings})
+    out = _out_dir(args)
     splits, label_list, table = _load_inputs(args)
     mconfig = model_config_from_args(args, len(label_list))
     tconfig = train_config_from_args(args)
@@ -300,8 +309,9 @@ def cmd_ablate(args) -> int:
         logs = evaluation.ablate("graph_mode", ("sg_only", "kg_only", "both"),
                                  splits["train"], splits["val"], label_list, table,
                                  mconfig, tconfig)
-    out = Path(args.out)
     (out / "ablation.csv").write_text(ablation_csv(logs), encoding="utf-8")
+    write_manifest(args.out, "ablate", vars(args), {
+        "bundle": args.bundle, "embeddings": args.embeddings})
     for variant, log in logs.items():
         final = log.records[-1].val_macro_f if log.records else float("nan")
         print(f"{variant}: final val macro F {final:.2f}")

@@ -17,16 +17,23 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import ModelConfig, forward_batch, pack_batch
-from .training import TrainConfig, train
+from .training import TrainConfig, keep_freed_heap, train
 
 # Evaluation forwards examples in chunks of at most this many nodes (both
-# graphs counted; a chunk holds at least one example).  On the infer_large
-# benchmark's test split (seed 1: 30 examples, 6,600 nodes), bulk
-# ``evaluate_dataset`` takes a median 67 ms at 512 nodes (17 chunks), 46 ms
-# at 2048 (4 chunks) and 57 ms as one chunk, with peak traced allocations of
-# 0.7, 2.9 and 8.8 MB (12 interleaved repeats, one process, 2 cores): fewer
-# chunks cut per-op overhead until larger arrays cost more than they save.
-MAX_CHUNK_NODES = 2048
+# graphs counted; a chunk holds at least one example).  A chunk computes one
+# row per distinct content (``GraphBatch.plan``), and knowledge graphs that
+# share objects share rows, so larger chunks compute fewer rows per example.
+# Bulk ``evaluate_dataset`` on the infer_large benchmark's seed-1 splits (one
+# BLAS thread, medians of 24 and 12 interleaved repeats in one process, peak
+# traced allocations after the slash):
+#
+#   nodes per chunk        2048         4096         8192         16384        32768
+#   test  (30 ex., 6,600)  36.8 / 1.7   30.2 / 2.6   26.6 / 3.5   26.8 / 3.5   -
+#   train (90 ex., 19,963) 111 / 1.8    -            81.7 / 5.2   78.1 / 8.2   74.8 / 9.9
+#
+# (ms / MiB).  8192 holds the test split in one chunk; past it, each doubling
+# gains under 5% for about twice the memory.
+MAX_CHUNK_NODES = 8192
 
 
 POLICY_KINDS = ("uniform_prior", "top_k", "fixed")
@@ -163,7 +170,9 @@ def packed_chunks(data, table):
 
 
 def _forward_chunks(batches, params, mconfig: ModelConfig):
-    """Untraced (scores, diagnostics) arrays of each packed batch."""
+    """Untraced (scores, diagnostics) arrays of each packed batch, under the
+    allocator setting ``train`` uses (``keep_freed_heap``)."""
+    keep_freed_heap()
     for batch in batches:
         scores, diag = forward_batch(batch, params, mconfig)
         yield scores.data, diag

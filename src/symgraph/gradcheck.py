@@ -88,10 +88,10 @@ def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
     table, ex, labels = random_toy_world(mconfig, seed)
     params = init_params(mconfig)
     split = pack_split([ex], table, labels)
-    rows = [0]
+    batch, targets = split.take([0]), split.targets[[0]]  # taken once, for every loss
 
     tape = Tape()
-    lt = batch_loss(split, rows, params, mconfig, tape)
+    lt = batch_loss(batch, targets, params, mconfig, tape)
     backward(tape, lt)
     analytic = {p.name: p.grad.copy() for p in params}
     if corrupt_param is not None:
@@ -100,7 +100,7 @@ def gradcheck(mconfig: ModelConfig, seed: int = 0, eps: float = 1e-5,
         p.zero_grad()
 
     def loss_at() -> float:
-        return batch_loss(split, rows, params, mconfig).item()
+        return batch_loss(batch, targets, params, mconfig).item()
 
     report = GradCheckReport(tolerance=tolerance)
     for p in params:

@@ -6,8 +6,23 @@ The network runs on mini-batches.  ``pack_graphs`` turns graphs into
 aggregation class is its ordered list of in-edge sources; nodes with the
 same list get the same GCN aggregate at every layer (the colour-refinement
 view of message passing), and the 1-hop stars of a knowledge graph have
-many such nodes.  So every GCN layer computes one row per class, and the
-readout adds each class's row times its node count.
+many such nodes.  The readout adds each class's row times its node count.
+
+Rows are shared across the graphs of a union too, as HAG shares aggregates
+(Jia et al., "Redundancy-Free Computation for Graph Neural Networks", KDD
+2020): images with the same object get the same facts around it.  Packing
+keys every source by its messages (reader tokens and relation, in edge
+order), as symbols, so sources with equal keys share one encoder row; and
+it keys every class, round by round, by the source rows of its in-edges,
+then by its own key and those of its in-edges' classes (Weisfeiler-Lehman
+refinement), until a round splits no class.  Equal keys mean equal inputs
+through the same ops in the same order, so every GCN layer computes one row
+per key, exactly.  The more graphs a union holds, the more it shares, so
+evaluation packs up to ``evaluation.MAX_CHUNK_NODES`` (8,192) nodes per
+union: infer_large's 30-example test split is one union, which computes
+35% of its knowledge-graph rows at the first layers and 46% at the last;
+scene graphs stay almost all distinct.  Weight gradients sum over the
+shared rows, so training's bits differ from a forward of a row per class.
 
 Only what a later step reads is computed, as in the minibatch receptive
 fields of GraphSAGE: the encoder's output is read only by the first layer's
@@ -15,31 +30,32 @@ messages, so only their sources (nodes that appear in some class's in-edge
 list) get an encoder row, and only the nodes whose inputs those rows read
 get an input vector.  The leaves of a 1-hop knowledge graph cost neither.
 
-``pack_batch`` packs examples into one disjoint union per graph kind, ids
-shifted by each graph's start (the batching of PyTorch Geometric).  Training
-packs each split once; a mini-batch is ``take`` of its rows, one gather of
-the chosen graphs' ranges of classes, sources and edges.  A union keeps only
-what the forward reads, so it holds no per-node array: a node is counted in
-its class's size.  Evaluation packs each chunk of examples straight into a
-union.  Each tower is then one encoder product over the sources, one
-``scatter_add`` and product over the classes per GCN layer, and one
-``segment_sum`` for the readout: a product with the (graphs, classes)
-matrix of class sizes, applied to at most ``T.SEGMENT_BLOCK`` graphs at a
-time, since a graph's classes are consecutive in a union.  Fusion (one
-``pair_concat`` or ``pair_attention`` step) and the head (two ``linear``
-steps with their biases) work on the (batch, hidden) rows.
+``pack_batch`` packs examples into one disjoint union per graph kind (the
+batching of PyTorch Geometric).  Training packs each split once; a
+mini-batch is ``take`` of its rows, one gather of the chosen graphs' ranges
+of classes and edges and of the encoder inputs they read.  A union keeps
+only what the forward reads, so it holds no per-node array: a node is
+counted in its class's size.  Evaluation packs each chunk of examples
+straight into a union.  ``GraphBatch.plan`` lists what a tower computes:
+one encoder product over the source rows, a ``scatter_add`` and product per
+GCN layer over its keys' rows, and, when rows are shared, a gather of each
+class's row before the readout, one ``segment_sum``: a product with the
+(graphs, classes) matrix of class sizes, applied to at most
+``T.SEGMENT_BLOCK`` graphs at a time, since a graph's classes are
+consecutive in a union.  Fusion (one ``pair_concat`` or ``pair_attention``
+step) and the head (two ``linear`` steps with their biases) work on the
+(batch, hidden) rows.
 
 The same rule trims the GCN stack: a layer before the last computes only
-the classes that some in-edge reads, and only the last computes every
-class, for the readout.  A layer sums its in-edges as ``tensor.Edges``
-rounds of exact gathers: a class's in-edges are consecutive and every class
-has one, so round 0 gathers each class's first in-edge and round k adds the
-k-th of those that have one.  A union builds each list's rounds once, on
-its first forward pass.  The sums have the bits of a loop over the edges.
-A trimmed layer's product has fewer rows than one over every class, and
-BLAS may round a row of a product differently when the row count changes,
-so scores agree with computing every class to rounding (bit for bit on the
-benchmark's inputs).
+the keys of classes that some in-edge reads, and only the last computes
+every key, for the readout.  A layer sums its in-edges as ``tensor.Edges``
+rounds of exact gathers: a row's in-edges are those of the first class with
+its key, and round 0 gathers each row's first in-edge and round k adds the
+k-th of those that have one.  A union builds each plan once, on its first
+forward pass.  The sums have the bits of a loop over the edges.  A product
+over fewer rows may round a row differently (BLAS picks its kernel by the
+row count), so scores agree with computing every class to rounding (bit for
+bit on the benchmark's inputs).
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ import zipfile
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,6 +214,16 @@ def param_count(config: ModelConfig) -> int:
 # packing: graphs -> encoder inputs and edge lists
 
 
+class TowerPlan(NamedTuple):
+    """What a tower computes on a union, layer by layer: each GCN layer's
+    in-edges from the previous layer's rows (the encoder's, a row per row of
+    ``inputs``) into its own, and the gather from the last layer's rows to
+    every class (None when they are the classes, in order)."""
+
+    layers: list
+    readout: T.Edges
+
+
 @dataclass
 class GraphBatch:
     """A disjoint union of graphs of one kind, ready for a tower.
@@ -210,19 +237,22 @@ class GraphBatch:
     ``(dst, src, src_class, weight)`` holds the in-edges of each class, in
     edge order within a class: ``dst`` is the class, ``src`` the row of the
     edge's source in ``inputs``, ``src_class`` the class of that source and
-    ``weight`` one over the length of the list.  Only these sources are
-    encoded: ``inputs`` has one row per source, in node order.  So at least
-    one in-edge of its own graph reads every row of ``inputs``, which is how
-    ``offsets`` finds a row's graph.  A GCN layer's aggregate of class ``c``
-    is the sum of ``weight[e] * states[...]`` over the edges with
+    ``weight`` one over the length of the list.  ``inputs`` has a row per
+    distinct source content, the messages into a source (reader tokens and
+    relation, in edge order): sources of any graph of the union with the
+    same messages share a row.  A GCN layer's aggregate of class ``c`` is
+    the sum of ``weight[e] * states[...]`` over the edges with
     ``dst[e] == c``, read at ``src[e]`` from the encoder's rows and at
     ``src_class[e]`` from an earlier layer's rows.
 
-    An earlier layer computes only the classes that some in-edge reads
-    (``read``), a row each in class order; only the last layer computes
-    every class, because the readout sums them all.  The ``Edges`` lists a
-    layer applies are built on first use and kept, so a union builds each
-    once, and range-checks their indices then.
+    ``class_keys[r]`` numbers the classes by content at refinement round r:
+    round 0 by the source rows of their in-edges, round r by their round
+    r - 1 key and those of their in-edges' classes.  Rounds stop when one
+    splits no class, so layer l's rows are keyed by round
+    ``min(l, rounds - 1)``, and classes with equal keys compute equal rows.
+    ``plan`` builds, once per union and depth, the edge lists that compute
+    one row per key: an earlier layer only over the classes that some
+    in-edge reads (``read``), the last over every class, for the readout.
     """
 
     inputs: np.ndarray  # (sources, 2 * embed_dim)
@@ -232,8 +262,9 @@ class GraphBatch:
     weight: np.ndarray
     class_sizes: np.ndarray
     class_graph: np.ndarray
+    class_keys: np.ndarray  # (rounds, classes)
     num_graphs: int
-    _layer_edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -249,13 +280,10 @@ class GraphBatch:
 
     @cached_property
     def offsets(self) -> np.ndarray:
-        """(3, graphs + 1) starts of each graph's classes, sources and edges,
-        then their ends; a graph's items are consecutive."""
-        edge_graph = self.class_graph[self.dst]
-        source_graph = np.empty(self.num_sources, dtype=np.intp)
-        source_graph[self.src] = edge_graph  # every source row is read by an edge
+        """(2, graphs + 1) starts of each graph's classes and edges, then
+        their ends; a graph's classes and edges are consecutive."""
         counts = [np.bincount(graph_ids, minlength=self.num_graphs)
-                  for graph_ids in (self.class_graph, source_graph, edge_graph)]
+                  for graph_ids in (self.class_graph, self.class_graph[self.dst])]
         return np.pad(np.cumsum(counts, axis=1), ((0, 0), (1, 0)))
 
     @cached_property
@@ -264,32 +292,51 @@ class GraphBatch:
         must compute its row."""
         return np.bincount(self.src_class, minlength=self.num_classes) > 0
 
-    @cached_property
-    def _read_rows(self):
-        """(row, count): each class's row among the read ones, the rows an
-        earlier layer computes (None when every class is read), and how
-        many there are."""
-        n_read = int(np.count_nonzero(self.read))
-        return (None if n_read == self.num_classes else self.read.cumsum() - 1), n_read
+    def plan(self, layers: int) -> TowerPlan:
+        """The ``TowerPlan`` of a ``layers``-deep tower, built on first use."""
+        plan = self._plans.get(layers)
+        if plan is None:
+            plan = self._plans[layers] = self._make_plan(layers)
+        return plan
 
-    def layer_edges(self, from_encoder: bool, all_classes: bool) -> T.Edges:
-        """The in-edges a GCN layer sums: from the encoder's rows (a row per
-        source) or from an earlier layer's (a row per read class), into
-        every class or only into the read ones."""
-        row, n_read = self._read_rows
-        trim = not all_classes and row is not None
-        edges = self._layer_edges.get((from_encoder, trim))
-        if edges is None:
-            keep = self.read[self.dst] if trim else slice(None)
-            if from_encoder:
-                src, n_in = self.src[keep], self.num_sources
-            else:
-                src, n_in = self.src_class[keep], n_read
-                src = src if row is None else row[src]
-            dst, n_out = (row[self.dst[keep]], n_read) if trim else (self.dst, self.num_classes)
-            edges = T.Edges(dst, src, self.weight[keep], n_out, n_in)
-            self._layer_edges[from_encoder, trim] = edges
-        return edges
+    def _make_plan(self, layers: int) -> TowerPlan:
+        read = self.read
+        every_read = read.all()
+        last_round = self.class_keys.shape[0] - 1
+        chosen = {}  # (round, every class) -> each class's row, the row count, their in-edges
+        distinct = {}  # round -> whether each key is once, in class order
+        edges, prev_row = [], None
+        for l in range(layers):
+            r, every = min(l, last_round), l == layers - 1 or every_read
+            if (r, every) not in chosen:
+                # a layer's rows are its distinct keys in key order, each
+                # computed by the in-edges of its first class
+                keys = self.class_keys[r]
+                if r not in distinct:
+                    distinct[r] = (keys[1:] > keys[:-1]).all()
+                if distinct[r]:
+                    row, rep = (None, None) if every else (read.cumsum() - 1, read)
+                    n_out = keys.size if every else int(row[-1]) + 1
+                else:
+                    _, first, inverse = np.unique(keys if every else keys[read],
+                                                  return_index=True, return_inverse=True)
+                    row, rep = np.empty(keys.size, np.intp), np.zeros(keys.size, dtype=bool)
+                    row[slice(None) if every else read] = inverse
+                    rep[first if every else np.flatnonzero(read)[first]] = True
+                    n_out = first.size
+                e = slice(None) if rep is None else rep[self.dst]
+                chosen[r, every] = row, n_out, e, (self.dst if row is None else
+                                                   row[self.dst[e]])
+            row, n_out, e, dst = chosen[r, every]
+            src = self.src[e] if l == 0 else self.src_class[e]
+            if prev_row is not None:
+                src = prev_row[src]
+            edges.append(T.Edges(dst, src, self.weight[e], n_out,
+                                 self.num_sources if l == 0 else n_in))
+            prev_row, n_in = row, n_out
+        readout = None if row is None else T.Edges(np.arange(row.size), row, np.ones(row.size),
+                                                    row.size, n_out)
+        return TowerPlan(edges, readout)
 
 
 @dataclass
@@ -305,10 +352,11 @@ class Batch:
 
 
 def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
-    """Aggregation classes, class in-edges and source encoder inputs of the
-    graphs, in one pass over all of them; returns one ``GraphBatch`` per
-    part, a part being a run of consecutive graphs (``parts`` lists how many
-    each has; by default every graph is a part of its own).
+    """Aggregation classes, class in-edges, source encoder inputs and class
+    keys of the graphs, in one pass over all of them; returns one
+    ``GraphBatch`` per part, a part being a run of consecutive graphs
+    (``parts`` lists how many each has; by default every graph is a part of
+    its own).
 
     A source's encoder input is the mean over its in-edges of [reader input
     ; relation vector], where the reader is the edge's source node; a source
@@ -317,71 +365,84 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     attribute token, and each distinct token is embedded once per call
     (``EmbeddingTable.phrase_vectors``).  Nodes that no class in-edge reads
     cost no encoder row, and nodes that no source's in-edge reads no input
-    vector.  Sums run in edge order, as for the graph packed alone; ids are
-    numbered within each part, so each part is a slice of the arrays built
-    for all of them.
+    vector.  Readers with the same tokens share a row over the call, and
+    sources with the same messages share one over their part; so keys come
+    from symbols, with no float compared.  Sums run in edge order, as for
+    the graph packed alone; ids are numbered within each part, so each part
+    is a slice of the arrays built for all of them.
     """
     parts = [1] * len(graphs) if parts is None else parts
     ids = {SELF_RELATION: 0}  # distinct phrase -> row of the phrase vectors
+    readers = {}  # phrase ids of a reader's tokens -> its row of the reader inputs
     tokens, token_counts = [], []  # per reader: phrase ids of its tokens; their count
-    readers, relations = [], []  # per message into a source: reader row, phrase id
+    message_readers, relations = [], []  # per message into a source: reader row, phrase id
     degree = []  # per source: its messages
     src, src_class = [], []  # per class in-edge
-    lengths, class_graph = [], []  # per class
+    lengths, class_graph, class_key = [], [], []  # per class; its round-0 key
     node_class = []  # per node: its class, numbered over the call
-    ends = [(0, 0, 0)]  # per part: ends of its classes, sources, edges
+    ends = [(0, 0, 0, 0)]  # per part: ends of its classes, sources, edges; its keys
     graph_iter = iter(graphs)
     for count in parts:
-        s0 = 0  # sources of the part so far
+        sources = {}  # messages into a source -> its row, numbered within the part
+        keyed = {}  # source rows of a class's in-edges -> its key, within the part
         for gid in range(count):
             g = next(graph_iter)
             n = len(g.names)
-            in_srcs = {}  # node -> its in-edge sources, in edge order
-            for u, v in zip(g.src, g.dst):
-                in_srcs.setdefault(v, []).append(u)
-            if in_srcs and (min(in_srcs) < 0 or max(in_srcs) >= n):
+            if g.dst and (min(g.dst) < 0 or max(g.dst) >= n):
                 raise ValidationError(f"edge index out of range for {n} nodes")
+            in_srcs = [[] for _ in range(n)]  # per node: its in-edge sources, in edge order
+            for u, v in zip(g.src, g.dst):
+                in_srcs[v].append(u)
             c0 = len(class_graph)
             number = {}  # in-edge sources -> class, numbered by first occurrence
-            local = [number.setdefault(tuple(in_srcs.get(i, (i,))), len(number) + c0)
-                     for i in range(n)]
+            local = [number.setdefault(tuple(s) if s else (i,), len(number) + c0)
+                     for i, s in enumerate(in_srcs)]
             flat = [u for key in number for u in key]  # sources of the class in-edges
             used = sorted(set(flat))
             if used and (used[0] < 0 or used[-1] >= n):
                 raise ValidationError(f"edge index out of range for {n} nodes")
-            row = dict(zip(used, range(s0, s0 + len(used))))
+
+            into = {u: [] for u in used if in_srcs[u]}  # source -> (reader, relation)s
+            if into:
+                for u, v, relation in zip(g.src, g.dst, g.relations):
+                    if v in into:
+                        into[v].append((u, relation))
+            reader = {}  # node -> row of the reader inputs
+            row = {}  # source node -> row of the encoder inputs
+            for u in used:
+                messages = []  # reader row, relation phrase id, ... of each in-edge
+                for v, relation in into.get(u) or ((u, SELF_RELATION),):
+                    r = reader.get(v)
+                    if r is None:
+                        phrase = tuple([ids.setdefault(t, len(ids))
+                                        for t in (g.names[v], *g.attributes[v])])
+                        r = reader[v] = readers.setdefault(phrase, len(readers))
+                        if r == len(token_counts):
+                            tokens += phrase
+                            token_counts.append(len(phrase))
+                    messages.append(r)
+                    messages.append(ids.setdefault(relation, len(ids)))
+                messages, new = tuple(messages), len(sources)
+                row[u] = sources.setdefault(messages, new)
+                if row[u] == new:  # the part's first source with these messages
+                    message_readers += messages[::2]
+                    relations += messages[1::2]
+                    degree.append(len(messages) // 2)
             src += map(row.__getitem__, flat)
             src_class += map(local.__getitem__, flat)
             lengths += map(len, number)
+            class_key += [keyed.setdefault(row[key[0]] if len(key) == 1
+                                           else tuple(map(row.__getitem__, key)), len(keyed))
+                          for key in number]
             node_class += local
             class_graph += [gid] * len(number)
-
-            into = {}  # source -> (reader, relation) of its in-edges, in edge order
-            if not in_srcs.keys().isdisjoint(used):
-                for u, v, relation in zip(g.src, g.dst, g.relations):
-                    if v in row:
-                        into.setdefault(v, []).append((u, relation))
-            reader = {}  # node -> row of the reader inputs
-            for u in used:
-                pairs = into.get(u, ((u, SELF_RELATION),))
-                for v, relation in pairs:
-                    r = reader.get(v)
-                    if r is None:
-                        r = reader[v] = len(token_counts)
-                        attrs = g.attributes[v]
-                        tokens += [ids.setdefault(t, len(ids)) for t in (g.names[v], *attrs)]
-                        token_counts.append(1 + len(attrs))
-                    readers.append(r)
-                    relations.append(ids.setdefault(relation, len(ids)))
-                degree.append(len(pairs))
-            s0 += len(used)
-        ends.append((len(class_graph), len(degree), len(src)))
+        ends.append((len(class_graph), len(degree), len(src), len(keyed)))
     phrase_vecs = table.phrase_vectors(list(ids))
 
     num_readers, num_sources = len(token_counts), len(degree)
     x = T.segment_mean(phrase_vecs[np.array(tokens, dtype=np.intp)],
                        np.repeat(np.arange(num_readers), token_counts), num_readers)
-    messages = np.hstack([x[np.array(readers, dtype=np.intp)],
+    messages = np.hstack([x[np.array(message_readers, dtype=np.intp)],
                           phrase_vecs[np.array(relations, dtype=np.intp)]])
     inputs = T.segment_mean(messages, np.repeat(np.arange(num_sources), degree),
                             num_sources)  # every source has a message
@@ -397,9 +458,51 @@ def pack_graphs(graphs, table: EmbeddingTable, parts=None) -> list:
     weight = 1.0 / lengths.repeat(lengths)
     class_sizes = np.bincount(np.array(node_class, dtype=np.intp), minlength=lengths.size)
     class_graph = np.array(class_graph, dtype=np.intp)
+    class_key = np.array(class_key, dtype=np.intp)
     return [GraphBatch(inputs[s0:s1], dst[e0:e1], src[e0:e1], src_class[e0:e1],
-                       weight[e0:e1], class_sizes[c0:c1], class_graph[c0:c1], count)
-            for count, (c0, s0, e0), (c1, s1, e1) in zip(parts, ends, ends[1:])]
+                       weight[e0:e1], class_sizes[c0:c1], class_graph[c0:c1],
+                       class_key[None, c0:c1] if keys == c1 - c0 else  # no key shared
+                       _class_keys(class_key[c0:c1], keys, src_class[e0:e1], lengths[c0:c1]),
+                       count)
+            for count, (c0, s0, e0, _), (c1, s1, e1, keys) in zip(parts, ends, ends[1:])]
+
+
+# Refinement rounds a part takes at most.  Each round is a pass over the
+# part's classes, and a chain of n alike nodes splits one class per round,
+# so without a cap such a chain would take n passes.  A part that still
+# splits after them gets a last round that gives every class a key of its
+# own, which is exact at any depth: only layers past this many lose sharing.
+MAX_ROUNDS = 8
+
+
+def _class_keys(key, count: int, src_class, lengths) -> np.ndarray:
+    """(rounds, classes) keys of a part's classes, each round numbered by
+    first occurrence, from ``key``, round 0 (a class's key by the source
+    rows of its in-edges, ``count`` of them distinct): round r keys a class
+    by its round r - 1 key and those of its in-edges' classes.  A round
+    refines the one before, so rounds stop before the first one that would
+    split no class (one in which every class reads the keys its key's first
+    class reads); later ones would split none either.  After ``MAX_ROUNDS``
+    rounds, a last one keys each class apart."""
+    rounds = [key]
+    ends = lengths.cumsum()
+    starts = ends - lengths
+    position = np.arange(src_class.size) - starts.repeat(lengths)  # within its class
+    while count < key.size:  # some key is shared: a round may split it
+        if len(rounds) == MAX_ROUNDS:
+            rounds.append(np.arange(key.size))
+            break
+        reads = key[src_class]  # per in-edge: the key of its source's class
+        first = np.unique(key, return_index=True)[1]  # per key, its first class
+        if (reads == reads[starts[first[key]].repeat(lengths) + position]).all():
+            break
+        reads, numbering = reads.tolist(), {}
+        key = np.array([numbering.setdefault((k, *reads[a:b]), len(numbering))
+                        for k, a, b in zip(key.tolist(), starts.tolist(), ends.tolist())],
+                       dtype=np.intp)
+        rounds.append(key)
+        count = len(numbering)
+    return np.array(rounds)
 
 
 def pack_batch(examples, table: EmbeddingTable) -> Batch:
@@ -412,24 +515,28 @@ def pack_batch(examples, table: EmbeddingTable) -> Batch:
 
 def take(graphs: GraphBatch, rows) -> GraphBatch:
     """The union of the graphs at ``rows`` of a union, in that order (a row
-    may repeat): each kind of id is gathered over the chosen graphs' ranges
-    and shifted from a graph's old start to its new one."""
+    may repeat): classes and edges are gathered over the chosen graphs'
+    ranges and class ids shifted from a graph's old start to its new one,
+    and ``inputs`` keeps the rows those edges read, in order.  Class keys
+    are kept as they are, so graphs that share content share rows."""
     rows = np.asarray(rows, dtype=np.intp)
     starts = graphs.offsets[:, rows]
-    lengths = graphs.offsets[:, rows + 1] - starts  # (3, rows), kinds as in offsets
+    lengths = graphs.offsets[:, rows + 1] - starts  # (2, rows), kinds as in offsets
     shift = starts - (np.cumsum(lengths, axis=1) - lengths)  # old start - new start
     graph_of = [np.repeat(np.arange(rows.size), n) for n in lengths]  # new graph per item
-    classes, sources, edges = (s[g] + np.arange(g.size) for s, g in zip(shift, graph_of))
-    class_shift, source_shift, _ = shift
-    class_graph, _, edge_graph = graph_of
+    classes, edges = (s[g] + np.arange(g.size) for s, g in zip(shift, graph_of))
+    class_shift = shift[0][graph_of[1]]  # per edge
+    src = graphs.src[edges]
+    used = np.bincount(src, minlength=graphs.num_sources) > 0
     return GraphBatch(
-        graphs.inputs[sources],
-        graphs.dst[edges] - class_shift[edge_graph],
-        graphs.src[edges] - source_shift[edge_graph],
-        graphs.src_class[edges] - class_shift[edge_graph],
+        graphs.inputs[used],
+        graphs.dst[edges] - class_shift,
+        (used.cumsum() - 1)[src],
+        graphs.src_class[edges] - class_shift,
         graphs.weight[edges],
         graphs.class_sizes[classes],
-        class_graph,
+        graph_of[0],
+        graphs.class_keys[:, classes],
         rows.size,
     )
 
@@ -445,34 +552,34 @@ def _nonlin(config):
 def encode_nodes(graphs: GraphBatch, w_enc: Tensor, config: ModelConfig,
                  tape: Tape = None) -> Tensor:
     """Initial states of the sources: nonlinearity of the encoder inputs
-    through the encoder weight."""
+    through the encoder weight, a row per row of ``inputs``."""
     return _nonlin(config)(T.linear(Tensor(graphs.inputs), w_enc, tape), tape)
 
 
-def gcn_layer(states: Tensor, graphs: GraphBatch, w: Tensor, config: ModelConfig,
-              tape: Tape = None, from_encoder: bool = False,
-              all_classes: bool = True) -> Tensor:
+def gcn_layer(states: Tensor, edges: T.Edges, w: Tensor, config: ModelConfig,
+              tape: Tape = None) -> Tensor:
     """One message-passing layer: nonlinearity of the in-neighbor mean of the
     previous states through the layer weight (no edge features past layer 0).
-
-    ``states`` holds a row per source (the encoder's output, with
-    ``from_encoder``) or a row per read class (an earlier layer's output).
-    The result holds a row per class (``all_classes``, the last layer), the
-    state of every node of that class, or a row per read class.
+    ``edges`` is the layer's list of a ``TowerPlan``: from a row per encoded
+    source or per row of the layer before, into a row per key of this one.
     """
-    edges = graphs.layer_edges(from_encoder, all_classes)
     if states.shape[0] != edges.n_in:
-        rows = "source" if from_encoder else "read class"
-        raise DimensionError(f"state rows {states.shape[0]} != {rows} count {edges.n_in}")
+        raise DimensionError(f"state rows {states.shape[0]} != the layer's input rows "
+                             f"{edges.n_in}")
     agg = T.scatter_add(states, edges, tape)
     return _nonlin(config)(T.linear(agg, w, tape), tape)
 
 
-def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None) -> Tensor:
+def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None,
+                rows: T.Edges = None) -> Tensor:
     """Per-graph sum of node states, (graphs, hidden), from a row per
     aggregation class: each class adds its row times its node count (a
-    graph's classes are consecutive, so this is ``T.segment_sum``).  An
-    empty graph reads out as the zero vector."""
+    graph's classes are consecutive, so this is ``T.segment_sum``).  With
+    ``rows`` (a ``TowerPlan``'s readout), ``states`` has a row per key and
+    each class's row is first gathered from it.  An empty graph reads out
+    as the zero vector."""
+    if rows is not None:
+        states = T.scatter_add(states, rows, tape)
     return T.segment_sum(states, graphs.class_sizes, graphs.class_graph,
                          graphs.num_graphs, tape)
 
@@ -507,15 +614,13 @@ def classify(fused: Tensor, watched: dict, config: ModelConfig, tape: Tape = Non
 
 def run_tower(graphs: GraphBatch, prefix: str, watched: dict, config: ModelConfig,
               tape: Tape = None) -> Tensor:
-    """Encoder (a row per source) plus GCN stack (a row per read class, then
-    a row per class at the last layer) plus readout; returns the (graphs,
-    hidden) readouts."""
+    """Encoder plus GCN stack plus readout, one row per key at each step
+    (``GraphBatch.plan``); returns the (graphs, hidden) readouts."""
+    plan = graphs.plan(config.gcn_layers)
     states = encode_nodes(graphs, watched[f"{prefix}.enc"], config, tape)
-    last = config.gcn_layers - 1
-    for l in range(config.gcn_layers):
-        states = gcn_layer(states, graphs, watched[f"{prefix}.gcn{l}"], config, tape,
-                           from_encoder=l == 0, all_classes=l == last)
-    return readout_sum(states, graphs, tape)
+    for l, edges in enumerate(plan.layers):
+        states = gcn_layer(states, edges, watched[f"{prefix}.gcn{l}"], config, tape)
+    return readout_sum(states, graphs, tape, plan.readout)
 
 
 def forward_logits(batch: Batch, params: ModelParams, config: ModelConfig,

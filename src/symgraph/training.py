@@ -11,6 +11,7 @@ validation split is packed once too, into the chunks evaluation scores.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import sys
 import time
@@ -34,9 +35,12 @@ _TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 4 << 20
 
 
-def _keep_freed_heap():
+@functools.cache
+def keep_freed_heap():
     """Make glibc keep the memory freed between batches in the heap for the
-    next batch; does nothing where the C library has no ``mallopt``."""
+    next batch, once per process (training and evaluation call it before
+    their batches; later calls return at once); does nothing where the C
+    library has no ``mallopt``."""
     mallopt = getattr(ctypes.CDLL(None) if sys.platform == "linux" else None,
                       "mallopt", None)
     if mallopt is None:
@@ -118,6 +122,10 @@ class PackedSplit:
     def __len__(self):
         return len(self.image_ids)
 
+    def take(self, rows) -> Batch:
+        """The examples at ``rows`` as one batch: ``model.take`` of both unions."""
+        return Batch(take(self.batch.kg, rows), take(self.batch.sg, rows))
+
 
 def pack_split(examples, table, label_list) -> PackedSplit:
     """Pack a split once: encoder inputs, edge lists and target vectors."""
@@ -126,14 +134,14 @@ def pack_split(examples, table, label_list) -> PackedSplit:
                        targets.reshape(len(examples), len(label_list)))
 
 
-def batch_loss(split: PackedSplit, rows, params: ModelParams, mconfig: ModelConfig,
+def batch_loss(batch: Batch, targets, params: ModelParams, mconfig: ModelConfig,
                tape: Tape = None) -> Tensor:
-    """Forward the examples at ``rows`` as one batch; returns their summed loss."""
-    batch = Batch(take(split.batch.kg, rows), take(split.batch.sg, rows))
+    """Forward a packed batch; returns its examples' summed loss against
+    their target rows."""
     logits, _ = forward_logits(batch, params, mconfig, tape)
     head_loss = (T.sigmoid_cross_entropy if mconfig.loss_mode == "sigmoid_bce"
                  else T.softmax_cross_entropy)
-    return head_loss(logits, split.targets[rows], tape)
+    return head_loss(logits, targets, tape)
 
 
 def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
@@ -150,7 +158,7 @@ def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
         rows = order[start:start + tconfig.batch_size]
         tape = Tape()
         try:  # every op output is scanned, so a non-finite value stops the forward
-            lt = batch_loss(split, rows, params, mconfig, tape)
+            lt = batch_loss(split.take(rows), split.targets[rows], params, mconfig, tape)
         except DomainError as exc:
             ids = [split.image_ids[i] for i in rows]
             raise TrainingError(f"batch of examples {ids}: {exc}") from exc
@@ -167,13 +175,14 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
     """Full run: per-epoch SGD plus validation; returns
     (final params, RunLog, best params by validation macro F, best epoch).
 
-    The first ``train()`` call in a process sets glibc's allocator through
-    ``mallopt``, and the setting holds for the rest of the process: up to
-    64 MiB of freed memory stays in the heap (``M_TRIM_THRESHOLD``; by default
-    glibc returns it once 128 KiB is free at the top), and blocks from 4 MiB on
-    are mmapped (``M_MMAP_THRESHOLD``, which a set trim threshold would
-    otherwise freeze).  Each mini-batch then reuses the pages the previous one
-    freed, instead of faulting them in again one page at a time.  It works
+    The first ``train()`` or evaluation call in a process sets glibc's
+    allocator through ``mallopt`` (``keep_freed_heap``), and the setting
+    holds for the rest of the process: up to 64 MiB of freed memory stays in
+    the heap (``M_TRIM_THRESHOLD``; by default glibc returns it once 128 KiB
+    is free at the top), and blocks from 4 MiB on are mmapped
+    (``M_MMAP_THRESHOLD``, which a set trim threshold would otherwise
+    freeze).  Each mini-batch then reuses the pages the previous one freed,
+    instead of faulting them in again one page at a time.  It works
     only with glibc; elsewhere nothing is set.  Its cost is resident memory:
     the process keeps up to 64 MiB of freed heap, while peak RSS did not move
     on either benchmark workload (49.8 MB on train_small, 108.8 MB on
@@ -182,7 +191,7 @@ def train(train_data, val_data, label_list, table, mconfig: ModelConfig,
 
     if not train_data or not val_data:
         raise ConfigError("train and validation splits must be nonempty")
-    _keep_freed_heap()
+    keep_freed_heap()
     if params is None:
         params = init_params(mconfig)
     if policy is None:

@@ -6,6 +6,7 @@ per-node gathers, exhaustive filters instead of indexed lookups, central
 finite differences instead of the tape, concatenation of per-example
 batches instead of a gather from a packed union, and per-node list scans
 instead of the packer's numbering of aggregation classes and sources,
+nested tuples of symbols instead of its interned class keys,
 line-at-a-time text readers instead of bulk parses, graphs as lists of
 node and edge records instead of columns, and one bincount over (edge,
 column) slots instead of rounds of gathers for edge-list sums.  It also
@@ -119,6 +120,49 @@ def source_nodes_ref(g):
     """The nodes that some in-source list holds, in node order: the nodes
     that get an encoder row."""
     return np.array(sorted({u for key in in_source_lists(g) for u in key}), dtype=np.intp)
+
+
+def source_content_ref(g, u):
+    """The messages into node u as symbols: (name, attributes, relation) of
+    the source of each of its in-edges, in edge order, or of u itself with
+    the ``self`` relation when it has none."""
+    return tuple((g.nodes[e.src].name, tuple(g.nodes[e.src].attributes), e.relation)
+                 for e in g.edges if e.dst == u) or (
+        (g.nodes[u].name, tuple(g.nodes[u].attributes), "self"),)
+
+
+def source_rows_ref(g):
+    """Per node of ``source_nodes_ref``: its row of a graph packed alone,
+    the distinct messages numbered by first occurrence in node order."""
+    seen = []
+    for u in source_nodes_ref(g):
+        if source_content_ref(g, u) not in seen:
+            seen.append(source_content_ref(g, u))
+    return np.array([seen.index(source_content_ref(g, u)) for u in source_nodes_ref(g)],
+                    dtype=np.intp)
+
+
+def class_keys_ref(g, rounds):
+    """Per round, the key of each aggregation class (numbered as in
+    ``node_classes_ref``) as nested tuples of symbols: at round 0 the
+    messages into each source of its in-source list, at round r its round
+    r - 1 key and those of the classes of its in-sources.  Keys of
+    different graphs compare as they are."""
+    lists, classes = in_source_lists(g), node_classes_ref(g)
+    first = [int(np.flatnonzero(classes == c)[0]) for c in range(classes.max(initial=-1) + 1)]
+    keys = [tuple(source_content_ref(g, u) for u in lists[i]) for i in first]
+    out = [keys]
+    for _ in range(rounds - 1):
+        keys = [(keys[c], tuple(keys[classes[u]] for u in lists[i])) for c, i in enumerate(first)]
+        out.append(keys)
+    return out
+
+
+def first_occurrence(keys):
+    """Equal items numbered alike, by first occurrence: two lists give
+    equal arrays when they split their positions alike."""
+    seen = {}
+    return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.intp)
 
 
 def gcn_layer_ref(states, g, w, nonlin):
@@ -244,10 +288,18 @@ def attention_ref(v_kg, v_sg, score=None):
 def _union(parts):
     counts = np.array([(p.class_sizes.size, p.inputs.shape[0], p.dst.size, p.num_graphs)
                        for p in parts], dtype=np.intp)
-    classes, _, edges, graphs = counts.T
+    classes, sources, edges, graphs = counts.T
     starts = (np.cumsum(counts, axis=0) - counts).T  # of each part, per id kind
     class_start, source_start, _, graph_start = starts
     edge_classes = np.repeat(class_start, edges)
+    # each part keeps its own keys, shifted past those of the parts before; a
+    # part whose rounds stopped earlier repeats its last one
+    rounds = max(p.class_keys.shape[0] for p in parts)
+    keys, key_start = [], 0
+    for p in parts:
+        last = p.class_keys.shape[0] - 1
+        keys.append(p.class_keys[[min(r, last) for r in range(rounds)]] + key_start)
+        key_start += p.class_keys.max(initial=-1) + 1
     return GraphBatch(
         np.concatenate([p.inputs for p in parts]),
         np.concatenate([p.dst for p in parts]) + edge_classes,
@@ -256,6 +308,7 @@ def _union(parts):
         np.concatenate([p.weight for p in parts]),
         np.concatenate([p.class_sizes for p in parts]),
         np.concatenate([p.class_graph for p in parts]) + np.repeat(graph_start, classes),
+        np.concatenate(keys, axis=1),
         int(graphs.sum()),
     )
 

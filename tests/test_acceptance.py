@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_force_knowledge_graph, gcn_layer_ref, node_classes_ref,
-                     records_graph, source_nodes_ref, store_of, table_of)
+                     records_graph, source_nodes_ref, source_rows_ref, store_of, table_of)
+from symgraph import tensor as T
 from symgraph.cli import main
 from symgraph.gradcheck import gradcheck, random_toy_world
 from symgraph.graphs import (DEFAULT_RELATIONS, GraphEdge, GraphNode, build_knowledge_graphs,
@@ -76,10 +77,18 @@ def test_criterion_3_gcn_oracle_equivalence():
         w = rng.normal(size=(4, 4))
         from symgraph.model import gcn_layer
         packed = pack_graphs([g], table)[0]
-        # encoder rows are the nodes some in-edge list reads; the layer gives
-        # one row per aggregation class, expanded to one per node
-        got = gcn_layer(Tensor(states[source_nodes_ref(g)]), packed, Tensor(w), cfg,
-                        from_encoder=True).data[node_classes_ref(g)]
+        # encoder rows are the distinct messages into the nodes some in-edge
+        # list reads: a row's nodes all get the state of its first one
+        nodes, rows = source_nodes_ref(g), source_rows_ref(g)
+        row_states = states[nodes[np.unique(rows, return_index=True)[1]]]
+        states[nodes] = row_states[rows]
+        # the layer gives one row per class key, gathered to one per
+        # aggregation class, expanded to one per node
+        plan = packed.plan(1)
+        out = gcn_layer(Tensor(row_states), plan.layers[0], Tensor(w), cfg)
+        if plan.readout is not None:
+            out = T.scatter_add(out, plan.readout)
+        got = out.data[node_classes_ref(g)]
         ref = gcn_layer_ref(states, g, w, lambda v: np.maximum(v, 0.0))
         worst = max(worst, float(np.abs(got - ref).max()) if n else 0.0)
     report(3, worst < 1e-12, f"100 graphs, max abs dev {worst:.2e}")

@@ -321,6 +321,21 @@ class TestTrainEval:
         assert err == [f"error: {checkpoint}: {position} in the bundle"]
         assert not (tmp_path / "e2" / "metrics.json").exists()
 
+    def test_refused_eval_leaves_the_earlier_manifest(self, tmp_path, capsys):
+        # the manifest was written first: a refused run replaced the record
+        # of the run whose outputs were still there
+        data, run_dir = self._trained(tmp_path)
+        argv = ["eval", "--bundle", data / "bundle", "--embeddings", data / "embeddings.txt",
+                "--checkpoint", run_dir / "checkpoint.npz", "--out", tmp_path / "e"]
+        assert run(argv) == 0
+        before = bundle_bytes(tmp_path / "e")
+        assert json.loads(before["manifest.json"])["config"]["split"] == "test"
+        capsys.readouterr()
+        assert run(argv + ["--split", "missing"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: bundle has no split 'missing'"]
+        assert bundle_bytes(tmp_path / "e") == before
+
     def test_dump_attention_csv(self, tmp_path):
         data, run_dir = self._trained(
             tmp_path, extra_train=["--fusion", "attention", "--dump-attention"])
@@ -666,9 +681,7 @@ class TestBundleFormat:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bundle / 'examples'}: ")
-        after = bundle_bytes(bundle)
-        del after["manifest.json"], before["manifest.json"]  # the run's own record
-        assert after == before
+        assert bundle_bytes(bundle) == before  # the manifest of the run whose files stay
 
     def test_indented_bundle_loads_to_the_same_examples(self, tmp_path):
         # bundles written before example documents were compact still load

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,26 @@ class TestEvaluateDataset:
         assert len(rows) == len(data)
         for image_id, a_kg, a_sg in rows:
             assert a_kg + a_sg == pytest.approx(1.0)
+
+    def test_evaluation_sets_the_allocator_once(self, rng, monkeypatch):
+        # eval never trains, so it never got the setting train's batches run
+        # under; a one-example call after the first opens no library
+        from symgraph import training
+        opened = []
+        monkeypatch.setattr(training.sys, "platform", "linux")
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: opened.append(name)
+                            or SimpleNamespace())
+        mcfg = small_config(fusion_mode="attention")
+        args = (init_params(mcfg), make_table(rng), mcfg)
+        training.keep_freed_heap.cache_clear()
+        try:
+            evaluate_dataset(make_dataset(2), *args, LABELS)
+            assert opened == [None]
+            evaluate_dataset(make_dataset(1), *args, LABELS)
+            collect_attention(make_dataset(1), *args)
+            assert opened == [None]
+        finally:
+            training.keep_freed_heap.cache_clear()  # the next call sets the real one
 
     def test_collect_attention_empty_for_concat(self, rng):
         table = make_table(rng)

@@ -123,7 +123,8 @@ class TestTapeLength:
                            fusion_mode=fusion)
         table, ex, labels = random_toy_world(mcfg, seed=0)
         tape = Tape()
-        batch_loss(pack_split([ex], table, labels), [0], init_params(mcfg), mcfg, tape)
+        split = pack_split([ex], table, labels)
+        batch_loss(split.take([0]), split.targets[[0]], init_params(mcfg), mcfg, tape)
         assert len(tape.steps) == steps
 
 
@@ -208,7 +209,7 @@ class TestSaturatedHead:
         params["mlp.b2"].value[...] = bias
         split = pack_split([make_example(0, 0)], table, LABELS)  # label alpha
         tape = Tape()
-        lt = batch_loss(split, [0], params, mcfg, tape)
+        lt = batch_loss(split.take([0]), split.targets[[0]], params, mcfg, tape)
         backward(tape, lt)
         p, t = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         np.testing.assert_allclose(params["mlp.b2"].grad, p - t, rtol=0, atol=1e-12)
@@ -351,7 +352,7 @@ class TestAllocator:
         opened = []
         monkeypatch.setattr(training.sys, "platform", platform_name)
         monkeypatch.setattr(training.ctypes, "CDLL", lambda name: opened.append(name) or libc)
-        training._keep_freed_heap()
+        training.keep_freed_heap.__wrapped__()  # the setting itself, not its cached call
         assert opened == ([None] if libc is not None else [])
 
 
