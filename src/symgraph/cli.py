@@ -5,7 +5,10 @@ read its flags from a key=value config file (command-line flags win).  Each
 command with an output directory writes a run manifest there (resolved
 config, input-file hashes, Python and numpy versions) last, once its checks
 have passed and its outputs are written: a refused or failed run leaves the
-manifest of an earlier run as it was.
+manifest of an earlier run as it was.  ``train``, ``eval`` and ``ablate``
+write each output file, and every command its manifest, under a temporary
+name that is renamed into place (``write_replacing``), so a write that fails
+partway leaves the earlier file whole.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config/input-path error.
 """
@@ -16,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import asdict, replace
@@ -31,7 +35,7 @@ from .evaluation import (POLICY_KINDS, ThresholdPolicy, ablation_csv, collect_at
                          csv_text)
 from .gradcheck import gradcheck
 from .model import (FUSION_MODES, GRAPH_MODES, LOSS_MODES, NONLINEARITIES, ModelConfig,
-                    load_checkpoint, param_count, save_checkpoint)
+                    check_table, load_checkpoint, param_count, save_checkpoint)
 from .training import TrainConfig, train
 
 USAGE_ERRORS = (ConfigError, SchemaError, EmbeddingParseError, ValidationError)
@@ -44,6 +48,34 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def table_sha256(table) -> str:
+    """sha256 over a parsed embedding table: its width, its tokens in row
+    order and its matrix's float64 bytes, which a checkpoint pins."""
+    digest = hashlib.sha256(f"{table.dim}\n".encode("utf-8"))
+    tokens = sorted(table.index, key=table.index.__getitem__)
+    digest.update(json.dumps(tokens).encode("utf-8"))
+    digest.update(np.ascontiguousarray(table.matrix, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def write_replacing(path, write):
+    """Make the file ``path`` with ``write(temporary path)``, beside it, then
+    rename it into place (``os.replace``): a write that fails partway leaves
+    an earlier file at ``path`` as it was, and removes its temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text(path, text: str):
+    """``write_replacing`` of a UTF-8 text file."""
+    write_replacing(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def write_manifest(out_dir, command, resolved: dict, inputs: dict):
@@ -68,8 +100,7 @@ def write_manifest(out_dir, command, resolved: dict, inputs: dict):
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(out / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def load_config_file(path) -> dict:
@@ -238,14 +269,16 @@ def cmd_train(args) -> int:
     final, log, best, best_epoch = train(
         splits["train"], splits["val"], label_list, table, mconfig, tconfig,
         policy=policy)
-    (out / "runlog.csv").write_text(log.to_csv(), encoding="utf-8")
-    save_checkpoint(out / "checkpoint.npz", mconfig, best, label_list)
-    save_checkpoint(out / "final.npz", mconfig, final, label_list)
+    write_text(out / "runlog.csv", log.to_csv())
+    digest = table_sha256(table)
+    for name, params in (("checkpoint.npz", best), ("final.npz", final)):
+        write_replacing(out / name, lambda tmp: save_checkpoint(
+            tmp, mconfig, params, label_list, table_sha256=digest))
     if args.dump_attention:
         rows = [("image_id", "alpha_kg", "alpha_sg")]
         rows += [(i, f"{a:.12g}", f"{b:.12g}")
                  for i, a, b in collect_attention(splits["val"], best, table, mconfig)]
-        (out / "attention.csv").write_text(csv_text(rows), encoding="utf-8")
+        write_text(out / "attention.csv", csv_text(rows))
     write_manifest(args.out, "train", vars(args), {
         "bundle": args.bundle, "embeddings": args.embeddings})
     best_f = log.records[best_epoch].val_macro_f if log.records else float("nan")
@@ -264,6 +297,7 @@ def cmd_eval(args) -> int:
             f"checkpoint has {mconfig.num_labels} labels, bundle {len(label_list)}")
     splits, _ = dataset.load_bundle(args.bundle)
     table = load_embeddings(args.embeddings, dim=mconfig.embed_dim)
+    check_table(args.checkpoint, table_sha256(table))
     if args.split not in splits:
         raise ConfigError(f"bundle has no split '{args.split}'")
     if not splits[args.split]:
@@ -271,15 +305,14 @@ def cmd_eval(args) -> int:
     policy = policy_from_args(args)
     report = evaluation.evaluate_dataset(
         splits[args.split], params, table, mconfig, label_list, policy)
-    (out / "per_label.csv").write_text(report.per_label_csv(), encoding="utf-8")
+    write_text(out / "per_label.csv", report.per_label_csv())
     metrics = {
         "split": args.split,
         "macro_f": report.macro_f,
         "micro_f": report.micro_f,
         "threshold": report.threshold,
     }
-    (out / "metrics.json").write_text(
-        json.dumps(metrics, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(out / "metrics.json", json.dumps(metrics, indent=1, sort_keys=True) + "\n")
     write_manifest(args.out, "eval", vars(args), {
         "bundle": args.bundle, "embeddings": args.embeddings,
         "checkpoint": args.checkpoint})
@@ -309,7 +342,7 @@ def cmd_ablate(args) -> int:
         logs = evaluation.ablate("graph_mode", ("sg_only", "kg_only", "both"),
                                  splits["train"], splits["val"], label_list, table,
                                  mconfig, tconfig)
-    (out / "ablation.csv").write_text(ablation_csv(logs), encoding="utf-8")
+    write_text(out / "ablation.csv", ablation_csv(logs))
     write_manifest(args.out, "ablate", vars(args), {
         "bundle": args.bundle, "embeddings": args.embeddings})
     for variant, log in logs.items():

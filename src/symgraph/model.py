@@ -672,21 +672,25 @@ def forward(example, params: ModelParams, table: EmbeddingTable, config: ModelCo
 # checkpointing
 
 # 2: records the output head (loss_mode) beside the config; 3: may pin the
-# ordered label list the model was trained on
-CHECKPOINT_VERSION = 3
-_READ_VERSIONS = (2, 3)
+# ordered label list the model was trained on; 4: may pin the embedding table
+CHECKPOINT_VERSION = 4
+_READ_VERSIONS = (2, 3, 4)
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, labels=None):
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, labels=None,
+                    table_sha256: str = None):
     """Write config and named parameter tensors; values round-trip bit-exact.
     The output head is stored as its own metadata key, beside the config,
-    and so is ``labels``, the ordered label list, when it is given."""
+    and so are ``labels``, the ordered label list, and ``table_sha256``, the
+    digest of the embedding table (``check_table``), when they are given."""
     fields = asdict(config)
     loss_mode = fields.pop("loss_mode")
     arrays = {f"param/{p.name}": p.value for p in params}
     meta = {"version": CHECKPOINT_VERSION, "config": fields, "loss_mode": loss_mode}
     if labels is not None:
         meta["labels"] = list(labels)
+    if table_sha256 is not None:
+        meta["table_sha256"] = table_sha256
     meta = json.dumps(meta)
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
@@ -712,12 +716,32 @@ def load_checkpoint(path, labels=None):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _load_checkpoint(path, labels):
+def check_table(path, table_sha256: str):
+    """Raise ``ConfigError`` naming the checkpoint when it pins an embedding
+    table whose digest is not ``table_sha256``; a checkpoint that pins none
+    (versions 2 and 3, or one saved without a digest) is not checked.  It
+    reads the checkpoint's metadata only; the caller computes the digest."""
+    try:
+        pinned = _read_checkpoint(path, with_arrays=False)[0].get("table_sha256")
+        if pinned is not None and type(pinned) is not str:
+            raise ConfigError("checkpoint table_sha256 must be a string")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if pinned is not None and pinned != table_sha256:
+        raise ConfigError(f"{path}: the embedding table differs from the one "
+                          "this checkpoint was trained with")
+
+
+def _read_checkpoint(path, with_arrays=True):
+    """(metadata, {name: array}, or None without ``with_arrays``) of a
+    readable checkpoint of a version this code reads."""
+    arrays = None
     try:  # np.load leaks a file it opens itself when the zip is broken
         with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-            arrays = {k[len("param/"):]: data[k]
-                      for k in data.files if k.startswith("param/")}
+            if with_arrays:
+                arrays = {k[len("param/"):]: data[k]
+                          for k in data.files if k.startswith("param/")}
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError, TypeError) as exc:
         # TypeError: a plain .npy array is no context manager.  Only the
         # error's kind is shown: numpy's text on a garbage file advises
@@ -727,6 +751,11 @@ def _load_checkpoint(path, labels):
         raise ConfigError("checkpoint metadata is not an object")
     if meta.get("version") not in _READ_VERSIONS:
         raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+    return meta, arrays
+
+
+def _load_checkpoint(path, labels):
+    meta, arrays = _read_checkpoint(path)
     if meta.get("loss_mode") not in LOSS_MODES:
         raise ConfigError(f"checkpoint has unknown loss_mode {meta.get('loss_mode')!r}")
     config = _config_from_json(meta.get("config"), meta["loss_mode"])

@@ -1,15 +1,29 @@
 """Dense float64 tensors with taped reverse-mode differentiation and SGD.
 
 The tape (``Tape``) records one step per primitive op, in execution order.
-``backward`` replays the steps in reverse and accumulates gradients into the
-``grad`` buffers of every ``Parameter`` the loss depends on.  Training
-records one tape per mini-batch: the batch's graphs are one disjoint union,
-so every op works on whole (rows, features) matrices.  There are nine
-primitives: ``linear`` (a product with an optional bias), ``relu`` and
-``sigmoid``; ``scatter_add``, the per-edge sums over an ``Edges`` list;
-``segment_sum``, the per-graph sums as products with blocks of a dense
-weight matrix; ``pair_attention`` and ``pair_concat``, the whole attention
-or concat fusion of two graph vectors; and the two fused losses,
+``backward`` replays the steps in reverse and hands every ``Parameter`` the
+loss depends on its gradient.  Training records one tape per mini-batch:
+the batch's graphs are one disjoint union, so every op works on whole
+(rows, features) matrices.
+
+A training step makes seven passes over each parameter-sized array.  The
+backward pass writes a weight's gradient once (``linear``'s product), and
+the parameter adopts that array as its ``grad`` instead of adding it into a
+zeroed buffer.  ``sgd_step`` checks that it is finite (one pass), scales it
+in place by the learning rate, which carries the batch mean too (two), and
+subtracts it from the value (three), then drops it: the parameter's
+``grad`` becomes a read-only view of zeros, and no pass fills a buffer with
+zeros.  A gradient that is held (writable, as a new ``Parameter``'s zeros
+are, or one adopted and not yet stepped) accumulates: replaying a tape
+twice gives twice the gradient.  ``linear``'s backward computes no
+gradient for an input that is not traced, such as the encoder's packed
+inputs.
+
+There are nine primitives: ``linear`` (a product with an optional bias),
+``relu`` and ``sigmoid``; ``scatter_add``, the per-edge sums over an
+``Edges`` list; ``segment_sum``, the per-graph sums as products with blocks
+of a dense weight matrix; ``pair_attention`` and ``pair_concat``, the whole
+attention or concat fusion of two graph vectors; and the two fused losses,
 ``softmax_cross_entropy`` and ``sigmoid_cross_entropy``.
 
 An ``Edges`` list is range-checked once and applied as exact gathers in
@@ -77,20 +91,34 @@ def _wrap(data, node_id=None) -> Tensor:
 
 @dataclass
 class Parameter:
-    """A trainable tensor with an accumulating gradient buffer."""
+    """A trainable tensor and its gradient.
+
+    ``grad`` starts as a writable buffer of zeros.  ``zero_grad`` drops it:
+    it then reads as zeros through a read-only view, and the next
+    ``backward`` adopts the array it computed instead of adding into it.
+    """
 
     value: np.ndarray
     name: str
     grad: np.ndarray = field(default=None)
+    # the dropped gradient, made once rather than at every step
+    _zeros: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
+        self._zeros = np.broadcast_to(np.float64(0.0), self.value.shape)
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         assert self.grad.shape == self.value.shape
 
+    @property
+    def holds_grad(self) -> bool:
+        """Whether ``grad`` is a held (writable) array, not a dropped one."""
+        return self.grad.flags.writeable
+
     def zero_grad(self):
-        self.grad[...] = 0.0
+        """Drop the gradient: ``grad`` reads as zeros, and no pass writes them."""
+        self.grad = self._zeros
 
 
 class _Step:
@@ -149,7 +177,8 @@ def _broadcast_check(op, a, b):
 def linear(x: Tensor, w: Tensor, tape: Tape = None, bias: Tensor = None) -> Tensor:
     """``x @ w.T``, plus ``bias`` when given: the rows of x (or the vector x)
     through an (out, in) weight, without copying the weight's transpose;
-    the one matrix product of the tape."""
+    the one matrix product of the tape.  Its backward pass skips the
+    product of an input that is not traced."""
     xd, wd = x.data, w.data
     if xd.ndim not in (1, 2) or wd.ndim != 2:
         raise DimensionError(f"linear needs rows and a matrix: {x.shape}, {w.shape}")
@@ -158,10 +187,11 @@ def linear(x: Tensor, w: Tensor, tape: Tape = None, bias: Tensor = None) -> Tens
     if bias is not None and bias.shape != wd.shape[:1]:
         raise DimensionError(f"linear bias {bias.shape} does not fit {w.shape}")
 
-    def back(g):
+    def back(g):  # no product for an untraced x or w: its gradient is None
         x2 = xd.reshape(-1, xd.shape[-1])
         g2 = np.reshape(g, (x2.shape[0], wd.shape[0]))
-        grads = [(g2 @ wd).reshape(xd.shape), g2.T @ x2]
+        grads = [None if x.node_id is None else (g2 @ wd).reshape(xd.shape),
+                 None if w.node_id is None else g2.T @ x2]
         return grads if bias is None else grads + [g2.sum(axis=0)]
 
     out = xd @ wd.T
@@ -424,9 +454,16 @@ def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None) -> Tensor
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Accumulate d(loss)/d(param) into every watched parameter's grad.
+    """Give every watched parameter the loss depends on d(loss)/d(param).
 
-    Replaying twice (without a new forward) accumulates twice the gradient.
+    A parameter that holds its gradient (``Parameter.holds_grad``) adds this
+    one into it, so replaying twice (without a new forward) gives twice the
+    gradient.  A parameter whose gradient was dropped adopts the array the
+    replay computed for it, the sum of its contributions when it feeds more
+    than one op; an array that is a view of another is copied first, so no
+    two parameters' gradients share memory.  A step's ``back`` returns None
+    for an input whose gradient it does not compute; only untraced inputs
+    may get None.
     """
     if loss.data.ndim != 0:
         raise DomainError(f"loss must be scalar, got shape {loss.shape}")
@@ -445,15 +482,25 @@ def backward(tape: Tape, loss: Tensor):
             else:
                 grads[in_id] = gin
     for nid, param in tape.params.items():
-        if nid in grads:
-            param.grad += grads[nid]
+        g = grads.get(nid)
+        if g is None:
+            continue
+        if param.holds_grad:
+            param.grad += g
+        elif g.flags.owndata and g.shape == param.value.shape:
+            param.grad = g
+        else:
+            param.grad = np.broadcast_to(g, param.value.shape).copy()
 
 
 def sgd_step(params, lr: float):
-    """value <- value - lr * grad for every parameter, then zero the grads.
-    Every gradient is checked before any value changes, and the update
-    runs in place in the gradient buffer."""
-    params = list(params)
+    """value <- value - lr * grad for every parameter that holds a gradient,
+    then drop the gradients (``Parameter.zero_grad``); a parameter whose
+    gradient was dropped, one the loss did not reach, is left as it is.
+    Every gradient is checked before any value changes, and the update runs
+    in place in the gradient array: one pass to check it, and one each to
+    scale it and to subtract it."""
+    params = [p for p in params if p.holds_grad]
     for p in params:
         flat = p.grad.ravel("K")  # the finite test of Tensor.__init__
         if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(p.grad).all():

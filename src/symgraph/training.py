@@ -164,9 +164,7 @@ def train_epoch(split: PackedSplit, params: ModelParams, mconfig: ModelConfig,
             raise TrainingError(f"batch of examples {ids}: {exc}") from exc
         total += lt.item()
         backward(tape, lt)
-        for p in params:
-            p.grad /= len(rows)
-        sgd_step(params, tconfig.lr)
+        sgd_step(params, tconfig.lr / len(rows))  # the batch mean, in the one scaling pass
     return total / len(split)
 
 

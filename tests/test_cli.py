@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import symgraph
+from symgraph import cli
 from symgraph.cli import build_parser, main, model_config_from_args
 from symgraph.dataset import example_from_dict, load_bundle, write_bundle
 from symgraph.errors import SchemaError
@@ -335,6 +336,68 @@ class TestTrainEval:
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: bundle has no split 'missing'"]
         assert bundle_bytes(tmp_path / "e") == before
+
+    def test_eval_refuses_another_embedding_table(self, tmp_path, capsys):
+        # eval with another seed's table exited 0 and scored every node
+        # with vectors the model was not trained on
+        data, run_dir = self._trained(tmp_path)
+        other = synth_bundle(tmp_path, "other", seed=1, examples=10)
+        checkpoint = run_dir / "checkpoint.npz"
+        argv = ["eval", "--bundle", data / "bundle", "--checkpoint", checkpoint]
+        assert run(argv + ["--embeddings", data / "embeddings.txt",
+                           "--out", tmp_path / "own"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--embeddings", other / "embeddings.txt",
+                           "--out", tmp_path / "e2"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {checkpoint}: the embedding table differs from the one "
+            "this checkpoint was trained with"]
+        assert not (tmp_path / "e2" / "metrics.json").exists()
+        # a version-3 checkpoint pins no table and loads without the check
+        with np.load(checkpoint) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        assert meta.pop("version") == 4 and len(meta.pop("table_sha256")) == 64
+        arrays["__meta__"] = np.frombuffer(json.dumps({**meta, "version": 3}).encode(),
+                                           dtype=np.uint8)
+        np.savez(tmp_path / "v3.npz", **arrays)
+        assert run(["eval", "--bundle", data / "bundle", "--checkpoint", tmp_path / "v3.npz",
+                    "--embeddings", other / "embeddings.txt", "--out", tmp_path / "e3"]) == 0
+
+    def test_failed_write_leaves_the_earlier_outputs(self, tmp_path, monkeypatch):
+        # a checkpoint write that stops partway (a full disk) left a
+        # truncated checkpoint.npz beside the earlier run's manifest
+        data, run_dir = self._trained(tmp_path)
+        before = bundle_bytes(run_dir)
+
+        def partial_save(path, *args, **kwargs):
+            Path(path).write_bytes(b"PK\x03\x04 truncated")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "save_checkpoint", partial_save)
+        with pytest.raises(OSError, match="No space left"):
+            self._trained(tmp_path)
+        after = bundle_bytes(run_dir)
+        assert sorted(after) == sorted(before)  # no temporary file left behind
+        for name in ("checkpoint.npz", "final.npz", "manifest.json"):
+            assert after[name] == before[name], name
+
+    def test_write_replacing_keeps_the_file_until_the_write_ends(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text("earlier\n", encoding="utf-8")
+
+        def fail_partway(tmp):
+            tmp.write_text("half", encoding="utf-8")
+            assert path.read_text(encoding="utf-8") == "earlier\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli.write_replacing(path, fail_partway)
+        assert path.read_bytes() == b"earlier\n"
+        assert os.listdir(tmp_path) == ["metrics.json"]
+        cli.write_text(path, "later\n")
+        assert path.read_bytes() == b"later\n"
+        assert os.listdir(tmp_path) == ["metrics.json"]
 
     def test_dump_attention_csv(self, tmp_path):
         data, run_dir = self._trained(

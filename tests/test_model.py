@@ -17,7 +17,7 @@ from symgraph.graphs import (DEFAULT_RELATIONS, GraphEdge, GraphNode, build_know
 from symgraph import evaluation
 from symgraph import tensor as T
 from symgraph.model import (FUSION_MODES, LOSS_MODES, MAX_ROUNDS, Batch, ModelConfig,
-                            attention_fuse, classify, encode_nodes, forward, forward_batch,
+                            attention_fuse, check_table, classify, encode_nodes, forward, forward_batch,
                             fuse_concat,
                             gcn_layer, init_params, load_checkpoint,
                             pack_batch, pack_graphs, param_count,
@@ -1167,6 +1167,21 @@ class TestCheckpoint:
         _rewrite_meta(path, cfg, init_params(cfg), labels=labels)
         with pytest.raises(ConfigError, match="checkpoint labels must be a list of 3 strings"):
             load_checkpoint(path)
+
+    def test_pinned_table_checked(self, tmp_path):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, cfg, init_params(cfg), table_sha256="a" * 64)
+        check_table(path, "a" * 64)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: the embedding "
+                                              "table differs"):
+            check_table(path, "b" * 64)
+        assert load_checkpoint(path)[0] == cfg  # loading alone computes and checks nothing
+        save_checkpoint(path, cfg, init_params(cfg))  # no digest: none pinned
+        check_table(path, "b" * 64)
+        _rewrite_meta(path, cfg, init_params(cfg), table_sha256=["a" * 64])
+        with pytest.raises(ConfigError, match="table_sha256 must be a string"):
+            check_table(path, "a" * 64)
 
     def test_non_finite_weight_refused(self, tmp_path):
         cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1)

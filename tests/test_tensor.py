@@ -626,3 +626,29 @@ class TestTensorInvariants:
     def test_shape_data_consistency(self, rng):
         t = Tensor(rng.normal(size=(3, 4)))
         assert t.data.size == 12 and t.shape == (3, 4)
+
+
+class TestUntracedInputs:
+    def test_linear_computes_no_gradient_for_an_untraced_input(self, rng):
+        xv, wv, bv = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
+        g = rng.normal(size=(4, 2))
+        grads = {}
+        for traced in (False, True):
+            tape = Tape()
+            w, b = Parameter(wv, "w"), Parameter(bv, "b")
+            x = tape.watch(Parameter(xv, "x")) if traced else Tensor(xv)
+            T.linear(x, tape.watch(w), tape, tape.watch(b))
+            back = tape.steps[-1].back(g)
+            assert (back[0] is None) == (not traced)
+            grads[traced] = back[1:]
+        for untraced, traced in zip(grads[False], grads[True]):
+            assert np.array_equal(untraced, traced)
+
+    def test_backward_with_an_untraced_input_gives_the_weight_gradient(self, rng):
+        xv, wv = rng.normal(size=(4, 3)), rng.normal(size=(2, 3))
+        tape = Tape()
+        w = Parameter(wv, "w")
+        w.zero_grad()  # dropped: backward adopts the product it computes
+        loss = _total(T.linear(Tensor(xv), tape.watch(w), tape), tape)
+        backward(tape, loss)
+        np.testing.assert_array_equal(w.grad, np.ones((4, 2)).T @ xv)

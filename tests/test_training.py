@@ -11,7 +11,7 @@ from symgraph import dataset, evaluation, model, synth, training
 from symgraph import tensor as T
 from symgraph.embeddings import load_embeddings
 from symgraph.errors import ConfigError, DomainError, TrainingError
-from symgraph.gradcheck import random_toy_world
+from symgraph.gradcheck import REL_EPS, random_toy_world
 from symgraph.graphs import GraphEdge, GraphNode, validate_graph
 from symgraph.model import ModelConfig, init_params
 from symgraph.rng import child_rng
@@ -377,3 +377,81 @@ class TestConfigAndLog:
         assert lines[0] == "epoch,train_loss,val_macro_f,seconds"
         assert lines[1] == "0,0.6931,50,1.234"
         assert lines[2].startswith("1,0.5,75,")
+
+
+class TestGradientPasses:
+    """A step's gradients are adopted from the backward pass, scaled once by
+    ``lr / batch`` and dropped after the update."""
+
+    def _world(self, **kw):
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=2,
+                          fusion_mode="attention_learned", **kw)
+        table, ex, labels = random_toy_world(cfg, seed=3)
+        split = pack_split([ex, ex], table, labels)
+        return cfg, split.take([0, 1]), split.targets[[0, 1]]
+
+    def test_shared_towers_match_finite_differences(self):
+        # the one config where a parameter gets two contributions, summed
+        # before the parameter adopts them
+        cfg, batch, targets = self._world(share_towers=True)
+        assert "shared.gcn1" in init_params(cfg)
+        for loss_mode in model.LOSS_MODES:
+            mcfg = replace(cfg, loss_mode=loss_mode)
+            held, dropped = init_params(mcfg), init_params(mcfg)
+            for p in dropped:
+                p.zero_grad()
+            for params in (held, dropped):
+                tape = Tape()
+                backward(tape, batch_loss(batch, targets, params, mcfg, tape))
+            for p in dropped:  # adopted, bit for bit the sum into zeros
+                assert p.holds_grad
+                assert np.array_equal(p.grad, held[p.name].grad), p.name
+                flat = p.value.reshape(-1)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    losses = []
+                    for x in (orig + 1e-5, orig - 1e-5):
+                        flat[i] = x
+                        losses.append(batch_loss(batch, targets, dropped, mcfg).item())
+                    flat[i] = orig
+                    num = (losses[0] - losses[1]) / 2e-5
+                    ga = p.grad.reshape(-1)[i]
+                    assert abs(ga - num) / (abs(ga) + abs(num) + REL_EPS) < 1e-4, (p.name, i)
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_adopted_gradients_share_no_memory(self, share):
+        cfg, batch, targets = self._world(share_towers=share)
+        params = init_params(cfg)
+        for _ in range(2):  # the second backward follows a step, so it adopts
+            tape = Tape()
+            backward(tape, batch_loss(batch, targets, params, cfg, tape))
+            assert all(p.holds_grad for p in params)
+            T.sgd_step(params, 0.1)
+            assert not any(p.holds_grad or p.grad.any() for p in params)
+        tape = Tape()
+        backward(tape, batch_loss(batch, targets, params, cfg, tape))
+        for p in params:
+            assert p.grad.shape == p.value.shape and p.grad.flags.writeable
+            for q in params:
+                assert not np.shares_memory(p.grad, q.value), (p.name, q.name)
+                if q is not p:
+                    assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
+
+    def test_batch_of_three_moves_each_parameter_by_lr_over_three_times_g(self, rng):
+        table = make_table(rng)
+        mcfg = small_config(fusion_mode="attention_learned")
+        split = pack_split([make_example(0, 0), make_example(1, 0), make_example(0, 1)],
+                           table, LABELS)
+        params = init_params(mcfg)
+        for p in params:
+            p.zero_grad()  # as after an earlier step: this one adopts
+        probe = params.copy()
+        tape = Tape()
+        backward(tape, batch_loss(split.take([0, 1, 2]), split.targets, probe, mcfg, tape))
+        lr = 0.05
+        tc = TrainConfig(epochs=1, batch_size=3, lr=lr, shuffle=False)
+        train_epoch(split, params, mcfg, tc, child_rng(0, "shuffle"))
+        assert probe["sg.enc"].grad.any() and probe["mlp.w1"].grad.any()
+        for p in params:
+            g = probe[p.name].grad
+            assert np.array_equal(p.value, probe[p.name].value - (lr / 3) * g), p.name
