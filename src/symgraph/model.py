@@ -38,13 +38,20 @@ only what the forward reads, so it holds no per-node array: a node is
 counted in its class's size.  Evaluation packs each chunk of examples
 straight into a union.  ``GraphBatch.plan`` lists what a tower computes:
 one encoder product over the source rows, a ``scatter_add`` and product per
-GCN layer over its keys' rows, and, when rows are shared, a gather of each
-class's row before the readout, one ``segment_sum``: a product with the
-(graphs, classes) matrix of class sizes, applied to at most
-``T.SEGMENT_BLOCK`` graphs at a time, since a graph's classes are
-consecutive in a union.  Fusion (one ``pair_concat`` or ``pair_attention``
-step) and the head (two ``linear`` steps with their biases) work on the
-(batch, hidden) rows.
+GCN layer over its keys' rows, and the readout, one ``segment_sum`` over at
+most ``T.SEGMENT_BLOCK`` graphs at a time (a graph's classes are
+consecutive in a union): per block, a product of the (graphs, rows) matrix
+of class sizes with the rows the block's classes read.  When rows are
+shared, the readout reads them straight from the last layer's key rows,
+with no gather of a row per class: classes of one graph on one row add
+their sizes, and a row may feed several blocks, or, when the (graphs, key
+rows) matrix is no larger than the blocks' would be, as for a training
+batch of a few dozen small graphs, one block reads every key row.  A union
+whose last-layer keys are all distinct (every one-example union of the
+benchmark's inputs) has a row per class, in order, and each block reads
+one consecutive run of them.  Fusion (one ``pair_concat`` or
+``pair_attention`` step) and the head (two ``linear`` steps with their
+biases) work on the (batch, hidden) rows.
 
 The same rule trims the GCN stack: a layer before the last computes only
 the keys of classes that some in-edge reads, and only the last computes
@@ -187,7 +194,9 @@ class ModelParams:
         return {n: tape.watch(p) for n, p in self._by_name.items()}
 
     def copy(self) -> "ModelParams":
-        return ModelParams([Parameter(p.value.copy(), p.name) for p in self])
+        """Copies of the values, each with its gradient dropped: a copy
+        allocates no gradient buffer, and its first ``backward`` adopts one."""
+        return ModelParams([Parameter(p.value.copy(), p.name, held=False) for p in self])
 
 
 def init_params(config: ModelConfig) -> ModelParams:
@@ -217,11 +226,12 @@ def param_count(config: ModelConfig) -> int:
 class TowerPlan(NamedTuple):
     """What a tower computes on a union, layer by layer: each GCN layer's
     in-edges from the previous layer's rows (the encoder's, a row per row of
-    ``inputs``) into its own, and the gather from the last layer's rows to
-    every class (None when they are the classes, in order)."""
+    ``inputs``) into its own, and the last layer's row of each class, which
+    the readout reads straight from those rows (None when they are the
+    classes, in order: no key of the last layer is shared)."""
 
     layers: list
-    readout: T.Edges
+    readout: np.ndarray
 
 
 @dataclass
@@ -252,7 +262,8 @@ class GraphBatch:
     ``min(l, rounds - 1)``, and classes with equal keys compute equal rows.
     ``plan`` builds, once per union and depth, the edge lists that compute
     one row per key: an earlier layer only over the classes that some
-    in-edge reads (``read``), the last over every class, for the readout.
+    in-edge reads (``read``), the last over every class, for the readout,
+    which reads each class's key row by index (``TowerPlan.readout``).
     """
 
     inputs: np.ndarray  # (sources, 2 * embed_dim)
@@ -334,9 +345,7 @@ class GraphBatch:
             edges.append(T.Edges(dst, src, self.weight[e], n_out,
                                  self.num_sources if l == 0 else n_in))
             prev_row, n_in = row, n_out
-        readout = None if row is None else T.Edges(np.arange(row.size), row, np.ones(row.size),
-                                                    row.size, n_out)
-        return TowerPlan(edges, readout)
+        return TowerPlan(edges, row)
 
 
 @dataclass
@@ -571,17 +580,17 @@ def gcn_layer(states: Tensor, edges: T.Edges, w: Tensor, config: ModelConfig,
 
 
 def readout_sum(states: Tensor, graphs: GraphBatch, tape: Tape = None,
-                rows: T.Edges = None) -> Tensor:
-    """Per-graph sum of node states, (graphs, hidden), from a row per
-    aggregation class: each class adds its row times its node count (a
-    graph's classes are consecutive, so this is ``T.segment_sum``).  With
-    ``rows`` (a ``TowerPlan``'s readout), ``states`` has a row per key and
-    each class's row is first gathered from it.  An empty graph reads out
-    as the zero vector."""
-    if rows is not None:
-        states = T.scatter_add(states, rows, tape)
+                rows: np.ndarray = None) -> Tensor:
+    """Per-graph sum of node states, (graphs, hidden): each class adds its
+    row times its node count, in one ``T.segment_sum`` (a graph's classes
+    are consecutive).  ``states`` has a row per aggregation class, in order,
+    or with ``rows`` (a ``TowerPlan``'s readout, each class's row) a row per
+    key, which ``segment_sum`` reads straight from, with no gather: a block
+    of graphs reads the rows its classes read (or, for a union with few key
+    rows, one block reads them all), and classes of one graph on one row
+    add their sizes.  An empty graph reads out as the zero vector."""
     return T.segment_sum(states, graphs.class_sizes, graphs.class_graph,
-                         graphs.num_graphs, tape)
+                         graphs.num_graphs, tape, rows)
 
 
 def fuse_concat(v_kg: Tensor, v_sg: Tensor, tape: Tape = None) -> Tensor:

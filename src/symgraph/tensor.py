@@ -15,15 +15,17 @@ subtracts it from the value (three), then drops it: the parameter's
 ``grad`` becomes a read-only view of zeros, and no pass fills a buffer with
 zeros.  A gradient that is held (writable, as a new ``Parameter``'s zeros
 are, or one adopted and not yet stepped) accumulates: replaying a tape
-twice gives twice the gradient.  ``linear``'s backward computes no
-gradient for an input that is not traced, such as the encoder's packed
-inputs.
+twice gives twice the gradient.  A ``Parameter`` may also start with its
+gradient dropped, as parameter copies do, and then allocates none.
+``linear``'s backward computes no gradient for an input that is not
+traced, such as the encoder's packed inputs.
 
 There are nine primitives: ``linear`` (a product with an optional bias),
 ``relu`` and ``sigmoid``; ``scatter_add``, the per-edge sums over an
 ``Edges`` list; ``segment_sum``, the per-graph sums as products with blocks
-of a dense weight matrix; ``pair_attention`` and ``pair_concat``, the whole
-attention or concat fusion of two graph vectors; and the two fused losses,
+of a dense weight matrix, each block over the rows it reads;
+``pair_attention`` and ``pair_concat``, the whole attention or concat
+fusion of two graph vectors; and the two fused losses,
 ``softmax_cross_entropy`` and ``sigmoid_cross_entropy``.
 
 An ``Edges`` list is range-checked once and applied as exact gathers in
@@ -44,7 +46,7 @@ taped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -93,23 +95,23 @@ def _wrap(data, node_id=None) -> Tensor:
 class Parameter:
     """A trainable tensor and its gradient.
 
-    ``grad`` starts as a writable buffer of zeros.  ``zero_grad`` drops it:
-    it then reads as zeros through a read-only view, and the next
-    ``backward`` adopts the array it computed instead of adding into it.
+    ``grad`` starts as a writable buffer of zeros, or with ``held=False``
+    dropped, allocating nothing.  ``zero_grad`` drops it: it then reads as
+    zeros through a read-only view, and the next ``backward`` adopts the
+    array it computed instead of adding into it.
     """
 
     value: np.ndarray
     name: str
-    grad: np.ndarray = field(default=None)
+    held: InitVar[bool] = True
+    grad: np.ndarray = field(init=False)
     # the dropped gradient, made once rather than at every step
     _zeros: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, held):
         self.value = np.asarray(self.value, dtype=np.float64)
         self._zeros = np.broadcast_to(np.float64(0.0), self.value.shape)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        assert self.grad.shape == self.value.shape
+        self.grad = np.zeros_like(self.value) if held else self._zeros
 
     @property
     def holds_grad(self) -> bool:
@@ -400,50 +402,78 @@ def scatter_add(x: Tensor, edges: Edges, tape: Tape = None) -> Tensor:
 
 
 # Out rows per block of ``segment_sum``.  A block's weight matrix is dense,
-# so the blocks hold SEGMENT_BLOCK entries per input row in all: time and
-# memory grow linearly with the rows at any segment count.  Smaller blocks
-# multiply fewer zeros, larger ones cost fewer calls.  Forward plus backward
-# (one BLAS thread, best of 7) at 8 / 16 / 32 / 64: 32 graphs of 30 classes
-# at width 512, 0.95 / 1.37 / 1.74 / 1.81 ms; 341 graphs of 3 classes at
-# width 128, 0.61 / 0.54 / 0.58 / 0.91 ms; 1,024 one-class graphs at width
-# 128, 1.38 / 1.00 / 0.94 / 1.20 ms.
+# so the blocks hold at most SEGMENT_BLOCK entries per input entry in all,
+# and so does the one matrix over every row that replaces them when it is
+# no larger: time and memory grow linearly with the entries at any segment
+# count.  Smaller blocks multiply fewer zeros, larger ones cost fewer
+# calls.  Forward plus backward (one BLAS thread, best of 7) at 8 / 16 /
+# 32 / 64: 32 graphs of 30 classes at width 512, 0.95 / 1.37 / 1.74 /
+# 1.81 ms; 341 graphs of 3 classes at width 128, 0.61 / 0.54 / 0.58 /
+# 0.91 ms; 1,024 one-class graphs at width 128, 1.38 / 1.00 / 0.94 /
+# 1.20 ms.
 SEGMENT_BLOCK = 16
 
 
-def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None) -> Tensor:
-    """``out[segment[i]] += weight[i] * x[i]`` into n rows.  With graph ids
-    as ``segment`` and node counts as weights, it is the per-graph sum
-    readout of class rows.
+def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None, rows=None) -> Tensor:
+    """``out[segment[i]] += weight[i] * x[i]`` into n rows, or with ``rows``
+    ``out[segment[i]] += weight[i] * x[rows[i]]``, where entries may share a
+    row.  With graph ids as ``segment`` and node counts as weights, it is
+    the per-graph sum readout of class rows, or, with each class's row as
+    ``rows``, of rows that classes share.
 
-    Each block of SEGMENT_BLOCK out rows is one product ``C @ x[run]``,
-    where C is the dense (out rows, run rows) matrix of the weights, and its
-    backward pass is ``C.T @ g``.  So past one block, ``segment`` must not
-    decrease: each block's rows are then one run.
+    Each block of SEGMENT_BLOCK out rows is one product ``C @ x[cols]``, and
+    its backward pass adds ``C.T @ g`` into those rows.  Without ``rows``,
+    ``cols`` are the block's entries, one consecutive run, and C is the
+    dense (out rows, entries) matrix of their weights.  With ``rows``,
+    ``cols`` are the distinct rows the block's entries read, and ``C[j, k]``
+    sums, in entry order, the weights of out row j's entries that read
+    ``cols[k]``; but when an (n, rows of x) matrix is no larger than
+    SEGMENT_BLOCK times the entries, the blocks' bound, one block of all n
+    out rows reads every row of x.  Past one block, ``segment`` must not
+    decrease: each block's entries are then one run.
     """
     xd = x.data
     segment, weight = _row_ids(segment, n), np.asarray(weight, dtype=np.float64)
-    if xd.ndim != 2 or not segment.shape == weight.shape == xd.shape[:1]:
-        raise DimensionError(f"segment_sum needs a segment and a weight per row: "
-                             f"{x.shape}, {segment.shape}, {weight.shape}")
-    if n <= SEGMENT_BLOCK:  # one block, whose rows may come in any order
-        spans = [(0, 0, segment.size)]
+    if xd.ndim != 2 or not segment.shape == weight.shape == (
+            xd.shape[:1] if rows is None else np.shape(rows)):
+        raise DimensionError(f"segment_sum needs a segment and a weight per "
+                             f"{'row' if rows is None else 'entry'}: {x.shape}, "
+                             f"{segment.shape}, {weight.shape}")
+    if rows is not None:
+        rows = _row_ids(rows, xd.shape[0])
+    # one (n, rows of x) matrix within the blocks' bound: one block reads every row
+    every = rows is not None and n * xd.shape[0] <= SEGMENT_BLOCK * rows.size
+    if n <= SEGMENT_BLOCK or every:  # one block, whose entries may come in any order
+        spans = [(0, n, 0, segment.size)]
     elif (segment[1:] < segment[:-1]).any():
         raise DimensionError("segment ids must not decrease")
     else:
         starts = range(0, n, SEGMENT_BLOCK)
-        cuts = np.searchsorted(segment, [*starts, n]).tolist()  # each block's rows
-        spans = zip(starts, cuts, cuts[1:])
-    blocks = []  # (first out row, first row, end row, weight matrix)
-    for s0, r0, r1 in spans:
-        c = np.zeros((min(SEGMENT_BLOCK, n - s0), r1 - r0))
-        c[segment[r0:r1] - s0, np.arange(r1 - r0)] = weight[r0:r1]
-        blocks.append((s0, r0, r1, c))
-    outs = [c @ xd[r0:r1] for _, r0, r1, c in blocks]
+        cuts = np.searchsorted(segment, [*starts, n]).tolist()  # each block's entries
+        spans = zip(starts, [*starts[1:], n], cuts, cuts[1:])
+    blocks = []  # (first out row, the rows it reads, weight matrix)
+    for s0, s1, r0, r1 in spans:
+        if rows is None:
+            cols, c = slice(r0, r1), np.zeros((s1 - s0, r1 - r0))
+            c[segment[r0:r1] - s0, np.arange(r1 - r0)] = weight[r0:r1]
+        else:
+            cols, col = ((slice(None), rows) if every
+                         else np.unique(rows[r0:r1], return_inverse=True))
+            k = xd.shape[0] if every else cols.size
+            slots = (segment[r0:r1] - s0) * k + col
+            c = np.bincount(slots, weight[r0:r1], (s1 - s0) * k).reshape(s1 - s0, k)
+        blocks.append((s0, cols, c))
+    outs = [c @ xd[cols] for _, cols, c in blocks]
 
     def back(g):
-        gx = np.empty(xd.shape)
-        for s0, r0, r1, c in blocks:
-            np.matmul(c.T, g[s0:s0 + len(c)], out=gx[r0:r1])
+        if rows is None or every:  # the blocks read every row once
+            gx = np.empty(xd.shape)
+            for s0, cols, c in blocks:
+                np.matmul(c.T, g[s0:s0 + len(c)], out=gx[cols])
+        else:  # a row may be read by several blocks, or by none
+            gx = np.zeros(xd.shape)
+            for s0, cols, c in blocks:
+                gx[cols] += c.T @ g[s0:s0 + len(c)]
         return [gx]
 
     return _emit(tape, outs[0] if len(outs) == 1 else np.concatenate(outs), [x], back)

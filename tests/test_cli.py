@@ -20,7 +20,8 @@ from symgraph.dataset import example_from_dict, load_bundle, write_bundle
 from symgraph.errors import SchemaError
 from symgraph.embeddings import load_embeddings
 from symgraph.evaluation import evaluate_dataset
-from symgraph.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from symgraph.model import (ModelConfig, init_params, load_checkpoint, pack_batch,
+                            save_checkpoint)
 
 
 def run(argv):
@@ -620,6 +621,66 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: symgraph") and "gradcheck" in proc.stdout
+
+
+_PIPELINE = """
+import sys
+from symgraph.cli import main
+for argv in (
+        "synth --out data --examples 40 --seed 3",
+        "prepare --scene-dir data/scene_graphs --facts data/facts.tsv --vocab data/vocab.txt"
+        " --labels data/labels.txt --out bundle --seed 3",
+        "train --bundle bundle --embeddings data/embeddings.txt --out run --embed-dim 16"
+        " --hidden-dim 16 --gcn-layers 2 --fusion attention --epochs 3 --seed 3"
+        " --dump-attention",
+        "eval --bundle bundle --embeddings data/embeddings.txt --checkpoint run/checkpoint.npz"
+        " --out eval"):
+    if main(argv.split()) != 0:
+        sys.exit(argv)
+"""
+
+
+def _pipeline_outputs(root: Path) -> dict:
+    """Name -> bytes of what criterion 9's outputs and the bundle hold:
+    every bundle document, each checkpoint's metadata and arrays, and the
+    run log without its seconds column."""
+    out = {str(p.relative_to(root)): p.read_bytes()
+           for p in sorted((root / "bundle").rglob("*")) if p.is_file()}
+    for name in ("eval/metrics.json", "eval/per_label.csv", "run/attention.csv"):
+        out[name] = (root / name).read_bytes()
+    rows = (root / "run" / "runlog.csv").read_text().splitlines()
+    out["run/runlog.csv"] = "\n".join(",".join(r.split(",")[:3]) for r in rows).encode()
+    for name in ("checkpoint.npz", "final.npz"):
+        with np.load(root / "run" / name) as data:
+            for key in data.files:
+                out[f"run/{name}/{key}"] = data[key].tobytes()
+    return out
+
+
+def test_determinism_across_processes(tmp_path):
+    # criterion 9 runs one process twice, so it cannot see an output that
+    # depends on the hash seed: here each run is a fresh process with its
+    # own PYTHONHASHSEED, and one BLAS thread in both (outputs may depend on
+    # the BLAS thread count)
+    src = str(Path(symgraph.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        root = tmp_path / f"seed{hash_seed}"
+        root.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _PIPELINE], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(_pipeline_outputs(root))
+    assert len(outputs[0]) > 40 and outputs[0].keys() == outputs[1].keys()
+    differ = sorted(name for name in outputs[0] if outputs[0][name] != outputs[1][name])
+    assert not differ, differ
+    # the training batches share key rows, so the readout reads shared rows
+    splits, labels = load_bundle(tmp_path / "seed1" / "bundle")
+    table = load_embeddings(tmp_path / "seed1" / "data" / "embeddings.txt", dim=16)
+    batch = pack_batch(splits["train"][:32], table)
+    assert batch.kg.plan(2).readout is not None
 
 
 class TestErrorHandling:

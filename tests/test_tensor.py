@@ -345,6 +345,14 @@ _SORTED = (np.array([0, 0, 1, 2, 2, 2]), np.array([1, 2, 0, 2, 2, 1]),
 # 1,000 one-node graphs, with an empty graph after every 100th: 1,010 out
 # rows, so several blocks of ``segment_sum``
 _ONE_NODE_GRAPHS = np.arange(1000) + np.arange(1000) // 100
+# 20 graphs reading shared rows: graph 0's two classes share row 2, graph
+# 1 (among others) is empty, and no class reads row 5.  Of 16 rows, two
+# blocks of ``segment_sum``: rows 0 and 2 are read by both and row 4 by the
+# second alone.  Of 6, one block over every row: its (20, 6) matrix holds
+# no more than ``SEGMENT_BLOCK`` entries per class
+_SHARED = dict(weight=[2.0, 1.0, 3.0, 1.0, 0.5, 1.0, 2.0, 1.0, 4.0, 1.5],
+               segment=[0, 0, 2, 2, 7, 15, 16, 18, 18, 19], n=20,
+               rows=[2, 2, 0, 1, 3, 0, 0, 4, 2, 4])
 _SOFT_TARGETS = np.array([[0.0, 2.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0],
                           [0.25, 0.25, 0.25, 0.25]])  # rows that sum to 2.5, 1, 1
 
@@ -370,6 +378,8 @@ PRIMITIVE_CASES = {
             a[0], [2.0, 1.0, 3.0, 1.0, 0.5], [0, 0, 2, 2, 3], 5, t))),
         ([(1000, 1)], _weighted(lambda a, t: T.segment_sum(
             a[0], 1.0 + np.arange(1000) % 3, _ONE_NODE_GRAPHS, 1010, t))),
+        ([(16, 3)], _weighted(lambda a, t: T.segment_sum(a[0], tape=t, **_SHARED))),
+        ([(6, 3)], _weighted(lambda a, t: T.segment_sum(a[0], tape=t, **_SHARED))),
     ],
     "pair_attention": [  # squared-norm and learned scores, on rows and on vectors
         ([(3, 4), (3, 4)], _weighted(lambda a, t: T.pair_attention(a[0], a[1], None, t)[0])),
@@ -513,22 +523,82 @@ class TestSegmentSum:
                 x.grad, scatter_add_ref(g, np.arange(seg.size), seg, weight, seg.size),
                 rtol=0, atol=1e-12)
 
-    def test_one_row_graphs_use_memory_linear_in_rows(self, rng):
-        # one (graphs, rows) matrix would be 4096 * 4096 * 8 bytes = 128 MiB
-        n = 4096
-        x = Parameter(rng.normal(size=(n, 8)), "x")
-        tracemalloc.start()
-        try:
+    @staticmethod
+    def loop_ref(x, weight, segment, n, rows, g):
+        """The sum and its backward pass, one entry at a time from zero."""
+        out, gx = np.zeros((n, x.shape[1])), np.zeros(x.shape)
+        for w, s, r in zip(weight, segment, rows):
+            out[s] += w * x[r]
+            gx[r] += w * g[s]
+        return out, gx
+
+    def test_shared_rows_match_loop_reference(self, rng):
+        # classes of a graph that share a row add their weights; a row read
+        # by several blocks adds each block's gradient, and one that no
+        # class reads gets zero.  Few rows: one block reads every row; many:
+        # blocks of SEGMENT_BLOCK graphs, each reading rows of its own too
+        cases = [(np.array(_SHARED["segment"]), _SHARED["n"], np.array(_SHARED["rows"]), m)
+                 for m in (6, 16)]
+        for n in (0, 1, 5, T.SEGMENT_BLOCK, 3 * T.SEGMENT_BLOCK + 7, 200):
+            seg = self.segments(rng, n)
+            for n_rows in (int(rng.integers(1, 8)), seg.size + 1):
+                cases.append((seg, n, rng.integers(0, n_rows, size=seg.size), n_rows + 1))
+        one_block = [n * m <= T.SEGMENT_BLOCK * seg.size for seg, n, _, m in cases]
+        blocks = [n > T.SEGMENT_BLOCK and not one for one, (_, n, _, _) in zip(one_block, cases)]
+        assert sum(one_block) >= 4 and sum(blocks) >= 3  # each path, several times
+        for seg, n, rows, n_rows in cases:
+            weight = rng.integers(1, 6, size=seg.size).astype(float)
+            x = Parameter(rng.normal(size=(n_rows, 4)), "x")
+            g = rng.normal(size=(n, 4))
             tape = Tape()
-            out = T.segment_sum(tape.watch(x), np.ones(n), np.arange(n), n, tape)
-            backward(tape, _total(out, tape))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(out.data, x.value)
-        np.testing.assert_array_equal(x.grad, np.ones((n, 8)))
-        # x, out, the gradients and SEGMENT_BLOCK * n block entries: under 2 MiB
-        assert peak < 4 * 2**20, peak
+            out = T.segment_sum(tape.watch(x), weight, seg, n, tape, rows)
+            want, want_grad = self.loop_ref(x.value, weight, seg, n, rows, g)
+            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+            backward(tape, _total(out, tape, g))
+            np.testing.assert_allclose(x.grad, want_grad, rtol=0, atol=1e-12)
+            assert not x.grad[np.bincount(rows, minlength=n_rows) == 0].any()
+
+    def test_consecutive_blocks_keep_their_bits(self, rng):
+        # without rows, each block of SEGMENT_BLOCK graphs is one product
+        # over its consecutive run of rows, bit for bit; rows that are the
+        # entries in order give the same bits
+        for n in (5, 3 * T.SEGMENT_BLOCK + 7):
+            seg = self.segments(rng, n)
+            weight = rng.integers(1, 6, size=seg.size).astype(float)
+            x, g = rng.normal(size=(seg.size, 8)), rng.normal(size=(n, 8))
+            want, want_grad = np.zeros((n, 8)), np.zeros(x.shape)
+            for s0 in range(0, n, T.SEGMENT_BLOCK):
+                s1 = min(s0 + T.SEGMENT_BLOCK, n)
+                r0, r1 = np.searchsorted(seg, [s0, s1])
+                c = np.zeros((s1 - s0, r1 - r0))
+                c[seg[r0:r1] - s0, np.arange(r1 - r0)] = weight[r0:r1]
+                want[s0:s1], want_grad[r0:r1] = c @ x[r0:r1], c.T @ g[s0:s1]
+            for rows in (None, np.arange(seg.size)):
+                p = Parameter(x, "x")
+                tape = Tape()
+                out = T.segment_sum(tape.watch(p), weight, seg, n, tape, rows)
+                assert np.array_equal(out.data, want)
+                backward(tape, _total(out, tape, g))
+                assert np.array_equal(p.grad, want_grad)
+
+    def test_one_row_graphs_use_memory_linear_in_rows(self, rng):
+        # one (graphs, rows) matrix would be 4096 * 4096 * 8 bytes = 128 MiB,
+        # with or without a row index
+        n = 4096
+        for rows in (None, np.arange(n)):
+            x = Parameter(rng.normal(size=(n, 8)), "x")
+            tracemalloc.start()
+            try:
+                tape = Tape()
+                out = T.segment_sum(tape.watch(x), np.ones(n), np.arange(n), n, tape, rows)
+                backward(tape, _total(out, tape))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(out.data, x.value)
+            np.testing.assert_array_equal(x.grad, np.ones((n, 8)))
+            # x, out, the gradients and SEGMENT_BLOCK * n block entries: under 2 MiB
+            assert peak < 4 * 2**20, peak
 
     def test_bad_segments_rejected(self):
         x = Tensor(np.ones((3, 2)))
@@ -543,6 +613,14 @@ class TestSegmentSum:
         # within one block, any order sums the same
         got = T.segment_sum(Tensor([[1.0], [2.0], [4.0]]), [1.0, 1.0, 1.0], [1, 0, 1], 2)
         np.testing.assert_array_equal(got.data, [[2.0], [5.0]])
+        # with rows, a segment and a weight per entry, and rows of x
+        got = T.segment_sum(Tensor([[1.0], [2.0]]), [1.0, 1.0, 1.0], [1, 0, 1], 2,
+                            rows=[1, 1, 0])
+        np.testing.assert_array_equal(got.data, [[2.0], [3.0]])
+        with pytest.raises(DimensionError, match="weight per entry"):
+            T.segment_sum(x, np.ones(3), [0, 0, 1], 2, rows=[0, 1])
+        with pytest.raises(DimensionError, match="below 3"):
+            T.segment_sum(x, np.ones(2), [0, 1], 2, rows=[0, 3])
 
 
 class TestPairAttention:

@@ -437,6 +437,45 @@ class TestGradientPasses:
                 if q is not p:
                     assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
 
+    def test_a_copy_holds_no_gradient_until_a_backward(self):
+        # ``train`` copies the parameters at every validation improvement: a
+        # copy allocates no gradient, and its first backward adopts one that
+        # a second replay adds into
+        cfg, batch, targets = self._world()
+        params = init_params(cfg)
+        copy = params.copy()
+        assert not any(p.holds_grad or p.grad.any() for p in copy)
+        assert all(p.value is not params[p.name].value for p in copy)
+        grads = []
+        for _ in range(2):  # one forward, replayed twice
+            tape = Tape()
+            loss = batch_loss(batch, targets, copy, cfg, tape)
+            for _ in range(2):
+                backward(tape, loss)
+                grads.append({p.name: p.grad.copy() for p in copy})
+            T.sgd_step(copy, 0.0)  # drops the gradients again
+        assert not any(p.holds_grad for p in copy)
+        once, twice = grads[:2]
+        for name, g in once.items():
+            assert np.array_equal(twice[name], 2.0 * g), name
+            assert np.array_equal(grads[2][name], g), name
+
+    def test_training_a_copy_equals_training_the_original(self, rng):
+        table = make_table(rng)
+        mcfg = small_config(seed=2, fusion_mode="attention")
+        data, val = make_dataset(5), make_dataset(2)
+        tc = TrainConfig(epochs=3, batch_size=4, lr=0.05, seed=2)
+        params = init_params(mcfg)
+        runs = [train(data, val, LABELS, table, mcfg, tc, params=p)
+                for p in (params.copy(), params)]
+        (final_a, log_a, best_a, epoch_a), (final_b, log_b, best_b, epoch_b) = runs
+        assert epoch_a == epoch_b
+        assert [(r.train_loss, r.val_macro_f) for r in log_a.records] == \
+            [(r.train_loss, r.val_macro_f) for r in log_b.records]
+        for p in final_a:
+            assert np.array_equal(p.value, final_b[p.name].value), p.name
+            assert np.array_equal(best_a[p.name].value, best_b[p.name].value), p.name
+
     def test_batch_of_three_moves_each_parameter_by_lr_over_three_times_g(self, rng):
         table = make_table(rng)
         mcfg = small_config(fusion_mode="attention_learned")
