@@ -406,43 +406,42 @@ def scatter_add(x: Tensor, edges: Edges, tape: Tape = None) -> Tensor:
 # and so does the one matrix over every row that replaces them when it is
 # no larger: time and memory grow linearly with the entries at any segment
 # count.  Smaller blocks multiply fewer zeros, larger ones cost fewer
-# calls.  Forward plus backward (one BLAS thread, best of 7) at 8 / 16 /
-# 32 / 64: 32 graphs of 30 classes at width 512, 0.95 / 1.37 / 1.74 /
-# 1.81 ms; 341 graphs of 3 classes at width 128, 0.61 / 0.54 / 0.58 /
-# 0.91 ms; 1,024 one-class graphs at width 128, 1.38 / 1.00 / 0.94 /
-# 1.20 ms.
+# calls.  Forward plus backward with a row per class, no row shared (one
+# BLAS thread, best of 7) at 8 / 16 / 32 / 64: 32 graphs of 30 classes at
+# width 512, 1.35 / 4.45 / 1.05 / 1.04 ms (one block from 32 on); 341
+# graphs of 3 classes at width 128, 0.90 / 0.67 / 0.62 / 0.79 ms; 1,024
+# one-class graphs at width 128, 2.07 / 1.33 / 0.97 / 0.94 ms.  Another
+# size may move the last bits of every union that takes the blocks, so it
+# waits for a benchmark union of that kind to tune on (ROADMAP item 12).
 SEGMENT_BLOCK = 16
 
 
 def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None, rows=None) -> Tensor:
-    """``out[segment[i]] += weight[i] * x[i]`` into n rows, or with ``rows``
-    ``out[segment[i]] += weight[i] * x[rows[i]]``, where entries may share a
-    row.  With graph ids as ``segment`` and node counts as weights, it is
-    the per-graph sum readout of class rows, or, with each class's row as
+    """``out[segment[i]] += weight[i] * x[rows[i]]`` into n rows, where
+    entries may share a row; ``rows`` defaults to every row of x in order.
+    With graph ids as ``segment`` and node counts as weights, it is the
+    per-graph sum readout of class rows, or, with each class's row as
     ``rows``, of rows that classes share.
 
     Each block of SEGMENT_BLOCK out rows is one product ``C @ x[cols]``, and
-    its backward pass adds ``C.T @ g`` into those rows.  Without ``rows``,
-    ``cols`` are the block's entries, one consecutive run, and C is the
-    dense (out rows, entries) matrix of their weights.  With ``rows``,
-    ``cols`` are the distinct rows the block's entries read, and ``C[j, k]``
-    sums, in entry order, the weights of out row j's entries that read
-    ``cols[k]``; but when an (n, rows of x) matrix is no larger than
-    SEGMENT_BLOCK times the entries, the blocks' bound, one block of all n
-    out rows reads every row of x.  Past one block, ``segment`` must not
-    decrease: each block's entries are then one run.
+    its backward pass adds ``C.T @ g`` into those rows: ``cols`` are the
+    distinct rows the block's entries read, and ``C[j, k]`` sums, in entry
+    order, the weights of out row j's entries that read ``cols[k]``.  When
+    an (n, rows of x) matrix is no larger than SEGMENT_BLOCK times the
+    entries, the blocks' bound, one block of all n out rows reads every row
+    of x instead.  Past one block, ``segment`` must not decrease: each
+    block's entries are then one run.
     """
     xd = x.data
     segment, weight = _row_ids(segment, n), np.asarray(weight, dtype=np.float64)
-    if xd.ndim != 2 or not segment.shape == weight.shape == (
-            xd.shape[:1] if rows is None else np.shape(rows)):
-        raise DimensionError(f"segment_sum needs a segment and a weight per "
-                             f"{'row' if rows is None else 'entry'}: {x.shape}, "
-                             f"{segment.shape}, {weight.shape}")
-    if rows is not None:
-        rows = _row_ids(rows, xd.shape[0])
+    per = "row" if rows is None else "entry"
+    if xd.ndim == 2:
+        rows = np.arange(xd.shape[0]) if rows is None else _row_ids(rows, xd.shape[0])
+    if xd.ndim != 2 or not segment.shape == weight.shape == np.shape(rows):
+        raise DimensionError(f"segment_sum needs a segment and a weight per {per}: "
+                             f"{x.shape}, {segment.shape}, {weight.shape}")
     # one (n, rows of x) matrix within the blocks' bound: one block reads every row
-    every = rows is not None and n * xd.shape[0] <= SEGMENT_BLOCK * rows.size
+    every = n * xd.shape[0] <= SEGMENT_BLOCK * rows.size
     if n <= SEGMENT_BLOCK or every:  # one block, whose entries may come in any order
         spans = [(0, n, 0, segment.size)]
     elif (segment[1:] < segment[:-1]).any():
@@ -453,27 +452,20 @@ def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None, rows=None
         spans = zip(starts, [*starts[1:], n], cuts, cuts[1:])
     blocks = []  # (first out row, the rows it reads, weight matrix)
     for s0, s1, r0, r1 in spans:
-        if rows is None:
-            cols, c = slice(r0, r1), np.zeros((s1 - s0, r1 - r0))
-            c[segment[r0:r1] - s0, np.arange(r1 - r0)] = weight[r0:r1]
-        else:
-            cols, col = ((slice(None), rows) if every
-                         else np.unique(rows[r0:r1], return_inverse=True))
-            k = xd.shape[0] if every else cols.size
-            slots = (segment[r0:r1] - s0) * k + col
-            c = np.bincount(slots, weight[r0:r1], (s1 - s0) * k).reshape(s1 - s0, k)
+        cols, col = ((slice(None), rows) if every
+                     else np.unique(rows[r0:r1], return_inverse=True))
+        k = xd.shape[0] if every else cols.size
+        slots = (segment[r0:r1] - s0) * k + col
+        c = np.bincount(slots, weight[r0:r1], (s1 - s0) * k).reshape(s1 - s0, k)
         blocks.append((s0, cols, c))
     outs = [c @ xd[cols] for _, cols, c in blocks]
 
     def back(g):
-        if rows is None or every:  # the blocks read every row once
-            gx = np.empty(xd.shape)
-            for s0, cols, c in blocks:
-                np.matmul(c.T, g[s0:s0 + len(c)], out=gx[cols])
-        else:  # a row may be read by several blocks, or by none
-            gx = np.zeros(xd.shape)
-            for s0, cols, c in blocks:
-                gx[cols] += c.T @ g[s0:s0 + len(c)]
+        if every:  # one block reads every row
+            return [blocks[0][2].T @ g]
+        gx = np.zeros(xd.shape)  # a row may be read by several blocks, or by none
+        for s0, cols, c in blocks:
+            gx[cols] += c.T @ g[s0:s0 + len(c)]
         return [gx]
 
     return _emit(tape, outs[0] if len(outs) == 1 else np.concatenate(outs), [x], back)

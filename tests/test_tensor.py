@@ -559,9 +559,9 @@ class TestSegmentSum:
             assert not x.grad[np.bincount(rows, minlength=n_rows) == 0].any()
 
     def test_consecutive_blocks_keep_their_bits(self, rng):
-        # without rows, each block of SEGMENT_BLOCK graphs is one product
-        # over its consecutive run of rows, bit for bit; rows that are the
-        # entries in order give the same bits
+        # without rows, as with the entries' rows in order, each block of
+        # SEGMENT_BLOCK graphs is one product over its consecutive run of
+        # rows, bit for bit
         for n in (5, 3 * T.SEGMENT_BLOCK + 7):
             seg = self.segments(rng, n)
             weight = rng.integers(1, 6, size=seg.size).astype(float)
