@@ -45,7 +45,7 @@ class GraphEdge:
 
 @dataclass(slots=True)
 class LabeledGraph:
-    """Directed graph with relation-labeled edges, held as columns (tuples);
+    """Directed graph with relation-labeled edges, stored as columns (tuples);
     kind is scene|knowledge.
 
     Node ``i`` is named ``names[i]`` and has the attribute tokens

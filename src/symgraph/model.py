@@ -194,9 +194,8 @@ class ModelParams:
         return {n: tape.watch(p) for n, p in self._by_name.items()}
 
     def copy(self) -> "ModelParams":
-        """Copies of the values, each with its gradient dropped: a copy
-        allocates no gradient buffer, and its first ``backward`` adopts one."""
-        return ModelParams([Parameter(p.value.copy(), p.name, held=False) for p in self])
+        """Copies of the values, without gradients."""
+        return ModelParams([Parameter(p.value.copy(), p.name) for p in self])
 
 
 def init_params(config: ModelConfig) -> ModelParams:

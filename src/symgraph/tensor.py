@@ -6,19 +6,17 @@ loss depends on its gradient.  Training records one tape per mini-batch:
 the batch's graphs are one disjoint union, so every op works on whole
 (rows, features) matrices.
 
-A training step makes seven passes over each parameter-sized array.  The
-backward pass writes a weight's gradient once (``linear``'s product), and
-the parameter adopts that array as its ``grad`` instead of adding it into a
-zeroed buffer.  ``sgd_step`` checks that it is finite (one pass), scales it
-in place by the learning rate, which carries the batch mean too (two), and
-subtracts it from the value (three), then drops it: the parameter's
-``grad`` becomes a read-only view of zeros, and no pass fills a buffer with
-zeros.  A gradient that is held (writable, as a new ``Parameter``'s zeros
-are, or one adopted and not yet stepped) accumulates: replaying a tape
-twice gives twice the gradient.  A ``Parameter`` may also start with its
-gradient dropped, as parameter copies do, and then allocates none.
-``linear``'s backward computes no gradient for an input that is not
-traced, such as the encoder's packed inputs.
+A training step makes seven passes over each parameter-sized array.  A
+parameter's ``grad`` is None until a ``backward`` reaches it.  The backward
+pass writes a weight's gradient once (``linear``'s product), and the
+parameter adopts that array as its ``grad``.  ``sgd_step`` checks that it
+is finite (one pass), scales it in place by the learning rate, which
+carries the batch mean too (two), and subtracts it from the value (three),
+then sets ``grad`` back to None, so no pass fills a buffer with zeros.  A
+second ``backward`` before the step adds into the gradient: replaying a
+tape twice gives twice the gradient.  ``linear``'s backward computes no
+gradient for an input that is not traced, such as the encoder's packed
+inputs.
 
 There are nine primitives: ``linear`` (a product with an optional bias),
 ``relu`` and ``sigmoid``; ``scatter_add``, the per-edge sums over an
@@ -46,7 +44,7 @@ taped.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,34 +91,15 @@ def _wrap(data, node_id=None) -> Tensor:
 
 @dataclass
 class Parameter:
-    """A trainable tensor and its gradient.
-
-    ``grad`` starts as a writable buffer of zeros, or with ``held=False``
-    dropped, allocating nothing.  ``zero_grad`` drops it: it then reads as
-    zeros through a read-only view, and the next ``backward`` adopts the
-    array it computed instead of adding into it.
-    """
+    """A trainable tensor and its gradient: ``grad`` is None until a
+    ``backward`` reaches the parameter, and ``sgd_step`` sets it back."""
 
     value: np.ndarray
     name: str
-    held: InitVar[bool] = True
-    grad: np.ndarray = field(init=False)
-    # the dropped gradient, made once rather than at every step
-    _zeros: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(default=None, init=False)
 
-    def __post_init__(self, held):
+    def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
-        self._zeros = np.broadcast_to(np.float64(0.0), self.value.shape)
-        self.grad = np.zeros_like(self.value) if held else self._zeros
-
-    @property
-    def holds_grad(self) -> bool:
-        """Whether ``grad`` is a held (writable) array, not a dropped one."""
-        return self.grad.flags.writeable
-
-    def zero_grad(self):
-        """Drop the gradient: ``grad`` reads as zeros, and no pass writes them."""
-        self.grad = self._zeros
 
 
 class _Step:
@@ -478,19 +457,19 @@ def segment_sum(x: Tensor, weight, segment, n: int, tape: Tape = None, rows=None
 def backward(tape: Tape, loss: Tensor):
     """Give every watched parameter the loss depends on d(loss)/d(param).
 
-    A parameter that holds its gradient (``Parameter.holds_grad``) adds this
-    one into it, so replaying twice (without a new forward) gives twice the
-    gradient.  A parameter whose gradient was dropped adopts the array the
-    replay computed for it, the sum of its contributions when it feeds more
-    than one op; an array that is a view of another is copied first, so no
-    two parameters' gradients share memory.  A step's ``back`` returns None
-    for an input whose gradient it does not compute; only untraced inputs
-    may get None.
+    A parameter whose ``grad`` is None adopts the array the replay computed
+    for it, the sum of its contributions when it feeds more than one op; an
+    array that is a view of another is copied first, so no two parameters'
+    gradients share memory.  A parameter that has a gradient adds this one
+    into it, so replaying twice (without a new forward) gives twice the
+    gradient.  A parameter the loss does not reach is left as it is.  A
+    step's ``back`` returns None for an input whose gradient it does not
+    compute; only untraced inputs may get None.
     """
     if loss.data.ndim != 0:
         raise DomainError(f"loss must be scalar, got shape {loss.shape}")
     if loss.node_id is None:
-        return  # loss depends on no traced input; all grads are zero
+        return  # loss depends on no traced input: no parameter is reached
     grads = {loss.node_id: np.ones(())}
     for step in reversed(tape.steps):
         g = grads.pop(step.out_id, None)  # every consumer of it came later
@@ -507,7 +486,7 @@ def backward(tape: Tape, loss: Tensor):
         g = grads.get(nid)
         if g is None:
             continue
-        if param.holds_grad:
+        if param.grad is not None:
             param.grad += g
         elif g.flags.owndata and g.shape == param.value.shape:
             param.grad = g
@@ -516,13 +495,12 @@ def backward(tape: Tape, loss: Tensor):
 
 
 def sgd_step(params, lr: float):
-    """value <- value - lr * grad for every parameter that holds a gradient,
-    then drop the gradients (``Parameter.zero_grad``); a parameter whose
-    gradient was dropped, one the loss did not reach, is left as it is.
-    Every gradient is checked before any value changes, and the update runs
-    in place in the gradient array: one pass to check it, and one each to
-    scale it and to subtract it."""
-    params = [p for p in params if p.holds_grad]
+    """value <- value - lr * grad for every parameter whose ``grad`` is not
+    None, then set each ``grad`` to None; a parameter without one, one the
+    loss did not reach, is left as it is.  Every gradient is checked before
+    any value changes, and the update runs in place in the gradient array:
+    one pass to check it, and one each to scale it and to subtract it."""
+    params = [p for p in params if p.grad is not None]
     for p in params:
         flat = p.grad.ravel("K")  # the finite test of Tensor.__init__
         if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(p.grad).all():
@@ -530,4 +508,4 @@ def sgd_step(params, lr: float):
     for p in params:
         p.grad *= lr
         p.value -= p.grad
-        p.zero_grad()
+        p.grad = None

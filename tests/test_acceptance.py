@@ -242,7 +242,7 @@ def test_criterion_10_parameter_accounting():
     params = init_params(cfg)
     before = {p.name: p.value.copy() for p in params}
     for p in params:
-        p.grad[:] = 1.0
+        p.grad = np.ones_like(p.value)
     sgd_step(params, 0.01)
     changed = sum(int(np.sum(before[p.name] != p.value)) for p in params)
     ok = count == 80 and changed == count

@@ -399,11 +399,18 @@ class TestForward:
             report = gradcheck(cfg, seed=3)
             assert report.ok, report.per_param
 
-    def test_gradcheck_fault_injection_flags_corrupted_group(self):
+    def test_gradcheck_fault_injection_flags_corrupted_group(self, monkeypatch):
         # sanity check on the checker itself: a deliberately biased analytic
         # gradient must be caught, and only in the corrupted group
+        def biased_backward(tape, loss):
+            backward(tape, loss)
+            for p in tape.params.values():
+                if p.name == "mlp.w2":
+                    p.grad += 0.1
+
+        monkeypatch.setattr("symgraph.gradcheck.backward", biased_backward)
         cfg = ModelConfig(num_labels=2, embed_dim=4, hidden_dim=4, gcn_layers=1)
-        report = gradcheck(cfg, seed=0, corrupt_param="mlp.w2")
+        report = gradcheck(cfg, seed=0)
         assert not report.ok
         assert report.per_param["mlp.w2"] > 1e-4
         clean = {k: v for k, v in report.per_param.items() if k != "mlp.w2"}
@@ -1073,7 +1080,7 @@ class TestParamCount:
         params = init_params(cfg)
         before = {p.name: p.value.copy() for p in params}
         for p in params:
-            p.grad[:] = 1.0
+            p.grad = np.ones_like(p.value)
         sgd_step(params, 0.01)
         changed = sum(int(np.sum(before[p.name] != p.value)) for p in params)
         assert changed == param_count(cfg)
@@ -1106,6 +1113,19 @@ class TestCheckpoint:
         assert cfg2 == cfg
         for p in params:
             assert np.array_equal(params2[p.name].value, p.value)
+
+    @pytest.mark.parametrize("build", ["init_params", "load_checkpoint", "copy"])
+    def test_parameters_are_built_without_a_gradient(self, tmp_path, build):
+        # a gradient is allocated by the first backward, never beforehand:
+        # eval and ablate load checkpoints and run no backward at all
+        cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=2)
+        params = init_params(cfg)
+        if build == "load_checkpoint":
+            save_checkpoint(tmp_path / "ckpt.npz", cfg, params)
+            params = load_checkpoint(tmp_path / "ckpt.npz")[1]
+        elif build == "copy":
+            params = params.copy()
+        assert len(params) > 0 and all(p.grad is None for p in params)
 
     def test_output_head_recorded(self, tmp_path):
         cfg = ModelConfig(num_labels=3, embed_dim=4, hidden_dim=5, gcn_layers=1,

@@ -397,22 +397,22 @@ class TestGradientPasses:
         assert "shared.gcn1" in init_params(cfg)
         for loss_mode in model.LOSS_MODES:
             mcfg = replace(cfg, loss_mode=loss_mode)
-            held, dropped = init_params(mcfg), init_params(mcfg)
-            for p in dropped:
-                p.zero_grad()
-            for params in (held, dropped):
+            summed, adopted = init_params(mcfg), init_params(mcfg)
+            for p in summed:
+                p.grad = np.zeros_like(p.value)
+            for params in (summed, adopted):
                 tape = Tape()
                 backward(tape, batch_loss(batch, targets, params, mcfg, tape))
-            for p in dropped:  # adopted, bit for bit the sum into zeros
-                assert p.holds_grad
-                assert np.array_equal(p.grad, held[p.name].grad), p.name
+            for p in adopted:  # adopted, bit for bit the sum into zeros
+                assert p.grad is not None
+                assert np.array_equal(p.grad, summed[p.name].grad), p.name
                 flat = p.value.reshape(-1)
                 for i in range(flat.size):
                     orig = flat[i]
                     losses = []
                     for x in (orig + 1e-5, orig - 1e-5):
                         flat[i] = x
-                        losses.append(batch_loss(batch, targets, dropped, mcfg).item())
+                        losses.append(batch_loss(batch, targets, adopted, mcfg).item())
                     flat[i] = orig
                     num = (losses[0] - losses[1]) / 2e-5
                     ga = p.grad.reshape(-1)[i]
@@ -422,12 +422,12 @@ class TestGradientPasses:
     def test_adopted_gradients_share_no_memory(self, share):
         cfg, batch, targets = self._world(share_towers=share)
         params = init_params(cfg)
-        for _ in range(2):  # the second backward follows a step, so it adopts
+        for _ in range(2):  # each backward finds no gradient, so it adopts
             tape = Tape()
             backward(tape, batch_loss(batch, targets, params, cfg, tape))
-            assert all(p.holds_grad for p in params)
+            assert all(p.grad is not None for p in params)
             T.sgd_step(params, 0.1)
-            assert not any(p.holds_grad or p.grad.any() for p in params)
+            assert all(p.grad is None for p in params)
         tape = Tape()
         backward(tape, batch_loss(batch, targets, params, cfg, tape))
         for p in params:
@@ -444,7 +444,7 @@ class TestGradientPasses:
         cfg, batch, targets = self._world()
         params = init_params(cfg)
         copy = params.copy()
-        assert not any(p.holds_grad or p.grad.any() for p in copy)
+        assert all(p.grad is None for p in copy)
         assert all(p.value is not params[p.name].value for p in copy)
         grads = []
         for _ in range(2):  # one forward, replayed twice
@@ -453,8 +453,8 @@ class TestGradientPasses:
             for _ in range(2):
                 backward(tape, loss)
                 grads.append({p.name: p.grad.copy() for p in copy})
-            T.sgd_step(copy, 0.0)  # drops the gradients again
-        assert not any(p.holds_grad for p in copy)
+            T.sgd_step(copy, 0.0)  # sets the gradients back to None
+        assert all(p.grad is None for p in copy)
         once, twice = grads[:2]
         for name, g in once.items():
             assert np.array_equal(twice[name], 2.0 * g), name
@@ -482,8 +482,6 @@ class TestGradientPasses:
         split = pack_split([make_example(0, 0), make_example(1, 0), make_example(0, 1)],
                            table, LABELS)
         params = init_params(mcfg)
-        for p in params:
-            p.zero_grad()  # as after an earlier step: this one adopts
         probe = params.copy()
         tape = Tape()
         backward(tape, batch_loss(split.take([0, 1, 2]), split.targets, probe, mcfg, tape))
